@@ -166,6 +166,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzEntryRoundTrip -fuzztime=10s ./internal/ept/
 	$(GO) test -fuzz=FuzzTranslateRobustness -fuzztime=20s ./internal/ept/
 	$(GO) test -fuzz=FuzzDeviceProtocol -fuzztime=20s ./internal/virtio/
+	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/runartifact/
+	$(GO) test -fuzz=FuzzOpenIndex -fuzztime=20s ./internal/runstore/
 
 clean:
 	$(GO) clean ./...

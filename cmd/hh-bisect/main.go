@@ -105,6 +105,9 @@ func load(storeDir, arg string) *runartifact.Artifact {
 			fmt.Fprintf(os.Stderr, "hh-bisect: %v\n", err)
 			os.Exit(2)
 		}
+		if err := st.Repaired(); err != nil {
+			fmt.Fprintln(os.Stderr, "hh-bisect: warning:", err)
+		}
 		a, err := st.Load(arg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hh-bisect: %v\n", err)

@@ -201,6 +201,9 @@ func renderHistory(dir string) error {
 		return err
 	}
 	defer s.Close()
+	if err := s.Repaired(); err != nil {
+		fmt.Fprintln(os.Stderr, "hh-inspect: warning:", err)
+	}
 	return runstore.RenderHistory(os.Stdout, s.History())
 }
 

@@ -72,6 +72,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "hh-tables: %v\n", err)
 			os.Exit(1)
 		}
+		if err := store.Repaired(); err != nil {
+			fmt.Fprintln(os.Stderr, "hh-tables: warning:", err)
+		}
 	}
 	want := func(n int) bool {
 		if *all {
@@ -196,9 +199,7 @@ func main() {
 	if *obsAddr != "" {
 		plane := hyperhammer.NewObs(o.Metrics, hyperhammer.ObsConfig{SampleEvery: *obsSample})
 		plane.AttachProfile(profiler)
-		plane.SetInspector(o.Inspect)
-		plane.SetForensics(o.Forensics)
-		plane.SetLedger(o.Ledger)
+		plane.SetScope(o.Scope)
 		o.Obs = plane
 		// Units run hosts with Obs unset, so nothing ever taps the
 		// shared recorder implicitly; tap it here so absorbed unit

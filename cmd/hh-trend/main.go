@@ -78,6 +78,9 @@ func main() {
 		if store, err = runstore.Open(*storeDir); err != nil {
 			fatal(err)
 		}
+		if err := store.Repaired(); err != nil {
+			fmt.Fprintln(os.Stderr, "hh-trend: warning:", err)
+		}
 		defer store.Close()
 		r = store.Trend(opts)
 	}

@@ -60,6 +60,9 @@ func main() {
 		if store, err = hyperhammer.OpenRunStore(*storeDir); err != nil {
 			fatal(err)
 		}
+		if err := store.Repaired(); err != nil {
+			fmt.Fprintln(os.Stderr, "hyperhammer: warning:", err)
+		}
 	}
 
 	if *seed == 0 {
@@ -182,9 +185,7 @@ func main() {
 	if *obsAddr != "" {
 		plane = hyperhammer.NewObs(reg, hyperhammer.ObsConfig{SampleEvery: *obsSample})
 		plane.AttachProfile(profiler) // nil profiler → /api/profile serves empty
-		plane.SetInspector(inspector)
-		plane.SetForensics(forensicsRec)
-		plane.SetLedger(ledgerRec)
+		plane.SetScope(hostCfg.Scope)
 		hostCfg.Obs = plane
 		var err error
 		if srv, err = plane.Serve(*obsAddr); err != nil {

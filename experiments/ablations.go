@@ -308,10 +308,7 @@ func thpRun(o Options, thp bool) (thpOutcome, error) {
 		NXHugepages:    true,
 		BootNoisePages: 500,
 		Seed:           o.Seed,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
+		Scope:          o.ledgerless(),
 	}
 	h, err := kvm.NewHost(cfg)
 	if err != nil {

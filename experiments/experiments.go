@@ -15,14 +15,10 @@ import (
 	"time"
 
 	"hyperhammer/internal/dram"
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/kvm"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
-	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/obs"
-	"hyperhammer/internal/trace"
+	"hyperhammer/internal/scope"
 )
 
 // Options control experiment scale and determinism.
@@ -41,42 +37,19 @@ type Options struct {
 	// scoped telemetry and are folded in declaration order (see
 	// plan.go).
 	Parallel int
-	// Trace, when non-nil, receives host- and tool-side events from
-	// every host the experiments boot. Each scheduled unit records into
-	// its own scoped recorder; completed units replay into this one in
-	// declaration order, so the merged stream is deterministic for a
-	// fixed seed regardless of Parallel.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, aggregates instrumentation across every
-	// booted host into one registry. Each unit meters into its own
-	// scoped registry, bound to its host's clock exactly once;
-	// completed units' snapshots are absorbed in declaration order, and
+	// Scope holds the recorder planes every booted host feeds: trace,
+	// metrics, introspection, forensics and the determinism ledger.
+	// Each scheduled unit runs against its own scope (Scope.Unit) and
+	// completed units are absorbed into this one in declaration order,
+	// so every plane is byte-identical at any Parallel setting, and
 	// sim_seconds accumulates across hosts instead of reflecting only
 	// the most recent boot.
-	Metrics *metrics.Registry
+	scope.Scope
 	// Obs, when non-nil, is the live observability plane. Concurrent
 	// units never drive its sampler directly (their telemetry is
 	// scoped); the engine samples the shared registry once per
 	// completed unit, tagging the series points with the unit's name.
 	Obs *obs.Plane
-	// Inspect, when non-nil, is the hardware introspection plane every
-	// booted host feeds: DRAM heatmaps, layout censuses and watchpoint
-	// alerts. Units run against scoped inspectors absorbed in
-	// declaration order, so its snapshots are byte-identical at every
-	// Parallel setting.
-	Inspect *inspect.Inspector
-	// Forensics, when non-nil, is the flip-provenance plane every booted
-	// host and campaign feeds: per-attempt flip lineage, verdicts, frame
-	// owners, and outcome taxonomies. Units run against scoped recorders
-	// absorbed in declaration order, like Inspect.
-	Forensics *forensics.Recorder
-	// Ledger, when non-nil, is the determinism-ledger plane every booted
-	// host feeds: rolling per-stream fingerprints of RNG draws, DRAM
-	// row/flip events, allocator traffic, EPT and guest-mapping
-	// mutations, and attack outcomes, sealed into sim-time epochs. Units
-	// run against scoped recorders absorbed in declaration order, so the
-	// ledger is byte-identical at every Parallel setting.
-	Ledger *ledger.Recorder
 }
 
 // DefaultOptions returns the full-scale deterministic defaults.
@@ -221,12 +194,8 @@ func (o Options) newHost(sys System) (*kvm.Host, error) {
 		NXHugepages:    true,
 		BootNoisePages: sc.hostNoise(sys),
 		Seed:           o.Seed ^ uint64(sys)<<32,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
+		Scope:          o.Scope,
 		Obs:            o.Obs,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
-		Ledger:         o.Ledger,
 		// Intra-host parallelism rides the same -parallel knob as the
 		// experiment engine: the DRAM module shards its batched
 		// per-bank pass without perturbing any deterministic stream.
@@ -242,6 +211,19 @@ func (o Options) newHost(sys System) (*kvm.Host, error) {
 		}
 	}
 	return h, nil
+}
+
+// ledgerless is the scope of the hosts the mitigation, TRR, ECC and
+// Multihit units, the THP ablation and newHostAt boot. Those hosts have
+// never fed the determinism ledger, so hh-bisect cannot localize drift
+// inside their units. Wiring it would add their streams to every
+// ledgered artifact and move the content hashes the benchmark's golden
+// file records, so the gap stays until a benchmark change re-records
+// them (DESIGN.md §12).
+func (o Options) ledgerless() scope.Scope {
+	s := o.Scope
+	s.Ledger = nil
+	return s
 }
 
 // Durations below are shared formatting helpers.

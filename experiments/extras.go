@@ -179,10 +179,7 @@ func mitigationRun(o Options, guarded bool) (mitigationOutcome, error) {
 		BootNoisePages: 1000,
 		Seed:           o.Seed,
 		Quarantine:     guard,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
+		Scope:          o.ledgerless(),
 	}
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
@@ -341,9 +338,6 @@ func (o Options) newHostAt(sc scale, sys System) (*kvm.Host, error) {
 		NXHugepages:    true,
 		BootNoisePages: sc.hostNoise(sys),
 		Seed:           o.Seed ^ uint64(sys)<<32,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
+		Scope:          o.ledgerless(),
 	})
 }

@@ -93,10 +93,7 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 		NXHugepages:    true,
 		BootNoisePages: 500,
 		Seed:           o.Seed,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
+		Scope:          o.ledgerless(),
 	})
 	if err != nil {
 		return nil, err
@@ -214,10 +211,7 @@ func eccRun(o Options, ecc bool) (eccOutcome, error) {
 		BootNoisePages: 500,
 		ECC:            ecc,
 		Seed:           o.Seed,
-		Trace:          o.Trace,
-		Metrics:        o.Metrics,
-		Inspect:        o.Inspect,
-		Forensics:      o.Forensics,
+		Scope:          o.ledgerless(),
 	})
 	if err != nil {
 		return eccOutcome{}, err
@@ -319,10 +313,7 @@ func multihitRun(o Options, mitigated bool) (multihitOutcome, error) {
 		MultihitBugPresent: true,
 		BootNoisePages:     500,
 		Seed:               o.Seed,
-		Trace:              o.Trace,
-		Metrics:            o.Metrics,
-		Inspect:            o.Inspect,
-		Forensics:          o.Forensics,
+		Scope:              o.ledgerless(),
 	})
 	if err != nil {
 		return multihitOutcome{}, err

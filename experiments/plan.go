@@ -3,13 +3,10 @@ package experiments
 import (
 	"sync"
 
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/sched"
-	"hyperhammer/internal/trace"
+	"hyperhammer/internal/scope"
 )
 
 // This file is the deterministic parallel experiment engine. A Plan
@@ -63,20 +60,11 @@ func resolved[T any](v T) *Future[T] {
 // consumer such as Analysis.
 func Resolved[T any](v T) *Future[T] { return resolved(v) }
 
-// unitScope is one unit's private telemetry, absorbed at delivery.
-type unitScope struct {
-	tr   *trace.Recorder
-	reg  *metrics.Registry
-	prof *profile.Builder
-	ins  *inspect.Inspector
-	fr   *forensics.Recorder
-	led  *ledger.Recorder
-}
-
-// unitResult pairs a unit's value with its scope for the merge step.
+// unitResult pairs a unit's value with its private telemetry for the
+// merge step.
 type unitResult struct {
 	v     any
-	scope *unitScope
+	scope *scope.Unit
 }
 
 // Plan accumulates experiment units and runs them.
@@ -108,42 +96,20 @@ func (p *Plan) Units() int { return len(p.units) }
 // twice.
 func (p *Plan) SetProfiler(b *profile.Builder) { p.profiler = b }
 
-// add registers one unit. run receives scoped options; store receives
-// the unit's value, in declaration order.
+// add registers one unit. run receives the plan's options scoped to the
+// unit's own telemetry (scope.Scope.Unit), with the live plane
+// detached; store receives the unit's value, in declaration order.
 func (p *Plan) add(name string, run func(Options) (any, error), store func(any)) {
 	parent := p.o
 	profiler := p.profiler
 	p.units = append(p.units, sched.Unit{
 		Name: name,
 		Run: func() (any, error) {
+			u := parent.Scope.Unit(profiler)
 			uo := parent
-			var scope *unitScope
-			if parent.Trace != nil || parent.Metrics != nil || parent.Obs != nil ||
-				parent.Inspect != nil || parent.Forensics != nil ||
-				parent.Ledger != nil || profiler != nil {
-				scope = &unitScope{}
-				if parent.Trace != nil || profiler != nil || parent.Inspect != nil {
-					scope.tr = trace.NewCapture()
-				}
-				if parent.Metrics != nil || profiler != nil || parent.Inspect != nil {
-					scope.reg = metrics.New()
-				}
-				if profiler != nil {
-					scope.prof = profile.NewBuilder(scope.reg)
-					scope.tr.SetNamedSink("profile", scope.prof.Consume)
-				}
-				scope.ins = parent.Inspect.Scoped()
-				scope.fr = parent.Forensics.Scoped()
-				scope.led = parent.Ledger.Scoped()
-				uo.Trace = scope.tr
-				uo.Metrics = scope.reg
-				uo.Obs = nil
-				uo.Inspect = scope.ins
-				uo.Forensics = scope.fr
-				uo.Ledger = scope.led
-			}
+			uo.Scope, uo.Obs = u.Scope, nil
 			v, err := run(uo)
-			return unitResult{v: v, scope: scope}, err
+			return unitResult{v: v, scope: u}, err
 		},
 	})
 	p.merges = append(p.merges, store)
@@ -160,7 +126,12 @@ func (p *Plan) Run() error {
 	runner := sched.New(p.o.Parallel)
 	sc, err := runner.RunTimed(p.units, func(i int, v any) error {
 		ur := v.(unitResult)
-		p.mergeScope(p.units[i].Name, ur.scope)
+		name := p.units[i].Name
+		p.o.Scope.Absorb(ur.scope, name)
+		// Units never drive the live sampler (their clocks are scoped),
+		// so the plane takes one sample, tagged with the unit's name, per
+		// absorbed unit.
+		p.o.Obs.SampleUnit(name)
 		if p.merges[i] != nil {
 			p.merges[i](ur.v)
 		}
@@ -234,28 +205,6 @@ func (p *Plan) recordSchedMetrics(sc *sched.Schedule) {
 			hist.Observe(u.QueueWaitSeconds())
 		}
 	}
-}
-
-// mergeScope folds one completed unit's telemetry into the shared
-// plane: the captured trace replays through the shared recorder (span
-// IDs re-based, order preserved), the unit's cost profile and metrics
-// snapshot are absorbed, and the live observability store takes one
-// sample tagged with the unit's name.
-func (p *Plan) mergeScope(name string, s *unitScope) {
-	if s == nil {
-		return
-	}
-	p.o.Trace.Absorb(s.tr)
-	if p.profiler != nil && s.prof != nil {
-		p.profiler.Absorb(s.prof.Snapshot())
-	}
-	if p.o.Metrics != nil && s.reg != nil {
-		p.o.Metrics.Absorb(s.reg.Snapshot())
-	}
-	p.o.Inspect.Absorb(s.ins, name)
-	p.o.Forensics.Absorb(s.fr, name)
-	p.o.Ledger.Absorb(s.led, name)
-	p.o.Obs.SampleUnit(name)
 }
 
 // addTyped is add with typed run/store callbacks.

@@ -172,7 +172,9 @@ type TraceSpan = trace.Span
 // ObsPlane is the live observability plane: a sim-time time-series
 // sampler over a metrics registry plus an event bus fed by the trace
 // recorder. Install one via HostConfig.Obs (every host boot arms the
-// sampler on its clock) and serve it over HTTP with ObsPlane.Serve.
+// sampler on its clock), hand it the recorder planes its section
+// endpoints serve with ObsPlane.SetScope, and serve it over HTTP with
+// ObsPlane.Serve.
 type ObsPlane = obs.Plane
 
 // ObsConfig tunes the observability plane (sampling interval, ring
@@ -188,9 +190,9 @@ func NewObs(reg *MetricsRegistry, cfg ObsConfig) *ObsPlane {
 // Inspector is the hardware introspection plane: bucketed DRAM
 // activation/flip heatmaps, memory-layout censuses, and sim-time
 // watchpoint alerts. Install one via HostConfig.Inspect (every host
-// boot sizes the heatmap and arms watchpoint evaluation on its clock)
-// and serve it live with ObsPlane.SetInspector; embed its snapshots in
-// a RunArtifact with RunArtifact.SetInspector.
+// boot sizes the heatmap and arms watchpoint evaluation on its clock),
+// serve it live by handing the host's scope to ObsPlane.SetScope, and
+// embed its snapshots in a RunArtifact with RunArtifact.SetInspector.
 type Inspector = inspect.Inspector
 
 // InspectConfig tunes an Inspector (bucket count, alert ring bound,
@@ -213,7 +215,7 @@ func DefaultWatchpointRules() []WatchpointRule { return inspect.DefaultRules() }
 // flip lineage (aggressors → verdict → owning frame), campaign outcome
 // taxonomies, and one-line cause synthesis. Install one via
 // HostConfig.Forensics (every host boot binds its clock and installs
-// the DRAM flip sink), serve it live with ObsPlane.SetForensics, and
+// the DRAM flip sink), serve it live through ObsPlane.SetScope, and
 // embed its snapshot in a RunArtifact with RunArtifact.SetForensics
 // for cmd/hh-why to read offline.
 type ForensicsRecorder = forensics.Recorder
@@ -233,8 +235,8 @@ func NewForensics(cfg ForensicsConfig) *ForensicsRecorder { return forensics.New
 // row/flip events, allocator traffic, EPT and guest-mapping mutations,
 // attack outcomes), sealed into sim-time epochs. Install one via
 // HostConfig.Ledger (every host boot binds its clock and resolves the
-// subsystem streams), serve it live with ObsPlane.SetLedger, and embed
-// its snapshot in a RunArtifact with RunArtifact.SetLedger for
+// subsystem streams), serve it live through ObsPlane.SetScope, and
+// embed its snapshot in a RunArtifact with RunArtifact.SetLedger for
 // cmd/hh-bisect to localize divergence offline.
 type LedgerRecorder = ledger.Recorder
 

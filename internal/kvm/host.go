@@ -19,15 +19,14 @@ import (
 	"hyperhammer/internal/buddy"
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/obs"
 	"hyperhammer/internal/phys"
 	"hyperhammer/internal/sched"
+	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
-	"hyperhammer/internal/trace"
 	"hyperhammer/internal/virtio"
 )
 
@@ -72,40 +71,27 @@ type Config struct {
 	// Quarantine, when non-nil, installs the paper's Section 6
 	// countermeasure on every virtio-mem device.
 	Quarantine virtio.Guard
-	// Trace, when non-nil, receives structured host-side events (VM
-	// lifecycle, releases, splits, applied flips, machine checks).
-	Trace *trace.Recorder
-	// Metrics, when non-nil, receives counters/gauges/histograms from
-	// every instrumented layer under this host (DRAM, buddy, EPT,
-	// virtio, balloon, hammer). The registry is bound to the host's
-	// simulated clock at boot, so exported rates are per simulated
-	// second.
-	Metrics *metrics.Registry
+	// Scope holds the recorder planes the host feeds, each optional. At
+	// boot the host binds Metrics to its simulated clock and threads it
+	// through every instrumented layer (DRAM, buddy, EPT, virtio,
+	// balloon, hammer); binds the Ledger and resolves its fingerprint
+	// streams across every subsystem in a fixed declaration order
+	// (kvm.rng, kvm.flip, then dram, phys, buddy, ept, guest) before
+	// boot noise is drawn; binds Trace for host-side events (VM
+	// lifecycle, releases, splits, applied flips, machine checks);
+	// sizes the Inspect heatmap, points it at Metrics, installs the
+	// census builder and arms watchpoint evaluation, whose alerts
+	// surface as "watchpoint.alert" trace events; and installs
+	// Forensics as the DRAM module's flip sink, so every flip the host
+	// commits or a mitigation vetoes resolves to a verdict and an
+	// owning frame.
+	scope.Scope
 	// Obs, when non-nil, is the live observability plane: at boot it is
 	// bound to the host's simulated clock (arming the periodic
 	// time-series sampler) and tapped into the host's trace recorder
 	// (streaming events to subscribers). The plane should wrap the same
 	// registry as Metrics.
 	Obs *obs.Plane
-	// Inspect, when non-nil, is the hardware introspection plane: at
-	// boot the host sizes its DRAM heatmap, points it at Metrics,
-	// installs the census builder, and arms watchpoint evaluation on
-	// the simulated clock. Fired alerts surface as "watchpoint.alert"
-	// trace events.
-	Inspect *inspect.Inspector
-	// Forensics, when non-nil, is the flip-provenance recorder: at boot
-	// it is bound to the host's simulated clock and installed as the
-	// DRAM module's flip sink, and every flip the host commits (or a
-	// mitigation vetoes) is resolved to a verdict and an owning frame.
-	Forensics *forensics.Recorder
-	// Ledger, when non-nil, is the determinism plane: at boot it is
-	// bound to the host's simulated clock (arming epoch sealing) and
-	// its fingerprint streams are resolved across every instrumented
-	// subsystem in a fixed declaration order (kvm.rng, kvm.flip, then
-	// dram, phys, buddy, ept, guest). Hooks only observe values the
-	// simulation already produced, so enabling the ledger cannot
-	// change any figure.
-	Ledger *ledger.Recorder
 	// DRAMShardWorkers, when > 1, shards the DRAM module's batched
 	// per-bank threshold-crossing pass across that many sched workers.
 	// The per-bank work is pure and the merge is index-ordered, so

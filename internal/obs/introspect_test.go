@@ -10,6 +10,7 @@ import (
 
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/metrics"
+	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
 )
 
@@ -45,7 +46,7 @@ func TestIntrospectionEndpointsWithInspector(t *testing.T) {
 	ins.BindMachine(4, 1024)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 2} })
-	srv.plane.SetInspector(ins)
+	srv.plane.SetScope(scope.Scope{Inspect: ins})
 
 	ins.RecordRowActivations(1, 512, 9000)
 	ins.RecordFlip(1, 512)

@@ -4,12 +4,10 @@ import (
 	"sync"
 	"time"
 
-	"hyperhammer/internal/forensics"
-	"hyperhammer/internal/inspect"
-	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runstore"
+	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
 	"hyperhammer/internal/trace"
 )
@@ -44,14 +42,12 @@ type Plane struct {
 	keepalive time.Duration
 	start     time.Time
 
-	mu        sync.Mutex
-	profiler  *profile.Builder
-	artifact  func() any
-	inspector *inspect.Inspector
-	forensics *forensics.Recorder
-	ledger    *ledger.Recorder
-	plan      func() *profile.PlanReport
-	runstore  *runstore.Store
+	mu       sync.Mutex
+	profiler *profile.Builder
+	artifact func() any
+	rec      scope.Scope
+	plan     func() *profile.PlanReport
+	runstore *runstore.Store
 }
 
 // NewPlane creates a plane over reg (which may be nil: the plane then
@@ -202,76 +198,26 @@ func (p *Plane) Profile() *profile.Profile {
 	return b.Snapshot()
 }
 
-// SetInspector installs the hardware introspection plane the server's
-// /api/heatmap, /api/census and /api/alerts endpoints serve from. A
-// nil inspector (or never calling this) makes those endpoints serve
+// SetScope installs the recorder planes the server's section endpoints
+// serve from: /api/heatmap, /api/census and /api/alerts read
+// s.Inspect, /api/forensics s.Forensics, /api/ledger s.Ledger. A nil
+// plane in s (or never calling this) makes its endpoints serve
 // empty-but-schema-valid snapshots. Safe on a nil receiver.
-func (p *Plane) SetInspector(ins *inspect.Inspector) {
+func (p *Plane) SetScope(s scope.Scope) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
-	p.inspector = ins
+	p.rec = s
 	p.mu.Unlock()
 }
 
-// Inspector returns the installed introspection plane (nil when
-// unset; inspect snapshots are nil-safe).
-func (p *Plane) Inspector() *inspect.Inspector {
-	if p == nil {
-		return nil
-	}
+// recorders returns the installed scope (every plane's snapshot is
+// nil-safe, so unset planes need no guard).
+func (p *Plane) recorders() scope.Scope {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.inspector
-}
-
-// SetForensics installs the flip-provenance recorder the server's
-// /api/forensics endpoint serves from. A nil recorder (or never calling
-// this) makes the endpoint serve an empty-but-schema-valid snapshot.
-// Safe on a nil receiver.
-func (p *Plane) SetForensics(r *forensics.Recorder) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.forensics = r
-	p.mu.Unlock()
-}
-
-// Forensics returns the installed flip-provenance recorder (nil when
-// unset; forensics snapshots are nil-safe).
-func (p *Plane) Forensics() *forensics.Recorder {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.forensics
-}
-
-// SetLedger installs the determinism-ledger recorder the server's
-// /api/ledger endpoint serves from. A nil recorder (or never calling
-// this) makes the endpoint serve an empty-but-schema-valid snapshot.
-// Safe on a nil receiver.
-func (p *Plane) SetLedger(r *ledger.Recorder) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.ledger = r
-	p.mu.Unlock()
-}
-
-// Ledger returns the installed determinism-ledger recorder (nil when
-// unset; ledger snapshots are nil-safe).
-func (p *Plane) Ledger() *ledger.Recorder {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.ledger
+	return p.rec
 }
 
 // SetPlanFunc installs the callback /api/plan serves: the host-cost

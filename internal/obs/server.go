@@ -74,14 +74,11 @@ func (p *Plane) Serve(addr string) (*Server, error) {
 	mux.HandleFunc("/api/events", s.handleEvents)
 	mux.HandleFunc("/api/profile", s.handleProfile)
 	mux.HandleFunc("/api/artifact", s.handleArtifact)
-	mux.HandleFunc("/api/heatmap", s.handleHeatmap)
-	mux.HandleFunc("/api/census", s.handleCensus)
-	mux.HandleFunc("/api/alerts", s.handleAlerts)
-	mux.HandleFunc("/api/forensics", s.handleForensics)
-	mux.HandleFunc("/api/ledger", s.handleLedger)
-	mux.HandleFunc("/api/plan", s.handlePlan)
-	mux.HandleFunc("/api/history", s.handleHistory)
-	mux.HandleFunc("/api/trend", s.handleTrend)
+	for _, e := range snapshotEndpoints {
+		mux.HandleFunc("/api/"+e.name, func(w http.ResponseWriter, _ *http.Request) {
+			writeJSON(w, e.snapshot(p))
+		})
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -188,59 +185,27 @@ func (s *Server) handleArtifact(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, fn())
 }
 
-// handleHeatmap serves the introspection plane's DRAM heatmap. The
-// snapshot methods are nil-safe, so the shape contract holds with no
-// inspector installed: arrays are [] and never null.
-func (s *Server) handleHeatmap(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Inspector().HeatmapSnapshot())
-}
-
-// handleCensus serves the memory-layout census (plan units in
-// declaration order, live host last).
-func (s *Server) handleCensus(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Inspector().CensusSnapshot())
-}
-
-// handleAlerts serves the fired-watchpoint state.
-func (s *Server) handleAlerts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Inspector().AlertsSnapshot())
-}
-
-// handleForensics serves the flip-provenance snapshot. Snapshot is
-// nil-safe, so the shape contract holds with no recorder installed:
-// arrays are [] and never null.
-func (s *Server) handleForensics(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Forensics().Snapshot())
-}
-
-// handleLedger serves the determinism-ledger snapshot. Snapshot is
-// nil-safe, so the shape contract holds with no recorder installed:
-// arrays are [] and never null.
-func (s *Server) handleLedger(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.Ledger().Snapshot())
-}
-
-// handlePlan serves the host-cost schedule report. PlanReport is
-// never nil, so the shape contract holds with no plan source
-// installed: arrays are [] and never null.
-func (s *Server) handlePlan(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.PlanReport())
-}
-
-// handleHistory serves the run-history store's index. History returns
-// a snapshot copy built under the store lock, so the response is never
-// a partial view of an in-flight ingest; on a nil store the document
-// is empty but schema-valid (entries is [] and never null).
-func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.RunStore().History())
-}
-
-// handleTrend serves the cross-run trend report at the default
-// tolerances (sim figures exact, host durations listed but not gated,
-// bench ns/op at ±30%). Like /api/history it folds a snapshot copy of
-// the index, and on a nil store the report is empty but schema-valid.
-func (s *Server) handleTrend(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, s.plane.RunStore().Trend(runstore.DefaultTrendOptions()))
+// snapshotEndpoints are the endpoints that each serve one JSON
+// snapshot, at /api/<name>. The names match the run artifact's section
+// names, plus the two run-history views. Every snapshot is nil-safe and
+// never null, so each endpoint serves an empty-but-schema-valid
+// document (lists [], never null) until its plane, plan source or store
+// is installed. The run-history views fold a snapshot copy of the index
+// built under the store lock, so they never show a partial in-flight
+// ingest; trend applies the default tolerances (sim figures exact, host
+// durations listed but not gated, bench ns/op at ±30%).
+var snapshotEndpoints = []struct {
+	name     string
+	snapshot func(*Plane) any
+}{
+	{"heatmap", func(p *Plane) any { return p.recorders().Inspect.HeatmapSnapshot() }},
+	{"census", func(p *Plane) any { return p.recorders().Inspect.CensusSnapshot() }},
+	{"alerts", func(p *Plane) any { return p.recorders().Inspect.AlertsSnapshot() }},
+	{"forensics", func(p *Plane) any { return p.recorders().Forensics.Snapshot() }},
+	{"ledger", func(p *Plane) any { return p.recorders().Ledger.Snapshot() }},
+	{"plan", func(p *Plane) any { return p.PlanReport() }},
+	{"history", func(p *Plane) any { return p.RunStore().History() }},
+	{"trend", func(p *Plane) any { return p.RunStore().Trend(runstore.DefaultTrendOptions()) }},
 }
 
 // handleEvents streams the bus over SSE: the replay ring first, then

@@ -13,6 +13,7 @@ import (
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/profile"
+	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
 	"hyperhammer/internal/trace"
 )
@@ -332,7 +333,7 @@ func TestConcurrentScrapeWhileSimulating(t *testing.T) {
 	ins.BindMachine(4, 2048)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 1} })
-	p.SetInspector(ins)
+	p.SetScope(scope.Scope{Inspect: ins})
 	srv, err := p.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

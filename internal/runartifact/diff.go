@@ -8,10 +8,7 @@ import (
 	"strings"
 
 	"hyperhammer/internal/benchfmt"
-	"hyperhammer/internal/forensics"
 	"hyperhammer/internal/inspect"
-	"hyperhammer/internal/ledger"
-	"hyperhammer/internal/profile"
 	"hyperhammer/internal/report"
 )
 
@@ -53,9 +50,8 @@ func DefaultTolerances() Tolerances {
 
 // Delta is one compared figure.
 type Delta struct {
-	// Kind groups the row: "run" (headline), "phase" (profile path),
-	// "counter", "outcome", "heatmap", "census", "alerts", "plan", or
-	// "bench".
+	// Kind groups the row: a section's kind from the sections table
+	// ("run" is the headline, "phase" a profile path), or "bench".
 	Kind string `json:"kind"`
 	// Key identifies the figure within its kind (span path, metric
 	// name+labels, benchmark name).
@@ -83,8 +79,8 @@ func (d Delta) Frac() float64 {
 
 // Diff is the comparison of two artifacts (or bench documents).
 type Diff struct {
-	// Deltas lists every compared figure, flagged rows first within
-	// each kind, kinds in run/phase/counter/outcome/bench order.
+	// Deltas lists every compared figure, kinds in sections-table
+	// order with bench last, keys sorted within each kind.
 	Deltas []Delta `json:"deltas"`
 	// Flagged counts deltas beyond tolerance; nonzero means the runs
 	// diverged and the gate should fail.
@@ -115,125 +111,129 @@ func abs(v float64) float64 {
 	return v
 }
 
+// tolClass says when a section's figures are compared, and how loosely.
+type tolClass int
+
+const (
+	// simExact sections are seed-deterministic. They are compared
+	// whenever either artifact carries them (a section on one side only
+	// shows as figures drifting from zero), at the count tolerance, or
+	// the sim tolerance for simulated-seconds figures; both default to
+	// zero, since any drift means the simulation behaved differently.
+	simExact tolClass = iota
+	// hostCost sections measure the machine, not the simulation. Like
+	// bench, they are compared only when both artifacts carry them: the
+	// shape at the count tolerance, the durations at the host tolerance
+	// (which defaults to never-flag).
+	hostCost
+)
+
+// section is one artifact section's offline comparison. Compare and
+// Fingerprints walk the sections table, so giving a new plane an
+// hh-diff comparison and a run-store fingerprint is one entry there.
+type section struct {
+	// kind is the Delta.Kind of the section's rows.
+	kind  string
+	class tolClass
+	// figures flattens the section to comparison keys; nil when the
+	// artifact does not carry the section.
+	figures func(*Artifact) map[string]float64
+	// simTime reports the keys that are simulated seconds, compared at
+	// the sim tolerance rather than the count tolerance (nil: none).
+	simTime func(key string) bool
+	// hostFigures flattens a hostCost section's durations, compared
+	// after its shape figures at the host tolerance.
+	hostFigures func(*Artifact) map[string]float64
+	// fingerprint is the section's key in Fingerprints ("" leaves it
+	// out). Sections sharing a key fold into one figure map, each key
+	// renamed by fpKey when it is set.
+	fingerprint string
+	fpKey       func(key string) string
+}
+
+// sections lists every artifact section in verdict-table order.
+var sections = []section{
+	{kind: "run", figures: runFigures, simTime: func(string) bool { return true }, fingerprint: "outcome"},
+	{kind: "phase", figures: profileMap, simTime: isPhaseSeconds, fingerprint: "profile"},
+	{kind: "counter", figures: counterMap, fingerprint: "counters"},
+	{kind: "outcome", figures: func(a *Artifact) map[string]float64 { return a.Outcome },
+		fingerprint: "outcome", fpKey: func(k string) string { return "outcome[" + k + "]" }},
+	{kind: "heatmap", figures: heatmapMap, fingerprint: "heatmap"},
+	{kind: "census", figures: censusMap, fingerprint: "census"},
+	{kind: "alerts", figures: alertsMap, fingerprint: "alerts"},
+	{kind: "forensics", figures: forensicsMap, fingerprint: "forensics"},
+	// The ledger has no fingerprint: the run-store index and the
+	// benchmark's golden digests record the fingerprint key set, so a
+	// new key waits for a change that re-records both. hh-diff still
+	// compares every stream exactly.
+	{kind: "ledger", figures: ledgerMap},
+	// The plan is host cost, which never enters a deterministic digest.
+	{kind: "plan", class: hostCost, figures: planShapeMap, hostFigures: planHostMap},
+}
+
 // Compare diffs two artifacts figure by figure under the given
-// tolerances. It compares headline sim time, per-path profile costs,
-// every counter in the metrics snapshot, the outcome table, and — when
-// both artifacts embed one — the benchmark documents.
+// tolerances: every section of the sections table in order, then —
+// when both artifacts embed one — the benchmark documents.
 func Compare(a, b *Artifact, tol Tolerances) *Diff {
 	d := &Diff{}
-	add := func(kind, key string, va, vb float64, frac, absTol float64) {
-		row := Delta{Kind: kind, Key: key, A: va, B: vb, Delta: vb - va}
-		if !withinTol(va, vb, frac, absTol) {
-			row.Flagged = true
-			d.Flagged++
+	for _, s := range sections {
+		fa, fb := s.figures(a), s.figures(b)
+		if s.class == hostCost && (fa == nil || fb == nil) {
+			continue
 		}
-		d.Deltas = append(d.Deltas, row)
-	}
-
-	add("run", "sim_seconds", a.SimSeconds, b.SimSeconds, tol.SimFrac, tol.SimAbs)
-
-	// Per-phase simulated time and activations from the folded profile.
-	type phaseCost struct{ seconds, acts float64 }
-	collect := func(art *Artifact) map[string]phaseCost {
-		m := make(map[string]phaseCost, len(art.Profile))
-		for _, e := range art.Profile {
-			m[e.Path] = phaseCost{seconds: e.SimSeconds, acts: float64(e.Activations)}
-		}
-		return m
-	}
-	pa, pb := collect(a), collect(b)
-	for _, path := range unionKeys(pa, pb) {
-		add("phase", path, pa[path].seconds, pb[path].seconds, tol.SimFrac, tol.SimAbs)
-		if pa[path].acts != 0 || pb[path].acts != 0 {
-			add("phase", path+" activations", pa[path].acts, pb[path].acts, tol.CountFrac, tol.CountAbs)
-		}
-	}
-
-	// Every counter in the final snapshot.
-	ca, cb := counterMap(a), counterMap(b)
-	for _, key := range unionKeys(ca, cb) {
-		add("counter", key, ca[key], cb[key], tol.CountFrac, tol.CountAbs)
-	}
-
-	// Outcome headline numbers.
-	for _, key := range unionKeys(a.Outcome, b.Outcome) {
-		add("outcome", key, a.Outcome[key], b.Outcome[key], tol.CountFrac, tol.CountAbs)
-	}
-
-	// Introspection-plane sections (heatmap / census / alerts) compare
-	// under the counter tolerance, which defaults to zero: any drift in
-	// where activations landed or which watchpoints fired means the
-	// simulation behaved differently.
-	if a.Heatmap != nil || b.Heatmap != nil {
-		ha, hb := heatmapMap(a.Heatmap), heatmapMap(b.Heatmap)
-		for _, key := range unionKeys(ha, hb) {
-			add("heatmap", key, ha[key], hb[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-	if a.Census != nil || b.Census != nil {
-		ca, cb := censusMap(a.Census), censusMap(b.Census)
-		for _, key := range unionKeys(ca, cb) {
-			add("census", key, ca[key], cb[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-	if a.Alerts != nil || b.Alerts != nil {
-		aa, ab := alertsMap(a.Alerts), alertsMap(b.Alerts)
-		for _, key := range unionKeys(aa, ab) {
-			add("alerts", key, aa[key], ab[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-
-	// The forensics section likewise compares at the (zero-default)
-	// counter tolerance: attempt outcomes, flip verdicts, and owner
-	// attributions are all seed-deterministic.
-	if a.Forensics != nil || b.Forensics != nil {
-		fa, fb := forensicsMap(a.Forensics), forensicsMap(b.Forensics)
 		for _, key := range unionKeys(fa, fb) {
-			add("forensics", key, fa[key], fb[key], tol.CountFrac, tol.CountAbs)
+			frac, absTol := tol.CountFrac, tol.CountAbs
+			if s.simTime != nil && s.simTime(key) {
+				frac, absTol = tol.SimFrac, tol.SimAbs
+			}
+			d.add(s.kind, key, fa[key], fb[key], frac, absTol)
+		}
+		if s.hostFigures != nil {
+			ha, hb := s.hostFigures(a), s.hostFigures(b)
+			for _, key := range unionKeys(ha, hb) {
+				d.add(s.kind, key, ha[key], hb[key], tol.HostFrac, tol.HostAbs)
+			}
 		}
 	}
-
-	// The ledger section compares fingerprints at the (zero-default)
-	// counter tolerance: any fractional or absolute slack would defeat
-	// its purpose, since a fingerprint either matches or does not.
-	if a.Ledger != nil || b.Ledger != nil {
-		la, lb := ledgerMap(a.Ledger), ledgerMap(b.Ledger)
-		for _, key := range unionKeys(la, lb) {
-			add("ledger", key, la[key], lb[key], tol.CountFrac, tol.CountAbs)
-		}
-	}
-
-	// The plan section (host-cost schedule) compares only when both
-	// artifacts carry one (like bench): shape and counts exactly
-	// (under the count tolerance), durations loosely (under the host
-	// tolerance, which defaults to never-flag).
-	if a.Plan != nil && b.Plan != nil {
-		sa, sb := planShapeMap(a.Plan), planShapeMap(b.Plan)
-		for _, key := range unionKeys(sa, sb) {
-			add("plan", key, sa[key], sb[key], tol.CountFrac, tol.CountAbs)
-		}
-		ha, hb := planHostMap(a.Plan), planHostMap(b.Plan)
-		for _, key := range unionKeys(ha, hb) {
-			add("plan", key, ha[key], hb[key], tol.HostFrac, tol.HostAbs)
-		}
-	}
-
 	if a.Bench != nil && b.Bench != nil {
 		benchDeltas(d, a.Bench, b.Bench, tol)
 	}
 	return d
 }
 
+// add appends one compared figure, flagging it when the delta exceeds
+// the tolerance.
+func (d *Diff) add(kind, key string, va, vb, frac, absTol float64) {
+	row := Delta{Kind: kind, Key: key, A: va, B: vb, Delta: vb - va}
+	if !withinTol(va, vb, frac, absTol) {
+		row.Flagged = true
+		d.Flagged++
+	}
+	d.Deltas = append(d.Deltas, row)
+}
+
+// runFigures is the headline figure: the final simulated time.
+func runFigures(a *Artifact) map[string]float64 {
+	return map[string]float64{"sim_seconds": a.SimSeconds}
+}
+
+// activationsSuffix marks a phase's activation count; every other phase
+// key is a span path's simulated seconds.
+const activationsSuffix = " activations"
+
+func isPhaseSeconds(key string) bool { return !strings.HasSuffix(key, activationsSuffix) }
+
 // planShapeMap flattens a plan report's deterministic shape: how many
 // units were scheduled, and that each declared unit ran and was
 // delivered. These must agree exactly across runs of the same matrix
 // regardless of -parallel (the worker count itself is configuration,
 // not shape, so it is compared as a host figure).
-func planShapeMap(p *profile.PlanReport) map[string]float64 {
-	m := map[string]float64{}
+func planShapeMap(a *Artifact) map[string]float64 {
+	p := a.Plan
 	if p == nil {
-		return m
+		return nil
 	}
+	m := map[string]float64{}
 	m["units"] = float64(len(p.Units))
 	for _, u := range p.Units {
 		b2f := func(b bool) float64 {
@@ -250,11 +250,12 @@ func planShapeMap(p *profile.PlanReport) map[string]float64 {
 
 // planHostMap flattens a plan report's host-time figures: headline
 // costs, the efficiency line, and per-unit run durations.
-func planHostMap(p *profile.PlanReport) map[string]float64 {
-	m := map[string]float64{}
+func planHostMap(a *Artifact) map[string]float64 {
+	p := a.Plan
 	if p == nil {
-		return m
+		return nil
 	}
+	m := map[string]float64{}
 	m["host workers"] = float64(p.Workers)
 	m["host wall_seconds"] = p.WallSeconds
 	m["host cpu_seconds"] = p.CPUSeconds
@@ -274,11 +275,12 @@ func planHostMap(p *profile.PlanReport) map[string]float64 {
 // headline totals, per-bank sums, and an FNV-1a fingerprint over the
 // full per-bucket grid so any cell-level drift is caught without
 // emitting thousands of rows.
-func heatmapMap(h *inspect.HeatmapSnapshot) map[string]float64 {
-	m := map[string]float64{}
+func heatmapMap(a *Artifact) map[string]float64 {
+	h := a.Heatmap
 	if h == nil {
-		return m
+		return nil
 	}
+	m := map[string]float64{}
 	m["banks"] = float64(h.Banks)
 	m["buckets"] = float64(h.Buckets)
 	m["total_activations"] = float64(h.TotalActivations)
@@ -317,11 +319,12 @@ func heatmapMap(h *inspect.HeatmapSnapshot) map[string]float64 {
 // fingerprint over the serialized campaign records so any drift in
 // per-attempt lineage (causes, flip details, sim times) is caught
 // without emitting a row per flip.
-func forensicsMap(s *forensics.Snapshot) map[string]float64 {
-	m := map[string]float64{}
+func forensicsMap(a *Artifact) map[string]float64 {
+	s := a.Forensics
 	if s == nil {
-		return m
+		return nil
 	}
+	m := map[string]float64{}
 	m["version"] = float64(s.Version)
 	m["campaigns"] = float64(len(s.Campaigns))
 	attempts := 0
@@ -360,11 +363,12 @@ func forensicsMap(s *forensics.Snapshot) map[string]float64 {
 // whose final fingerprints match at every stream had identical epoch
 // trails — so flattening them would only multiply rows; hh-bisect is
 // the tool that walks epochs.
-func ledgerMap(s *ledger.Snapshot) map[string]float64 {
-	m := map[string]float64{}
+func ledgerMap(a *Artifact) map[string]float64 {
+	s := a.Ledger
 	if s == nil {
-		return m
+		return nil
 	}
+	m := map[string]float64{}
 	m["version"] = float64(s.Version)
 	m["epoch_seconds"] = s.EpochSimSeconds
 	m["units"] = float64(len(s.Units))
@@ -387,19 +391,23 @@ func ledgerMap(s *ledger.Snapshot) map[string]float64 {
 }
 
 // censusMap flattens census snapshots to comparison keys.
-func censusMap(s *inspect.CensusSnapshot) map[string]float64 {
+func censusMap(a *Artifact) map[string]float64 {
+	if a.Census == nil {
+		return nil
+	}
 	m := map[string]float64{}
-	inspect.FlattenCensuses(s, func(key string, v float64) { m[key] = v })
+	inspect.FlattenCensuses(a.Census, func(key string, v float64) { m[key] = v })
 	return m
 }
 
 // alertsMap flattens the alert table: overall total and per-rule fired
 // counts.
-func alertsMap(s *inspect.AlertsSnapshot) map[string]float64 {
-	m := map[string]float64{}
+func alertsMap(a *Artifact) map[string]float64 {
+	s := a.Alerts
 	if s == nil {
-		return m
+		return nil
 	}
+	m := map[string]float64{}
 	m["total"] = float64(s.Total)
 	for _, rc := range s.ByRule {
 		m["rule["+rc.Rule+"]"] = float64(rc.Count)
@@ -440,13 +448,7 @@ func benchDeltas(d *Diff, a, b *benchfmt.Output, tol Tolerances) {
 			d.Flagged++
 			continue
 		}
-		va, vb := oa.Metrics["ns/op"], ob.Metrics["ns/op"]
-		row := Delta{Kind: "bench", Key: n + " ns/op", A: va, B: vb, Delta: vb - va}
-		if !withinTol(va, vb, tol.BenchFrac, 0) {
-			row.Flagged = true
-			d.Flagged++
-		}
-		d.Deltas = append(d.Deltas, row)
+		d.add("bench", n+" ns/op", oa.Metrics["ns/op"], ob.Metrics["ns/op"], tol.BenchFrac, 0)
 	}
 }
 

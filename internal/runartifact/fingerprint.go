@@ -92,55 +92,53 @@ func (a *Artifact) ContentHash() string {
 }
 
 // Fingerprints folds each deterministic artifact section into one
-// FNV-1a figure, keyed by section name: "outcome" (headline sim time
-// and campaign outcome), "profile" (per-path sim cost), "counters"
-// (the metrics snapshot), and — when the run carried them — "heatmap",
-// "census", "alerts", and "forensics". The flattenings are exactly the
-// maps Compare diffs at zero tolerance, so two artifacts with equal
-// fingerprints are hh-diff-clean on simulated figures, and a drifted
-// section names where the divergence lives without storing every
-// figure. Values are folded to 52 bits so they survive float64
-// comparison machinery unchanged (like the heatmap grid fingerprint).
+// FNV-1a figure, keyed by the section's fingerprint name in the
+// sections table: "outcome" (headline sim time and campaign outcome),
+// "profile" (per-path sim cost), "counters" (the metrics snapshot), and
+// — when the run carried them — "heatmap", "census", "alerts", and
+// "forensics". The flattenings are exactly the maps Compare diffs at
+// zero tolerance, so two artifacts with equal fingerprints are
+// hh-diff-clean on those sections, and a drifted section names where
+// the divergence lives without storing every figure. Values are folded
+// to 52 bits so they survive float64 comparison machinery unchanged
+// (like the heatmap grid fingerprint).
 func (a *Artifact) Fingerprints() map[string]float64 {
-	out := map[string]float64{
-		"outcome":  fingerprintMap(outcomeMap(a)),
-		"profile":  fingerprintMap(profileMap(a)),
-		"counters": fingerprintMap(counterMap(a)),
+	folds := map[string]map[string]float64{}
+	for _, s := range sections {
+		if s.fingerprint == "" {
+			continue
+		}
+		m := s.figures(a)
+		if m == nil {
+			continue
+		}
+		fold := folds[s.fingerprint]
+		if fold == nil {
+			fold = make(map[string]float64, len(m))
+			folds[s.fingerprint] = fold
+		}
+		for k, v := range m {
+			if s.fpKey != nil {
+				k = s.fpKey(k)
+			}
+			fold[k] = v
+		}
 	}
-	if a.Heatmap != nil {
-		out["heatmap"] = fingerprintMap(heatmapMap(a.Heatmap))
-	}
-	if a.Census != nil {
-		out["census"] = fingerprintMap(censusMap(a.Census))
-	}
-	if a.Alerts != nil {
-		out["alerts"] = fingerprintMap(alertsMap(a.Alerts))
-	}
-	if a.Forensics != nil {
-		out["forensics"] = fingerprintMap(forensicsMap(a.Forensics))
+	out := make(map[string]float64, len(folds))
+	for name, fold := range folds {
+		out[name] = fingerprintMap(fold)
 	}
 	return out
 }
 
-// outcomeMap flattens the headline figures: final sim time plus every
-// outcome row.
-func outcomeMap(a *Artifact) map[string]float64 {
-	m := make(map[string]float64, len(a.Outcome)+1)
-	m["sim_seconds"] = a.SimSeconds
-	for k, v := range a.Outcome {
-		m["outcome["+k+"]"] = v
-	}
-	return m
-}
-
-// profileMap flattens the folded cost profile the same way Compare
-// does: per-path sim seconds plus per-path activation counts.
+// profileMap flattens the folded cost profile: per-path sim seconds
+// plus per-path activation counts.
 func profileMap(a *Artifact) map[string]float64 {
 	m := make(map[string]float64, 2*len(a.Profile))
 	for _, e := range a.Profile {
 		m[e.Path] = e.SimSeconds
 		if e.Activations != 0 {
-			m[e.Path+" activations"] = float64(e.Activations)
+			m[e.Path+activationsSuffix] = float64(e.Activations)
 		}
 	}
 	return m

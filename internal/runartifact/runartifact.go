@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/forensics"
@@ -195,17 +196,37 @@ func (a *Artifact) Write(w io.Writer) error {
 	return nil
 }
 
-// WriteFile writes the artifact to path, creating or truncating it.
+// WriteFile writes the artifact to path crash-safely: it encodes into a
+// temporary file in the same directory, syncs it, and renames it over
+// path, so a failed or interrupted write leaves any previous artifact
+// at path whole instead of truncated.
 func (a *Artifact) WriteFile(path string) error {
-	f, err := os.Create(path)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
 		return fmt.Errorf("runartifact: %w", err)
 	}
+	tmp := f.Name()
 	if err := a.Write(f); err != nil {
 		f.Close()
+		os.Remove(tmp)
 		return err
 	}
-	return f.Close()
+	// CreateTemp makes the file owner-only; artifacts are shared output.
+	err = f.Chmod(0o644)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return fmt.Errorf("runartifact: %w", err)
+	}
+	return nil
 }
 
 // Read parses an artifact. It rejects documents that are not

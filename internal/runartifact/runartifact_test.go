@@ -3,6 +3,7 @@ package runartifact
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -71,6 +72,34 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, got) {
 		t.Errorf("round trip diverged:\nwrote %+v\nread  %+v", a, got)
+	}
+}
+
+// TestWriteFileKeepsOriginalOnFailure: WriteFile replaces its target
+// only after a complete write, so an encode failure leaves the previous
+// artifact readable rather than truncated, and no temporary file
+// behind.
+func TestWriteFileKeepsOriginalOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.json")
+	good := sampleArtifact(t, 60)
+	if err := good.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	bad := sampleArtifact(t, 60)
+	bad.Outcome["attempts"] = math.NaN()
+	if err := bad.WriteFile(path); err == nil {
+		t.Fatal("writing an unencodable artifact succeeded")
+	}
+	got, err := ReadFile(path)
+	if err != nil {
+		t.Fatalf("original artifact unreadable after a failed write: %v", err)
+	}
+	if got.ContentHash() != good.ContentHash() {
+		t.Error("a failed write changed the artifact on disk")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory holds %d entries (%v), want only the artifact", len(entries), err)
 	}
 }
 

@@ -111,6 +111,9 @@ type HistorySnapshot struct {
 type Store struct {
 	dir string
 
+	// repaired reports the torn final index line Open dropped.
+	repaired error
+
 	mu      sync.Mutex
 	entries []IndexEntry
 	idx     *os.File
@@ -127,17 +130,30 @@ func Open(dir string) (*Store, error) {
 	}
 	s := &Store{dir: dir}
 	path := filepath.Join(dir, indexFile)
-	if data, err := os.ReadFile(path); err == nil {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		for line := 1; dec.More(); line++ {
-			var e IndexEntry
-			if err := dec.Decode(&e); err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("runstore: %w", err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for line := 1; dec.More(); line++ {
+		start := dec.InputOffset()
+		var e IndexEntry
+		if err := dec.Decode(&e); err != nil {
+			// An append cut short by a crash leaves a final line with no
+			// newline: drop it and cut the index back to the last good
+			// line, so the next append starts a clean line. A bad line
+			// with more after it is corruption.
+			torn := bytes.TrimLeft(data[start:], " \t\r\n")
+			if bytes.IndexByte(torn, '\n') >= 0 {
 				return nil, fmt.Errorf("runstore: %s line %d: %w", path, line, err)
 			}
-			s.entries = append(s.entries, e)
+			if err := os.Truncate(path, int64(len(data)-len(torn))); err != nil {
+				return nil, fmt.Errorf("runstore: %w", err)
+			}
+			s.repaired = fmt.Errorf("runstore: %s: dropped torn final line %d (%d bytes)", path, line, len(torn))
+			break
 		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("runstore: %w", err)
+		s.entries = append(s.entries, e)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -156,6 +172,16 @@ func (s *Store) Close() error {
 	err := s.idx.Close()
 	s.idx = nil
 	return err
+}
+
+// Repaired reports the torn final index line Open dropped, nil when the
+// index loaded whole. The store is usable either way; the CLIs print it
+// as a warning.
+func (s *Store) Repaired() error {
+	if s == nil {
+		return nil
+	}
+	return s.repaired
 }
 
 // Dir returns the store root ("" on a nil store).
