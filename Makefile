@@ -43,14 +43,14 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./... > bench_output.txt || { cat bench_output.txt; exit 1; }
 	cat bench_output.txt
-	$(GO) run ./cmd/hh-benchjson -o BENCH_full.json bench_output.txt
+	$(GO) run ./cmd/hh benchjson -o BENCH_full.json bench_output.txt
 
 # Staleness gate for the committed benchmark document: BENCH_full.json
-# must be exactly what hh-benchjson derives from the committed
+# must be exactly what hh benchjson derives from the committed
 # bench_output.txt (the generatedAt timestamp aside). On FAIL: run
 # `make bench` and commit both files together.
 bench-verify:
-	$(GO) run ./cmd/hh-benchjson -o BENCH_check.json bench_output.txt
+	$(GO) run ./cmd/hh benchjson -o BENCH_check.json bench_output.txt
 	@grep -v '"generatedAt"' BENCH_full.json > BENCH_full.stripped
 	@grep -v '"generatedAt"' BENCH_check.json > BENCH_check.stripped
 	@cmp BENCH_full.stripped BENCH_check.stripped || { \
@@ -62,18 +62,18 @@ bench-verify:
 bench-short:
 	$(GO) test -bench=. -benchmem -short ./... > bench_output.txt || { cat bench_output.txt; exit 1; }
 	cat bench_output.txt
-	$(GO) run ./cmd/hh-benchjson -o BENCH_short.json bench_output.txt
+	$(GO) run ./cmd/hh benchjson -o BENCH_short.json bench_output.txt
 
 # Regenerate the paper's evaluation artifacts as text.
 tables:
-	$(GO) run ./cmd/hh-tables -all
+	$(GO) run ./cmd/hh tables -all
 
 # The end-to-end attack demo at reduced scale.
 demo:
-	$(GO) run ./cmd/hyperhammer -short
+	$(GO) run ./cmd/hh run -short
 
 # Regression gate: record a short deterministic run's artifact and
-# compare it against the committed baseline with hh-diff. Simulated
+# compare it against the committed baseline with hh diff. Simulated
 # figures are seed-deterministic, so the tolerances below are already
 # generous; a FAIL means behavior changed — either fix the regression
 # or regenerate the baseline (same command as below with the output
@@ -81,80 +81,80 @@ demo:
 # diff. The campaign's own exit status is ignored: 2 attempts rarely
 # escape, and the artifact is written on every exit path.
 profile-gate: build
-	$(GO) run ./cmd/hyperhammer -short -attempts 2 -artifact run_artifact.json > /dev/null; test -s run_artifact.json
-	$(GO) run ./cmd/hh-diff -sim-tol 0.05 -count-tol 0.05 testdata/baselines/short-seed4.json run_artifact.json
+	$(GO) run ./cmd/hh run -short -attempts 2 -artifact run_artifact.json > /dev/null; test -s run_artifact.json
+	$(GO) run ./cmd/hh diff -sim-tol 0.05 -count-tol 0.05 testdata/baselines/short-seed4.json run_artifact.json
 
 # Parallel-determinism gate: the full short evaluation run twice, at
 # -parallel 1 and -parallel 4, must produce byte-identical stdout and
-# trace streams and a zero-tolerance hh-diff match on the artifact.
+# trace streams and a zero-tolerance hh diff match on the artifact.
 # The plan section (host-cost schedule) is the one sanctioned
-# exception: hh-diff compares its shape exactly but its host timings
+# exception: hh diff compares its shape exactly but its host timings
 # loosely, and the Chrome trace rides along without perturbing any
 # deterministic stream.
 parallel-gate:
-	$(GO) build -o bin/ ./cmd/hh-tables ./cmd/hh-diff ./cmd/hh-plan
-	bin/hh-tables -short -all -parallel 1 -trace seq.trace -artifact seq.json > seq.txt
-	bin/hh-tables -short -all -parallel 4 -trace par.trace -artifact par.json -chrome-trace par_chrome.json > par.txt
+	$(GO) build -o bin/ ./cmd/hh
+	bin/hh tables -short -all -parallel 1 -trace seq.trace -artifact seq.json > seq.txt
+	bin/hh tables -short -all -parallel 4 -trace par.trace -artifact par.json -chrome-trace par_chrome.json > par.txt
 	diff seq.txt par.txt
 	cmp seq.trace par.trace
-	bin/hh-diff seq.json par.json
+	bin/hh diff seq.json par.json
 	grep -q '"criticalPath"' par.json
-	bin/hh-plan -artifact par.json > /dev/null
+	bin/hh plan -artifact par.json > /dev/null
 	rm -f seq.trace par.trace seq.json par.json seq.txt par.txt par_chrome.json
 
 # Run-history gate: two identical short runs ingested into a fresh
-# store must trend with zero simulated-figure drift (hh-trend exit 0);
+# store must trend with zero simulated-figure drift (hh trend exit 0);
 # a third run with a different hammer budget must be flagged (exit 1),
 # attributed to that run, and classified as config drift. The
 # campaigns' own exit statuses are ignored (2 attempts rarely escape;
 # the artifact is ingested on every exit path).
 history-gate:
-	$(GO) build -o bin/ ./cmd/hyperhammer ./cmd/hh-trend ./cmd/hh-inspect
+	$(GO) build -o bin/ ./cmd/hh
 	rm -rf history_store
-	bin/hyperhammer -short -attempts 2 -store history_store > /dev/null || true
-	bin/hyperhammer -short -attempts 2 -store history_store > /dev/null || true
-	bin/hh-trend -store history_store
-	bin/hyperhammer -short -attempts 2 -hammer-rounds 400000 -store history_store > /dev/null || true
-	if bin/hh-trend -store history_store > history_drift.txt; then \
-		echo "history-gate: hh-trend failed to flag the perturbed run"; cat history_drift.txt; exit 1; fi
+	bin/hh run -short -attempts 2 -store history_store > /dev/null || true
+	bin/hh run -short -attempts 2 -store history_store > /dev/null || true
+	bin/hh trend -store history_store
+	bin/hh run -short -attempts 2 -hammer-rounds 400000 -store history_store > /dev/null || true
+	if bin/hh trend -store history_store > history_drift.txt; then \
+		echo "history-gate: hh trend failed to flag the perturbed run"; cat history_drift.txt; exit 1; fi
 	grep -q 'DRIFT (config)' history_drift.txt
 	grep -q '000003-' history_drift.txt
-	bin/hh-inspect history history_store > /dev/null
+	bin/hh inspect history history_store > /dev/null
 	rm -rf history_store history_drift.txt
 	@echo "history-gate: determinism held across identical runs; drift attributed"
 
 # Hammer hot-path gate: re-run the dram hammer microbenchmarks and
-# the Table 3 campaign benchmark, then check with hh-hotpath that the
+# the Table 3 campaign benchmark, then check with hh hotpath that the
 # batched steady-state hammer path still reports 0 allocs/op and that
 # the end-to-end attack cost has not regressed more than 25% against
-# the committed bench_output.txt (same tolerance rule as hh-trend's
+# the committed bench_output.txt (same tolerance rule as hh trend's
 # -bench-tol). On a legitimate speedup or workload change, run
 # `make bench` and commit the refreshed log pair.
 hotpath-gate:
 	$(GO) test -run xxx -bench 'BenchmarkHammer(Op|Batch|TRRAudit)$$' -benchmem -benchtime 20000x ./internal/dram/ > hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) test -run xxx -bench 'BenchmarkTable3AttackCost$$' -benchmem -benchtime 1x . >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
-	$(GO) run ./cmd/hh-hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
+	$(GO) run ./cmd/hh hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
 		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch -compare BenchmarkTable3AttackCost -bench-tol 0.25
 	rm -f hotpath_bench.txt
 
 # Determinism-ledger gate: the short matrix run twice with the ledger
-# on must produce identical fingerprint trails (hh-bisect exit 0, and
-# hh-diff holds the ledger section at zero tolerance); a campaign with
-# a perturbed hammer budget must be flagged (hh-bisect exit 1) and
+# on must produce identical fingerprint trails (hh bisect exit 0, and
+# hh diff holds the ledger section at zero tolerance); a campaign with
+# a perturbed hammer budget must be flagged (hh bisect exit 1) and
 # localized to the expected stream and epoch — the drift first touches
 # the DRAM row-activation stream in the first hammering epoch. The
 # campaigns' own exit statuses are ignored (2 attempts rarely escape;
 # the artifact is written on every exit path).
 ledger-gate:
-	$(GO) build -o bin/ ./cmd/hh-tables ./cmd/hyperhammer ./cmd/hh-bisect ./cmd/hh-diff
-	bin/hh-tables -short -all -parallel 4 -ledger-epoch 250ms -artifact led_a.json > /dev/null
-	bin/hh-tables -short -all -parallel 4 -ledger-epoch 250ms -artifact led_b.json > /dev/null
-	bin/hh-bisect led_a.json led_b.json
-	bin/hh-diff led_a.json led_b.json
-	bin/hyperhammer -short -attempts 2 -ledger-epoch 100ms -artifact led_c.json > /dev/null || true
-	bin/hyperhammer -short -attempts 2 -ledger-epoch 100ms -hammer-rounds 400000 -artifact led_d.json > /dev/null || true
-	if bin/hh-bisect led_c.json led_d.json > ledger_drift.txt; then \
-		echo "ledger-gate: hh-bisect failed to flag the perturbed run"; cat ledger_drift.txt; exit 1; fi
+	$(GO) build -o bin/ ./cmd/hh
+	bin/hh tables -short -all -parallel 4 -ledger-epoch 250ms -artifact led_a.json > /dev/null
+	bin/hh tables -short -all -parallel 4 -ledger-epoch 250ms -artifact led_b.json > /dev/null
+	bin/hh bisect led_a.json led_b.json
+	bin/hh diff led_a.json led_b.json
+	bin/hh run -short -attempts 2 -ledger-epoch 100ms -artifact led_c.json > /dev/null || true
+	bin/hh run -short -attempts 2 -ledger-epoch 100ms -hammer-rounds 400000 -artifact led_d.json > /dev/null || true
+	if bin/hh bisect led_c.json led_d.json > ledger_drift.txt; then \
+		echo "ledger-gate: hh bisect failed to flag the perturbed run"; cat ledger_drift.txt; exit 1; fi
 	grep -q 'dram\.row diverged first' ledger_drift.txt
 	grep -q ', epoch 1$$' ledger_drift.txt
 	rm -f led_a.json led_b.json led_c.json led_d.json ledger_drift.txt
@@ -168,6 +168,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzDeviceProtocol -fuzztime=20s ./internal/virtio/
 	$(GO) test -fuzz=FuzzRead -fuzztime=20s ./internal/runartifact/
 	$(GO) test -fuzz=FuzzOpenIndex -fuzztime=20s ./internal/runstore/
+	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/benchfmt/
+	$(GO) test -fuzz=FuzzBisect -fuzztime=20s ./internal/ledger/
 
 clean:
 	$(GO) clean ./...

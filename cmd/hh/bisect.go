@@ -1,7 +1,9 @@
-// Command hh-bisect localizes where two runs' determinism ledgers
-// first diverge.
+package main
+
+// hh bisect localizes where two runs' determinism ledgers first
+// diverge.
 //
-// hh-diff answers *whether* two runs drifted; hh-bisect answers
+// hh diff answers *whether* two runs drifted; hh bisect answers
 // *where*: which plan unit, which subsystem stream, and which sim-time
 // epoch first disagreed. Both runs must have been produced with
 // -ledger-epoch set so their artifacts carry a ledger section (rolling
@@ -10,71 +12,63 @@
 // brackets the first divergent event: everything before it matched
 // byte for byte.
 //
+//	hh bisect a.json b.json
+//	hh bisect -store runs/ RUN-ID-A RUN-ID-B
+//	hh bisect -json a.json b.json
+//
 // Exit status: 0 when the ledgers are identical, 1 when they diverge,
 // 2 on usage or read errors (including artifacts without a ledger
-// section).
-//
-// Usage:
-//
-//	hh-bisect a.json b.json
-//	hh-bisect -store runs/ RUN-ID-A RUN-ID-B
-//	hh-bisect -json a.json b.json
-package main
+// section, and a -store directory that does not exist).
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 
 	"hyperhammer/internal/ledger"
-	"hyperhammer/internal/runartifact"
-	"hyperhammer/internal/runstore"
 )
 
-func main() {
-	var (
-		storeDir = flag.String("store", "", "resolve the two arguments as run IDs in this run-history store directory instead of file paths")
-		asJSON   = flag.Bool("json", false, "emit the divergence record (or null) as JSON instead of text")
-		context  = flag.Int("context", 2, "fingerprint epochs of context to print around the divergence")
-	)
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: hh-bisect [flags] a.json b.json")
-		fmt.Fprintln(os.Stderr, "       hh-bisect -store DIR run-id-a run-id-b")
-		flag.PrintDefaults()
+func cmdBisect(args []string) int {
+	fs := newFlags("bisect", "usage: hh bisect [flags] a.json b.json\n       hh bisect -store DIR run-id-a run-id-b")
+	storeDir := fs.String("store", "", "resolve the two arguments as run IDs in this run-history store directory instead of file paths")
+	asJSON := fs.Bool("json", false, "emit the divergence record (or null) as JSON instead of text")
+	context := fs.Int("context", 2, "fingerprint epochs of context to print around the divergence")
+	if status, ok := parse(fs, args); !ok {
+		return status
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
-	a := load(*storeDir, flag.Arg(0))
-	b := load(*storeDir, flag.Arg(1))
-	if a.Ledger == nil || b.Ledger == nil {
-		for i, art := range []*runartifact.Artifact{a, b} {
+	arts, err := loadArtifacts("bisect", *storeDir, fs.Args())
+	if err != nil {
+		return fail("bisect", 2, err)
+	}
+	a, b := arts[0].Ledger, arts[1].Ledger
+	if a == nil || b == nil {
+		for i, art := range arts {
 			if art.Ledger == nil {
-				fmt.Fprintf(os.Stderr, "hh-bisect: %s has no ledger section (rerun with -ledger-epoch)\n", flag.Arg(i))
+				fmt.Fprintf(os.Stderr, "hh bisect: %s has no ledger section (rerun with -ledger-epoch)\n", fs.Arg(i))
 			}
 		}
-		os.Exit(2)
+		return 2
 	}
 
-	d := ledger.Bisect(a.Ledger, b.Ledger)
+	d := ledger.Bisect(a, b)
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(d); err != nil {
-			fmt.Fprintf(os.Stderr, "hh-bisect: %v\n", err)
-			os.Exit(2)
+			return fail("bisect", 2, err)
 		}
 		if d != nil {
-			os.Exit(1)
+			return 1
 		}
-		return
+		return 0
 	}
 	if d == nil {
-		fmt.Printf("ledgers identical: %d unit(s), every stream fingerprint matches\n", len(a.Ledger.Units))
-		return
+		fmt.Printf("ledgers identical: %d unit(s), every stream fingerprint matches\n", len(a.Units))
+		return 0
 	}
 
 	// Headline: the first divergent stream, located in sim time.
@@ -92,35 +86,8 @@ func main() {
 		fmt.Printf("%s diverged (final stream state; no sealed epoch localizes it)\n", where)
 		fmt.Printf("  %s\n", d.Detail)
 	}
-	printContext(a.Ledger, b.Ledger, d, *context)
-	os.Exit(1)
-}
-
-// load reads one artifact from a file path or, when storeDir is set,
-// from the run-history store by run ID.
-func load(storeDir, arg string) *runartifact.Artifact {
-	if storeDir != "" {
-		st, err := runstore.Open(storeDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hh-bisect: %v\n", err)
-			os.Exit(2)
-		}
-		if err := st.Repaired(); err != nil {
-			fmt.Fprintln(os.Stderr, "hh-bisect: warning:", err)
-		}
-		a, err := st.Load(arg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hh-bisect: %v\n", err)
-			os.Exit(2)
-		}
-		return a
-	}
-	a, err := runartifact.ReadFile(arg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hh-bisect: %v\n", err)
-		os.Exit(2)
-	}
-	return a
+	printContext(a, b, d, *context)
+	return 1
 }
 
 // printContext shows the divergent stream's fingerprint trail in both

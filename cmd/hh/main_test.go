@@ -1,0 +1,258 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"io"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hyperhammer/internal/benchfmt"
+	"hyperhammer/internal/runartifact"
+	"hyperhammer/internal/sched"
+)
+
+func writeTemp(t *testing.T, name, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDispatchUsage: no subcommand, or an unknown one, lists every
+// subcommand on stderr and exits 2.
+func TestDispatchUsage(t *testing.T) {
+	for _, args := range [][]string{nil, {"hyperhammer"}} {
+		var stderr bytes.Buffer
+		if status := dispatch(args, &stderr); status != 2 {
+			t.Errorf("dispatch(%q) = %d, want 2", args, status)
+		}
+		for _, c := range commands {
+			if !strings.Contains(stderr.String(), "\n  "+c.name+" ") {
+				t.Errorf("dispatch(%q) usage does not list %q:\n%s", args, c.name, stderr.String())
+			}
+		}
+	}
+}
+
+func TestLoadArtifact(t *testing.T) {
+	path := writeTemp(t, "art.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":1.5,"metrics":{}}`)
+	a, b, err := load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if a == nil || b != nil {
+		t.Fatalf("want artifact, got (artifact=%v, bench=%v)", a != nil, b != nil)
+	}
+	if a.Seed != 4 {
+		t.Errorf("seed = %d, want 4", a.Seed)
+	}
+	if _, err := loadBench(path); err == nil {
+		t.Error("loadBench accepted a run artifact")
+	}
+}
+
+func TestLoadBench(t *testing.T) {
+	path := writeTemp(t, "bench.json", `{"generatedAt":"2026-01-01T00:00:00Z","benchmarks":[]}`)
+	a, b, err := load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if a != nil || b == nil {
+		t.Fatalf("want bench, got (artifact=%v, bench=%v)", a != nil, b != nil)
+	}
+	if _, err := loadArtifact(path); err == nil {
+		t.Error("loadArtifact accepted a bench document")
+	}
+}
+
+// A truncated artifact must produce a clear corruption message, not a
+// bench-decoder fallback error.
+func TestLoadTruncatedArtifact(t *testing.T) {
+	path := writeTemp(t, "trunc.json", `{"version":1,"tool":"hyperhammer","seed":4,"metr`)
+	_, _, err := load(path)
+	if err == nil {
+		t.Fatal("load succeeded on a truncated artifact")
+	}
+	if !strings.Contains(err.Error(), "corrupt or truncated JSON") {
+		t.Errorf("error %q does not name the corruption", err)
+	}
+	if strings.Contains(err.Error(), "bench") {
+		t.Errorf("error %q blames the bench decoder for a damaged artifact", err)
+	}
+}
+
+func TestLoadEmptyFile(t *testing.T) {
+	path := writeTemp(t, "empty.json", "")
+	_, _, err := load(path)
+	if err == nil {
+		t.Fatal("load succeeded on an empty file")
+	}
+	if !strings.Contains(err.Error(), "corrupt or truncated JSON") {
+		t.Errorf("error %q does not name the corruption", err)
+	}
+}
+
+func TestLoadUnknownDocument(t *testing.T) {
+	path := writeTemp(t, "other.json", `{"hello":"world"}`)
+	_, _, err := load(path)
+	if err == nil {
+		t.Fatal("load succeeded on an unrelated JSON document")
+	}
+	if !strings.Contains(err.Error(), "neither a run artifact") {
+		t.Errorf("error %q does not explain the document kind", err)
+	}
+}
+
+func TestLoadFutureArtifactVersion(t *testing.T) {
+	path := writeTemp(t, "future.json", `{"version":99,"tool":"hyperhammer","metrics":{}}`)
+	_, _, err := load(path)
+	if err == nil {
+		t.Fatal("load accepted an artifact from the future")
+	}
+	if !strings.Contains(err.Error(), "newer than supported") {
+		t.Errorf("error %q does not report the version mismatch", err)
+	}
+}
+
+// TestConfigNotice: the same-config context line appears exactly when
+// the runs' deterministic config hashes differ, including for
+// artifacts written before the header carried a hash.
+func TestConfigNotice(t *testing.T) {
+	mk := func(rounds string) *runartifact.Artifact {
+		a := runartifact.New("hyperhammer", 4, "short")
+		a.Config["hammer-rounds"] = rounds
+		return a
+	}
+	if got := configNotice(mk("150000"), mk("150000")); got != "" {
+		t.Errorf("same-config comparison produced a notice: %q", got)
+	}
+	got := configNotice(mk("150000"), mk("400000"))
+	if !strings.Contains(got, "comparing same-config runs? no") {
+		t.Errorf("different-config notice missing: %q", got)
+	}
+
+	// Stamped headers win over recomputation; a pre-hash artifact
+	// (empty header field) is hashed on the fly and still matches.
+	stamped := mk("150000")
+	stamped.Stamp()
+	if got := configNotice(stamped, mk("150000")); got != "" {
+		t.Errorf("stamped-vs-legacy same-config comparison produced a notice: %q", got)
+	}
+
+	// Host-only config keys never trigger the notice (they are
+	// excluded from the hash by design).
+	hostOnly := mk("150000")
+	hostOnly.Config["parallel"] = "8"
+	if got := configNotice(mk("150000"), hostOnly); got != "" {
+		t.Errorf("host-only config change produced a notice: %q", got)
+	}
+}
+
+func TestLoadMissingFile(t *testing.T) {
+	if _, _, err := load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
+		t.Fatal("load succeeded on a missing file")
+	}
+}
+
+// TestParseThroughCommandSchema: hh benchjson -o writes the documented
+// schema, and a run that cannot produce a document leaves an existing
+// output file as it was.
+func TestParseThroughCommandSchema(t *testing.T) {
+	in := writeTemp(t, "bench.txt",
+		"BenchmarkSteerShort-8-4   \t      10\t  52400000 ns/op\nok  \thyperhammer\t1.2s\n")
+	outPath := filepath.Join(t.TempDir(), "out.json")
+	if status := cmdBenchJSON([]string{"-o", outPath, in}); status != 0 {
+		t.Fatalf("hh benchjson exited %d", status)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out benchfmt.Output
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !out.Ok || len(out.Benchmarks) != 1 {
+		t.Fatalf("out = %+v", out)
+	}
+	b := out.Benchmarks[0]
+	if b.Name != "BenchmarkSteerShort" || b.Procs != 4 || b.Metrics["ns/op"] != 52400000 {
+		t.Errorf("bench = %+v", b)
+	}
+
+	if status := cmdBenchJSON([]string{"-o", outPath, in + ".missing"}); status != 1 {
+		t.Errorf("hh benchjson on a missing log exited %d, want 1", status)
+	}
+	if after, _ := os.ReadFile(outPath); !bytes.Equal(after, data) {
+		t.Error("a failed hh benchjson changed the existing output file")
+	}
+}
+
+// TestSessionCloseWritesEveryOutput: an unwritable metrics path does
+// not stop close from writing the artifact and flushing the trace, and
+// close still returns the metrics error.
+func TestSessionCloseWritesEveryOutput(t *testing.T) {
+	dir := t.TempDir()
+	out := outputs{
+		metrics:  filepath.Join(dir, "missing", "m.prom"),
+		artifact: filepath.Join(dir, "a.json"),
+		trace:    filepath.Join(dir, "t.jsonl"),
+	}
+	s, err := openSession("run", out, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Trace.Emit("test.event", "i", i)
+	}
+	s.publish(func() *runartifact.Artifact { return s.newArtifact("hyperhammer", 4, true) },
+		func() *sched.Schedule { return nil })
+
+	err = s.close()
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("close = %v, want the metrics path's not-exist error", err)
+	}
+	if a, err := runartifact.ReadFile(out.artifact); err != nil || a.Tool != "hyperhammer" {
+		t.Errorf("artifact after a failed metrics write: %v, %v", a, err)
+	}
+	data, err := os.ReadFile(out.trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 3 {
+		t.Errorf("trace holds %d lines, want the 3 emitted events flushed", n)
+	}
+}
+
+// TestReadersNeverCreateStore: the subcommands that only read a
+// run-history store fail on a missing directory with their own exit
+// status and leave nothing behind.
+func TestReadersNeverCreateStore(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "typo")
+	for _, tc := range []struct {
+		name   string
+		run    func([]string) int
+		args   []string
+		status int
+	}{
+		{"trend", cmdTrend, []string{"-store", missing}, 2},
+		{"bisect", cmdBisect, []string{"-store", missing, "run-a", "run-b"}, 2},
+		{"inspect history", cmdInspect, []string{"history", missing}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if status := tc.run(tc.args); status != tc.status {
+				t.Errorf("exit status %d, want %d", status, tc.status)
+			}
+			if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+				t.Errorf("the missing store directory was created (stat: %v)", err)
+			}
+		})
+	}
+}

@@ -1,0 +1,227 @@
+package main
+
+// hh run is the end-to-end attack: boot a simulated KVM host, plant a
+// secret in host-kernel memory that no guest can reach, then let a
+// malicious tenant VM profile its memory, steer EPT pages onto
+// Rowhammer-vulnerable frames, flip them, and read the secret through
+// the stolen translation.
+//
+//	hh run                          # full-scale campaign (minutes)
+//	hh run -short                   # 4 GiB scale (seconds)
+//	hh run -attempts N              # attempt budget
+//	hh run -obs 127.0.0.1:0         # live status page + /metrics + SSE
+//	hh run -artifact run.json       # write the run bundle for hh diff
+//	hh run -store store             # ingest the run into the history store (hh trend)
+//	hh run -chrome-trace t.json     # host-cost schedule for Perfetto
+//
+// Exit status: 0 on escape; 1 when no escape within the budget, on an
+// error, or when any requested output could not be written.
+
+import (
+	"fmt"
+	"os"
+	"strconv"
+	"sync/atomic"
+
+	"hyperhammer"
+	"hyperhammer/internal/report"
+	"hyperhammer/internal/runartifact"
+	"hyperhammer/internal/sched"
+)
+
+func cmdRun(args []string) int {
+	fs := newFlags("run", "")
+	short := fs.Bool("short", false, "run the reduced 4 GiB scale")
+	seed := fs.Uint64("seed", 0, "simulation seed (0 = scale default)")
+	attempts := fs.Int("attempts", 0, "attempt budget (0 = scale default)")
+	hammerRounds := fs.Int("hammer-rounds", 0, "activation budget per hammer pattern (0 = attack default)")
+	var out outputs
+	out.register(fs)
+	fs.BoolVar(&out.metricsTable, "metrics-table", false, "print the metrics as a human-readable table at exit")
+	if status, ok := parse(fs, args); !ok {
+		return status
+	}
+	s, err := openSession("run", out, os.Stdout)
+	if err != nil {
+		return fail("run", 1, err)
+	}
+
+	if *seed == 0 {
+		// Known-good defaults per scale; the attack is a geometric
+		// draw at the Section 5.3.1 bound, so arbitrary seeds may
+		// need more attempts than the default budget.
+		*seed = 1
+		if *short {
+			*seed = 4
+		}
+	}
+	c := escapeRun{
+		host:   hyperhammer.S1(*seed),
+		vm:     hyperhammer.VMConfig{MemSize: 13 * hyperhammer.GiB, VFIOGroups: 1, BootSplits: 500},
+		attack: hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction()),
+		budget: 600,
+	}
+	if *short {
+		c.host.Geometry = shortGeometry()
+		c.host.Fault = hyperhammer.FaultModel{
+			Seed: *seed, CellsPerRow: 0.02,
+			ThresholdMin: 120_000, ThresholdMax: 400_000,
+			StableFraction: 0.54, FlakyP: 0.35,
+			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
+		}
+		c.host.BootNoisePages = 2000
+		c.vm.MemSize = 3584 * hyperhammer.MiB
+		c.vm.BootSplits = 150
+		c.attack.HostMemBits = 32
+		c.attack.IOVAMappings = 6000
+		c.attack.TargetBits = 3
+		c.budget = 250
+	}
+	if *attempts > 0 {
+		c.budget = *attempts
+	}
+	if *hammerRounds > 0 {
+		c.attack.HammerRounds = *hammerRounds
+	}
+	c.host.Scope, c.host.Obs = s.Scope, s.plane
+	if s.profiler != nil {
+		s.Trace.SetNamedSink("profile", s.profiler.Consume)
+	}
+
+	s.publish(func() *runartifact.Artifact {
+		a := s.newArtifact("hyperhammer", *seed, *short)
+		a.Config["attempts"] = strconv.Itoa(c.budget)
+		a.Config["hammer-rounds"] = strconv.Itoa(c.attack.HammerRounds)
+		a.Config["parallel"] = "1"
+		a.Config["geometry"] = c.host.Geometry.Name
+		if res := c.result.Load(); res != nil {
+			a.Outcome["attempts"] = float64(len(res.Attempts))
+			a.Outcome["successes"] = float64(res.Successes)
+			a.Outcome["first_success_attempt"] = float64(res.FirstSuccessAttempt)
+			a.Outcome["profiled_bits"] = float64(res.ProfiledBits)
+			a.Outcome["profile_seconds"] = res.ProfileDuration.Seconds()
+			a.Outcome["steer_seconds"] = res.SteerTime.Seconds()
+			a.Outcome["exploit_seconds"] = res.ExploitTime.Seconds()
+			a.Outcome["reboot_seconds"] = res.RebootTime.Seconds()
+			a.Outcome["setup_seconds"] = res.SetupTime.Seconds()
+			a.Outcome["total_seconds"] = res.TotalDuration.Seconds()
+		}
+		// A compact extract of the headline series, when the plane
+		// sampled any (hh diff compares endpoints; the curves are for
+		// humans and plots).
+		for _, name := range []string{"dram_activations_total", "hammer_rounds_total"} {
+			for _, sd := range s.plane.Store().Series(name) {
+				series := runartifact.Series{Name: sd.Name, Labels: sd.Labels, Kind: sd.Kind}
+				for _, pt := range sd.Points {
+					series.Points = append(series.Points, runartifact.SeriesPoint{T: pt.SimSeconds, V: pt.Value})
+				}
+				a.Series = append(a.Series, series)
+			}
+		}
+		return a
+	}, c.schedule.Load)
+
+	status := c.run(s)
+	// The campaign (or its error path) is done and the simulating
+	// goroutine is idle, so a final census/watchpoint pass reflects the
+	// end state rather than the last sample tick.
+	s.Inspect.Finalize(s.Metrics.SimTime())
+	return s.exit(status)
+}
+
+// escapeRun is one campaign's configuration and, once it has run, its
+// outcome. The outcome and the host-cost schedule are stored atomically
+// because the live /api/artifact and /api/plan handlers read them from
+// server goroutines while the campaign is still running.
+type escapeRun struct {
+	host     hyperhammer.HostConfig
+	vm       hyperhammer.VMConfig
+	attack   hyperhammer.AttackConfig
+	budget   int
+	result   atomic.Pointer[hyperhammer.CampaignResult]
+	schedule atomic.Pointer[sched.Schedule]
+}
+
+// run boots the host, runs the campaign and reports it on stdout.
+func (c *escapeRun) run(s *session) int {
+	host, err := hyperhammer.NewHost(c.host)
+	if err != nil {
+		return fail("run", 1, err)
+	}
+	const secretValue = 0xC0FFEE_5EC2E7
+	secretHPA := host.PlantSecret(secretValue)
+	s.log.Info("host booted",
+		"geometry", c.host.Geometry.Name,
+		"memMiB", c.host.Geometry.Size/hyperhammer.MiB,
+		"thp", true, "nxHugepages", true, "qemu", "stock")
+	s.log.Info("secret planted in host kernel memory",
+		"hpa", fmt.Sprintf("%#x", uint64(secretHPA)))
+	s.log.Info("attacker VM configured",
+		"memMiB", c.vm.MemSize/hyperhammer.MiB, "vfioGroups", 1, "viommu", true)
+
+	// The campaign runs on the host directly, as a one-unit batch of
+	// the timed scheduler: one unit takes the sequential fast path, so
+	// execution is identical to a direct call, but the run lands in the
+	// host-cost plane (/api/plan, the artifact's plan section,
+	// -chrome-trace). It is not a plan unit: units run hosts without the
+	// live plane, which would then sample only once, at the unit's end.
+	sc, err := sched.New(1).RunTimed([]sched.Unit{{
+		Name: "campaign",
+		Run: func() (any, error) {
+			return hyperhammer.RunCampaign(host, hyperhammer.CampaignConfig{
+				Attack:             c.attack,
+				VM:                 c.vm,
+				MaxAttempts:        c.budget,
+				StopAtFirstSuccess: true,
+				VerifyHPA:          secretHPA,
+				VerifyValue:        secretValue,
+				ChurnOps:           400,
+			})
+		},
+	}}, func(_ int, v any) error {
+		c.result.Store(v.(*hyperhammer.CampaignResult))
+		return nil
+	})
+	c.schedule.Store(sc)
+	if err != nil {
+		return fail("run", 1, err)
+	}
+	res := c.result.Load()
+	s.log.Info("profiling finished",
+		"exploitableBits", res.ProfiledBits,
+		"simulated", res.ProfileDuration.String())
+	s.log.Info("attempts finished",
+		"run", len(res.Attempts),
+		"avgSimulated", res.AvgAttemptTime().String())
+	s.log.Info("phase breakdown",
+		"profile", report.FormatDuration(res.ProfileDuration),
+		"steer", report.FormatDuration(res.SteerTime),
+		"exploit", report.FormatDuration(res.ExploitTime),
+		"reboot", report.FormatDuration(res.RebootTime),
+		"setup", report.FormatDuration(res.SetupTime))
+	if res.Successes == 0 {
+		fmt.Printf("\nno escape within %d attempts (expected ~%.0f at the Section 5.3.1 bound); retry with more -attempts or another -seed\n",
+			c.budget, hyperhammer.ExpectedAttempts(uint64(c.vm.MemSize), c.host.Geometry.Size))
+		return 1
+	}
+	fmt.Printf("\nESCAPE at attempt %d after %v simulated attack time\n",
+		res.FirstSuccessAttempt, res.TimeToFirstSuccess)
+	fmt.Printf("the guest read the host-kernel secret %#x through a stolen EPT page:\n", uint64(secretValue))
+	fmt.Println("KVM-enforced isolation broken.")
+	return 0
+}
+
+// shortGeometry is the reduced 4 GiB machine with S1's bank function.
+func shortGeometry() *hyperhammer.Geometry {
+	g, err := hyperhammer.NewGeometry(hyperhammer.Geometry{
+		Name:      "short-4G (i3-10100 bank function)",
+		Size:      4 * hyperhammer.GiB,
+		BankMasks: hyperhammer.S1BankFunction(),
+		RowShift:  18,
+		RowBits:   14,
+	})
+	if err != nil {
+		panic(err) // a fixed, known-valid geometry
+	}
+	return g
+}

@@ -2,7 +2,7 @@
 // paper's evaluation (Section 5), plus the Section 6 analyses and a
 // set of ablations for the design choices DESIGN.md calls out. Each
 // experiment returns both structured data and a formatted table or
-// figure, and is driven by the hh-tables command and by the benchmark
+// figure, and is driven by the hh tables command and by the benchmark
 // harness in the repository root.
 //
 // Absolute numbers come from the simulated substrate, so they match
@@ -215,7 +215,7 @@ func (o Options) newHost(sys System) (*kvm.Host, error) {
 
 // ledgerless is the scope of the hosts the mitigation, TRR, ECC and
 // Multihit units, the THP ablation and newHostAt boot. Those hosts have
-// never fed the determinism ledger, so hh-bisect cannot localize drift
+// never fed the determinism ledger, so hh bisect cannot localize drift
 // inside their units. Wiring it would add their streams to every
 // ledgered artifact and move the content hashes the benchmark's golden
 // file records, so the gap stays until a benchmark change re-records

@@ -217,7 +217,7 @@ func DefaultWatchpointRules() []WatchpointRule { return inspect.DefaultRules() }
 // HostConfig.Forensics (every host boot binds its clock and installs
 // the DRAM flip sink), serve it live through ObsPlane.SetScope, and
 // embed its snapshot in a RunArtifact with RunArtifact.SetForensics
-// for cmd/hh-why to read offline.
+// for hh why to read offline.
 type ForensicsRecorder = forensics.Recorder
 
 // ForensicsConfig tunes a ForensicsRecorder (per-attempt flip detail
@@ -237,7 +237,7 @@ func NewForensics(cfg ForensicsConfig) *ForensicsRecorder { return forensics.New
 // HostConfig.Ledger (every host boot binds its clock and resolves the
 // subsystem streams), serve it live through ObsPlane.SetScope, and
 // embed its snapshot in a RunArtifact with RunArtifact.SetLedger for
-// cmd/hh-bisect to localize divergence offline.
+// hh bisect to localize divergence offline.
 type LedgerRecorder = ledger.Recorder
 
 // LedgerConfig tunes a LedgerRecorder (epoch interval, epoch cap); the
@@ -251,7 +251,7 @@ type LedgerSnapshot = ledger.Snapshot
 func NewLedger(cfg LedgerConfig) *LedgerRecorder { return ledger.New(cfg) }
 
 // BisectLedgers localizes the first divergence between two ledger
-// snapshots (nil when they agree) — the comparison behind cmd/hh-bisect.
+// snapshots (nil when they agree) — the comparison behind hh bisect.
 func BisectLedgers(a, b *LedgerSnapshot) *ledger.Divergence { return ledger.Bisect(a, b) }
 
 // CostProfiler folds the span trace into a per-phase simulated-time
@@ -288,7 +288,7 @@ type HostSchedule = sched.Schedule
 // PlanReport is the host-cost analysis derived from a HostSchedule:
 // per-unit timings and slack, the critical path, and the
 // parallel-efficiency figures. It is the artifact's `plan` section and
-// what /api/plan, hh-plan, and `hh-inspect plan` serve and render.
+// what /api/plan and hh plan serve and render.
 type PlanReport = profile.PlanReport
 
 // BuildPlanReport derives the critical-path and parallel-efficiency
@@ -297,8 +297,8 @@ func BuildPlanReport(sc *HostSchedule) *PlanReport { return profile.BuildPlanRep
 
 // RenderPlanReport writes the human view of a plan report — summary,
 // ASCII Gantt chart, worker-utilization bars, top-slack table — the
-// single renderer shared by hh-plan and hh-inspect plan. width bounds
-// the chart columns (0 picks a default).
+// renderer behind hh plan, live and offline. width bounds the chart
+// columns (0 picks a default).
 func RenderPlanReport(w io.Writer, r *PlanReport, width int) error {
 	return profile.RenderPlan(w, r, width)
 }
@@ -311,7 +311,7 @@ func WriteChromeTrace(w io.Writer, sc *HostSchedule) error {
 }
 
 // RunArtifact is the self-describing run bundle the CLIs write with
-// -artifact and cmd/hh-diff compares (see internal/runartifact).
+// -artifact and hh diff compares (see internal/runartifact).
 type RunArtifact = runartifact.Artifact
 
 // NewRunArtifact returns an artifact shell for the given producing
@@ -322,7 +322,7 @@ func NewRunArtifact(tool string, seed uint64, scale string) *RunArtifact {
 
 // RunStore is the run-history plane's content-addressed, config-hash-
 // indexed artifact store (see internal/runstore). The CLIs open one
-// with -store and ingest each run's artifact; cmd/hh-trend folds the
+// with -store and ingest each run's artifact; hh trend folds the
 // stored history into cross-run figure trends.
 type RunStore = runstore.Store
 
@@ -330,7 +330,7 @@ type RunStore = runstore.Store
 // at dir and loads its index.
 func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
 
-// TrendReport is the cross-run trend view hh-trend renders and
+// TrendReport is the cross-run trend view hh trend renders and
 // /api/trend serves: per-figure time series with drift attribution.
 type TrendReport = runstore.Report
 

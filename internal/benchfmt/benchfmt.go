@@ -1,6 +1,6 @@
 // Package benchfmt parses `go test -bench` text output into the
 // machine-readable document CI archives as BENCH_*.json. It is shared
-// by cmd/hh-benchjson (which writes the document) and cmd/hh-diff
+// by hh benchjson (which writes the document) and hh diff
 // (which compares two of them), so the schema lives in one place.
 //
 // Benchmark names are normalized for cross-machine stability: the
@@ -15,6 +15,7 @@ package benchfmt
 import (
 	"bufio"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -102,7 +103,9 @@ func Parse(r io.Reader) (*Output, error) {
 //
 // A malformed metric pair is skipped rather than dropping the whole
 // line, so a benchmark that logged a stray token still contributes its
-// parseable metrics.
+// parseable metrics. A NaN or infinite value counts as malformed: JSON
+// cannot encode it, so keeping it would make the whole document
+// unwritable.
 func parseBench(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
@@ -116,7 +119,7 @@ func parseBench(line string) (Benchmark, bool) {
 	b := Benchmark{Name: name, Procs: procs, Runs: runs, Metrics: map[string]float64{}}
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)
-		if err != nil {
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 			continue
 		}
 		b.Metrics[fields[i+1]] = v

@@ -1,6 +1,8 @@
 package benchfmt
 
 import (
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 )
@@ -120,5 +122,43 @@ func TestSplitProcs(t *testing.T) {
 		if name != tc.name || procs != tc.procs {
 			t.Errorf("SplitProcs(%q) = %q,%d want %q,%d", tc.in, name, procs, tc.name, tc.procs)
 		}
+	}
+}
+
+// FuzzParse: any input parses without panicking into a document that
+// encodes as JSON, so writing BENCH_*.json can only fail on I/O. NaN
+// and Inf tokens parse as floats but have no JSON encoding; they must
+// be skipped like any other malformed metric.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Add("BenchmarkY-8 1 NaN x/op\n")
+	f.Add("BenchmarkZ 2 -Inf ns/op 3 +Inf B/op 1e999 allocs/op\n")
+	if data, err := os.ReadFile("../../bench_output.txt"); err == nil {
+		f.Add(string(data))
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		out, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return // an over-long line is reported, not a crash
+		}
+		if _, err := json.Marshal(out); err != nil {
+			t.Fatalf("parsed document does not encode: %v", err)
+		}
+	})
+}
+
+func TestParseSkipsNonFinite(t *testing.T) {
+	out, err := Parse(strings.NewReader("BenchmarkY-8 1 NaN x/op 5 ns/op +Inf B/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Benchmarks) != 1 {
+		t.Fatalf("benchmarks = %+v", out.Benchmarks)
+	}
+	if m := out.Benchmarks[0].Metrics; len(m) != 1 || m["ns/op"] != 5 {
+		t.Errorf("metrics = %v, want only ns/op", m)
+	}
+	if _, err := json.Marshal(out); err != nil {
+		t.Error(err)
 	}
 }

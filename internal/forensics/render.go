@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// This file renders forensics snapshots as text, shared by cmd/hh-why
-// and cmd/hh-inspect's forensics subcommand.
+// This file renders forensics snapshots as text for hh why.
 
 // campaignLabel names a campaign for display.
 func campaignLabel(i int, c *CampaignRecord) string {

@@ -100,7 +100,7 @@ type CensusSnapshot struct {
 }
 
 // flatten emits every numeric census field as "prefix.path" rows, the
-// form hh-diff compares with zero default tolerance.
+// form hh diff compares with zero default tolerance.
 func (c Census) flatten(prefix string, emit func(key string, v float64)) {
 	emit(prefix+"sim_seconds", c.SimSeconds)
 	emit(prefix+"vms", float64(c.VMs))

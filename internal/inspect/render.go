@@ -1,8 +1,7 @@
 package inspect
 
-// ASCII rendering for introspection snapshots, shared by hh-top (live
-// and -once) and the hh-inspect heatmap subcommand so the two tools
-// show the same machine the same way.
+// ASCII rendering for introspection snapshots, shared by hh top's live
+// and -once views so both show the same machine the same way.
 
 import (
 	"fmt"

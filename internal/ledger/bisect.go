@@ -125,13 +125,14 @@ func bisectStreams(sa, sb []StreamFP) *Divergence {
 		}
 	}
 	if len(sa) != len(sb) {
-		extra, side := sb[len(sa):], "the second run"
+		n := min(len(sa), len(sb))
+		extra, side := sb, "the second run"
 		if len(sa) > len(sb) {
-			extra, side = sa[len(sb):], "the first run"
+			extra, side = sa, "the first run"
 		}
 		return &Divergence{
-			Stream: extra[0].Stream,
-			Detail: fmt.Sprintf("stream %q present only in %s", extra[0].Stream, side),
+			Stream: extra[n].Stream,
+			Detail: fmt.Sprintf("stream %q present only in %s", extra[n].Stream, side),
 		}
 	}
 	return nil

@@ -11,8 +11,8 @@
 // an epoch record, so the ledger is a time-indexed trail: two runs
 // whose ledgers agree through epoch N and disagree at epoch N+1
 // diverged somewhere in that interval, in exactly the streams whose
-// fingerprints split. hh-bisect walks two ledgers and reports that
-// point; hh-diff gates the whole section at zero tolerance.
+// fingerprints split. hh bisect walks two ledgers and reports that
+// point; hh diff gates the whole section at zero tolerance.
 //
 // Like the other planes, every method is safe on a nil receiver (so
 // config threading never guards), recorders scope per plan unit via

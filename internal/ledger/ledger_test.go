@@ -238,3 +238,38 @@ func TestHashString(t *testing.T) {
 }
 
 func ptr(s Snapshot) *Snapshot { return &s }
+
+// FuzzBisect: on any two decodable snapshots Bisect never panics, a
+// ledger never diverges from itself, and whether two ledgers diverge
+// does not depend on argument order.
+func FuzzBisect(f *testing.F) {
+	enc := func(s Snapshot) []byte {
+		b, err := json.Marshal(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	clean, drift := enc(driveRun(time.Second, -1)), enc(driveRun(time.Second, 3))
+	f.Add(clean, clean)
+	f.Add(clean, drift)
+	f.Add(clean, enc(driveRun(0, -1)))
+	f.Add([]byte("null"), clean)
+	// The first run carries a final stream the second lacks.
+	f.Add([]byte(`{"units":[{"unit":"a","streams":[{"stream":"x"}]}]}`), []byte(`{"units":[{"unit":"a"}]}`))
+	f.Add([]byte(`{"units":[{"unit":"a","epochs":[{"index":0,"streams":[]}]}]}`),
+		[]byte(`{"units":[{"unit":"a","epochs":[],"streams":[{"stream":"x"}]},{"unit":"b"}]}`))
+	f.Fuzz(func(t *testing.T, ja, jb []byte) {
+		var a, b *Snapshot
+		if json.Unmarshal(ja, &a) != nil || json.Unmarshal(jb, &b) != nil {
+			return
+		}
+		if d := Bisect(a, a); d != nil {
+			t.Fatalf("a ledger diverges from itself: %+v", d)
+		}
+		ab, ba := Bisect(a, b), Bisect(b, a)
+		if (ab == nil) != (ba == nil) {
+			t.Fatalf("Bisect(a, b) = %+v but Bisect(b, a) = %+v", ab, ba)
+		}
+	})
+}

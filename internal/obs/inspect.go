@@ -28,7 +28,7 @@ type SpanNode struct {
 }
 
 // Inspection is the offline analysis of one recorded trace file, the
-// engine behind the hh-inspect command.
+// engine behind the hh inspect command.
 type Inspection struct {
 	// Events is the number of well-formed events read.
 	Events int

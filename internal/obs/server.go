@@ -44,7 +44,7 @@ import (
 //	               -store)
 //	/api/trend     cross-run trend report over the store at default
 //	               tolerances: per-figure series, drift attribution,
-//	               host/bench regressions (hh-trend renders the same
+//	               host/bench regressions (hh trend renders the same
 //	               data offline)
 //	/debug/pprof/  the standard Go profiler endpoints (wall-clock; the
 //	               simulation's own profile is /api/profile)

@@ -11,7 +11,7 @@ import (
 // Point is one sampled value of a series.
 type Point struct {
 	// SimSeconds is the accumulated simulated time at the sample. When
-	// several hosts share one plane (hh-tables), each host's clock
+	// several hosts share one plane (hh tables), each host's clock
 	// folds into the registry's accumulated base at rebind, so
 	// SimSeconds is monotonic across hosts; Sample counts samples.
 	SimSeconds float64 `json:"t"`

@@ -4,7 +4,7 @@ package profile
 // wall-clock timings from the deterministic parallel engine) into a
 // critical-path and parallel-efficiency report. Everything here is
 // host-side observation — plan figures are non-deterministic and live
-// only in the artifact's `plan` section, which hh-diff compares
+// only in the artifact's `plan` section, which hh diff compares
 // loosely; they must never feed back into simulated output.
 
 import (
@@ -173,8 +173,8 @@ func BuildPlanReport(sc *sched.Schedule) *PlanReport {
 // ASCII Gantt chart (one row per unit, run time as '=', delivery hold
 // as '.', delivery as '|'), per-worker utilization bars, and the
 // top-slack unit table. width bounds the chart columns (0 picks 60).
-// This is the single renderer behind hh-plan, hh-inspect plan, and the
-// /api/plan consumers, per the one-renderer-per-view convention.
+// This is the single renderer behind hh plan (live and -artifact) and
+// the /api/plan consumers, per the one-renderer-per-view convention.
 func RenderPlan(w io.Writer, r *PlanReport, width int) error {
 	if r == nil {
 		r = EmptyPlanReport()

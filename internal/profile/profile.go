@@ -9,7 +9,7 @@
 // 180 s reboot tax of every failed attempt) — and makes it diffable
 // across runs: the folded output is deterministic for a fixed seed, so
 // two runs can be compared entry by entry (see internal/runartifact
-// and cmd/hh-diff).
+// and hh diff).
 //
 // A Builder consumes trace events live (attach it to a trace.Recorder
 // with SetNamedSink), charging counter deltas from the metrics
@@ -349,7 +349,7 @@ func FromTrace(r io.Reader) (*Profile, error) {
 		}
 		var ev trace.Event
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			continue // hh-inspect reports malformed lines; profiling skips them
+			continue // hh inspect reports malformed lines; profiling skips them
 		}
 		b.Consume(ev)
 	}

@@ -1,5 +1,5 @@
 // Package report formats experiment results as aligned text tables and
-// plot-ready series, shared by the hh-tables command and the benchmark
+// plot-ready series, shared by the hh tables command and the benchmark
 // harness so every table and figure of the paper is regenerated with
 // one consistent look.
 package report

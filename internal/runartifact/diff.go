@@ -12,7 +12,7 @@ import (
 	"hyperhammer/internal/report"
 )
 
-// Tolerances bounds how far two artifacts may drift before hh-diff
+// Tolerances bounds how far two artifacts may drift before hh diff
 // flags them. Simulated metrics default to zero tolerance — the clock
 // is simulated and the run is seed-deterministic, so any drift means
 // the code's behavior changed. Wall-clock benchmark figures are noisy
@@ -130,7 +130,7 @@ const (
 
 // section is one artifact section's offline comparison. Compare and
 // Fingerprints walk the sections table, so giving a new plane an
-// hh-diff comparison and a run-store fingerprint is one entry there.
+// hh diff comparison and a run-store fingerprint is one entry there.
 type section struct {
 	// kind is the Delta.Kind of the section's rows.
 	kind  string
@@ -164,7 +164,7 @@ var sections = []section{
 	{kind: "forensics", figures: forensicsMap, fingerprint: "forensics"},
 	// The ledger has no fingerprint: the run-store index and the
 	// benchmark's golden digests record the fingerprint key set, so a
-	// new key waits for a change that re-records both. hh-diff still
+	// new key waits for a change that re-records both. hh diff still
 	// compares every stream exactly.
 	{kind: "ledger", figures: ledgerMap},
 	// The plan is host cost, which never enters a deterministic digest.
@@ -361,7 +361,7 @@ func forensicsMap(a *Artifact) map[string]float64 {
 // bits, like the grid fingerprint) and event count, plus the epoch
 // counts. Per-epoch fingerprints are implied by the finals — a run
 // whose final fingerprints match at every stream had identical epoch
-// trails — so flattening them would only multiply rows; hh-bisect is
+// trails — so flattening them would only multiply rows; hh bisect is
 // the tool that walks epochs.
 func ledgerMap(a *Artifact) map[string]float64 {
 	s := a.Ledger

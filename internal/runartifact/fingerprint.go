@@ -20,7 +20,7 @@ const ToolVersion = "0.8.0"
 // deterministic section). "parallel" cannot change any simulated
 // figure by construction (the plan engine folds results in declaration
 // order), and "selection" is the raw command line, which drags
-// host-only flags and output paths into the identity; hh-tables
+// host-only flags and output paths into the identity; hh tables
 // records the normalized experiment set under "selected" instead.
 var HostOnlyConfigKeys = map[string]bool{
 	"parallel":  true,
@@ -66,7 +66,7 @@ func (a *Artifact) ComputeConfigHash() string {
 // byte-identical-figure runs (CreatedAt is wall clock, Plan is host
 // cost, Series depends on the live sampling cadence, ToolVersion is a
 // release stamp, and HostOnlyConfigKeys describe execution, not
-// simulation — hh-tables at -parallel 1 and -parallel 4 produces the
+// simulation — hh tables at -parallel 1 and -parallel 4 produces the
 // same hash). Two same-config runs of the same code hash equal — the
 // single-value determinism check the run-history store records per
 // run, and the visible suffix of every stored run ID.
@@ -98,7 +98,7 @@ func (a *Artifact) ContentHash() string {
 // — when the run carried them — "heatmap", "census", "alerts", and
 // "forensics". The flattenings are exactly the maps Compare diffs at
 // zero tolerance, so two artifacts with equal fingerprints are
-// hh-diff-clean on those sections, and a drifted section names where
+// clean under hh diff on those sections, and a drifted section names where
 // the divergence lives without storing every figure. Values are folded
 // to 52 bits so they survive float64 comparison machinery unchanged
 // (like the heatmap grid fingerprint).
@@ -170,7 +170,7 @@ func fingerprintMap(m map[string]float64) float64 {
 }
 
 // WithinTol reports |b−a| ≤ max(abs, frac·max(|a|,|b|)) — the single
-// tolerance rule hh-diff applies everywhere, exported so the run-
+// tolerance rule hh diff applies everywhere, exported so the run-
 // history trend engine attributes host/bench regressions with exactly
 // the -host-tol machinery.
 func WithinTol(a, b, frac, absTol float64) bool {

@@ -8,7 +8,7 @@
 // Because the simulation is deterministic for a fixed seed and its
 // clock is simulated (machine-speed independent), two artifacts from
 // the same seed must agree exactly on every sim-time and counter
-// figure; cmd/hh-diff exploits this to gate regressions with zero
+// figure; hh diff exploits this to gate regressions with zero
 // tolerance on simulated metrics while allowing generous slack on
 // wall-clock benchmark numbers.
 package runartifact
@@ -51,7 +51,9 @@ type Series struct {
 // from Seed + Config.
 type Artifact struct {
 	Version int `json:"version"`
-	// Tool names the producing command (hyperhammer, hh-tables).
+	// Tool is the producing run's lineage identity: "hyperhammer" for
+	// hh run, "hh tables" for hh tables. It enters ConfigHash and the
+	// store lineage, so it is not renamed with the command.
 	Tool string `json:"tool"`
 	// ToolVersion is the release of the producing tool, stamped at
 	// write time. It identifies *code*, not configuration: two runs
@@ -63,7 +65,7 @@ type Artifact struct {
 	// in HostOnlyConfigKeys), stamped at write time. Same hash ⇒ the
 	// runs claim identical simulated inputs, so every simulated figure
 	// must match exactly; internal/runstore indexes its artifact store
-	// by this hash and hh-diff prints a notice when hashes differ.
+	// by this hash and hh diff prints a notice when hashes differ.
 	ConfigHash string `json:"configHash,omitempty"`
 	CreatedAt  string `json:"createdAt,omitempty"`
 	// Seed and Scale identify the run: same seed + scale + code ⇒
@@ -81,43 +83,43 @@ type Artifact struct {
 	Metrics metrics.Snapshot `json:"metrics"`
 	// Profile is the folded cost profile's entry table.
 	Profile []profile.Entry `json:"profile,omitempty"`
-	// Series is the time-series extract (informational; hh-diff
+	// Series is the time-series extract (informational; hh diff
 	// compares endpoints, not curves).
 	Series []Series `json:"series,omitempty"`
 	// Bench optionally embeds a benchmark document so one artifact can
 	// carry both simulated and wall-clock figures.
 	Bench *benchfmt.Output `json:"bench,omitempty"`
 	// Heatmap, Census and Alerts embed the hardware introspection
-	// plane's snapshots when the run carried an inspector; hh-diff
-	// compares all three with zero default tolerance and hh-top/
-	// hh-inspect render them offline.
+	// plane's snapshots when the run carried an inspector; hh diff
+	// compares all three with zero default tolerance and hh top -once
+	// renders them offline.
 	Heatmap *inspect.HeatmapSnapshot `json:"heatmap,omitempty"`
 	Census  *inspect.CensusSnapshot  `json:"census,omitempty"`
 	Alerts  *inspect.AlertsSnapshot  `json:"alerts,omitempty"`
 	// Forensics embeds the flip-provenance plane's snapshot when the
 	// run carried a recorder: per-attempt flip lineage, verdict and
-	// owner taxonomies, and campaign outcome tables. cmd/hh-why reads
-	// this section offline; hh-diff compares it at zero tolerance.
+	// owner taxonomies, and campaign outcome tables. hh why reads
+	// this section offline; hh diff compares it at zero tolerance.
 	Forensics *forensics.Snapshot `json:"forensics,omitempty"`
 	// Ledger embeds the determinism-ledger plane's snapshot when the
 	// run carried a recorder: rolling per-stream fingerprints sealed
-	// into sim-time epochs, per unit. cmd/hh-bisect localizes
-	// divergence between two artifacts from this section; hh-diff
+	// into sim-time epochs, per unit. hh bisect localizes
+	// divergence between two artifacts from this section; hh diff
 	// compares it at zero tolerance.
 	Ledger *ledger.Snapshot `json:"ledger,omitempty"`
 	// Plan embeds the host-cost schedule analysis (per-unit host
 	// timings, critical path, parallel efficiency). Unlike every other
 	// section it measures the *host*, so it is the one part of the
 	// artifact that legitimately differs across runs and -parallel
-	// settings; hh-diff checks its shape exactly but its durations only
-	// loosely (Tolerances.HostFrac). hh-plan and hh-inspect plan render
-	// it offline.
+	// settings; hh diff checks its shape exactly but its durations only
+	// loosely (Tolerances.HostFrac). hh plan -artifact renders it
+	// offline.
 	Plan *profile.PlanReport `json:"plan,omitempty"`
 }
 
 // SetInspector embeds the inspector's three snapshots; a nil inspector
 // leaves the artifact without introspection sections (old readers and
-// hh-diff treat missing sections as absent, not as zeros drifting).
+// hh diff treat missing sections as absent, not as zeros drifting).
 func (a *Artifact) SetInspector(ins *inspect.Inspector) {
 	if ins == nil {
 		return
@@ -196,23 +198,30 @@ func (a *Artifact) Write(w io.Writer) error {
 	return nil
 }
 
-// WriteFile writes the artifact to path crash-safely: it encodes into a
-// temporary file in the same directory, syncs it, and renames it over
-// path, so a failed or interrupted write leaves any previous artifact
-// at path whole instead of truncated.
+// WriteFile writes the artifact to path crash-safely (WriteFileAtomic),
+// so a failed or interrupted write leaves any previous artifact at path
+// whole instead of truncated.
 func (a *Artifact) WriteFile(path string) error {
+	return WriteFileAtomic(path, a.Write)
+}
+
+// WriteFileAtomic writes path through write crash-safely: the bytes go
+// to a temporary file in the same directory, which is synced and then
+// renamed over path. A failed or interrupted write leaves any previous
+// file at path whole and no temporary file behind. The CLI writes its
+// one-piece run files through it (artifacts, metrics, Chrome traces,
+// bench documents); the streamed JSONL trace is not, because its tail
+// is what explains a crash.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
-		return fmt.Errorf("runartifact: %w", err)
-	}
-	tmp := f.Name()
-	if err := a.Write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
 		return err
 	}
-	// CreateTemp makes the file owner-only; artifacts are shared output.
-	err = f.Chmod(0o644)
+	err = write(f)
+	// CreateTemp makes the file owner-only; run files are shared output.
+	if err == nil {
+		err = f.Chmod(0o644)
+	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -220,17 +229,16 @@ func (a *Artifact) WriteFile(path string) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(f.Name(), path)
 	}
 	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("runartifact: %w", err)
+		os.Remove(f.Name())
 	}
-	return nil
+	return err
 }
 
 // Read parses an artifact. It rejects documents that are not
-// artifacts (no version stamp) so hh-diff can fall back to treating
+// artifacts (no version stamp) so hh diff can fall back to treating
 // the file as a plain benchmark document.
 func Read(r io.Reader) (*Artifact, error) {
 	var a Artifact

@@ -2,7 +2,9 @@ package runartifact
 
 import (
 	"bytes"
+	"errors"
 	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -100,6 +102,40 @@ func TestWriteFileKeepsOriginalOnFailure(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
 		t.Errorf("directory holds %d entries (%v), want only the artifact", len(entries), err)
+	}
+}
+
+// TestWriteFileAtomicKeepsTarget: a write func that fails part-way
+// leaves the previous file at the target byte-identical and no
+// temporary file behind, for any run file, not just artifacts.
+func TestWriteFileAtomicKeepsTarget(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.prom")
+	if err := os.WriteFile(path, []byte("previous\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileAtomic(path, func(w io.Writer) error {
+		io.WriteString(w, "half a docu")
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the write func's error", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "previous\n" {
+		t.Errorf("target after a failed write = %q, %v; want the previous content", got, err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Errorf("directory holds %d entries (%v), want only the target", len(entries), err)
+	}
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "next\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "next\n" {
+		t.Errorf("target after a good write = %q", got)
 	}
 }
 

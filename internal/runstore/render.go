@@ -47,7 +47,7 @@ func sparkline(vals []float64, width int) string {
 }
 
 // RenderHistory renders a store index snapshot as the run-history
-// table hh-inspect history prints — one row per ingested run, newest
+// table hh inspect history prints — one row per ingested run, newest
 // last, mirroring /api/history.
 func RenderHistory(w io.Writer, h HistorySnapshot) error {
 	fmt.Fprintf(w, "Run history: %d run(s) in %s\n\n", len(h.Entries), h.Dir)
@@ -61,7 +61,7 @@ func RenderHistory(w io.Writer, h HistorySnapshot) error {
 	return err
 }
 
-// RenderReport renders the trend report as hh-trend's default view:
+// RenderReport renders the trend report as hh trend's default view:
 // one block per lineage with its run roster, then a figure table with
 // sparklines and first-regressed attribution. width bounds sparkline
 // length (0 = unbounded).

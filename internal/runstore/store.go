@@ -16,7 +16,7 @@
 // per-section figure fingerprints, the host-cost summary, and bench
 // figures — everything the trend engine needs without reloading the
 // full artifacts. Artifacts themselves are kept whole so a detected
-// drift can be attributed figure-by-figure with the hh-diff machinery
+// drift can be attributed figure-by-figure with the hh diff machinery
 // (Store.DriftDetail).
 //
 // Because the simulation is seed-deterministic, two runs with the same
@@ -55,7 +55,7 @@ type IndexEntry struct {
 	// content suffix makes byte-identical reruns visible at a glance.
 	RunID string `json:"runID"`
 	// Kind is "artifact" (a full run bundle) or "bench" (an ingested
-	// hh-benchjson document).
+	// hh benchjson document).
 	Kind string `json:"kind"`
 	// ConfigHash groups runs that claim identical simulated inputs;
 	// the artifact lives under this directory.
@@ -81,7 +81,7 @@ type IndexEntry struct {
 	// min/median/last and gated only by an explicit -host-tol.
 	Host map[string]float64 `json:"host,omitempty"`
 	// Bench holds wall-clock benchmark figures ("Name ns/op") from an
-	// embedded or ingested hh-benchjson document.
+	// embedded or ingested hh benchjson document.
 	Bench map[string]float64 `json:"bench,omitempty"`
 }
 
@@ -98,7 +98,7 @@ func (e IndexEntry) GroupKey() string {
 }
 
 // HistorySnapshot is the serialized index view /api/history serves and
-// `hh-inspect history` renders offline. Entries is never null.
+// `hh inspect history` renders offline. Entries is never null.
 type HistorySnapshot struct {
 	Version int          `json:"version"`
 	Dir     string       `json:"dir,omitempty"`
@@ -272,7 +272,7 @@ func (s *Store) Ingest(a *runartifact.Artifact) (IndexEntry, error) {
 	return e, s.appendLocked(e)
 }
 
-// IngestBench indexes an hh-benchjson document so wall-clock bench
+// IngestBench indexes an hh benchjson document so wall-clock bench
 // figures join the cross-run history. The document is stored whole
 // under its config-hash directory like an artifact.
 func (s *Store) IngestBench(b *benchfmt.Output) (IndexEntry, error) {
@@ -398,10 +398,10 @@ func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 	return e
 }
 
-// EntryFromBench builds the index view of a standalone hh-benchjson
+// EntryFromBench builds the index view of a standalone hh benchjson
 // document. The config hash covers the machine identity lines (goos,
 // goarch, cpu, pkg) so trajectories from different machines stay
-// distinguishable; `hh-trend -bench` uses this for uningested BENCH
+// distinguishable; `hh trend -bench` uses this for uningested BENCH
 // files too.
 func EntryFromBench(b *benchfmt.Output) IndexEntry {
 	doc := struct {

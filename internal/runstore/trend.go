@@ -9,7 +9,7 @@ import (
 )
 
 // TrendOptions tunes the cross-run trend engine. The zero value gates
-// nothing but sim drift; DefaultTrendOptions matches hh-diff's
+// nothing but sim drift; DefaultTrendOptions matches hh diff's
 // defaults for the noisy kinds.
 type TrendOptions struct {
 	// Since drops runs ingested before this instant (zero keeps all).
@@ -18,7 +18,7 @@ type TrendOptions struct {
 	LastN int
 	// HostFrac/HostAbs gate host-cost figures with the -host-tol rule:
 	// a run regresses a figure when it exceeds the best value seen so
-	// far by more than max(HostAbs, HostFrac·max). The hh-diff default
+	// far by more than max(HostAbs, HostFrac·max). The hh diff default
 	// of 1.0 lists trajectories without ever gating them.
 	HostFrac float64
 	HostAbs  float64
@@ -27,7 +27,7 @@ type TrendOptions struct {
 }
 
 // DefaultTrendOptions: sim figures exact (always), host durations
-// listed but not gated, bench ns/op at ±30% — the hh-diff defaults.
+// listed but not gated, bench ns/op at ±30% — the hh diff defaults.
 func DefaultTrendOptions() TrendOptions {
 	return TrendOptions{HostFrac: 1.0, BenchFrac: 0.30}
 }
@@ -63,7 +63,7 @@ type FigureTrend struct {
 	Min    float64      `json:"min"`
 	Median float64      `json:"median"`
 	Last   float64      `json:"last"`
-	// Regressed gates the hh-trend exit status: sim figures regress on
+	// Regressed gates the hh trend exit status: sim figures regress on
 	// any drift at all; host/bench figures when the latest value
 	// exceeds the best seen by more than the tolerance.
 	Regressed bool `json:"regressed,omitempty"`
@@ -107,14 +107,14 @@ type GroupTrend struct {
 }
 
 // Report is the whole trend view, served by /api/trend and rendered by
-// hh-trend. Groups is never null.
+// hh trend. Groups is never null.
 type Report struct {
 	Version int          `json:"version"`
 	Runs    int          `json:"runs"`
 	Groups  []GroupTrend `json:"groups"`
 	// Flagged counts gating findings (drifted sim figures plus
-	// regressed host/bench figures); nonzero fails hh-trend with
-	// exit 1, like hh-diff.
+	// regressed host/bench figures); nonzero fails hh trend with
+	// exit 1, like hh diff.
 	Flagged int `json:"flagged"`
 }
 
@@ -123,7 +123,7 @@ func (r *Report) Regressed() bool { return r.Flagged > 0 }
 
 // Build folds index entries into the cross-run trend report. Entries
 // are grouped by lineage, ordered by ingest seq; simulated figures are
-// checked at hh-diff zero tolerance (any change between consecutive
+// checked at hh diff zero tolerance (any change between consecutive
 // same-lineage runs is drift), host and bench figures are tracked with
 // min/median/last and first-regressed attribution under the given
 // tolerances.
@@ -331,7 +331,7 @@ func unionNames(runs []IndexEntry, get func(IndexEntry) map[string]float64) []st
 
 // DriftDetail attributes a group's first simulated-figure divergence
 // figure-by-figure: it loads the stored artifacts on either side of
-// the first drifted run and compares them with hh-diff's
+// the first drifted run and compares them with hh diff's
 // zero-tolerance machinery, returning up to max flagged deltas. This
 // is what turns "fingerprint[counters] moved at run 000003" into the
 // actual counter names.
