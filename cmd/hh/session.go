@@ -114,7 +114,7 @@ func openSession(name string, out outputs, logTo io.Writer) (*session, error) {
 	// run is observed live or archived: the live endpoints and the
 	// artifact sections come from the same recorders.
 	if out.obs != "" || archive {
-		s.Inspect = inspect.New(inspect.Config{})
+		s.Inspect = inspect.New()
 		s.Forensics = forensics.New(forensics.Config{})
 	}
 	// The determinism ledger is strictly opt-in: it exists to detect

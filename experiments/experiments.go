@@ -196,10 +196,6 @@ func (o Options) newHost(sys System) (*kvm.Host, error) {
 		Seed:           o.Seed ^ uint64(sys)<<32,
 		Scope:          o.Scope,
 		Obs:            o.Obs,
-		// Intra-host parallelism rides the same -parallel knob as the
-		// experiment engine: the DRAM module shards its batched
-		// per-bank pass without perturbing any deterministic stream.
-		DRAMShardWorkers: o.Parallel,
 	}
 	h, err := kvm.NewHost(cfg)
 	if err != nil {

@@ -24,7 +24,7 @@ func planRun(t *testing.T, parallel int) (results []byte, snap metrics.Snapshot,
 	o.Parallel = parallel
 	o.Trace = trace.New(&spanBuf, 0)
 	o.Metrics = metrics.New()
-	o.Inspect = inspect.New(inspect.Config{})
+	o.Inspect = inspect.New()
 
 	p := NewPlan(o)
 	profiler := profile.NewBuilder(o.Metrics)

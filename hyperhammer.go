@@ -188,28 +188,24 @@ func NewObs(reg *MetricsRegistry, cfg ObsConfig) *ObsPlane {
 }
 
 // Inspector is the hardware introspection plane: bucketed DRAM
-// activation/flip heatmaps, memory-layout censuses, and sim-time
-// watchpoint alerts. Install one via HostConfig.Inspect (every host
-// boot sizes the heatmap and arms watchpoint evaluation on its clock),
-// serve it live by handing the host's scope to ObsPlane.SetScope, and
-// embed its snapshots in a RunArtifact with RunArtifact.SetInspector.
+// activation/flip heatmaps, memory-layout censuses, and the sim-time
+// alerts of six fixed watchpoints (row pressure past the flip
+// threshold, TRR neutralizations, NX-hugepage split onset, applied
+// flips, host machine checks, obs bus drops). Install one via
+// HostConfig.Inspect (every host boot sizes the heatmap and arms
+// watchpoint evaluation on its clock), serve it live by handing the
+// host's scope to ObsPlane.SetScope, and embed its snapshots in a
+// RunArtifact with RunArtifact.SetInspector.
 type Inspector = inspect.Inspector
 
-// InspectConfig tunes an Inspector (bucket count, alert ring bound,
-// evaluation cadence, rule set); the zero value selects usable
-// defaults including DefaultWatchpointRules.
-type InspectConfig = inspect.Config
-
-// WatchpointRule is one declarative introspection threshold rule.
-type WatchpointRule = inspect.Rule
+// InspectConfig is NewInspector's argument. It has no fields: the
+// heatmap buckets, the alert ring bound, the evaluation cadence and the
+// watchpoints are all fixed. It is kept so existing
+// NewInspector(InspectConfig{}) calls compile unchanged.
+type InspectConfig struct{}
 
 // NewInspector creates a hardware introspection plane.
-func NewInspector(cfg InspectConfig) *Inspector { return inspect.New(cfg) }
-
-// DefaultWatchpointRules returns the stock watchpoint rule set (row
-// pressure vs the flip threshold, TRR neutralizations, split onset,
-// applied flips, machine checks, obs bus drops).
-func DefaultWatchpointRules() []WatchpointRule { return inspect.DefaultRules() }
+func NewInspector(InspectConfig) *Inspector { return inspect.New() }
 
 // ForensicsRecorder is the flip-provenance plane: per-attempt causal
 // flip lineage (aggressors → verdict → owning frame), campaign outcome

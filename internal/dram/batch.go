@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"hyperhammer/internal/memdef"
-	"hyperhammer/internal/sched"
 )
 
 // Ledger verdict codes for the dram.flip stream, mirroring the
@@ -25,22 +24,20 @@ const (
 //	  flat RowRef storage, and registers each op with the banks it
 //	  pressures.
 //
-//	B (per bank, shardable) — disturbance accumulation and the
-//	  threshold-crossing pass. Each bank independently walks its ops,
-//	  spreads aggressor pressure into the bank's struct-of-arrays
-//	  scratch, and records every cell whose disturbance crosses its
-//	  threshold (plus the TRR-vetoed audit hits) as cellRecords. No
-//	  RNG, no metrics, no sink calls — phase B is pure with respect to
-//	  everything outside its bank, which is why SetShardRunner can fan
-//	  it across workers without reordering anything observable.
+//	B (per bank) — disturbance accumulation and the threshold-crossing
+//	  pass. Each bank independently walks its ops, spreads aggressor
+//	  pressure into the bank's struct-of-arrays scratch, and records
+//	  every cell whose disturbance crosses its threshold (plus the
+//	  TRR-vetoed audit hits) as cellRecords. No RNG, no metrics, no
+//	  sink calls — phase B is pure with respect to everything outside
+//	  its bank.
 //
 //	C (sequential) — emission. Per op in submission order: the
 //	  caller's pre hook (clock charging), metrics, flip-sink events,
 //	  activation-sink feed, the flaky-cell RNG draws over the merged
 //	  per-bank records (banks ascending, rows ascending — exactly the
 //	  sequential victim order), and delivery of the op's candidate
-//	  flips. All RNG draws happen here, on the merge-ordered path, so
-//	  results are byte-identical at any worker count.
+//	  flips. All RNG draws happen here, on the merge-ordered path.
 //
 // Hammer is this pipeline run over a single op; HammerBatch amortizes
 // phase overhead across many ops that share a refresh window.
@@ -115,24 +112,15 @@ type batchScratch struct {
 	// banksUsed lists the banks with phase-B work, sorted ascending
 	// before evaluation so the phase-C merge order is deterministic.
 	banksUsed []int32
-	units     []sched.Unit
 	// one adapts the single-op Hammer call onto the pipeline.
 	one [1]HammerOp
 }
-
-// SetShardRunner installs (or, with nil, removes) the worker pool that
-// shards the batched per-bank crossing pass. Results are byte-
-// identical at any worker count: phase B touches only bank-local
-// state, and every RNG draw and event emission happens on the
-// merge-ordered sequential path (phase C).
-func (m *Module) SetShardRunner(r *sched.Runner) { m.shard = r }
 
 // HammerBatch evaluates a batch of hammer operations that share a
 // refresh window and returns the concatenation of their candidate
 // flips, exactly as len(ops) sequential Hammer calls would produce
 // them. Per-op phase overhead (scratch resets, bank registration) is
-// amortized across the batch, and the threshold-crossing pass is
-// sharded per bank when a shard runner is installed.
+// amortized across the batch.
 func (m *Module) HammerBatch(ops []HammerOp) []CandidateFlip {
 	m.lastFlips = nil
 	if m.deliverConcat == nil {
@@ -305,27 +293,10 @@ func (m *Module) runBatch(ops []HammerOp, pre func(i int), deliver func(i int, f
 		s.ops = append(s.ops, bop)
 	}
 
-	// Phase B: per-bank crossing pass, sharded when a runner is
-	// installed and more than one bank has work.
+	// Phase B: per-bank crossing pass.
 	sortBanks(s.banksUsed)
-	if m.shard != nil && m.shard.Workers() > 1 && len(s.banksUsed) > 1 {
-		s.units = s.units[:0]
-		for _, b := range s.banksUsed {
-			bank := int(b)
-			s.units = append(s.units, sched.Unit{
-				Name: "dram-bank",
-				Run: func() (any, error) {
-					m.evalBank(bank)
-					return nil, nil
-				},
-			})
-		}
-		// Units cannot fail; ignore the impossible error.
-		_ = m.shard.Run(s.units, nil)
-	} else {
-		for _, b := range s.banksUsed {
-			m.evalBank(int(b))
-		}
+	for _, b := range s.banksUsed {
+		m.evalBank(int(b))
 	}
 
 	// Phase C: in-order emission.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hyperhammer/internal/metrics"
-	"hyperhammer/internal/sched"
 )
 
 // copySink records the flip-provenance stream with the borrowed Begin
@@ -138,44 +137,5 @@ func TestHammerBatchMatchesSequential(t *testing.T) {
 				})
 			}
 		}
-	}
-}
-
-// TestHammerBatchSharded runs the same batch through an unsharded
-// module and one sharding the per-bank pass across 4 workers, and
-// requires identical flips, events, and metrics. Run under -race this
-// also checks the sharded pass for data races.
-func TestHammerBatchSharded(t *testing.T) {
-	cfg := S2FaultModel(11)
-	cfg.ThresholdMin, cfg.ThresholdMax = 60_000, 250_000
-	cfg.TRR = &TRRConfig{Slots: 1, Seed: 99}
-
-	run := func(workers int) ([]CandidateFlip, *copySink, [][4]string) {
-		m := NewModule(CoreI310100(), cfg)
-		sink := &copySink{}
-		m.SetFlipSink(sink)
-		reg := metrics.New()
-		m.SetMetrics(reg)
-		if workers > 0 {
-			m.SetShardRunner(sched.New(workers))
-		}
-		ops := randomOps(m.Geo, 200)
-		var flips []CandidateFlip
-		for i := 0; i < len(ops); i += 25 {
-			flips = append(flips, m.HammerBatch(ops[i:i+25])...)
-		}
-		return flips, sink, reg.Snapshot().Rows()
-	}
-
-	f1, s1, m1 := run(0) // inline pass
-	f4, s4, m4 := run(4) // sharded pass
-	if !reflect.DeepEqual(f1, f4) {
-		t.Fatalf("sharded flips diverge: %d vs %d", len(f1), len(f4))
-	}
-	if !reflect.DeepEqual(s1.ops, s4.ops) || !reflect.DeepEqual(s1.events, s4.events) {
-		t.Fatalf("sharded flip streams diverge")
-	}
-	if !reflect.DeepEqual(m1, m4) {
-		t.Fatalf("sharded metrics diverge:\n1: %v\n4: %v", m1, m4)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/metrics"
-	"hyperhammer/internal/sched"
 )
 
 // FlipDirection is the fixed direction of a vulnerable cell. DRAM
@@ -123,9 +122,7 @@ func S2FaultModel(seed uint64) FaultModelConfig {
 //
 // Row state is organized per bank (bankState): the population cache,
 // the reusable struct-of-arrays disturbance scratch, and the batch
-// pipeline's verdict buffers are all bank-local, which is what makes
-// the batched threshold-crossing pass shardable per bank with no
-// synchronization (see batch.go).
+// pipeline's verdict buffers are all bank-local (see batch.go).
 type Module struct {
 	Geo *Geometry
 	cfg FaultModelConfig
@@ -169,10 +166,6 @@ type Module struct {
 	trrRand *rand.Rand
 
 	bat batchScratch
-
-	// shard, when non-nil with more than one worker, fans the batched
-	// per-bank crossing pass across the pool (SetShardRunner).
-	shard *sched.Runner
 
 	// deliverSelf/deliverConcat/lastFlips adapt the slice-returning
 	// Hammer and HammerBatch APIs onto the callback pipeline without
@@ -294,8 +287,7 @@ func (m *Module) SetFlipSink(s FlipSink) { m.flip = s }
 // flaky-cell RNG draws (dram.rng), per-op row activation state
 // (dram.row), and flip-verdict emissions (dram.flip). A nil recorder
 // resolves nil handles, which fold to nothing — the zero-cost-off
-// path. Folds happen only on the merge-ordered phase-C path, so the
-// ledger is byte-identical at any shard worker count.
+// path. Folds happen only on the merge-ordered phase-C path.
 func (m *Module) SetLedger(r *ledger.Recorder) {
 	m.ledRNG = r.Stream("dram.rng")
 	m.ledRow = r.Stream("dram.row")

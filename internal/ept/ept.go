@@ -157,11 +157,13 @@ type Table struct {
 	// dump and for teardown.
 	tables map[memdef.PFN]int
 
-	// leaf4k and leaf2m count installed leaf mappings by page size.
+	// leaf4k and leaf2m count installed leaf mappings by page size,
+	// and byLevel counts tables' entries by level (index = level).
 	// Like tables, this is hypervisor bookkeeping — flip-corrupted
 	// entries still count as whatever was installed — maintained O(1)
 	// so the layout census never walks the structure.
 	leaf4k, leaf2m int
+	byLevel        [Levels5 + 1]int
 
 	met tableMetrics
 	led *ledger.Stream
@@ -224,6 +226,7 @@ func NewWithLevels(mem Memory, alloc Allocator, levels int) (*Table, error) {
 		rootLevel: levels,
 		tables:    map[memdef.PFN]int{root: levels},
 	}
+	t.byLevel[levels] = 1
 	return t, nil
 }
 
@@ -271,8 +274,7 @@ func (t *Table) walkTo(va uint64, toLevel int, create bool) (memdef.PFN, error) 
 				return 0, fmt.Errorf("ept: allocating level-%d table: %w", level-1, err)
 			}
 			t.mem.ZeroPage(next)
-			t.tables[next] = level - 1
-			t.met.tablePages.Add(1)
+			t.addTable(next, level-1)
 			t.writeEntry(tp, va, level, NewEntry(next, PermRWX, false))
 			tp = next
 			continue
@@ -419,9 +421,8 @@ func (t *Table) SplitHuge(va uint64, perm Perm) (memdef.PFN, error) {
 		return 0, fmt.Errorf("ept: allocating split leaf: %w", err)
 	}
 	t.mem.ZeroPage(leaf)
-	t.tables[leaf] = leafLevel
+	t.addTable(leaf, leafLevel)
 	t.met.splits.Inc()
-	t.met.tablePages.Add(1)
 	base := e.PFN()
 	for i := 0; i < memdef.PagesPerHuge; i++ {
 		t.mem.SetPageWord(leaf, i, uint64(NewEntry(base+memdef.PFN(i), perm, false)))
@@ -458,18 +459,17 @@ func (t *Table) Unmap(va uint64) (Entry, error) {
 // structure.
 func (t *Table) Leaves() (leaf4k, leaf2m int) { return t.leaf4k, t.leaf2m }
 
-// TableCountByLevel returns how many table pages exist at each level
-// (index = level, 0 unused), the O(levels) form of TablePages for the
-// layout census.
-func (t *Table) TableCountByLevel() [Levels5 + 1]int {
-	var counts [Levels5 + 1]int
-	for _, l := range t.tables {
-		if l >= 0 && l <= Levels5 {
-			counts[l]++
-		}
-	}
-	return counts
+// addTable books a freshly allocated table page at level.
+func (t *Table) addTable(p memdef.PFN, level int) {
+	t.tables[p] = level
+	t.byLevel[level]++
+	t.met.tablePages.Add(1)
 }
+
+// TableCountByLevel returns how many table pages exist at each level
+// (index = level, 0 unused), the O(1) form of TablePages for the
+// layout census.
+func (t *Table) TableCountByLevel() [Levels5 + 1]int { return t.byLevel }
 
 // TablePages returns the frames of all hypervisor-allocated table
 // pages at the given level (per bookkeeping, not memory contents).
@@ -507,4 +507,5 @@ func (t *Table) Destroy() {
 	}
 	t.met.tablePages.Add(-int64(len(pages)))
 	t.tables = nil
+	t.byLevel = [Levels5 + 1]int{}
 }

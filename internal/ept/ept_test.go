@@ -2,6 +2,7 @@ package ept
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"hyperhammer/internal/memdef"
@@ -243,6 +244,56 @@ func TestTablePagesAndDestroy(t *testing.T) {
 	tbl.Destroy()
 	if len(alloc.freed) != n {
 		t.Errorf("Destroy freed %d pages, want %d", len(alloc.freed), n)
+	}
+}
+
+// TestTableCountByLevelBookkeeping checks the O(1) per-level counts
+// against the per-level lengths of TablePages after maps, splits and a
+// teardown, at both paging depths.
+func TestTableCountByLevelBookkeeping(t *testing.T) {
+	check := func(t *testing.T, tbl *Table, step string) {
+		t.Helper()
+		got := tbl.TableCountByLevel()
+		for l := range got {
+			if want := len(tbl.TablePages(l)); got[l] != want {
+				t.Errorf("%s: level %d count = %d, TablePages has %d", step, l, got[l], want)
+			}
+		}
+	}
+	for _, levels := range []int{Levels4, Levels5} {
+		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
+			tbl, err := NewWithLevels(phys.New(64*memdef.MiB), &bumpAlloc{next: 3000}, levels)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, tbl, "new")
+			for i := 0; i < 6; i++ {
+				// Three hugepages in each of two 1 GiB regions, so two
+				// level-2 tables hang off the level-3 table.
+				va := uint64(i%2)<<30 | uint64(i/2)*memdef.HugePageSize
+				if err := tbl.Map2M(va, memdef.PFN(512*(i+1)), PermRW); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tbl.Map4K(uint64(3)<<39, 7, PermRW); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tbl, "mapped")
+			for _, va := range []uint64{0, 1 << 30, 2 * memdef.HugePageSize} {
+				if _, err := tbl.SplitHuge(va, PermRWX); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(t, tbl, "split")
+			if got := tbl.TableCountByLevel()[1]; got != 4 {
+				t.Errorf("leaf tables = %d, want 3 splits + 1 Map4K leaf", got)
+			}
+			tbl.Destroy()
+			check(t, tbl, "destroyed")
+			if got := tbl.TableCountByLevel(); got != [Levels5 + 1]int{} {
+				t.Errorf("counts after Destroy = %v, want all zero", got)
+			}
+		})
 	}
 }
 

@@ -8,18 +8,17 @@ package inspect
 // operations — no allocation on the hammer hot path, which is the
 // fidelity condition for hooking the fault model at all.
 
-// DefaultRowBuckets is the per-bank bucket count. 64 divides every
+// RowBuckets is the per-bank bucket count. 64 divides every
 // geometry's power-of-two row count evenly, so bucket boundaries land
 // on row boundaries at all supported RowBits (11–16, i.e. physical
 // address bits 18 through 33 at RowShift 18).
-const DefaultRowBuckets = 64
+const RowBuckets = 64
 
 // Heatmap is the bucketed accumulator. Not safe for concurrent use on
 // its own; the Inspector serializes access.
 type Heatmap struct {
-	banks   int
-	rows    int // rows per bank of the most recently bound geometry
-	buckets int
+	banks int
+	rows  int // rows per bank of the most recently bound geometry
 
 	act   [][]int64 // [bank][bucket] window-budgeted activations
 	flips [][]int64 // [bank][bucket] applied bit flips
@@ -27,18 +26,14 @@ type Heatmap struct {
 	totalAct   int64
 	totalFlips int64
 	// maxRowWindow is the largest single-operation per-row activation
-	// count seen — the "row window pressure" the TRR watchpoint rule
-	// compares against flip thresholds.
+	// count seen — the "row window pressure" the dram-row-pressure
+	// watchpoint compares against the flip threshold.
 	maxRowWindow int64
 }
 
-// NewHeatmap sizes a heatmap for banks×rows with the given bucket
-// count (<=0 selects DefaultRowBuckets).
-func NewHeatmap(banks, rows, buckets int) *Heatmap {
-	if buckets <= 0 {
-		buckets = DefaultRowBuckets
-	}
-	h := &Heatmap{buckets: buckets}
+// NewHeatmap sizes a heatmap for banks×rows.
+func NewHeatmap(banks, rows int) *Heatmap {
+	h := &Heatmap{}
 	h.resize(banks, rows)
 	return h
 }
@@ -47,8 +42,8 @@ func NewHeatmap(banks, rows, buckets int) *Heatmap {
 func (h *Heatmap) resize(banks, rows int) {
 	if banks > h.banks {
 		for len(h.act) < banks {
-			h.act = append(h.act, make([]int64, h.buckets))
-			h.flips = append(h.flips, make([]int64, h.buckets))
+			h.act = append(h.act, make([]int64, RowBuckets))
+			h.flips = append(h.flips, make([]int64, RowBuckets))
 		}
 		h.banks = banks
 	}
@@ -64,9 +59,9 @@ func (h *Heatmap) bucketOf(row int) int {
 	if h.rows <= 0 || row < 0 {
 		return 0
 	}
-	b := row * h.buckets / h.rows
-	if b >= h.buckets {
-		b = h.buckets - 1
+	b := row * RowBuckets / h.rows
+	if b >= RowBuckets {
+		b = RowBuckets - 1
 	}
 	return b
 }
@@ -93,15 +88,14 @@ func (h *Heatmap) addFlip(bank, row int) {
 }
 
 // absorb folds another heatmap's accumulation into this one, growing
-// dimensions as needed. Bucket counts must match (both come from the
-// same Inspector config).
+// dimensions as needed.
 func (h *Heatmap) absorb(o *Heatmap) {
 	if o == nil {
 		return
 	}
 	h.resize(o.banks, o.rows)
 	for b := 0; b < o.banks; b++ {
-		for i := 0; i < o.buckets && i < h.buckets; i++ {
+		for i := 0; i < RowBuckets; i++ {
 			h.act[b][i] += o.act[b][i]
 			h.flips[b][i] += o.flips[b][i]
 		}
@@ -138,7 +132,7 @@ type HeatmapSnapshot struct {
 // snapshot deep-copies the accumulator into its JSON form.
 func (h *Heatmap) snapshot() HeatmapSnapshot {
 	s := HeatmapSnapshot{
-		Buckets:     h.buckets,
+		Buckets:     RowBuckets,
 		Activations: [][]int64{},
 		Flips:       [][]int64{},
 	}

@@ -4,9 +4,8 @@
 // campaign runs — per-bank DRAM activation heatmaps and flip maps fed
 // by cheap accumulation hooks in the fault model, a memory-layout
 // census folding EPT page-size distribution, buddy freelist occupancy,
-// virtio-mem plug state and frame ownership into one structure, and a
-// sim-time watchpoint engine evaluating declarative threshold rules at
-// sample ticks.
+// virtio-mem plug state and frame ownership into one structure, and six
+// fixed watchpoints evaluated at sample ticks on the simulated clock.
 //
 // Like the rest of the observability stack, the plane observes from
 // the host operator's side and feeds nothing back into simulated
@@ -25,51 +24,23 @@ import (
 	"hyperhammer/internal/metrics"
 )
 
-// Config tunes an Inspector. The zero value selects usable defaults.
-type Config struct {
-	// RowBuckets is the per-bank heatmap bucket count (default
-	// DefaultRowBuckets).
-	RowBuckets int
-	// MaxAlerts bounds the retained alert ring (default 256; totals
-	// keep counting past the bound).
-	MaxAlerts int
-	// SampleEvery is the simulated-time interval between watchpoint
-	// evaluations (default 1 simulated second). Independent of the
-	// obs sampling interval so artifacts don't change with -obs-sample.
-	SampleEvery time.Duration
-	// Rules is the watchpoint rule set (nil selects DefaultRules).
-	Rules []Rule
-}
+// SampleEvery is the simulated-time interval between watchpoint
+// evaluations. It is independent of the obs sampling interval, so
+// artifacts do not change with -obs-sample.
+const SampleEvery = time.Second
 
-// DefaultMaxAlerts bounds the retained alert ring.
-const DefaultMaxAlerts = 256
-
-func (c Config) withDefaults() Config {
-	if c.RowBuckets <= 0 {
-		c.RowBuckets = DefaultRowBuckets
-	}
-	if c.MaxAlerts <= 0 {
-		c.MaxAlerts = DefaultMaxAlerts
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = time.Second
-	}
-	if c.Rules == nil {
-		c.Rules = DefaultRules()
-	}
-	return c
-}
+// maxAlerts bounds the retained alert ring; totals keep counting past
+// the bound.
+const maxAlerts = 256
 
 // Inspector accumulates introspection state for one telemetry scope: a
 // whole CLI run, or one scheduled plan unit (see Scoped/Absorb). All
 // methods are safe for concurrent use and no-ops on a nil receiver, so
 // config threading never guards.
 type Inspector struct {
-	cfg Config
-
 	mu   sync.Mutex
 	heat *Heatmap
-	// reg is the metrics registry watchpoint rules read values from.
+	// reg is the metrics registry the watchpoints read sums from.
 	reg *metrics.Registry
 	// censusFn builds the bound host's current census.
 	censusFn func() Census
@@ -78,11 +49,10 @@ type Inspector struct {
 	// onto the event bus.
 	emit func(kind string, kv ...any)
 
-	rules  []Rule
-	state  []ruleState
+	// state and fired (alerts ever fired) are indexed like watchpoints.
+	state  [len(watchpoints)]watchState
+	fired  [len(watchpoints)]uint64
 	alerts []Alert
-	total  uint64
-	byRule map[string]uint64
 
 	// census caches the bound host's census as of the last Evaluate
 	// tick. The cache is what concurrent readers (the HTTP endpoints,
@@ -95,32 +65,17 @@ type Inspector struct {
 }
 
 // New creates an Inspector.
-func New(cfg Config) *Inspector {
-	cfg = cfg.withDefaults()
-	return &Inspector{
-		cfg:    cfg,
-		heat:   NewHeatmap(0, 0, cfg.RowBuckets),
-		rules:  append([]Rule(nil), cfg.Rules...),
-		state:  make([]ruleState, len(cfg.Rules)),
-		byRule: make(map[string]uint64),
-	}
+func New() *Inspector {
+	return &Inspector{heat: NewHeatmap(0, 0)}
 }
 
-// Scoped returns a fresh Inspector with the same configuration, for
-// one scheduled plan unit; fold it back with Absorb. Nil-safe.
+// Scoped returns a fresh Inspector for one scheduled plan unit; fold
+// it back with Absorb. Nil-safe.
 func (ins *Inspector) Scoped() *Inspector {
 	if ins == nil {
 		return nil
 	}
-	return New(ins.cfg)
-}
-
-// SampleEvery returns the watchpoint evaluation interval.
-func (ins *Inspector) SampleEvery() time.Duration {
-	if ins == nil {
-		return 0
-	}
-	return ins.cfg.SampleEvery
+	return New()
 }
 
 // BindMachine sizes the heatmap for a host's DRAM dimensions. Called
@@ -135,7 +90,7 @@ func (ins *Inspector) BindMachine(banks, rows int) {
 	ins.mu.Unlock()
 }
 
-// SetMetrics installs the registry watchpoint rules read from.
+// SetMetrics installs the registry the watchpoints read sums from.
 func (ins *Inspector) SetMetrics(reg *metrics.Registry) {
 	if ins == nil {
 		return
@@ -188,8 +143,8 @@ func (ins *Inspector) RecordFlip(bank, row int) {
 	ins.mu.Unlock()
 }
 
-// Evaluate runs every watchpoint rule against the current machine at
-// the given simulated time and refreshes the census cache.
+// Evaluate runs every watchpoint against the current machine at the
+// given simulated time and refreshes the census cache.
 // kvm.NewHost arms it on the host clock via OnTick, so it always runs
 // on the simulating goroutine; tests call it directly.
 func (ins *Inspector) Evaluate(now time.Duration) {
@@ -211,24 +166,17 @@ func (ins *Inspector) Evaluate(now time.Duration) {
 	if census != nil {
 		ins.census = census
 	}
-	if len(ins.rules) == 0 {
-		return
-	}
 	t := now.Seconds()
-	vals := ins.valuesLocked()
-	for i := range ins.rules {
-		r := ins.rules[i]
-		st := &ins.state[i]
-		key := r.Metric
-		isRate := false
-		if inner, ok := rateInner(r.Metric); ok {
-			key, isRate = inner, true
+	for i, w := range watchpoints {
+		v, ok := float64(ins.heat.maxRowWindow), true
+		if w.family != "" {
+			v, ok = ins.reg.Sum(w.family)
 		}
-		v, ok := vals[key]
 		if !ok {
 			continue
 		}
-		if isRate {
+		st := &ins.state[i]
+		if w.rate {
 			raw := v
 			if !st.hasPrev || t <= st.prevT {
 				st.prevVal, st.prevT, st.hasPrev = raw, t, true
@@ -237,61 +185,26 @@ func (ins *Inspector) Evaluate(now time.Duration) {
 			v = (raw - st.prevVal) / (t - st.prevT)
 			st.prevVal, st.prevT = raw, t
 		}
-		cond := compare(v, r.Op, r.Threshold)
-		fire := cond && (r.Mode == Level || !st.active)
-		st.active = cond
-		if fire {
-			ins.fireLocked(r, "", t, v)
+		cond := v > w.threshold
+		if cond && !st.active {
+			ins.fireLocked(i, t, v)
 		}
+		st.active = cond
 	}
 }
 
-// fireLocked records one alert and emits it as a structured event.
-func (ins *Inspector) fireLocked(r Rule, unit string, t, v float64) {
-	ins.total++
-	ins.byRule[r.Name]++
-	ins.alerts = append(ins.alerts, Alert{
-		Rule: r.Name, Expr: r.Expr(), Unit: unit, SimSeconds: t, Value: v,
-	})
-	if len(ins.alerts) > ins.cfg.MaxAlerts {
-		ins.alerts = ins.alerts[len(ins.alerts)-ins.cfg.MaxAlerts:]
+// fireLocked records one alert of watchpoint i and emits it as a
+// structured event.
+func (ins *Inspector) fireLocked(i int, t, v float64) {
+	w := watchpoints[i]
+	ins.fired[i]++
+	ins.alerts = append(ins.alerts, Alert{Rule: w.name, Expr: w.expr, SimSeconds: t, Value: v})
+	if len(ins.alerts) > maxAlerts {
+		ins.alerts = ins.alerts[len(ins.alerts)-maxAlerts:]
 	}
 	if ins.emit != nil {
-		ins.emit("watchpoint.alert",
-			"rule", r.Name, "expr", r.Expr(), "value", v, "mode", string(r.Mode))
+		ins.emit("watchpoint.alert", "rule", w.name, "expr", w.expr, "value", v, "mode", "edge")
 	}
-}
-
-// valuesLocked builds the value map rules resolve against: every
-// registry counter and gauge under both its bare name (summed across
-// labels) and its "name{k=v}" series key, plus heatmap-derived dram.*
-// values.
-func (ins *Inspector) valuesLocked() map[string]float64 {
-	vals := make(map[string]float64, 64)
-	snap := ins.reg.Snapshot()
-	addSample := func(s metrics.Sample) {
-		vals[s.Name] += s.Value
-		if len(s.Labels) > 0 {
-			key := s.Name + "{"
-			for i := 0; i+1 < len(s.Labels); i += 2 {
-				if i > 0 {
-					key += ","
-				}
-				key += s.Labels[i] + "=" + s.Labels[i+1]
-			}
-			vals[key+"}"] = s.Value
-		}
-	}
-	for _, s := range snap.Counters {
-		addSample(s)
-	}
-	for _, s := range snap.Gauges {
-		addSample(s)
-	}
-	vals["dram.row_window_activations"] = float64(ins.heat.maxRowWindow)
-	vals["dram.total_activations"] = float64(ins.heat.totalAct)
-	vals["dram.total_flips"] = float64(ins.heat.totalFlips)
-	return vals
 }
 
 // Absorb folds a completed scoped Inspector into this one, tagging its
@@ -307,11 +220,7 @@ func (ins *Inspector) Absorb(child *Inspector, unit string) {
 	heat := child.heat
 	censusFn := child.censusFn
 	alerts := append([]Alert(nil), child.alerts...)
-	total := child.total
-	byRule := make(map[string]uint64, len(child.byRule))
-	for k, v := range child.byRule {
-		byRule[k] = v
-	}
+	fired := child.fired
 	nested := append([]TaggedCensus(nil), child.absorbed...)
 	child.mu.Unlock()
 
@@ -328,9 +237,8 @@ func (ins *Inspector) Absorb(child *Inspector, unit string) {
 	if census != nil {
 		ins.absorbed = append(ins.absorbed, TaggedCensus{Unit: unit, Census: *census})
 	}
-	ins.total += total
-	for k, v := range byRule {
-		ins.byRule[k] += v
+	for i, n := range fired {
+		ins.fired[i] += n
 	}
 	for _, a := range alerts {
 		if a.Unit == "" {
@@ -338,8 +246,8 @@ func (ins *Inspector) Absorb(child *Inspector, unit string) {
 		}
 		ins.alerts = append(ins.alerts, a)
 	}
-	if len(ins.alerts) > ins.cfg.MaxAlerts {
-		ins.alerts = ins.alerts[len(ins.alerts)-ins.cfg.MaxAlerts:]
+	if len(ins.alerts) > maxAlerts {
+		ins.alerts = ins.alerts[len(ins.alerts)-maxAlerts:]
 	}
 }
 
@@ -354,8 +262,8 @@ func (ins *Inspector) HeatmapSnapshot() HeatmapSnapshot {
 	return ins.heat.snapshot()
 }
 
-// Finalize refreshes the census cache and evaluates the rules one
-// last time at the final clock reading. CLIs call it after the run
+// Finalize refreshes the census cache and evaluates the watchpoints
+// one last time at the final clock reading. CLIs call it after the run
 // completes (the simulating goroutine is idle, so walking host state
 // is safe) and before building the artifact, so the embedded census
 // reflects the end state rather than the last tick.
@@ -386,23 +294,13 @@ func (ins *Inspector) AlertsSnapshot() AlertsSnapshot {
 	}
 	ins.mu.Lock()
 	defer ins.mu.Unlock()
-	s.Total = ins.total
 	s.Recent = append(s.Recent, ins.alerts...)
-	names := make([]string, 0, len(ins.byRule))
-	for k := range ins.byRule {
-		names = append(names, k)
+	for i, n := range ins.fired {
+		s.Total += n
+		if n > 0 {
+			s.ByRule = append(s.ByRule, RuleCount{Rule: watchpoints[i].name, Count: n})
+		}
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		s.ByRule = append(s.ByRule, RuleCount{Rule: n, Count: ins.byRule[n]})
-	}
+	sort.Slice(s.ByRule, func(i, j int) bool { return s.ByRule[i].Rule < s.ByRule[j].Rule })
 	return s
-}
-
-// Rules returns the configured rule set (for rendering).
-func (ins *Inspector) Rules() []Rule {
-	if ins == nil {
-		return nil
-	}
-	return append([]Rule(nil), ins.rules...)
 }

@@ -2,6 +2,7 @@ package inspect
 
 import (
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -17,16 +18,16 @@ import (
 func TestBucketBoundaries(t *testing.T) {
 	for rowBits := 11; rowBits <= 16; rowBits++ {
 		rows := 1 << rowBits
-		h := NewHeatmap(1, rows, DefaultRowBuckets)
-		per := rows / DefaultRowBuckets
+		h := NewHeatmap(1, rows)
+		per := rows / RowBuckets
 		cases := []struct{ row, want int }{
 			{0, 0},
 			{per - 1, 0},
 			{per, 1},
-			{rows/2 - 1, DefaultRowBuckets/2 - 1},
-			{rows / 2, DefaultRowBuckets / 2},
-			{rows - per, DefaultRowBuckets - 1},
-			{rows - 1, DefaultRowBuckets - 1},
+			{rows/2 - 1, RowBuckets/2 - 1},
+			{rows / 2, RowBuckets / 2},
+			{rows - per, RowBuckets - 1},
+			{rows - 1, RowBuckets - 1},
 		}
 		for _, c := range cases {
 			if got := h.bucketOf(c.row); got != c.want {
@@ -34,7 +35,7 @@ func TestBucketBoundaries(t *testing.T) {
 			}
 		}
 		// Exact partition: every bucket must cover the same row count.
-		counts := make([]int, DefaultRowBuckets)
+		counts := make([]int, RowBuckets)
 		for r := 0; r < rows; r++ {
 			counts[h.bucketOf(r)]++
 		}
@@ -48,13 +49,13 @@ func TestBucketBoundaries(t *testing.T) {
 
 // TestBucketDegenerate covers out-of-range rows and unbound heatmaps.
 func TestBucketDegenerate(t *testing.T) {
-	h := NewHeatmap(0, 0, 0)
+	h := NewHeatmap(0, 0)
 	if got := h.bucketOf(5); got != 0 {
 		t.Errorf("bucketOf on empty heatmap = %d, want 0", got)
 	}
 	h.resize(2, 100) // rows not a bucket multiple: formula must clamp
-	if got := h.bucketOf(99); got != DefaultRowBuckets-1 {
-		t.Errorf("bucketOf(last odd row) = %d, want %d", got, DefaultRowBuckets-1)
+	if got := h.bucketOf(99); got != RowBuckets-1 {
+		t.Errorf("bucketOf(last odd row) = %d, want %d", got, RowBuckets-1)
 	}
 	h.addActivations(7, 0, 1) // out-of-range bank: dropped, not a panic
 	if h.totalAct != 0 {
@@ -65,8 +66,8 @@ func TestBucketDegenerate(t *testing.T) {
 // TestHeatmapAccumulateAndAbsorb checks recording, totals, and that
 // absorb is an elementwise sum with a max over window pressure.
 func TestHeatmapAccumulateAndAbsorb(t *testing.T) {
-	a := NewHeatmap(2, 128, 64)
-	b := NewHeatmap(2, 128, 64)
+	a := NewHeatmap(2, 128)
+	b := NewHeatmap(2, 128)
 	a.addActivations(0, 0, 100)
 	a.addFlip(0, 0)
 	b.addActivations(0, 0, 50)
@@ -84,7 +85,7 @@ func TestHeatmapAccumulateAndAbsorb(t *testing.T) {
 	}
 }
 
-// reg returns a registry with one counter set to v.
+// regWith returns a registry with one counter set to v.
 func regWith(t *testing.T, name string, v uint64) *metrics.Registry {
 	t.Helper()
 	r := metrics.New()
@@ -92,108 +93,113 @@ func regWith(t *testing.T, name string, v uint64) *metrics.Registry {
 	return r
 }
 
-// TestWatchpointEdge checks edge rules fire once per false→true
-// transition and re-arm after the condition clears.
+// TestStockWatchpoints pins the six watchpoints' names and conditions
+// in evaluation order: alerts, artifacts and stored runs carry them.
+func TestStockWatchpoints(t *testing.T) {
+	want := [][2]string{
+		{"dram-row-pressure", "dram.row_window_activations > 120000"},
+		{"trr-neutralizing", "dram_trr_neutralized_total > 0"},
+		{"ept-split-onset", "rate(ept_splits_total) > 0"},
+		{"flips-applied", "dram_flips_total > 0"},
+		{"host-machine-check", "host_machine_checks_total > 0"},
+		{"obs-bus-drops", "obs_bus_dropped_total > 0"},
+	}
+	if len(watchpoints) != len(want) {
+		t.Fatalf("%d watchpoints, want %d", len(watchpoints), len(want))
+	}
+	for i, w := range watchpoints {
+		if w.name != want[i][0] || w.expr != want[i][1] {
+			t.Errorf("watchpoint %d = %s %q, want %s %q", i, w.name, w.expr, want[i][0], want[i][1])
+		}
+	}
+}
+
+// TestWatchpointEdge checks a watchpoint fires once when its value
+// first exceeds the threshold, stays quiet while it holds, and emits
+// the alert event with its fields.
 func TestWatchpointEdge(t *testing.T) {
 	r := metrics.New()
-	c := r.Counter("x_total", "test")
-	ins := New(Config{Rules: []Rule{{Name: "x", Metric: "x_total", Op: ">", Threshold: 5, Mode: Edge}}})
+	c := r.Counter("host_machine_checks_total", "test")
+	ins := New()
 	ins.SetMetrics(r)
+	var events [][]any
+	ins.SetEmit(func(kind string, kv ...any) {
+		events = append(events, append([]any{kind}, kv...))
+	})
 
-	ins.Evaluate(1 * time.Second) // 0 > 5: no
-	c.Add(10)
-	ins.Evaluate(2 * time.Second) // 10 > 5: fire
+	ins.Evaluate(1 * time.Second) // 0 > 0: no
+	c.Add(2)
+	ins.Evaluate(2 * time.Second) // 2 > 0: fire
+	c.Add(1)
 	ins.Evaluate(3 * time.Second) // still true: edge stays quiet
 	s := ins.AlertsSnapshot()
 	if s.Total != 1 {
 		t.Fatalf("edge fired %d times, want 1", s.Total)
 	}
-	a := s.Recent[0]
-	if a.Rule != "x" || a.SimSeconds != 2 || a.Value != 10 {
-		t.Errorf("alert = %+v, want rule x at t=2 value=10", a)
+	want := Alert{Rule: "host-machine-check", Expr: "host_machine_checks_total > 0", SimSeconds: 2, Value: 2}
+	if s.Recent[0] != want {
+		t.Errorf("alert = %+v, want %+v", s.Recent[0], want)
 	}
-
-	// Gauges can clear; the edge must re-arm. Model with a gauge rule.
-	g := metrics.New()
-	gauge := g.Gauge("lvl", "test")
-	ins2 := New(Config{Rules: []Rule{{Name: "lvl", Metric: "lvl", Op: ">=", Threshold: 3, Mode: Edge}}})
-	ins2.SetMetrics(g)
-	gauge.Set(5)
-	ins2.Evaluate(1 * time.Second) // fire
-	gauge.Set(0)
-	ins2.Evaluate(2 * time.Second) // clears, re-arms
-	gauge.Set(7)
-	ins2.Evaluate(3 * time.Second) // fire again
-	if got := ins2.AlertsSnapshot().Total; got != 2 {
-		t.Errorf("re-armed edge fired %d times, want 2", got)
+	wantEvent := []any{"watchpoint.alert", "rule", "host-machine-check",
+		"expr", "host_machine_checks_total > 0", "value", 2.0, "mode", "edge"}
+	if len(events) != 1 || !reflect.DeepEqual(events[0], wantEvent) {
+		t.Errorf("events = %v, want [%v]", events, wantEvent)
 	}
 }
 
-// TestWatchpointLevel checks level rules fire at every tick the
-// condition holds.
-func TestWatchpointLevel(t *testing.T) {
-	r := regWith(t, "x_total", 10)
-	ins := New(Config{Rules: []Rule{{Name: "x", Metric: "x_total", Op: ">", Threshold: 5, Mode: Level}}})
-	ins.SetMetrics(r)
-	for i := 1; i <= 3; i++ {
-		ins.Evaluate(time.Duration(i) * time.Second)
-	}
-	if got := ins.AlertsSnapshot().Total; got != 3 {
-		t.Errorf("level fired %d times, want 3", got)
-	}
-}
-
-// TestWatchpointRate checks rate() computes a per-sim-second delta
-// between ticks and skips its first observation.
+// TestWatchpointRate checks the rate watchpoint compares the change per
+// simulated second, skips its first observation and a clock rewind,
+// and re-arms when the rate falls back to zero.
 func TestWatchpointRate(t *testing.T) {
 	r := metrics.New()
-	c := r.Counter("x_total", "test")
-	ins := New(Config{Rules: []Rule{{Name: "rx", Metric: "rate(x_total)", Op: ">", Threshold: 4, Mode: Edge}}})
+	c := r.Counter("ept_splits_total", "test")
+	ins := New()
 	ins.SetMetrics(r)
 
 	c.Add(100)
 	ins.Evaluate(1 * time.Second) // first observation: no rate yet
 	c.Add(10)
-	ins.Evaluate(3 * time.Second) // Δ10 over 2s = 5/s > 4: fire
+	ins.Evaluate(3 * time.Second) // Δ10 over 2s = 5/s > 0: fire
+	ins.Evaluate(4 * time.Second) // Δ0: clears
+	c.Add(3)
+	ins.Evaluate(2 * time.Second) // rewind: records only
+	c.Add(4)
+	ins.Evaluate(4 * time.Second) // Δ4 over 2s = 2/s: fires again
 	s := ins.AlertsSnapshot()
-	if s.Total != 1 {
-		t.Fatalf("rate rule fired %d times, want 1", s.Total)
+	if s.Total != 2 {
+		t.Fatalf("rate watchpoint fired %d times, want 2: %+v", s.Total, s.Recent)
 	}
-	if s.Recent[0].Value != 5 {
-		t.Errorf("rate value = %g, want 5", s.Recent[0].Value)
+	if s.Recent[0].Value != 5 || s.Recent[0].SimSeconds != 3 || s.Recent[1].Value != 2 {
+		t.Errorf("alerts = %+v, want 5/s at t=3 then 2/s", s.Recent)
 	}
 }
 
-// TestWatchpointHeatmapValue checks the derived dram.* values resolve.
+// TestWatchpointHeatmapValue checks dram-row-pressure reads the
+// heatmap's row-window peak, and that without a registry the family
+// watchpoints are skipped rather than read as zero.
 func TestWatchpointHeatmapValue(t *testing.T) {
-	ins := New(Config{Rules: []Rule{{
-		Name: "pressure", Metric: "dram.row_window_activations",
-		Op: ">", Threshold: 120_000, Mode: Edge,
-	}}})
-	ins.SetMetrics(metrics.New())
+	ins := New()
 	ins.BindMachine(2, 2048)
 	ins.RecordRowActivations(1, 700, 150_000)
 	ins.Evaluate(time.Second)
-	if got := ins.AlertsSnapshot().Total; got != 1 {
-		t.Fatalf("dram.row_window_activations rule fired %d times, want 1", got)
+	s := ins.AlertsSnapshot()
+	if s.Total != 1 || s.Recent[0].Rule != "dram-row-pressure" || s.Recent[0].Value != 150_000 {
+		t.Fatalf("alerts = %+v, want one dram-row-pressure at 150000", s.Recent)
 	}
 }
 
-// TestLabeledSeriesKeys checks labeled counters resolve under both the
-// bare (summed) name and the name{k=v} series key.
-func TestLabeledSeriesKeys(t *testing.T) {
+// TestWatchpointFamilySum checks a watchpoint reads its family's sum
+// across labeled series.
+func TestWatchpointFamilySum(t *testing.T) {
 	r := metrics.New()
-	r.Counter("flips", "test", "dir", "a").Add(3)
-	r.Counter("flips", "test", "dir", "b").Add(4)
-	ins := New(Config{Rules: []Rule{
-		{Name: "sum", Metric: "flips", Op: "==", Threshold: 7, Mode: Edge},
-		{Name: "one", Metric: "flips{dir=b}", Op: "==", Threshold: 4, Mode: Edge},
-	}})
+	r.Counter("dram_flips_total", "test", "direction", "1to0").Add(3)
+	r.Counter("dram_flips_total", "test", "direction", "0to1").Add(4)
+	ins := New()
 	ins.SetMetrics(r)
 	ins.Evaluate(time.Second)
 	s := ins.AlertsSnapshot()
-	if s.Total != 2 {
-		t.Fatalf("fired %d, want 2 (sum and labeled series): %+v", s.Total, s.Recent)
+	if s.Total != 1 || s.Recent[0].Rule != "flips-applied" || s.Recent[0].Value != 7 {
+		t.Fatalf("alerts = %+v, want one flips-applied at the summed 7", s.Recent)
 	}
 }
 
@@ -201,7 +207,7 @@ func TestLabeledSeriesKeys(t *testing.T) {
 // censuses append in call order with the unit tag, alert totals merge,
 // and absorbed alerts inherit the unit name.
 func TestAbsorbTagsAndMerges(t *testing.T) {
-	parent := New(Config{})
+	parent := New()
 	for i, unit := range []string{"u1", "u2"} {
 		child := parent.Scoped()
 		child.BindMachine(1, 128)
@@ -257,31 +263,33 @@ func TestNilInspectorJSONContract(t *testing.T) {
 	}
 }
 
-// TestAlertRingBound checks the ring trims to MaxAlerts while totals
-// keep counting.
+// TestAlertRingBound checks the ring keeps the newest alerts while
+// totals keep counting: a split every other tick fires and clears the
+// rate watchpoint 300 times.
 func TestAlertRingBound(t *testing.T) {
-	r := regWith(t, "x_total", 10)
-	ins := New(Config{
-		MaxAlerts: 4,
-		Rules:     []Rule{{Name: "x", Metric: "x_total", Op: ">", Threshold: 0, Mode: Level}},
-	})
+	r := metrics.New()
+	c := r.Counter("ept_splits_total", "test")
+	ins := New()
 	ins.SetMetrics(r)
-	for i := 1; i <= 10; i++ {
+	for i := 1; i <= 600; i++ {
+		if i%2 == 0 {
+			c.Inc()
+		}
 		ins.Evaluate(time.Duration(i) * time.Second)
 	}
 	s := ins.AlertsSnapshot()
-	if s.Total != 10 || len(s.Recent) != 4 {
-		t.Fatalf("total=%d recent=%d, want 10 and 4", s.Total, len(s.Recent))
+	if s.Total != 300 || len(s.Recent) != maxAlerts {
+		t.Fatalf("total=%d recent=%d, want 300 and %d", s.Total, len(s.Recent), maxAlerts)
 	}
-	if s.Recent[0].SimSeconds != 7 || s.Recent[3].SimSeconds != 10 {
-		t.Errorf("ring holds t=%g..%g, want 7..10", s.Recent[0].SimSeconds, s.Recent[3].SimSeconds)
+	if s.Recent[0].SimSeconds != 90 || s.Recent[maxAlerts-1].SimSeconds != 600 {
+		t.Errorf("ring holds t=%g..%g, want 90..600", s.Recent[0].SimSeconds, s.Recent[maxAlerts-1].SimSeconds)
 	}
 }
 
 // TestRenderersCoverSnapshots sanity-checks the shared ASCII renderers
 // on populated snapshots (hh-top and hh-inspect both consume these).
 func TestRenderersCoverSnapshots(t *testing.T) {
-	ins := New(Config{})
+	ins := New()
 	ins.BindMachine(2, 128)
 	ins.SetMetrics(metrics.New())
 	ins.RecordRowActivations(0, 5, 1000)

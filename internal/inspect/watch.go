@@ -1,90 +1,41 @@
 package inspect
 
-import (
-	"fmt"
-	"strings"
-)
+// The watchpoints are six fixed alarms on the paper's attack
+// milestones, evaluated at sample ticks on the simulated clock. Each
+// reads one value: a counter family's sum, that sum's rate per
+// simulated second, or the heatmap's row-window peak. Everything they
+// read is seed-deterministic and everything they produce is stamped
+// with simulated time, so the alert stream is byte-identical across
+// runs and across -parallel worker counts.
 
-// The watchpoint engine evaluates declarative threshold rules over the
-// live machine at sample ticks on the simulated clock. A rule names a
-// value — any registry counter or gauge, a rate() over one, or a
-// heatmap-derived dram.* value — an operator, and a threshold.
-// Everything it reads is seed-deterministic and everything it produces
-// is stamped with simulated time, so the alert stream is byte-identical
-// across runs and across -parallel worker counts.
-
-// TriggerMode selects when a rule that holds fires an alert.
-type TriggerMode string
-
-const (
-	// Edge fires once per false→true transition and re-arms when the
-	// condition clears — the default for "something happened" rules.
-	Edge TriggerMode = "edge"
-	// Level fires at every sample tick while the condition holds.
-	Level TriggerMode = "level"
-)
-
-// Rule is one declarative watchpoint.
-type Rule struct {
-	// Name identifies the rule in alerts and tables.
-	Name string `json:"name"`
-	// Metric is the value key: a registry counter/gauge name (or
-	// "name{k=v}" for one labeled series; the bare name sums across
-	// labels), a derived dram.* value, or "rate(<key>)" for the
-	// per-simulated-second rate of a key between sample ticks.
-	Metric string `json:"metric"`
-	// Op is one of > >= < <= == !=.
-	Op string `json:"op"`
-	// Threshold is the compared bound.
-	Threshold float64 `json:"threshold"`
-	// Mode is Edge (default) or Level.
-	Mode TriggerMode `json:"mode,omitempty"`
-	// Help explains what firing means.
-	Help string `json:"help,omitempty"`
+// watchpoint fires once when its value first exceeds threshold and
+// re-arms once the value falls back to it or below.
+type watchpoint struct {
+	name string
+	// expr is the condition as alerts print it.
+	expr string
+	// family is the counter family summed; "" reads the heatmap's
+	// row-window peak instead. A family that is not registered is
+	// skipped without touching the watchpoint's state.
+	family string
+	// rate compares the sum's change per simulated second since the
+	// previous tick; the first observation and any clock rewind only
+	// record the sum.
+	rate      bool
+	threshold float64
 }
 
-// Expr renders the rule's condition.
-func (r Rule) Expr() string {
-	return fmt.Sprintf("%s %s %g", r.Metric, r.Op, r.Threshold)
-}
-
-// DefaultRules is the stock rule set: TRR-relevant row pressure, TRR
-// neutralizations, hugepage split onset, applied flips, host machine
-// checks, and obs event-bus drops (satellite of the introspection
-// plane: silent event loss becomes a visible alert).
-func DefaultRules() []Rule {
-	return []Rule{
-		{
-			Name: "dram-row-pressure", Metric: "dram.row_window_activations",
-			Op: ">", Threshold: 120_000, Mode: Edge,
-			Help: "a row's per-refresh-window activations exceeded the minimum Rowhammer flip threshold",
-		},
-		{
-			Name: "trr-neutralizing", Metric: "dram_trr_neutralized_total",
-			Op: ">", Threshold: 0, Mode: Edge,
-			Help: "the in-DRAM TRR tracker started neutralizing aggressor rows (mitigation variants)",
-		},
-		{
-			Name: "ept-split-onset", Metric: "rate(ept_splits_total)",
-			Op: ">", Threshold: 0, Mode: Edge,
-			Help: "hugepages are being demoted to 4 KiB leaf tables (NX-hugepage splits)",
-		},
-		{
-			Name: "flips-applied", Metric: "dram_flips_total",
-			Op: ">", Threshold: 0, Mode: Edge,
-			Help: "at least one Rowhammer bit flip changed memory contents",
-		},
-		{
-			Name: "host-machine-check", Metric: "host_machine_checks_total",
-			Op: ">", Threshold: 0, Mode: Edge,
-			Help: "the host crashed on an uncorrectable error or iTLB multihit",
-		},
-		{
-			Name: "obs-bus-drops", Metric: "obs_bus_dropped_total",
-			Op: ">", Threshold: 0, Mode: Edge,
-			Help: "the observability event bus dropped events on a slow subscriber",
-		},
-	}
+// watchpoints is the stock set, in evaluation order: row pressure past
+// the minimum flip threshold (§4.1), TRR neutralizations, NX-hugepage
+// split onset (§4.2.3), applied flips, host machine checks, and obs
+// event-bus drops.
+var watchpoints = [...]watchpoint{
+	{name: "dram-row-pressure", expr: "dram.row_window_activations > 120000", threshold: 120_000},
+	{name: "trr-neutralizing", expr: "dram_trr_neutralized_total > 0", family: "dram_trr_neutralized_total"},
+	{name: "ept-split-onset", expr: "rate(ept_splits_total) > 0", family: "ept_splits_total", rate: true},
+	{name: "flips-applied", expr: "dram_flips_total > 0", family: "dram_flips_total"},
+	{name: "host-machine-check", expr: "host_machine_checks_total > 0", family: "host_machine_checks_total"},
+	{name: "obs-bus-drops", expr: "obs_bus_dropped_total > 0", family: "obs_bus_dropped_total"},
 }
 
 // Alert is one fired watchpoint.
@@ -117,38 +68,11 @@ type AlertsSnapshot struct {
 	Recent []Alert `json:"recent"`
 }
 
-// ruleState tracks one rule's trigger and rate memory between ticks.
-type ruleState struct {
+// watchState tracks one watchpoint's trigger and rate memory between
+// ticks.
+type watchState struct {
 	active  bool
 	prevVal float64
 	prevT   float64
 	hasPrev bool
-}
-
-// compare applies the rule operator.
-func compare(v float64, op string, threshold float64) bool {
-	switch op {
-	case ">":
-		return v > threshold
-	case ">=":
-		return v >= threshold
-	case "<":
-		return v < threshold
-	case "<=":
-		return v <= threshold
-	case "==":
-		return v == threshold
-	case "!=":
-		return v != threshold
-	default:
-		return false
-	}
-}
-
-// rateInner extracts K from "rate(K)"; ok is false for plain keys.
-func rateInner(metric string) (string, bool) {
-	if strings.HasPrefix(metric, "rate(") && strings.HasSuffix(metric, ")") {
-		return metric[len("rate(") : len(metric)-1], true
-	}
-	return "", false
 }

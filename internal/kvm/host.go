@@ -24,7 +24,6 @@ import (
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/obs"
 	"hyperhammer/internal/phys"
-	"hyperhammer/internal/sched"
 	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
 	"hyperhammer/internal/virtio"
@@ -92,12 +91,6 @@ type Config struct {
 	// (streaming events to subscribers). The plane should wrap the same
 	// registry as Metrics.
 	Obs *obs.Plane
-	// DRAMShardWorkers, when > 1, shards the DRAM module's batched
-	// per-bank threshold-crossing pass across that many sched workers.
-	// The per-bank work is pure and the merge is index-ordered, so
-	// results are byte-identical to the sequential pass at any worker
-	// count (dram.TestHammerBatchSharded pins this).
-	DRAMShardWorkers int
 }
 
 // DefaultConfig returns an S1-like host: i3-10100 geometry, S1 fault
@@ -265,9 +258,6 @@ func NewHost(cfg Config) (*Host, error) {
 	h.tableBits = make([]uint64, (h.Mem.Frames()+63)/64)
 	cfg.Metrics.BindClock(h.Clock)
 	h.DRAM.SetMetrics(cfg.Metrics)
-	if cfg.DRAMShardWorkers > 1 {
-		h.DRAM.SetShardRunner(sched.New(cfg.DRAMShardWorkers))
-	}
 	h.Buddy.SetMetrics(cfg.Metrics)
 	if cfg.Ledger != nil {
 		// Wired before bootNoise so boot-time draws and allocator

@@ -8,7 +8,7 @@ import (
 
 // bindInspector wires the host into the introspection plane: heatmap
 // dimensions and the DRAM activation sink, the metrics registry the
-// watchpoint rules read, the alert emit hook (structured trace events,
+// watchpoints read, the alert emit hook (structured trace events,
 // which the obs plane relays onto its bus), the census builder, and
 // the periodic evaluation tick on the simulated clock. An immediate
 // evaluation anchors the census cache at boot time so live endpoints
@@ -24,7 +24,7 @@ func (h *Host) bindInspector() {
 	ins.SetMetrics(h.cfg.Metrics)
 	ins.SetEmit(h.cfg.Trace.Emit)
 	ins.SetCensusFunc(h.censusNow)
-	h.Clock.OnTick(ins.SampleEvery(), ins.Evaluate)
+	h.Clock.OnTick(inspect.SampleEvery, ins.Evaluate)
 	ins.Evaluate(h.Clock.Now())
 }
 

@@ -414,6 +414,27 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
+// Sum returns the total of a counter family across all its series,
+// and false when no counter family of that name is registered. Counts
+// are integers, so the float sum is exact in any order below 2^53 and
+// equals the sum over a sorted Snapshot.
+func (r *Registry) Sum(name string) (float64, bool) {
+	if r == nil {
+		return 0, false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f, ok := r.families[name]
+	if !ok || f.kind != kindCounter {
+		return 0, false
+	}
+	var sum float64
+	for _, s := range f.series {
+		sum += float64(s.c.Value())
+	}
+	return sum, true
+}
+
 // IsHostMetric reports whether a metric family measures the *host*
 // (scheduler telemetry: the sched_* families) rather than the
 // simulation. Host metrics are real wall-clock observations — they

@@ -32,6 +32,34 @@ func TestCounterAndGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestSum checks a counter family sums across its labeled series to
+// the figure a Snapshot gives, and that a missing family, a non-counter
+// family and the nil registry report false.
+func TestSum(t *testing.T) {
+	r := New()
+	r.Counter("flips_total", "F.", "dir", "a").Add(3)
+	r.Counter("flips_total", "F.", "dir", "b").Add(4)
+	r.Counter("flips_total", "F.").Add(5)
+	r.Gauge("depth", "D.").Set(2)
+	r.Histogram("lat", "L.", nil).Observe(1)
+	var want float64
+	for _, c := range r.Snapshot().Counters {
+		want += c.Value
+	}
+	if got, ok := r.Sum("flips_total"); !ok || got != want || got != 12 {
+		t.Errorf("Sum(flips_total) = %g, %v; want 12 (snapshot %g), true", got, ok, want)
+	}
+	for _, name := range []string{"missing_total", "depth", "lat"} {
+		if got, ok := r.Sum(name); ok || got != 0 {
+			t.Errorf("Sum(%s) = %g, %v; want 0, false", name, got, ok)
+		}
+	}
+	var nilReg *Registry
+	if _, ok := nilReg.Sum("flips_total"); ok {
+		t.Error("nil registry Sum reported a family")
+	}
+}
+
 func TestSameSeriesSharesHandle(t *testing.T) {
 	r := New()
 	a := r.Counter("x_total", "X.", "k", "v", "a", "b")

@@ -60,7 +60,7 @@ type Bus struct {
 	recent []Event
 	// dropCtr, when set, mirrors the drop total into the metrics
 	// registry (obs_bus_dropped_total), so silent event loss is
-	// visible to dashboards and watchpoint rules.
+	// visible to dashboards and the obs-bus-drops watchpoint.
 	dropCtr *metrics.Counter
 }
 

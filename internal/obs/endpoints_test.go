@@ -43,7 +43,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 	})
 	t.Run("populated", func(t *testing.T) {
 		srv, reg, clock := newTestServer(t)
-		ins := inspect.New(inspect.Config{})
+		ins := inspect.New()
 		ins.BindMachine(4, 1024)
 		ins.SetMetrics(reg)
 		ins.SetCensusFunc(func() inspect.Census {

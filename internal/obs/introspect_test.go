@@ -40,9 +40,7 @@ func TestIntrospectionEndpointsWithoutInspector(t *testing.T) {
 // alerts.
 func TestIntrospectionEndpointsWithInspector(t *testing.T) {
 	srv, reg, _ := newTestServer(t)
-	ins := inspect.New(inspect.Config{Rules: []inspect.Rule{
-		{Name: "hot", Metric: "x_total", Op: ">", Threshold: 5, Mode: inspect.Edge},
-	}})
+	ins := inspect.New()
 	ins.BindMachine(4, 1024)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 2} })
@@ -50,7 +48,7 @@ func TestIntrospectionEndpointsWithInspector(t *testing.T) {
 
 	ins.RecordRowActivations(1, 512, 9000)
 	ins.RecordFlip(1, 512)
-	reg.Counter("x_total", "test").Add(10)
+	reg.Counter("dram_flips_total", "test").Add(10)
 	ins.Evaluate(3 * time.Second)
 
 	var heat inspect.HeatmapSnapshot
@@ -77,7 +75,7 @@ func TestIntrospectionEndpointsWithInspector(t *testing.T) {
 		t.Fatal(err)
 	}
 	if alerts.Total != 1 || len(alerts.ByRule) != 1 ||
-		alerts.ByRule[0].Rule != "hot" || alerts.ByRule[0].Count != 1 {
+		alerts.ByRule[0].Rule != "flips-applied" || alerts.ByRule[0].Count != 1 {
 		t.Errorf("alerts = %+v", alerts)
 	}
 }
@@ -124,8 +122,8 @@ func TestEventsSSEKeepalive(t *testing.T) {
 }
 
 // TestBusDropCounterMetric checks the plane surfaces bus drops as the
-// obs_bus_dropped_total registry counter, which the default watchpoint
-// rules alert on.
+// obs_bus_dropped_total registry counter, and that the obs-bus-drops
+// watchpoint fires on it.
 func TestBusDropCounterMetric(t *testing.T) {
 	reg := metrics.New()
 	p := NewPlane(reg, Config{SampleEvery: time.Second})
@@ -149,14 +147,10 @@ func TestBusDropCounterMetric(t *testing.T) {
 		t.Errorf("obs_bus_dropped_total = %g, want 3", got)
 	}
 
-	// The default rule set watches that exact metric.
-	watched := false
-	for _, r := range inspect.DefaultRules() {
-		if r.Metric == "obs_bus_dropped_total" {
-			watched = true
-		}
-	}
-	if !watched {
-		t.Error("default watchpoint rules do not cover obs_bus_dropped_total")
+	ins := inspect.New()
+	ins.SetMetrics(reg)
+	ins.Evaluate(time.Second)
+	if a := ins.AlertsSnapshot(); a.Total != 1 || a.Recent[0].Rule != "obs-bus-drops" || a.Recent[0].Value != 3 {
+		t.Errorf("alerts = %+v, want one obs-bus-drops alert at value 3", a)
 	}
 }

@@ -71,7 +71,7 @@ func NewPlane(reg *metrics.Registry, cfg Config) *Plane {
 		start:     time.Now(),
 	}
 	// Surface the bus's drop total as a registry metric so dashboards
-	// and the default watchpoint rules see silent event loss; stays at
+	// and the obs-bus-drops watchpoint see silent event loss; stays at
 	// zero in deterministic runs (no slow subscribers).
 	p.bus.SetDropCounter(reg.Counter("obs_bus_dropped_total",
 		"Events the observability bus dropped on full subscriber buffers."))

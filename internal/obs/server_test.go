@@ -329,7 +329,7 @@ func TestConcurrentScrapeWhileSimulating(t *testing.T) {
 	rec.BindClock(clock)
 	p.TapTrace(rec)
 	p.BindClock(clock)
-	ins := inspect.New(inspect.Config{})
+	ins := inspect.New()
 	ins.BindMachine(4, 2048)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 1} })

@@ -33,15 +33,15 @@ func TestCommittedBaselinesIdentity(t *testing.T) {
 			"outcome":   3.20518277647474e+14,
 			"profile":   9.20724205897459e+14,
 		}, 194},
-		{"short-escape.json", "098417e88a516f68", "c82b194f00ba33ac", map[string]float64{
+		{"short-escape.json", "098417e88a516f68", "b90e6c23c335b66c", map[string]float64{
 			"alerts":    1.714746428137888e+15,
 			"census":    6.5411351024957e+13,
-			"counters":  7.1137699006535e+14,
+			"counters":  3.547347826517986e+15,
 			"forensics": 4.1585121392272e+14,
 			"heatmap":   4.388025904164497e+15,
 			"outcome":   3.98152315063227e+14,
 			"profile":   1.460688796017567e+15,
-		}, 186},
+		}, 199},
 	} {
 		a, err := ReadFile(filepath.Join(baselineDir, tc.file))
 		if err != nil {

@@ -18,7 +18,7 @@ func inspectedArtifact(t *testing.T, act int64) *Artifact {
 	t.Helper()
 	reg := metrics.New()
 	reg.Counter("dram_flips_total", "", "direction", "1to0").Add(2)
-	ins := inspect.New(inspect.Config{})
+	ins := inspect.New()
 	ins.BindMachine(2, 2048)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census {

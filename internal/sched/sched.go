@@ -57,9 +57,6 @@ func New(workers int) *Runner {
 	return &Runner{workers: workers}
 }
 
-// Workers returns the pool size.
-func (r *Runner) Workers() int { return r.workers }
-
 // result carries one unit's outcome to the collector.
 type result struct {
 	i   int
@@ -67,24 +64,20 @@ type result struct {
 	err error
 }
 
-// Run executes every unit and calls deliver(index, value) for each, in
-// strict index order, on the calling goroutine. deliver may be nil.
-// The first error — from the lowest-index failing unit, or from
-// deliver itself — stops the feed; units already in flight finish but
-// their results past the failure point are discarded. Errors are
+// RunTimed executes every unit and calls deliver(index, value) for
+// each, in strict index order, on the calling goroutine. deliver may
+// be nil. The first error — from the lowest-index failing unit, or
+// from deliver itself — stops the feed; units already in flight finish
+// but their results past the failure point are discarded. Errors are
 // returned as produced, without additional wrapping.
-func (r *Runner) Run(units []Unit, deliver func(i int, v any) error) error {
-	_, err := r.RunTimed(units, deliver)
-	return err
-}
-
-// RunTimed is Run plus host-cost telemetry: it records, for every
-// unit, which worker ran it and when (wall clock, relative to batch
-// start), when it was delivered, and the process CPU consumed across
-// the whole batch. Timing is pure observation — timestamps are taken
-// around the existing engine without adding any synchronization on
-// the delivery path, so the determinism contract (index-ordered
-// delivery, first-declared-error) is untouched.
+//
+// It also records host-cost telemetry: for every unit, which worker
+// ran it and when (wall clock, relative to batch start), when it was
+// delivered, and the process CPU consumed across the whole batch.
+// Timing is pure observation — timestamps are taken around the
+// existing engine without adding any synchronization on the delivery
+// path, so the determinism contract (index-ordered delivery,
+// first-declared-error) is untouched.
 //
 // The returned Schedule is always non-nil, even when the batch failed:
 // units that never started carry Worker == -1 and Started == false.

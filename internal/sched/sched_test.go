@@ -28,7 +28,7 @@ func TestDeterministicOrderUnderRandomDelays(t *testing.T) {
 		}
 	}
 	var got []int
-	err := New(8).Run(units, func(i int, v any) error {
+	_, err := New(8).RunTimed(units, func(i int, v any) error {
 		got = append(got, v.(int))
 		return nil
 	})
@@ -65,7 +65,7 @@ func TestWorkerPoolBounded(t *testing.T) {
 			return nil, nil
 		}}
 	}
-	if err := New(workers).Run(units, nil); err != nil {
+	if _, err := New(workers).RunTimed(units, nil); err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > workers {
@@ -93,7 +93,7 @@ func TestFirstErrorWins(t *testing.T) {
 		}}
 	}
 	var delivered []int
-	err := New(4).Run(units, func(i int, v any) error {
+	_, err := New(4).RunTimed(units, func(i int, v any) error {
 		delivered = append(delivered, i)
 		return nil
 	})
@@ -120,7 +120,7 @@ func TestDeliverErrorStops(t *testing.T) {
 		units[i] = Unit{Name: fmt.Sprintf("u%d", i), Run: func() (any, error) { return i, nil }}
 	}
 	var deliveries int
-	err := New(4).Run(units, func(i int, v any) error {
+	_, err := New(4).RunTimed(units, func(i int, v any) error {
 		deliveries++
 		if i == 3 {
 			return errMerge
@@ -143,7 +143,7 @@ func TestSequentialFastPath(t *testing.T) {
 		{Name: "a", Run: func() (any, error) { return 1, nil }},
 		{Name: "b", Run: func() (any, error) { return 2, nil }},
 	}
-	err := New(1).Run(units, func(i int, v any) error {
+	_, err := New(1).RunTimed(units, func(i int, v any) error {
 		order = append(order, v.(int))
 		return nil
 	})
@@ -154,17 +154,17 @@ func TestSequentialFastPath(t *testing.T) {
 
 // TestDefaultWorkers: New(0) sizes the pool from GOMAXPROCS.
 func TestDefaultWorkers(t *testing.T) {
-	if w := New(0).Workers(); w < 1 {
+	if w := New(0).workers; w < 1 {
 		t.Fatalf("default pool size %d", w)
 	}
-	if w := New(-3).Workers(); w < 1 {
+	if w := New(-3).workers; w < 1 {
 		t.Fatalf("negative pool size mapped to %d", w)
 	}
 }
 
 // TestEmpty: no units, no calls, no error.
 func TestEmpty(t *testing.T) {
-	if err := New(4).Run(nil, func(i int, v any) error {
+	if _, err := New(4).RunTimed(nil, func(i int, v any) error {
 		t.Fatal("deliver called for empty batch")
 		return nil
 	}); err != nil {

@@ -57,8 +57,8 @@ type Unit struct {
 //   - The unit records into a capture recorder when s traces, the run
 //     is profiled, or s inspects (watchpoints emit trace events).
 //   - It meters into a fresh registry when s meters, the run is
-//     profiled, or s inspects (the profiler and the watchpoint rules
-//     read counters).
+//     profiled, or s inspects (the profiler and the watchpoints read
+//     counters).
 //   - When profiled, a per-unit profile builder over that registry is
 //     the recorder's "profile" named sink.
 //   - Inspect, Forensics and Ledger are each that plane's own Scoped().
