@@ -12,9 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static analysis beyond vet. staticcheck is optional locally (offline
-# containers can't fetch it); CI installs it and fails on findings.
+# Static analysis beyond vet: every Go file must be gofmt-clean, and
+# staticcheck runs when installed (offline containers can't fetch it;
+# CI installs it and fails on findings).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -256,3 +256,48 @@ func TestReadersNeverCreateStore(t *testing.T) {
 		})
 	}
 }
+
+// TestDiffSummaryLine: hh diff closes with a verdict line that names
+// the command as it is typed, for artifacts and benchmark documents.
+func TestDiffSummaryLine(t *testing.T) {
+	baseline := filepath.Join("..", "..", "testdata", "baselines", "short-seed4.json")
+	oldBench := writeTemp(t, "old.json", `{"generatedAt":"x","benchmarks":[{"name":"BenchmarkX","metrics":{"ns/op":100}}]}`)
+	newBench := writeTemp(t, "new.json", `{"generatedAt":"x","benchmarks":[{"name":"BenchmarkX","metrics":{"ns/op":200}}]}`)
+	for _, tc := range []struct {
+		old, new   string
+		status     int
+		wantPrefix string
+	}{
+		{baseline, baseline, 0, "hh diff: "},
+		{oldBench, newBench, 1, "hh diff: 1 of 1 figures beyond tolerance"},
+	} {
+		out, status := captureStdout(t, func() int { return cmdDiff([]string{tc.old, tc.new}) })
+		if status != tc.status {
+			t.Errorf("hh diff %s %s exit status %d, want %d", tc.old, tc.new, status, tc.status)
+		}
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		if last := lines[len(lines)-1]; !strings.HasPrefix(last, tc.wantPrefix) {
+			t.Errorf("hh diff %s %s summary = %q, want prefix %q", tc.old, tc.new, last, tc.wantPrefix)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout sent to a file and returns what
+// it printed and its exit status.
+func captureStdout(t *testing.T, f func() int) (string, int) {
+	t.Helper()
+	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer file.Close()
+	stdout := os.Stdout
+	os.Stdout = file
+	status := f()
+	os.Stdout = stdout
+	data, err := os.ReadFile(file.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data), status
+}

@@ -169,13 +169,11 @@ func (c *escapeRun) run(s *session) int {
 		Name: "campaign",
 		Run: func() (any, error) {
 			return hyperhammer.RunCampaign(host, hyperhammer.CampaignConfig{
-				Attack:             c.attack,
-				VM:                 c.vm,
-				MaxAttempts:        c.budget,
-				StopAtFirstSuccess: true,
-				VerifyHPA:          secretHPA,
-				VerifyValue:        secretValue,
-				ChurnOps:           400,
+				Attack:      c.attack,
+				VM:          c.vm,
+				MaxAttempts: c.budget,
+				VerifyHPA:   secretHPA,
+				VerifyValue: secretValue,
 			})
 		},
 	}}, func(_ int, v any) error {

@@ -115,7 +115,7 @@ func openSession(name string, out outputs, logTo io.Writer) (*session, error) {
 	// artifact sections come from the same recorders.
 	if out.obs != "" || archive {
 		s.Inspect = inspect.New()
-		s.Forensics = forensics.New(forensics.Config{})
+		s.Forensics = forensics.New()
 	}
 	// The determinism ledger is strictly opt-in: it exists to detect
 	// drift between deliberate runs, and leaving it off keeps archived

@@ -72,13 +72,11 @@ func main() {
 	attackCfg.TargetBits = 3
 
 	res, err := hyperhammer.RunCampaign(host, hyperhammer.CampaignConfig{
-		Attack:             attackCfg,
-		VM:                 hyperhammer.VMConfig{MemSize: 3328 * hyperhammer.MiB, VFIOGroups: 1, BootSplits: 150},
-		MaxAttempts:        300,
-		StopAtFirstSuccess: true,
-		VerifyHPA:          credHPA,
-		VerifyValue:        credential,
-		ChurnOps:           400,
+		Attack:      attackCfg,
+		VM:          hyperhammer.VMConfig{MemSize: 3328 * hyperhammer.MiB, VFIOGroups: 1, BootSplits: 150},
+		MaxAttempts: 300,
+		VerifyHPA:   credHPA,
+		VerifyValue: credential,
 	})
 	if err != nil {
 		log.Fatal(err)

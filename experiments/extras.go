@@ -74,10 +74,7 @@ func dramdigRun(o Options, sys System) (DRAMDigRow, error) {
 		geo = dram.XeonE32124()
 	}
 	timing := dram.NewTiming(geo, o.Seed^0xD1)
-	cfg := dramdig.DefaultConfig(geo.Size)
-	cfg.Seed = o.Seed ^ 0xD2
-	cfg.Trace = o.Trace
-	rec, err := dramdig.Recover(timing, cfg)
+	rec, err := dramdig.Recover(timing, dramdig.Config{Seed: o.Seed ^ 0xD2, MemSize: geo.Size, Trace: o.Trace})
 	if err != nil {
 		return DRAMDigRow{}, fmt.Errorf("dramdig %s: %w", sys, err)
 	}

@@ -105,7 +105,6 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 	gos := guest.Boot(vm)
 	results, err := hammer.Search(gos, hammer.Config{
 		BankMasks: sc.geometry(SystemS1).BankMasks,
-		RowShift:  18,
 		Hugepages: 96,
 		Repeats:   2,
 	}, patterns)

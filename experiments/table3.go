@@ -104,13 +104,11 @@ func table3Run(o Options, sys System) (Table3Row, error) {
 	span := o.Trace.StartSpan("table3."+sys.String(), "system", sys.String())
 	cfg.Span = span
 	campaign, err := attack.RunCampaign(h, attack.CampaignConfig{
-		Attack:             cfg,
-		VM:                 kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits},
-		MaxAttempts:        maxAttempts,
-		StopAtFirstSuccess: true,
-		VerifyHPA:          secret,
-		VerifyValue:        magic,
-		ChurnOps:           400,
+		Attack:      cfg,
+		VM:          kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits},
+		MaxAttempts: maxAttempts,
+		VerifyHPA:   secret,
+		VerifyValue: magic,
 	})
 	span.End()
 	if err != nil {

@@ -36,7 +36,6 @@ package hyperhammer
 import (
 	"hyperhammer/internal/attack"
 	"hyperhammer/internal/balloon"
-	"hyperhammer/internal/buddy"
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/dramdig"
 	"hyperhammer/internal/forensics"
@@ -177,8 +176,8 @@ type TraceSpan = trace.Span
 // ObsPlane.Serve.
 type ObsPlane = obs.Plane
 
-// ObsConfig tunes the observability plane (sampling interval, ring
-// capacities); the zero value selects usable defaults.
+// ObsConfig tunes the observability plane's sampling interval; the
+// zero value samples every simulated second.
 type ObsConfig = obs.Config
 
 // NewObs creates an observability plane over a metrics registry (which
@@ -216,15 +215,16 @@ func NewInspector(InspectConfig) *Inspector { return inspect.New() }
 // for hh why to read offline.
 type ForensicsRecorder = forensics.Recorder
 
-// ForensicsConfig tunes a ForensicsRecorder (per-attempt flip detail
-// bound); the zero value selects usable defaults.
-type ForensicsConfig = forensics.Config
+// ForensicsConfig is NewForensics's argument. It has no fields: the
+// per-attempt flip detail bound is fixed. It is kept so existing
+// NewForensics(ForensicsConfig{}) calls compile unchanged.
+type ForensicsConfig struct{}
 
 // ForensicsSnapshot is one serialized view of a ForensicsRecorder.
 type ForensicsSnapshot = forensics.Snapshot
 
 // NewForensics creates a flip-provenance recorder.
-func NewForensics(cfg ForensicsConfig) *ForensicsRecorder { return forensics.New(cfg) }
+func NewForensics(ForensicsConfig) *ForensicsRecorder { return forensics.New() }
 
 // LedgerRecorder is the determinism-ledger plane: rolling per-stream
 // fingerprints of every deterministic event source (RNG draws, DRAM
@@ -236,8 +236,8 @@ func NewForensics(cfg ForensicsConfig) *ForensicsRecorder { return forensics.New
 // hh bisect to localize divergence offline.
 type LedgerRecorder = ledger.Recorder
 
-// LedgerConfig tunes a LedgerRecorder (epoch interval, epoch cap); the
-// zero value records final fingerprints only, sealing no epochs.
+// LedgerConfig tunes a LedgerRecorder's epoch interval; the zero value
+// records final fingerprints only, sealing no epochs.
 type LedgerConfig = ledger.Config
 
 // LedgerSnapshot is one serialized view of a LedgerRecorder.
@@ -339,7 +339,6 @@ func S1(seed uint64) HostConfig {
 	return HostConfig{
 		Geometry:       dram.CoreI310100(),
 		Fault:          dram.S1FaultModel(seed),
-		Buddy:          buddy.DefaultConfig(),
 		THP:            true,
 		NXHugepages:    true,
 		BootNoisePages: 30000,
@@ -439,9 +438,7 @@ func NewGuestDriver(dev *virtio.MemDevice) *GuestDriver {
 // row-buffer timing, the DRAMDig step of Section 5.1.
 func RecoverBankFunction(geo *Geometry, seed uint64) (dramdig.Result, error) {
 	timing := dram.NewTiming(geo, seed)
-	cfg := dramdig.DefaultConfig(geo.Size)
-	cfg.Seed = seed
-	return dramdig.Recover(timing, cfg)
+	return dramdig.Recover(timing, dramdig.Config{Seed: seed, MemSize: geo.Size})
 }
 
 // FindHammerPattern runs the TRRespass-style pattern search of Section
@@ -449,7 +446,6 @@ func RecoverBankFunction(geo *Geometry, seed uint64) (dramdig.Result, error) {
 func FindHammerPattern(os *GuestOS, bankMasks []uint64) (hammer.Result, error) {
 	results, err := hammer.Search(os, hammer.Config{
 		BankMasks: bankMasks,
-		RowShift:  18,
 		Hugepages: 64,
 		Repeats:   3,
 	}, hammer.DefaultPatterns())

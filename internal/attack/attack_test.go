@@ -83,8 +83,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	for _, breakIt := range []func(*Config){
 		func(c *Config) { c.BankMasks = nil },
-		func(c *Config) { c.RowShift = 0 },
-		func(c *Config) { c.RowShift = 21 },
 		func(c *Config) { c.HammerRounds = 0 },
 		func(c *Config) { c.HostMemBits = 20 },
 	} {
@@ -338,13 +336,11 @@ func TestCampaignEndToEndEscape(t *testing.T) {
 	secretHPA := h.PlantSecret(0x5EC2E7C0FFEE)
 	cfg := bigAttackConfig()
 	res, err := RunCampaign(h, CampaignConfig{
-		Attack:             cfg,
-		VM:                 kvm.VMConfig{MemSize: 3584 * memdef.MiB, VFIOGroups: 1},
-		MaxAttempts:        150,
-		StopAtFirstSuccess: true,
-		VerifyHPA:          secretHPA,
-		VerifyValue:        0x5EC2E7C0FFEE,
-		ChurnOps:           200,
+		Attack:      cfg,
+		VM:          kvm.VMConfig{MemSize: 3584 * memdef.MiB, VFIOGroups: 1},
+		MaxAttempts: 300,
+		VerifyHPA:   secretHPA,
+		VerifyValue: 0x5EC2E7C0FFEE,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -418,13 +414,11 @@ func TestCampaignDeterministic(t *testing.T) {
 		h := bigHost(t, 61)
 		secret := h.PlantSecret(0xD15EA5E)
 		res, err := RunCampaign(h, CampaignConfig{
-			Attack:             bigAttackConfig(),
-			VM:                 kvm.VMConfig{MemSize: 3584 * memdef.MiB, VFIOGroups: 1},
-			MaxAttempts:        10,
-			StopAtFirstSuccess: true,
-			VerifyHPA:          secret,
-			VerifyValue:        0xD15EA5E,
-			ChurnOps:           200,
+			Attack:      bigAttackConfig(),
+			VM:          kvm.VMConfig{MemSize: 3584 * memdef.MiB, VFIOGroups: 1},
+			MaxAttempts: 10,
+			VerifyHPA:   secret,
+			VerifyValue: 0xD15EA5E,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -41,7 +41,6 @@ func BenchmarkCampaignAttempt(b *testing.B) {
 		Attack:      bigAttackConfig(),
 		VM:          kvm.VMConfig{MemSize: 3584 * memdef.MiB, VFIOGroups: 1},
 		MaxAttempts: 1,
-		ChurnOps:    200,
 	}
 	ccfg.Attack.scratch = &attemptScratch{}
 
@@ -78,7 +77,7 @@ func BenchmarkCampaignAttempt(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.BackgroundChurn(ccfg.ChurnOps)
+		h.BackgroundChurn(churnOps)
 		if _, err := runAttempt(h, ccfg, bits, i+1); err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,8 @@ import (
 )
 
 // CampaignConfig drives a repeated-attempt attack campaign, the
-// methodology of Section 5.3.2 / Table 3.
+// methodology of Section 5.3.2 / Table 3. A campaign ends at its first
+// successful attempt, as the Table 3 experiment does.
 type CampaignConfig struct {
 	// Attack is the per-attempt attack configuration.
 	Attack Config
@@ -21,21 +22,19 @@ type CampaignConfig struct {
 	VM kvm.VMConfig
 	// MaxAttempts bounds the campaign.
 	MaxAttempts int
-	// StopAtFirstSuccess ends the campaign once an attempt escapes
-	// (the Table 3 experiment runs to first success).
-	StopAtFirstSuccess bool
 	// VerifyHPA/VerifyValue, when set, require the escape handle to
 	// read the planted host secret before an attempt counts as a
 	// success — the Section 5.3.2 magic-value check.
 	VerifyHPA   memdef.HPA
 	VerifyValue uint64
-	// ChurnOps is how much background host activity (transient
-	// unmovable allocations) runs between attempts, modelling the
-	// natural free-list drift of a live host. Zero disables it, which
-	// makes consecutive attempts near-identical replays — unrealistic
-	// and useless for a statistical attack.
-	ChurnOps int
 }
+
+// churnOps is how much background host activity (transient unmovable
+// allocations) runs between attempts, modelling the natural free-list
+// drift of a live host. Without it consecutive attempts would be
+// near-identical replays — unrealistic and useless for a statistical
+// attack.
+const churnOps = 400
 
 // AttemptStats records one attack attempt.
 type AttemptStats struct {
@@ -180,8 +179,8 @@ func RunCampaign(h *kvm.Host, ccfg CampaignConfig) (*CampaignResult, error) {
 
 	attackClock := simtime.NewStopwatch(h.Clock)
 	for attempt := 1; attempt <= ccfg.MaxAttempts; attempt++ {
-		if ccfg.ChurnOps > 0 && attempt > 1 {
-			h.BackgroundChurn(ccfg.ChurnOps)
+		if attempt > 1 {
+			h.BackgroundChurn(churnOps)
 		}
 		stats, err := runAttempt(h, ccfg, bits, attempt)
 		if err != nil {
@@ -206,13 +205,9 @@ func RunCampaign(h *kvm.Host, ccfg CampaignConfig) (*CampaignResult, error) {
 		}
 		if stats.Success {
 			res.Successes++
-			if res.FirstSuccessAttempt == 0 {
-				res.FirstSuccessAttempt = attempt
-				res.TimeToFirstSuccess = attackClock.Elapsed()
-			}
-			if ccfg.StopAtFirstSuccess {
-				break
-			}
+			res.FirstSuccessAttempt = attempt
+			res.TimeToFirstSuccess = attackClock.Elapsed()
+			break
 		}
 	}
 	return res, nil

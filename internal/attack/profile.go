@@ -167,16 +167,14 @@ func profile(os *guest.OS, cfg Config) (*ProfileResult, error) {
 // hugepage because bank classes depend only on the low 21 address
 // bits.
 func (c Config) aggressorPairs() [][2]uint64 {
-	span := c.rowSpan()
-	rows := c.rowsPerHuge()
 	// classOffset[r][cls] is a representative 64-byte-aligned offset
 	// in row-span r with the given bank class.
-	classOffset := make([][]uint64, rows)
+	classOffset := make([][]uint64, rowsPerHuge)
 	for r := range classOffset {
 		classOffset[r] = make([]uint64, c.bankClasses())
 		need := c.bankClasses()
 		found := make([]bool, need)
-		for off := uint64(r) * span; off < uint64(r+1)*span && need > 0; off += 64 {
+		for off := uint64(r) * rowSpan; off < uint64(r+1)*rowSpan && need > 0; off += 64 {
 			cls := c.bankClass(off)
 			if !found[cls] {
 				found[cls] = true
@@ -187,8 +185,8 @@ func (c Config) aggressorPairs() [][2]uint64 {
 	}
 	var pairs [][2]uint64
 	// Bottom border: rows 0 and 1 (victims below the hugepage);
-	// top border: rows rows-2 and rows-1 (victims above).
-	for _, rr := range [][2]int{{0, 1}, {rows - 2, rows - 1}} {
+	// top border: the last two rows (victims above).
+	for _, rr := range [][2]int{{0, 1}, {rowsPerHuge - 2, rowsPerHuge - 1}} {
 		for cls := 0; cls < c.bankClasses(); cls++ {
 			pairs = append(pairs, [2]uint64{
 				classOffset[rr[0]][cls],
@@ -199,13 +197,13 @@ func (c Config) aggressorPairs() [][2]uint64 {
 	return pairs
 }
 
-// retestStability re-arms and re-hammers a flip StabilityRetests
+// retestStability re-arms and re-hammers a flip stabilityRetests
 // times; the bit is stable only if it flips every time.
 func retestStability(os *guest.OS, cfg Config, bit VulnBit) bool {
 	pageBase := bit.Flip.GVA &^ (memdef.PageSize - 1)
 	wordAddr := bit.Flip.GVA &^ 7
 	bitPos := bit.Flip.EPTEBit()
-	for i := 0; i < cfg.StabilityRetests; i++ {
+	for i := 0; i < stabilityRetests; i++ {
 		if err := os.FillPage(pageBase, profilePattern); err != nil {
 			return false
 		}
@@ -220,7 +218,7 @@ func retestStability(os *guest.OS, cfg Config, bit VulnBit) bool {
 			return false // did not flip this round
 		}
 	}
-	return cfg.StabilityRetests > 0
+	return true
 }
 
 func (r *ProfileResult) add(bit VulnBit) {

@@ -22,7 +22,6 @@ func TestCampaignSpanNesting(t *testing.T) {
 		Attack:      cfg,
 		VM:          kvm.VMConfig{MemSize: 3584 * memdef.MiB, VFIOGroups: 1},
 		MaxAttempts: 3,
-		ChurnOps:    200,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -94,7 +94,7 @@ func pageSteer(os *guest.OS, cfg Config, buf Buffer, victims []VulnBit) (*SteerR
 	dmaTarget := buf.Base
 	remaining := cfg.IOVAMappings
 	for group := 0; group < os.Groups() && remaining > 0; group++ {
-		iova := cfg.IOVABase
+		iova := iovaBase
 		for remaining > 0 {
 			err := os.MapDMA(group, iova, dmaTarget)
 			if errors.Is(err, viommu.ErrMapLimit) {

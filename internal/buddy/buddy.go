@@ -34,19 +34,15 @@ const (
 // migration type can satisfy an allocation.
 var ErrOutOfMemory = errors.New("buddy: out of memory")
 
-// Config tunes the allocator's caching behaviour.
-type Config struct {
-	// PCPBatch is the number of order-0 pages moved between the PCP
-	// cache and the buddy lists per refill or drain. Linux default
-	// territory is 31-63.
-	PCPBatch int
-	// PCPHigh is the PCP high watermark: freeing beyond it drains a
+// PCP tuning, Linux's stock values.
+const (
+	// pcpBatch is the number of order-0 pages moved between the PCP
+	// cache and the buddy lists per refill or drain.
+	pcpBatch = 31
+	// pcpHigh is the PCP high watermark: freeing beyond it drains a
 	// batch back to the buddy lists.
-	PCPHigh int
-}
-
-// DefaultConfig mirrors common Linux PCP tuning.
-func DefaultConfig() Config { return Config{PCPBatch: 31, PCPHigh: 186} }
+	pcpHigh = 186
+)
 
 type blockInfo struct {
 	order int
@@ -58,7 +54,6 @@ type blockInfo struct {
 // Allocator is the buddy allocator over a contiguous PFN range.
 // It is not safe for concurrent use.
 type Allocator struct {
-	cfg   Config
 	start memdef.PFN
 	pages uint64
 
@@ -121,17 +116,12 @@ func (a *Allocator) SetLedger(r *ledger.Recorder) {
 // the whole range initially free as MIGRATE_MOVABLE max-order blocks
 // (the state of a freshly booted host's ZONE_NORMAL before kernel
 // allocations carve it up).
-func New(start memdef.PFN, pages uint64, cfg Config) *Allocator {
-	if cfg.PCPBatch <= 0 || cfg.PCPHigh < cfg.PCPBatch {
-		panic(fmt.Sprintf("buddy: bad PCP config %+v", cfg))
-	}
+func New(start memdef.PFN, pages uint64) *Allocator {
 	a := &Allocator{
-		cfg:   cfg,
 		start: start,
 		pages: pages,
 		free:  make(map[memdef.PFN]blockInfo),
 	}
-	maxBlock := uint64(1) << (memdef.MaxOrder - 1)
 	p := uint64(start)
 	end := uint64(start) + pages
 	// Align the leading edge upward with progressively larger blocks,
@@ -148,7 +138,6 @@ func New(start memdef.PFN, pages uint64, cfg Config) *Allocator {
 		a.freePages += uint64(1) << order
 		p += uint64(1) << order
 	}
-	_ = maxBlock
 	return a
 }
 
@@ -320,7 +309,7 @@ func (a *Allocator) Free(p memdef.PFN, order int, mt memdef.MigrateType) {
 func (a *Allocator) AllocPage(mt memdef.MigrateType) (memdef.PFN, error) {
 	cache := &a.pcp[mt]
 	if len(*cache) == 0 {
-		for i := 0; i < a.cfg.PCPBatch; i++ {
+		for i := 0; i < pcpBatch; i++ {
 			p, err := a.Alloc(0, mt)
 			if err != nil {
 				break
@@ -344,15 +333,21 @@ func (a *Allocator) syncPCPGauge() {
 }
 
 // FreePage frees one order-0 page of type mt through the PCP cache,
-// draining a batch back to the buddy lists past the high watermark.
+// draining the oldest batch back to the buddy lists past the high
+// watermark.
 func (a *Allocator) FreePage(p memdef.PFN, mt memdef.MigrateType) {
 	a.led.Fold3(ledBuddyPCPFree, uint64(p), uint64(mt))
 	cache := &a.pcp[mt]
 	*cache = append(*cache, p)
-	if len(*cache) > a.cfg.PCPHigh {
-		for i := 0; i < a.cfg.PCPBatch && len(*cache) > 0; i++ {
-			q := (*cache)[0]
-			*cache = (*cache)[1:]
+	if len(*cache) > pcpHigh {
+		// Take the batch off the cache before freeing it, so FreePages
+		// never counts a page twice, and shift the rest down in place:
+		// reslicing from the front would strand capacity and make the
+		// next append reallocate.
+		var batch [pcpBatch]memdef.PFN
+		copy(batch[:], *cache)
+		*cache = (*cache)[:copy(*cache, (*cache)[pcpBatch:])]
+		for _, q := range batch {
 			a.Free(q, 0, mt)
 		}
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkAllocFreeOrder0(b *testing.B) {
-	a := New(0, 1<<20, DefaultConfig())
+	a := New(0, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := a.Alloc(0, memdef.MigrateUnmovable)
@@ -19,7 +19,7 @@ func BenchmarkAllocFreeOrder0(b *testing.B) {
 }
 
 func BenchmarkAllocFreeOrder9(b *testing.B) {
-	a := New(0, 1<<20, DefaultConfig())
+	a := New(0, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := a.Alloc(memdef.HugeOrder, memdef.MigrateUnmovable)
@@ -31,7 +31,7 @@ func BenchmarkAllocFreeOrder9(b *testing.B) {
 }
 
 func BenchmarkPCPAllocFree(b *testing.B) {
-	a := New(0, 1<<20, DefaultConfig())
+	a := New(0, 1<<20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p, err := a.AllocPage(memdef.MigrateUnmovable)
@@ -45,7 +45,7 @@ func BenchmarkPCPAllocFree(b *testing.B) {
 func BenchmarkSteeringChurn(b *testing.B) {
 	// The allocation pattern Page Steering exercises: release an
 	// order-9 block, then carve it up as order-0 unmovable pages.
-	a := New(0, 1<<20, DefaultConfig())
+	a := New(0, 1<<20)
 	block, err := a.Alloc(memdef.HugeOrder, memdef.MigrateUnmovable)
 	if err != nil {
 		b.Fatal(err)

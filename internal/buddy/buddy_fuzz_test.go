@@ -17,7 +17,7 @@ func FuzzAllocFreeSequence(f *testing.F) {
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const pages = 2048
-		a := New(0, pages, Config{PCPBatch: 4, PCPHigh: 12})
+		a := New(0, pages)
 		type block struct {
 			pfn   memdef.PFN
 			order int

@@ -15,7 +15,7 @@ func TestPropertyAllocFreeInvariants(t *testing.T) {
 	const pages = 8192
 	f := func(seed uint64, opsRaw uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, seed^0xABCDEF))
-		a := New(0, pages, DefaultConfig())
+		a := New(0, pages)
 		type block struct {
 			pfn   memdef.PFN
 			order int
@@ -88,26 +88,32 @@ func TestPropertyAllocFreeInvariants(t *testing.T) {
 }
 
 // Property: the PCP layer never changes the total page count and
-// always returns pages it was given.
+// always returns pages it was given. Each step allocates or frees a
+// burst of up to 64 pages, so the cache crosses its high watermark and
+// drains.
 func TestPropertyPCPConservation(t *testing.T) {
 	f := func(seed uint64, opsRaw uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, 1))
-		a := New(0, 4096, Config{PCPBatch: 8, PCPHigh: 24})
+		a := New(0, 4096)
 		var held []memdef.PFN
 		ops := int(opsRaw)%300 + 20
 		for i := 0; i < ops; i++ {
-			if rng.IntN(2) == 0 {
-				if p, err := a.AllocPage(memdef.MigrateUnmovable); err == nil {
-					held = append(held, p)
+			burst := rng.IntN(64) + 1
+			alloc := rng.IntN(2) == 0
+			for k := 0; k < burst; k++ {
+				if alloc {
+					if p, err := a.AllocPage(memdef.MigrateUnmovable); err == nil {
+						held = append(held, p)
+					}
+				} else if len(held) > 0 {
+					j := rng.IntN(len(held))
+					a.FreePage(held[j], memdef.MigrateUnmovable)
+					held[j] = held[len(held)-1]
+					held = held[:len(held)-1]
 				}
-			} else if len(held) > 0 {
-				j := rng.IntN(len(held))
-				a.FreePage(held[j], memdef.MigrateUnmovable)
-				held[j] = held[len(held)-1]
-				held = held[:len(held)-1]
-			}
-			if a.FreePages()+uint64(len(held)) != 4096 {
-				return false
+				if a.FreePages()+uint64(len(held)) != 4096 {
+					return false
+				}
 			}
 		}
 		return true

@@ -1,13 +1,14 @@
 package buddy
 
 import (
+	"slices"
 	"testing"
 
 	"hyperhammer/internal/memdef"
 )
 
 func newTestAllocator(pages uint64) *Allocator {
-	return New(0, pages, DefaultConfig())
+	return New(0, pages)
 }
 
 func TestNewAllFree(t *testing.T) {
@@ -26,7 +27,7 @@ func TestNewAllFree(t *testing.T) {
 
 func TestNewUnalignedRange(t *testing.T) {
 	// Start at PFN 3 with 1030 pages: must still cover every page.
-	a := New(3, 1030, DefaultConfig())
+	a := New(3, 1030)
 	if got := a.FreePages(); got != 1030 {
 		t.Errorf("FreePages() = %d, want 1030", got)
 	}
@@ -130,34 +131,59 @@ func TestOutOfMemory(t *testing.T) {
 }
 
 func TestPCPBatchingBehaviour(t *testing.T) {
-	cfg := Config{PCPBatch: 4, PCPHigh: 8}
-	a := New(0, 1024, cfg)
+	a := New(0, 1024)
 	p, err := a.AllocPage(memdef.MigrateUnmovable)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One batch was pulled; batch-1 remain cached.
-	if got := a.PCPCount(memdef.MigrateUnmovable); got != 3 {
-		t.Errorf("PCP count after first alloc = %d, want 3", got)
+	if got := a.PCPCount(memdef.MigrateUnmovable); got != pcpBatch-1 {
+		t.Errorf("PCP count after first alloc = %d, want %d", got, pcpBatch-1)
 	}
 	a.FreePage(p, memdef.MigrateUnmovable)
-	if got := a.PCPCount(memdef.MigrateUnmovable); got != 4 {
-		t.Errorf("PCP count after free = %d, want 4", got)
+	if got := a.PCPCount(memdef.MigrateUnmovable); got != pcpBatch {
+		t.Errorf("PCP count after free = %d, want %d", got, pcpBatch)
 	}
 	// Push past the high watermark: a batch drains.
 	var pages []memdef.PFN
-	for i := 0; i < 8; i++ {
+	for i := 0; i < pcpHigh; i++ {
 		q, _ := a.Alloc(0, memdef.MigrateUnmovable)
 		pages = append(pages, q)
 	}
 	for _, q := range pages {
 		a.FreePage(q, memdef.MigrateUnmovable)
 	}
-	if got := a.PCPCount(memdef.MigrateUnmovable); got > cfg.PCPHigh {
-		t.Errorf("PCP count %d exceeds high watermark %d", got, cfg.PCPHigh)
+	// The drain took the oldest batch, the pages the first refill
+	// cached, and kept every page freed since, in order.
+	if got := a.pcp[memdef.MigrateUnmovable]; !slices.Equal(got, pages) {
+		t.Errorf("PCP after one drain = %v, want the %d pages freed last, in order", got, len(pages))
 	}
 	if a.FreePages() != 1024 {
 		t.Errorf("FreePages = %d, want 1024 (PCP pages counted)", a.FreePages())
+	}
+}
+
+// Draining past the high watermark keeps the cache's backing array, so
+// steady-state PCP churn allocates nothing.
+func TestPCPChurnAllocatesNothing(t *testing.T) {
+	a := New(0, 4096)
+	held := make([]memdef.PFN, 0, 2*pcpHigh)
+	churn := func() {
+		for i := 0; i < 2*pcpHigh; i++ {
+			p, err := a.AllocPage(memdef.MigrateUnmovable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held = append(held, p)
+		}
+		for _, p := range held {
+			a.FreePage(p, memdef.MigrateUnmovable)
+		}
+		held = held[:0]
+	}
+	churn() // size the free lists and the cache
+	if n := testing.AllocsPerRun(20, churn); n != 0 {
+		t.Errorf("PCP churn allocated %.1f times per run, want 0", n)
 	}
 }
 

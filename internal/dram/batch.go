@@ -263,8 +263,8 @@ func (m *Module) runBatch(ops []HammerOp, pre func(i int), deliver func(i int, f
 		// budget: beyond it the victim has been refreshed and the
 		// leak restarts.
 		bop.wrounds = op.Rounds
-		if lim := m.windowActivations(); bop.wrounds > lim {
-			bop.wrounds = lim
+		if bop.wrounds > windowActivations {
+			bop.wrounds = windowActivations
 			bop.clipped = true
 		}
 		if bop.activeLen == 0 {

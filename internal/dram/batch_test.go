@@ -57,7 +57,7 @@ func randomOps(geo *Geometry, n int) []HammerOp {
 		case 1:
 			op.Rounds = -3
 		case 2:
-			op.Rounds = DefaultWindowActivations + 500_000 // clips
+			op.Rounds = windowActivations + 500_000 // clips
 		default:
 			op.Rounds = 50_000 + rng.IntN(400_000)
 		}

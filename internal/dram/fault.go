@@ -71,13 +71,6 @@ type FaultModelConfig struct {
 	// contributed by aggressors at row distance 1 and 2. Distances
 	// beyond 2 contribute nothing (blast radius 2).
 	NeighborWeight1, NeighborWeight2 float64
-	// WindowActivations caps the activations of one row that can
-	// accumulate disturbance within a refresh window: every tREFW
-	// (64 ms) the victim row is refreshed and the charge-leak budget
-	// resets, so hammering longer in one operation does not hammer
-	// harder. Zero selects the DDR4-2666 default (~1.36M activations
-	// per row per window at back-to-back tRC).
-	WindowActivations int
 	// TRR, when non-nil, enables the in-DRAM Target Row Refresh
 	// mitigation model. The evaluated Apacer DIMMs behave as if TRR
 	// were absent or defeated (TRRespass found effective patterns on
@@ -422,17 +415,13 @@ func (m *Module) cellsForRow(bs *bankState, bank, row int) []Cell {
 	return cells
 }
 
-// DefaultWindowActivations is the per-row activation budget of one
-// 64 ms refresh window at back-to-back tRC (~47 ns) on DDR4-2666.
-const DefaultWindowActivations = 1_360_000
-
-// windowActivations returns the effective per-window activation cap.
-func (m *Module) windowActivations() int {
-	if m.cfg.WindowActivations > 0 {
-		return m.cfg.WindowActivations
-	}
-	return DefaultWindowActivations
-}
+// windowActivations caps the activations of one row that can
+// accumulate disturbance within a refresh window: every tREFW (64 ms)
+// the victim row is refreshed and the charge-leak budget resets, so
+// hammering longer in one operation does not hammer harder. It is the
+// per-row budget of one window at back-to-back tRC (~47 ns) on
+// DDR4-2666.
+const windowActivations = 1_360_000
 
 // RowRef names one DRAM row.
 type RowRef struct {

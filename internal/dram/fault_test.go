@@ -243,10 +243,11 @@ func TestRefreshWindowCapsDisturbance(t *testing.T) {
 	if flips := m.Hammer(op); len(flips) != 0 {
 		t.Errorf("%d flips from cells above the refresh-window budget", len(flips))
 	}
-	// With a raised window cap the same cells flip.
-	cfg.WindowActivations = 10_000_000
+	// The same op flips cells whose thresholds one window reaches.
+	cfg.ThresholdMin = windowActivations / 4
+	cfg.ThresholdMax = windowActivations / 2
 	m2 := NewModule(CoreI310100(), cfg)
 	if flips := m2.Hammer(op); len(flips) == 0 {
-		t.Error("no flips despite raised window budget")
+		t.Error("no flips from cells within the refresh-window budget")
 	}
 }

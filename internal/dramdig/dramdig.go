@@ -32,19 +32,6 @@ type Prober interface {
 type Config struct {
 	// Seed drives address sampling.
 	Seed uint64
-	// Probes is the number of timing measurements averaged per
-	// address pair to beat jitter.
-	Probes int
-	// ReferencePairs is how many same-bank reference addresses are
-	// collected; every candidate mask is tested against all of them.
-	ReferencePairs int
-	// MinBit/MaxBit bound the address bits considered for the bank
-	// function. The evaluated machines' functions use bits 6..21.
-	MinBit, MaxBit uint
-	// RowToggleBit is an address bit guaranteed to select a different
-	// DRAM row without touching the bank function (bit 24 here: row
-	// bits span 18-33 and no modelled bank mask reaches past 21).
-	RowToggleBit uint
 	// MemSize is the probed physical range.
 	MemSize uint64
 	// Trace, when non-nil, receives a "dramdig.recover" span covering
@@ -53,18 +40,22 @@ type Config struct {
 	Trace *trace.Recorder
 }
 
-// DefaultConfig returns settings adequate for the modelled machines.
-func DefaultConfig(memSize uint64) Config {
-	return Config{
-		Seed:           1,
-		Probes:         8,
-		ReferencePairs: 8,
-		MinBit:         6,
-		MaxBit:         22,
-		RowToggleBit:   24,
-		MemSize:        memSize,
-	}
-}
+// Recovery settings adequate for the modelled machines.
+const (
+	// probes is the number of timing measurements averaged per address
+	// pair to beat jitter.
+	probes = 8
+	// referencePairs is how many same-bank reference addresses are
+	// collected; every candidate mask is tested against all of them.
+	referencePairs = 8
+	// minBit and maxBit bound the address bits considered for the bank
+	// function. The evaluated machines' functions use bits 6..21.
+	minBit, maxBit = 6, 22
+	// rowToggleBit is an address bit guaranteed to select a different
+	// DRAM row without touching the bank function (bit 24 here: row
+	// bits span 18-33 and no modelled bank mask reaches past 21).
+	rowToggleBit = 24
+)
 
 // Result is the recovered bank addressing information.
 type Result struct {
@@ -104,16 +95,15 @@ func (r Result) SameBank(a, b memdef.HPA) bool {
 // Recover reverse engineers the bank function:
 //
 //  1. Calibrate a conflict/hit latency threshold from random pairs.
-//  2. Collect reference addresses a for which (a, a XOR 2^RowToggleBit)
+//  2. Collect reference addresses a for which (a, a XOR 2^rowToggleBit)
 //     conflicts — same bank, different row.
 //  3. For every XOR mask m over the candidate bits, decide whether m
-//     preserves the bank: (a, a XOR m XOR 2^RowToggleBit) must still
+//     preserves the bank: (a, a XOR m XOR 2^rowToggleBit) must still
 //     conflict for every reference. The preserving masks form the
 //     bank function's GF(2) null space.
 //  4. Return a basis of the orthogonal complement — the bank function.
 func Recover(p Prober, cfg Config) (Result, error) {
-	if cfg.Probes <= 0 || cfg.ReferencePairs <= 0 || cfg.MemSize == 0 ||
-		cfg.MinBit >= cfg.MaxBit || cfg.MaxBit-cfg.MinBit > 20 {
+	if cfg.MemSize == 0 {
 		return Result{}, fmt.Errorf("dramdig: bad config %+v", cfg)
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0xBF58476D1CE4E5B9))
@@ -122,11 +112,11 @@ func Recover(p Prober, cfg Config) (Result, error) {
 
 	measure := func(a, b memdef.HPA) time.Duration {
 		var sum time.Duration
-		for i := 0; i < cfg.Probes; i++ {
+		for i := 0; i < probes; i++ {
 			sum += p.ProbePair(a, b)
 		}
-		res.ProbeCount += cfg.Probes
-		return sum / time.Duration(cfg.Probes)
+		res.ProbeCount += probes
+		return sum / probes
 	}
 
 	// Step 1: threshold calibration on random pairs. Same-bank
@@ -135,11 +125,11 @@ func Recover(p Prober, cfg Config) (Result, error) {
 	// sample means and require that gap to dominate the jitter —
 	// otherwise the sample simply contained no conflicts and we need
 	// more data, not a threshold in the middle of the noise.
-	rowToggle := memdef.HPA(1) << cfg.RowToggleBit
+	rowToggle := memdef.HPA(1) << rowToggleBit
 	var samples []time.Duration
 	for i := 0; i < 512; i++ {
 		a := memdef.HPA(rng.Uint64N(cfg.MemSize/2)) &^ (dram.LineSize - 1)
-		b := a ^ rowToggle ^ memdef.HPA(rng.Uint64N(uint64(1)<<cfg.MaxBit))&^(dram.LineSize-1)
+		b := a ^ rowToggle ^ memdef.HPA(rng.Uint64N(uint64(1)<<maxBit))&^(dram.LineSize-1)
 		samples = append(samples, measure(a, b))
 	}
 	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
@@ -160,7 +150,7 @@ func Recover(p Prober, cfg Config) (Result, error) {
 
 	// Step 2: same-bank references.
 	var refs []memdef.HPA
-	for i := 0; i < 64*cfg.ReferencePairs && len(refs) < cfg.ReferencePairs; i++ {
+	for i := 0; i < 64*referencePairs && len(refs) < referencePairs; i++ {
 		a := memdef.HPA(rng.Uint64N(cfg.MemSize/2)) &^ (dram.LineSize - 1)
 		if conflicts(a, a^rowToggle) {
 			refs = append(refs, a)
@@ -174,10 +164,9 @@ func Recover(p Prober, cfg Config) (Result, error) {
 	cfg.Trace.Emit("dramdig.references", "count", len(refs))
 
 	// Step 3: exhaustively classify every candidate mask.
-	nBits := int(cfg.MaxBit - cfg.MinBit)
 	var nullVecs []uint64
-	for iter := uint64(1); iter < uint64(1)<<nBits; iter++ {
-		m := iter << cfg.MinBit
+	for iter := uint64(1); iter < 1<<(maxBit-minBit); iter++ {
+		m := iter << minBit
 		ok := true
 		for _, a := range refs {
 			b := a ^ memdef.HPA(m) ^ rowToggle
@@ -196,7 +185,7 @@ func Recover(p Prober, cfg Config) (Result, error) {
 
 	// Step 4: orthogonal complement of the null space over the
 	// candidate bits.
-	masks := orthogonalComplement(nullVecs, cfg.MinBit, cfg.MaxBit)
+	masks := orthogonalComplement(nullVecs, minBit, maxBit)
 	sort.Slice(masks, func(i, j int) bool { return masks[i] > masks[j] })
 	res.Masks = masks
 	res.Banks = 1 << len(masks)

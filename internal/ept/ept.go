@@ -131,24 +131,24 @@ var (
 	ErrNotHuge = errors.New("ept: mapping is not a 2 MiB leaf")
 )
 
-// Structure levels. The root is level 4 (PML4-equivalent) in the
-// common 4-level mode or level 5 (PML5) in 5-level mode (Section 2.2
-// describes both; the paper's attack targets the 4-level leaf pages,
-// which exist identically in both modes). Level 1 is the leaf page
-// table; a 2 MiB leaf terminates the walk at level 2.
+// Structure levels. The root is level 4 (PML4-equivalent): the paper
+// evaluates 4-level paging, and its attack targets the leaf pages,
+// which 5-level mode (Section 2.2) shares unchanged. Level 1 is the
+// leaf page table; a 2 MiB leaf terminates the walk at level 2.
 const (
 	leafLevel = 1
-	// Levels4 and Levels5 select the paging depth at construction.
-	Levels4 = 4
-	Levels5 = 5
+	rootLevel = 4
+	// countLevels sizes the per-level table counts (index = level, 0
+	// unused). It leaves room for a level-5 root so the layout census
+	// keeps the six-entry per-level list that recorded artifacts carry.
+	countLevels = 6
 )
 
-// Table is one 4- or 5-level translation structure.
+// Table is one 4-level translation structure.
 type Table struct {
-	mem       Memory
-	alloc     Allocator
-	root      memdef.PFN
-	rootLevel int
+	mem   Memory
+	alloc Allocator
+	root  memdef.PFN
 
 	// tables records every table page the *hypervisor* allocated for
 	// this structure and its level. It is bookkeeping, not the truth:
@@ -163,7 +163,7 @@ type Table struct {
 	// entries still count as whatever was installed — maintained O(1)
 	// so the layout census never walks the structure.
 	leaf4k, leaf2m int
-	byLevel        [Levels5 + 1]int
+	byLevel        [countLevels]int
 
 	met tableMetrics
 	led *ledger.Stream
@@ -202,36 +202,22 @@ func (t *Table) SetLedger(s *ledger.Stream) {
 	t.led = s
 }
 
-// New allocates an empty 4-level table structure, the mode the paper
-// evaluates.
+// New allocates an empty 4-level table structure.
 func New(mem Memory, alloc Allocator) (*Table, error) {
-	return NewWithLevels(mem, alloc, Levels4)
-}
-
-// NewWithLevels allocates an empty table structure with the given
-// paging depth (Levels4 or Levels5).
-func NewWithLevels(mem Memory, alloc Allocator, levels int) (*Table, error) {
-	if levels != Levels4 && levels != Levels5 {
-		return nil, fmt.Errorf("ept: unsupported paging depth %d", levels)
-	}
 	root, err := alloc.AllocTable()
 	if err != nil {
 		return nil, fmt.Errorf("ept: allocating root: %w", err)
 	}
 	mem.ZeroPage(root)
 	t := &Table{
-		mem:       mem,
-		alloc:     alloc,
-		root:      root,
-		rootLevel: levels,
-		tables:    map[memdef.PFN]int{root: levels},
+		mem:    mem,
+		alloc:  alloc,
+		root:   root,
+		tables: map[memdef.PFN]int{root: rootLevel},
 	}
-	t.byLevel[levels] = 1
+	t.byLevel[rootLevel] = 1
 	return t, nil
 }
-
-// Levels returns the structure's paging depth.
-func (t *Table) Levels() int { return t.rootLevel }
 
 // Root returns the root table frame.
 func (t *Table) Root() memdef.PFN { return t.root }
@@ -263,7 +249,7 @@ func (t *Table) frameValid(p memdef.PFN) bool {
 // the table page at toLevel.
 func (t *Table) walkTo(va uint64, toLevel int, create bool) (memdef.PFN, error) {
 	tp := t.root
-	for level := t.rootLevel; level > toLevel; level-- {
+	for level := rootLevel; level > toLevel; level-- {
 		e := t.readEntry(tp, va, level)
 		if !e.Present() {
 			if !create {
@@ -347,7 +333,7 @@ type Translation struct {
 func (t *Table) Translate(va uint64) (Translation, error) {
 	t.met.translations.Inc()
 	tp := t.root
-	for level := t.rootLevel; level >= leafLevel; level-- {
+	for level := rootLevel; level >= leafLevel; level-- {
 		e := t.readEntry(tp, va, level)
 		if !e.Present() {
 			t.met.violations.Inc()
@@ -469,7 +455,7 @@ func (t *Table) addTable(p memdef.PFN, level int) {
 // TableCountByLevel returns how many table pages exist at each level
 // (index = level, 0 unused), the O(1) form of TablePages for the
 // layout census.
-func (t *Table) TableCountByLevel() [Levels5 + 1]int { return t.byLevel }
+func (t *Table) TableCountByLevel() [countLevels]int { return t.byLevel }
 
 // TablePages returns the frames of all hypervisor-allocated table
 // pages at the given level (per bookkeeping, not memory contents).
@@ -507,5 +493,5 @@ func (t *Table) Destroy() {
 	}
 	t.met.tablePages.Add(-int64(len(pages)))
 	t.tables = nil
-	t.byLevel = [Levels5 + 1]int{}
+	t.byLevel = [countLevels]int{}
 }

@@ -2,7 +2,6 @@ package ept
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"hyperhammer/internal/memdef"
@@ -249,9 +248,9 @@ func TestTablePagesAndDestroy(t *testing.T) {
 
 // TestTableCountByLevelBookkeeping checks the O(1) per-level counts
 // against the per-level lengths of TablePages after maps, splits and a
-// teardown, at both paging depths.
+// teardown.
 func TestTableCountByLevelBookkeeping(t *testing.T) {
-	check := func(t *testing.T, tbl *Table, step string) {
+	check := func(tbl *Table, step string) {
 		t.Helper()
 		got := tbl.TableCountByLevel()
 		for l := range got {
@@ -260,88 +259,35 @@ func TestTableCountByLevelBookkeeping(t *testing.T) {
 			}
 		}
 	}
-	for _, levels := range []int{Levels4, Levels5} {
-		t.Run(fmt.Sprintf("levels=%d", levels), func(t *testing.T) {
-			tbl, err := NewWithLevels(phys.New(64*memdef.MiB), &bumpAlloc{next: 3000}, levels)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, tbl, "new")
-			for i := 0; i < 6; i++ {
-				// Three hugepages in each of two 1 GiB regions, so two
-				// level-2 tables hang off the level-3 table.
-				va := uint64(i%2)<<30 | uint64(i/2)*memdef.HugePageSize
-				if err := tbl.Map2M(va, memdef.PFN(512*(i+1)), PermRW); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := tbl.Map4K(uint64(3)<<39, 7, PermRW); err != nil {
-				t.Fatal(err)
-			}
-			check(t, tbl, "mapped")
-			for _, va := range []uint64{0, 1 << 30, 2 * memdef.HugePageSize} {
-				if _, err := tbl.SplitHuge(va, PermRWX); err != nil {
-					t.Fatal(err)
-				}
-			}
-			check(t, tbl, "split")
-			if got := tbl.TableCountByLevel()[1]; got != 4 {
-				t.Errorf("leaf tables = %d, want 3 splits + 1 Map4K leaf", got)
-			}
-			tbl.Destroy()
-			check(t, tbl, "destroyed")
-			if got := tbl.TableCountByLevel(); got != [Levels5 + 1]int{} {
-				t.Errorf("counts after Destroy = %v, want all zero", got)
-			}
-		})
-	}
-}
-
-func TestFiveLevelMode(t *testing.T) {
-	mem := phys.New(64 * memdef.MiB)
-	alloc := &bumpAlloc{next: 2000}
-	tbl, err := NewWithLevels(mem, alloc, Levels5)
+	tbl, err := New(phys.New(64*memdef.MiB), &bumpAlloc{next: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Levels() != 5 {
-		t.Fatalf("Levels = %d", tbl.Levels())
-	}
-	// An address above the 4-level 48-bit limit, reachable only with
-	// 5-level paging.
-	const va = uint64(1)<<52 | 0x1234_5000
-	if err := tbl.Map4K(va, 99, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	tr, err := tbl.Translate(va + 0x18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := memdef.HPA(99*memdef.PageSize + 0x18); tr.HPA != want {
-		t.Errorf("HPA = %#x, want %#x", tr.HPA, want)
-	}
-	// One page through 5 levels allocates root + 4 intermediate tables.
-	if got := tbl.NumTables(); got != 5 {
-		t.Errorf("NumTables = %d, want 5", got)
-	}
-	// Hugepage mapping and splitting work identically at level 2.
-	if err := tbl.Map2M(uint64(1)<<52|4*memdef.MiB, 512, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tbl.SplitHuge(uint64(1)<<52|4*memdef.MiB, PermRWX); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(tbl.TablePages(1)); got != 2 {
-		t.Errorf("leaf tables = %d, want 2", got)
-	}
-}
-
-func TestNewWithLevelsRejectsBadDepth(t *testing.T) {
-	mem := phys.New(4 * memdef.MiB)
-	alloc := &bumpAlloc{next: 1}
-	for _, levels := range []int{0, 3, 6} {
-		if _, err := NewWithLevels(mem, alloc, levels); err == nil {
-			t.Errorf("depth %d accepted", levels)
+	check(tbl, "new")
+	for i := 0; i < 6; i++ {
+		// Three hugepages in each of two 1 GiB regions, so two level-2
+		// tables hang off the level-3 table.
+		va := uint64(i%2)<<30 | uint64(i/2)*memdef.HugePageSize
+		if err := tbl.Map2M(va, memdef.PFN(512*(i+1)), PermRW); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if err := tbl.Map4K(uint64(3)<<39, 7, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	check(tbl, "mapped")
+	for _, va := range []uint64{0, 1 << 30, 2 * memdef.HugePageSize} {
+		if _, err := tbl.SplitHuge(va, PermRWX); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(tbl, "split")
+	if got := tbl.TableCountByLevel()[1]; got != 4 {
+		t.Errorf("leaf tables = %d, want 3 splits + 1 Map4K leaf", got)
+	}
+	tbl.Destroy()
+	check(tbl, "destroyed")
+	if got := tbl.TableCountByLevel(); got != [countLevels]int{} {
+		t.Errorf("counts after Destroy = %v, want all zero", got)
 	}
 }

@@ -71,24 +71,10 @@ const (
 	OutcomeError           = "error"
 )
 
-// Config tunes a Recorder. The zero value selects usable defaults.
-type Config struct {
-	// MaxFlipsPerAttempt bounds the detailed flip records retained
-	// per attempt (default DefaultMaxFlipsPerAttempt). Verdict and
-	// owner counters keep counting past the bound; FlipsTruncated
-	// reports how many records were dropped.
-	MaxFlipsPerAttempt int
-}
-
-// DefaultMaxFlipsPerAttempt bounds per-attempt flip detail.
-const DefaultMaxFlipsPerAttempt = 48
-
-func (c Config) withDefaults() Config {
-	if c.MaxFlipsPerAttempt <= 0 {
-		c.MaxFlipsPerAttempt = DefaultMaxFlipsPerAttempt
-	}
-	return c
-}
+// maxFlipsPerAttempt bounds the detailed flip records retained per
+// attempt. Verdict and owner counters keep counting past the bound;
+// FlipsTruncated reports how many records were dropped.
+const maxFlipsPerAttempt = 48
 
 // CountRow is one (key, count) pair of a deterministic counter table
 // (verdicts, owners, outcomes), sorted by key in every snapshot.
@@ -257,8 +243,6 @@ type attemptState struct {
 // methods are safe for concurrent use and no-ops on a nil receiver, so
 // config threading never guards.
 type Recorder struct {
-	cfg Config
-
 	mu    sync.Mutex
 	clock *simtime.Clock
 
@@ -281,22 +265,21 @@ type Recorder struct {
 }
 
 // New creates a Recorder.
-func New(cfg Config) *Recorder {
+func New() *Recorder {
 	return &Recorder{
-		cfg:      cfg.withDefaults(),
 		verdicts: make(map[string]uint64),
 		owners:   make(map[string]uint64),
 		outcomes: make(map[string]uint64),
 	}
 }
 
-// Scoped returns a fresh Recorder with the same configuration, for one
-// scheduled plan unit; fold it back with Absorb. Nil-safe.
+// Scoped returns a fresh Recorder for one scheduled plan unit; fold it
+// back with Absorb. Nil-safe.
 func (r *Recorder) Scoped() *Recorder {
 	if r == nil {
 		return nil
 	}
-	return New(r.cfg)
+	return New()
 }
 
 // BindClock points the recorder at a host's simulated clock; event
@@ -448,7 +431,7 @@ func (r *Recorder) commitLocked(rec FlipRecord) {
 		if rec.Owner != nil {
 			att.owners[rec.Owner.Kind]++
 		}
-		if len(att.rec.Flips) < r.cfg.MaxFlipsPerAttempt {
+		if len(att.rec.Flips) < maxFlipsPerAttempt {
 			att.rec.Flips = append(att.rec.Flips, rec)
 			r.flipsRecorded++
 		} else {

@@ -3,6 +3,7 @@ package forensics
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -29,8 +30,8 @@ func TestNilReceiver(t *testing.T) {
 	r.EndAttempt(AttemptFacts{Index: 1, Outcome: OutcomeEscaped})
 	r.EndCampaign()
 	r.Absorb(nil, "unit")
-	r.Absorb(New(Config{}), "unit")
-	New(Config{}).Absorb(r, "unit")
+	r.Absorb(New(), "unit")
+	New().Absorb(r, "unit")
 
 	s := r.Snapshot()
 	if s.Version != Version {
@@ -48,9 +49,9 @@ func TestNilReceiver(t *testing.T) {
 func TestSnapshotJSONNeverNull(t *testing.T) {
 	cases := map[string]*Recorder{
 		"nil":   nil,
-		"empty": New(Config{}),
+		"empty": New(),
 	}
-	populated := New(Config{})
+	populated := New()
 	populated.BeginCampaign(2)
 	populated.BeginAttempt(1)
 	populated.EndAttempt(AttemptFacts{Index: 1, Outcome: OutcomeNoUsableBit})
@@ -74,7 +75,7 @@ func TestSnapshotJSONNeverNull(t *testing.T) {
 // the assembled record end to end.
 func TestFullLineage(t *testing.T) {
 	clock := new(simtime.Clock)
-	r := New(Config{})
+	r := New()
 	r.BindClock(clock)
 
 	r.BeginCampaign(3)
@@ -200,7 +201,7 @@ func TestFullLineage(t *testing.T) {
 // flips landed in useless frames.
 func TestFailureCauses(t *testing.T) {
 	mk := func(events []dram.FlipEvent, resolve func(r *Recorder)) AttemptRecord {
-		r := New(Config{})
+		r := New()
 		r.BeginCampaign(1)
 		r.BeginAttempt(1)
 		r.BeginHammerOp(dram.FlipOpInfo{
@@ -250,7 +251,7 @@ func TestFailureCauses(t *testing.T) {
 // in call order and merges totals — the property the parallel plan
 // engine relies on for byte-identical snapshots at any -parallel N.
 func TestAbsorbDeclarationOrder(t *testing.T) {
-	parent := New(Config{})
+	parent := New()
 	units := []string{"unit-a", "unit-b", "unit-c"}
 	for i, name := range units {
 		child := parent.Scoped()
@@ -283,11 +284,11 @@ func TestAbsorbDeclarationOrder(t *testing.T) {
 // TestFlipDetailTruncation checks the per-attempt detail bound: counters
 // keep counting, detail stops, and the truncation is reported.
 func TestFlipDetailTruncation(t *testing.T) {
-	r := New(Config{MaxFlipsPerAttempt: 4})
+	r := New()
 	r.BeginCampaign(1)
 	r.BeginAttempt(1)
 	r.BeginHammerOp(dram.FlipOpInfo{Rounds: 1, WindowRounds: 1})
-	for i := 0; i < 10; i++ {
+	for i := 0; i < maxFlipsPerAttempt+6; i++ {
 		r.RecordFlipEvent(dram.FlipEvent{
 			Addr: memdef.HPA(i * 8), Bit: uint(i % 8), Verdict: dram.FlipFlakyNoFire,
 		})
@@ -297,17 +298,17 @@ func TestFlipDetailTruncation(t *testing.T) {
 
 	s := r.Snapshot()
 	a := s.Campaigns[0].Attempts[0]
-	if len(a.Flips) != 4 {
-		t.Errorf("retained flips = %d, want 4", len(a.Flips))
+	if len(a.Flips) != maxFlipsPerAttempt {
+		t.Errorf("retained flips = %d, want %d", len(a.Flips), maxFlipsPerAttempt)
 	}
 	if a.FlipsTruncated != 6 {
 		t.Errorf("attempt truncated = %d, want 6", a.FlipsTruncated)
 	}
-	if got := rowsLine(a.Verdicts); got != "flaky-no-fire×10" {
-		t.Errorf("verdict counters = %q, want all 10 counted", got)
+	if got, want := rowsLine(a.Verdicts), fmt.Sprintf("flaky-no-fire×%d", maxFlipsPerAttempt+6); got != want {
+		t.Errorf("verdict counters = %q, want %q", got, want)
 	}
-	if s.FlipsRecorded != 4 || s.FlipsTruncated != 6 {
-		t.Errorf("global detail = %d recorded / %d truncated, want 4/6", s.FlipsRecorded, s.FlipsTruncated)
+	if s.FlipsRecorded != maxFlipsPerAttempt || s.FlipsTruncated != 6 {
+		t.Errorf("global detail = %d recorded / %d truncated, want %d/6", s.FlipsRecorded, s.FlipsTruncated, maxFlipsPerAttempt)
 	}
 }
 
@@ -315,7 +316,7 @@ func TestFlipDetailTruncation(t *testing.T) {
 // never resolves are flushed with their dram-stage verdict instead of
 // leaking into the next attempt.
 func TestUnresolvedFiredFlush(t *testing.T) {
-	r := New(Config{})
+	r := New()
 	r.BeginCampaign(2)
 	r.BeginAttempt(1)
 	r.RecordFlipEvent(dram.FlipEvent{Addr: 0x100, Bit: 2, Verdict: dram.FlipFired})
@@ -338,7 +339,7 @@ func TestUnresolvedFiredFlush(t *testing.T) {
 // TestFindAttempt exercises the unit-scoped and unscoped lookups that
 // back hh-why -attempt.
 func TestFindAttempt(t *testing.T) {
-	parent := New(Config{})
+	parent := New()
 	for _, name := range []string{"first", "second"} {
 		child := parent.Scoped()
 		child.BeginCampaign(1)

@@ -14,9 +14,10 @@ import (
 
 	"hyperhammer/internal/guest"
 	"hyperhammer/internal/memdef"
-	"hyperhammer/internal/metrics"
-	"hyperhammer/internal/trace"
 )
+
+// rowShift is the row-number shift of the evaluated machines.
+const rowShift = 18
 
 // Pattern describes one candidate hammer pattern.
 type Pattern struct {
@@ -48,17 +49,11 @@ type Config struct {
 	// BankMasks is the (recovered) bank function for same-bank
 	// placement.
 	BankMasks []uint64
-	// RowShift is the row-number shift (18).
-	RowShift uint
 	// Hugepages is how many hugepages to sweep per pattern.
 	Hugepages int
 	// Repeats is how many times a flip must reproduce for a pattern
 	// to count as reliable.
 	Repeats int
-	// Trace, when non-nil, receives one span per evaluated pattern.
-	Trace *trace.Recorder
-	// Metrics, when non-nil, receives per-pattern flip counters.
-	Metrics *metrics.Registry
 }
 
 // Result reports one pattern's effectiveness.
@@ -75,7 +70,7 @@ type Result struct {
 // Search allocates a test buffer and evaluates each pattern. The
 // buffer is freed before returning.
 func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
-	if cfg.Hugepages <= 0 || cfg.Repeats <= 0 || len(cfg.BankMasks) == 0 || cfg.RowShift == 0 {
+	if cfg.Hugepages <= 0 || cfg.Repeats <= 0 || len(cfg.BankMasks) == 0 {
 		return nil, fmt.Errorf("hammer: bad config %+v", cfg)
 	}
 	n := cfg.Hugepages
@@ -100,9 +95,7 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 	var specs []guest.HammerSpec
 	var gvas []memdef.GVA
 	for _, pat := range patterns {
-		span := cfg.Trace.StartSpan("hammer.pattern", "pattern", pat.Name, "rounds", pat.Rounds)
 		if err := fill(); err != nil {
-			span.End("err", err)
 			return nil, err
 		}
 		os.ScanForFlips() // drain stale observations
@@ -113,9 +106,7 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 		// batched submission.
 		aggr := aggressorsFor(cfg, pat)
 		if len(aggr) == 0 {
-			err := fmt.Errorf("hammer: pattern has no aggressors")
-			span.End("err", err)
-			return nil, err
+			return nil, fmt.Errorf("hammer: pattern has no aggressors")
 		}
 		specs, gvas = specs[:0], gvas[:0]
 		for hp := 0; hp < n; hp++ {
@@ -125,7 +116,6 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 			specs = append(specs, guest.HammerSpec{Aggressors: gvas[off:len(gvas):len(gvas)], Rounds: pat.Rounds})
 		}
 		if err := os.HammerBatch(specs); err != nil {
-			span.End("err", err)
 			return nil, err
 		}
 		flips := os.ScanForFlips()
@@ -141,7 +131,6 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 				}
 				hugeBase := memdef.HugeBase(f.GVA) // approximate re-aim
 				if err := hammerOnce(os, hugeBase, aggr, pat.Rounds); err != nil {
-					span.End("err", err)
 					return nil, err
 				}
 				w, err := os.Read64(f.GVA &^ 7)
@@ -158,12 +147,6 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 				res.Reproducible++
 			}
 		}
-		span.End("flips", res.Flips, "reproducible", res.Reproducible)
-		if m := cfg.Metrics; m != nil {
-			m.Counter("hammer_patterns_total", "Candidate hammer patterns evaluated by the search.").Inc()
-			m.Counter("hammer_pattern_flips_total", "Distinct bits flipped during pattern sweeps.").Add(uint64(res.Flips))
-			m.Counter("hammer_pattern_reproducible_total", "Sweep flips that reproduced on every repeat.").Add(uint64(res.Reproducible))
-		}
 		out = append(out, res)
 	}
 	return out, nil
@@ -172,7 +155,7 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 // aggressorsFor picks, for bank class 0, one offset per aggressor row
 // of the pattern.
 func aggressorsFor(cfg Config, pat Pattern) []uint64 {
-	span := uint64(1) << cfg.RowShift
+	const span = uint64(1) << rowShift
 	var offs []uint64
 	for _, row := range pat.RowOffsets {
 		base := uint64(row) * span

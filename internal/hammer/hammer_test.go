@@ -50,7 +50,6 @@ func bootGuest(t *testing.T) *guest.OS {
 func testConfig() Config {
 	return Config{
 		BankMasks: testGeometry().BankMasks,
-		RowShift:  18,
 		Hugepages: 32,
 		Repeats:   2,
 	}
@@ -101,8 +100,7 @@ func TestSearchBadConfig(t *testing.T) {
 	os := bootGuest(t)
 	for _, cfg := range []Config{
 		{},
-		{BankMasks: []uint64{1 << 6}, RowShift: 18, Hugepages: 0, Repeats: 1},
-		{BankMasks: []uint64{1 << 6}, RowShift: 0, Hugepages: 4, Repeats: 1},
+		{BankMasks: []uint64{1 << 6}, Hugepages: 0, Repeats: 1},
 	} {
 		if _, err := Search(os, cfg, DefaultPatterns()); err == nil {
 			t.Errorf("config %+v accepted", cfg)

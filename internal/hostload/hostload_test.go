@@ -14,7 +14,7 @@ func TestProfiles(t *testing.T) {
 }
 
 func TestAttachCreatesNoise(t *testing.T) {
-	alloc := buddy.New(0, 262144, buddy.DefaultConfig())
+	alloc := buddy.New(0, 262144)
 	before := alloc.NoisePages(memdef.MigrateUnmovable)
 	p := Profile{Name: "test", ExtraNoisePages: 5000, ChurnHeld: 100, ChurnPerTick: 10}
 	w, err := Attach(alloc, p, 3)
@@ -44,14 +44,14 @@ func TestAttachCreatesNoise(t *testing.T) {
 }
 
 func TestAttachFailsWhenTooSmall(t *testing.T) {
-	alloc := buddy.New(0, 1024, buddy.DefaultConfig())
+	alloc := buddy.New(0, 1024)
 	if _, err := Attach(alloc, OpenStack(), 1); err == nil {
 		t.Error("OpenStack profile fit in 4 MiB")
 	}
 }
 
 func TestTickChangesListOrdering(t *testing.T) {
-	alloc := buddy.New(0, 65536, buddy.DefaultConfig())
+	alloc := buddy.New(0, 65536)
 	w, err := Attach(alloc, PlainKVM(), 7)
 	if err != nil {
 		t.Fatal(err)

@@ -36,8 +36,6 @@ type Config struct {
 	Geometry *dram.Geometry
 	// Fault is the Rowhammer fault model of the installed DIMMs.
 	Fault dram.FaultModelConfig
-	// Buddy tunes the host page allocator.
-	Buddy buddy.Config
 	// THP enables transparent hugepages for guest backing, KVM's
 	// default (Section 4.1). Without it guests are backed by
 	// scattered 4 KiB pages and the low-21-bit address correspondence
@@ -91,21 +89,6 @@ type Config struct {
 	// (streaming events to subscribers). The plane should wrap the same
 	// registry as Metrics.
 	Obs *obs.Plane
-}
-
-// DefaultConfig returns an S1-like host: i3-10100 geometry, S1 fault
-// model, THP and the multihit countermeasure enabled, stock QEMU
-// (no quarantine).
-func DefaultConfig() Config {
-	return Config{
-		Geometry:       dram.CoreI310100(),
-		Fault:          dram.S1FaultModel(1),
-		Buddy:          buddy.DefaultConfig(),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 30000,
-		Seed:           1,
-	}
 }
 
 // AppliedFlip records one Rowhammer bit flip that actually changed
@@ -241,13 +224,10 @@ func NewHost(cfg Config) (*Host, error) {
 	if cfg.Geometry == nil {
 		return nil, fmt.Errorf("kvm: config needs a DRAM geometry")
 	}
-	if cfg.Buddy.PCPBatch == 0 {
-		cfg.Buddy = buddy.DefaultConfig()
-	}
 	h := &Host{
 		Mem:        phys.New(cfg.Geometry.Size),
 		DRAM:       dram.NewModule(cfg.Geometry, cfg.Fault),
-		Buddy:      buddy.New(0, cfg.Geometry.Size/memdef.PageSize, cfg.Buddy),
+		Buddy:      buddy.New(0, cfg.Geometry.Size/memdef.PageSize),
 		Clock:      &simtime.Clock{},
 		cfg:        cfg,
 		rng:        rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6C62272E07BB0142)),

@@ -24,17 +24,12 @@ type VMConfig struct {
 	// the VM a passed-through device with vIOMMU; pins its memory
 	// MIGRATE_UNMOVABLE, Section 2.6).
 	VFIOGroups int
-	// IOMMUMapLimit caps DMA mappings per group (0 = the vIOMMU
-	// default of 65,535).
-	IOMMUMapLimit int
 	// BootSplits models the guest's own boot-time code execution
 	// under the NX-hugepage countermeasure: kernel, init and service
 	// code fetches split this many hugepages before any attack runs,
 	// creating the pre-existing EPT pages that dilute the Table 2
 	// counts on a real host. Zero disables it.
 	BootSplits int
-	// VCPUs is decorative (the simulation is single-threaded).
-	VCPUs int
 }
 
 // Errors surfaced to guest accesses.
@@ -166,9 +161,6 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 	if cfg.MemSize == 0 || cfg.MemSize%memdef.HugePageSize != 0 {
 		return nil, fmt.Errorf("kvm: VM memory size %#x not a 2 MiB multiple", cfg.MemSize)
 	}
-	if cfg.IOMMUMapLimit == 0 {
-		cfg.IOMMUMapLimit = viommu.DefaultMapLimit
-	}
 	h.vmSeq++
 	vm := &VM{
 		host:    h,
@@ -202,7 +194,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 	}
 
 	for i := 0; i < cfg.VFIOGroups; i++ {
-		g, err := viommu.NewGroup(h.Mem, vm.eptAlloc, (*vmIOMMUBackend)(vm), cfg.IOMMUMapLimit)
+		g, err := viommu.NewGroup(h.Mem, vm.eptAlloc, (*vmIOMMUBackend)(vm))
 		if err != nil {
 			vm.Destroy()
 			return nil, fmt.Errorf("kvm: creating IOMMU group %d: %w", i, err)

@@ -53,21 +53,12 @@ type Config struct {
 	// snapshots, which localizes divergence to a stream but not a
 	// time.
 	Epoch time.Duration
-	// MaxEpochs bounds the sealed epoch records per unit (default
-	// DefaultMaxEpochs). Sealing keeps counting past the bound;
-	// EpochsTruncated reports how many seals were dropped.
-	MaxEpochs int
 }
 
-// DefaultMaxEpochs bounds per-unit epoch history.
-const DefaultMaxEpochs = 4096
-
-func (c Config) withDefaults() Config {
-	if c.MaxEpochs <= 0 {
-		c.MaxEpochs = DefaultMaxEpochs
-	}
-	return c
-}
+// maxEpochs bounds the sealed epoch records per unit. Sealing keeps
+// counting past the bound; EpochsTruncated reports how many seals were
+// dropped.
+const maxEpochs = 4096
 
 // StreamFP is one stream's rolling fingerprint state: the FNV-1a hash
 // of every word folded so far (16 hex digits, lossless — the float64
@@ -98,7 +89,7 @@ type UnitLedger struct {
 	// Streams is the final fingerprint state, present even when epoch
 	// sealing is off.
 	Streams []StreamFP `json:"streams"`
-	// EpochsTruncated counts seals dropped past MaxEpochs.
+	// EpochsTruncated counts seals dropped past the per-unit bound.
 	EpochsTruncated int `json:"epochsTruncated,omitempty"`
 }
 
@@ -151,7 +142,7 @@ type Recorder struct {
 
 // New creates a Recorder.
 func New(cfg Config) *Recorder {
-	return &Recorder{cfg: cfg.withDefaults(), byName: make(map[string]*Stream)}
+	return &Recorder{cfg: cfg, byName: make(map[string]*Stream)}
 }
 
 // Scoped returns a fresh Recorder with the same configuration, for one
@@ -190,7 +181,7 @@ func (r *Recorder) seal(now time.Duration) {
 		return
 	}
 	r.sealedFolds = r.folds
-	if len(r.epochs) >= r.cfg.MaxEpochs {
+	if len(r.epochs) >= maxEpochs {
 		r.truncated++
 		return
 	}

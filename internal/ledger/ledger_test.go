@@ -162,9 +162,9 @@ func TestScopedAbsorbDeclarationOrder(t *testing.T) {
 }
 
 // TestSealSkipsQuietBoundaries: boundaries with no new folds seal
-// nothing, and MaxEpochs truncates with an exact count.
+// nothing, and the epoch bound truncates with an exact count.
 func TestSealSkipsQuietBoundaries(t *testing.T) {
-	r := New(Config{Epoch: time.Second, MaxEpochs: 2})
+	r := New(Config{Epoch: time.Second})
 	clock := &simtime.Clock{}
 	r.BindClock(clock)
 	s := r.Stream("x")
@@ -174,21 +174,26 @@ func TestSealSkipsQuietBoundaries(t *testing.T) {
 	clock.Advance(time.Second) // quiet again
 	s.Fold1(2)
 	clock.Advance(time.Second) // epoch 1
-	s.Fold1(3)
-	clock.Advance(time.Second) // past MaxEpochs: truncated
-	snap := r.Snapshot()
-	u := snap.Units[0]
+	u := r.Snapshot().Units[0]
 	if len(u.Epochs) != 2 {
 		t.Fatalf("epochs = %d, want 2 (quiet boundaries must not seal)", len(u.Epochs))
 	}
 	if u.Epochs[0].Index != 0 || u.Epochs[1].Index != 1 {
 		t.Fatalf("epoch indices = %d,%d", u.Epochs[0].Index, u.Epochs[1].Index)
 	}
+	for i := 2; i <= maxEpochs; i++ {
+		s.Fold1(uint64(i + 1))
+		clock.Advance(time.Second) // epochs 2..maxEpochs-1, then truncated
+	}
+	u = r.Snapshot().Units[0]
+	if len(u.Epochs) != maxEpochs {
+		t.Fatalf("epochs = %d, want the bound %d", len(u.Epochs), maxEpochs)
+	}
 	if u.EpochsTruncated != 1 {
 		t.Fatalf("EpochsTruncated = %d, want 1", u.EpochsTruncated)
 	}
-	if u.Streams[0].Count != 3 {
-		t.Fatalf("final count = %d, want 3", u.Streams[0].Count)
+	if u.Streams[0].Count != maxEpochs+1 {
+		t.Fatalf("final count = %d, want %d", u.Streams[0].Count, maxEpochs+1)
 	}
 }
 

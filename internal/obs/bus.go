@@ -54,9 +54,8 @@ type Bus struct {
 	published uint64
 	dropped   uint64
 	subs      map[*Subscription]struct{}
-	// keep retains the most recent events for replay to late
-	// subscribers (0 disables).
-	keep   int
+	// recent retains the last eventKeep events for replay to late
+	// subscribers.
 	recent []Event
 	// dropCtr, when set, mirrors the drop total into the metrics
 	// registry (obs_bus_dropped_total), so silent event loss is
@@ -64,9 +63,12 @@ type Bus struct {
 	dropCtr *metrics.Counter
 }
 
-// NewBus creates a bus retaining the last keep events for replay.
-func NewBus(keep int) *Bus {
-	return &Bus{subs: make(map[*Subscription]struct{}), keep: keep}
+// eventKeep is how many bus events are retained for replay.
+const eventKeep = 256
+
+// NewBus creates a bus retaining the last eventKeep events for replay.
+func NewBus() *Bus {
+	return &Bus{subs: make(map[*Subscription]struct{})}
 }
 
 // Subscription is one subscriber's bounded event feed.
@@ -137,11 +139,9 @@ func (b *Bus) Publish(kind string, simSeconds float64, data map[string]any) {
 	b.seq++
 	b.published++
 	ev := Event{Seq: b.seq, SimSeconds: simSeconds, Kind: kind, Data: data}
-	if b.keep > 0 {
-		b.recent = append(b.recent, ev)
-		if len(b.recent) > b.keep {
-			b.recent = b.recent[len(b.recent)-b.keep:]
-		}
+	b.recent = append(b.recent, ev)
+	if len(b.recent) > eventKeep {
+		b.recent = b.recent[len(b.recent)-eventKeep:]
 	}
 	for s := range b.subs {
 		select {

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBusFanOut(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	a := b.Subscribe(8)
 	c := b.Subscribe(8)
 	defer a.Cancel()
@@ -25,7 +25,7 @@ func TestBusFanOut(t *testing.T) {
 }
 
 func TestBusDropsAtFullBuffer(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	s := b.Subscribe(2)
 	defer s.Cancel()
 	for i := 0; i < 5; i++ {
@@ -46,18 +46,19 @@ func TestBusDropsAtFullBuffer(t *testing.T) {
 }
 
 func TestBusReplayRing(t *testing.T) {
-	b := NewBus(3)
-	for i := 0; i < 5; i++ {
+	b := NewBus()
+	for i := 0; i < eventKeep+2; i++ {
 		b.Publish("x", float64(i), nil)
 	}
 	recent := b.Recent()
-	if len(recent) != 3 || recent[0].Seq != 3 || recent[2].Seq != 5 {
-		t.Errorf("recent = %+v", recent)
+	if len(recent) != eventKeep || recent[0].Seq != 3 || recent[eventKeep-1].Seq != eventKeep+2 {
+		t.Errorf("recent holds %d events, seq %d..%d; want %d, seq 3..%d",
+			len(recent), recent[0].Seq, recent[len(recent)-1].Seq, eventKeep, eventKeep+2)
 	}
 }
 
 func TestBusCancelClosesChannel(t *testing.T) {
-	b := NewBus(0)
+	b := NewBus()
 	s := b.Subscribe(1)
 	s.Cancel()
 	s.Cancel() // idempotent
@@ -90,7 +91,7 @@ func TestNilBusIsSafe(t *testing.T) {
 // detector: publishers, subscribers draining, and churn of
 // subscribe/cancel, all at once.
 func TestBusConcurrentPublishSubscribe(t *testing.T) {
-	b := NewBus(16)
+	b := NewBus()
 	var wg sync.WaitGroup
 	const publishers = 4
 	const perPublisher = 500

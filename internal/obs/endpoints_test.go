@@ -55,7 +55,7 @@ func TestSnapshotEndpoints(t *testing.T) {
 		ins.RecordFlip(1, 512)
 		ins.Evaluate(time.Second)
 
-		fr := forensics.New(forensics.Config{})
+		fr := forensics.New()
 		fr.BindClock(clock)
 		fr.BeginCampaign(1)
 		fr.BeginAttempt(0)

@@ -89,7 +89,8 @@ func TestEventsSSEKeepalive(t *testing.T) {
 	reg := metrics.New()
 	clock := &simtime.Clock{}
 	reg.BindClock(clock)
-	p := NewPlane(reg, Config{SampleEvery: time.Second, KeepAlive: 50 * time.Millisecond})
+	p := NewPlane(reg, Config{SampleEvery: time.Second})
+	p.keepalive = 50 * time.Millisecond // keep the test quick
 	p.BindClock(clock)
 	srv, err := p.Serve("127.0.0.1:0")
 	if err != nil {

@@ -17,17 +17,12 @@ type Config struct {
 	// SampleEvery is the simulated-time interval between registry
 	// snapshots (default 1 simulated second).
 	SampleEvery time.Duration
-	// SeriesCap bounds each time series' ring (default
-	// DefaultSeriesCap).
-	SeriesCap int
-	// EventKeep is how many bus events are retained for replay to
-	// late subscribers (default 256).
-	EventKeep int
-	// KeepAlive is the wall-clock interval between SSE comment
-	// frames on /api/events (default 5s). Keepalives let proxies and
-	// clients distinguish a quiet simulation from a dead connection.
-	KeepAlive time.Duration
 }
+
+// keepAlive is the wall-clock interval between SSE comment frames on
+// /api/events. Keepalives let proxies and clients distinguish a quiet
+// simulation from a dead connection.
+const keepAlive = 5 * time.Second
 
 // Plane wires a metrics registry, the trace recorder, and host clocks
 // into one live view: a sampler turns the registry into time series on
@@ -56,18 +51,12 @@ func NewPlane(reg *metrics.Registry, cfg Config) *Plane {
 	if cfg.SampleEvery <= 0 {
 		cfg.SampleEvery = time.Second
 	}
-	if cfg.EventKeep <= 0 {
-		cfg.EventKeep = 256
-	}
-	if cfg.KeepAlive <= 0 {
-		cfg.KeepAlive = 5 * time.Second
-	}
 	p := &Plane{
 		reg:       reg,
-		bus:       NewBus(cfg.EventKeep),
-		store:     NewStore(cfg.SeriesCap),
+		bus:       NewBus(),
+		store:     NewStore(),
 		every:     cfg.SampleEvery,
-		keepalive: cfg.KeepAlive,
+		keepalive: keepAlive,
 		start:     time.Now(),
 	}
 	// Surface the bus's drop total as a registry metric so dashboards
@@ -278,14 +267,6 @@ func (p *Plane) RunStore() *runstore.Store {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.runstore
-}
-
-// KeepAlive returns the SSE keepalive interval.
-func (p *Plane) KeepAlive() time.Duration {
-	if p == nil {
-		return 0
-	}
-	return p.keepalive
 }
 
 // SetArtifactFunc installs the callback /api/artifact serves. The

@@ -247,7 +247,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// ticker: a quiet simulation (or one the scheduler has parked)
 	// still produces bytes, so clients and proxies can tell an idle
 	// stream from a dead one.
-	ka := time.NewTicker(s.plane.KeepAlive())
+	ka := time.NewTicker(s.plane.keepalive)
 	defer ka.Stop()
 	for {
 		select {

@@ -44,10 +44,10 @@ type storedSeries struct {
 	full   bool
 }
 
-func (ss *storedSeries) add(p Point, cap int) {
+func (ss *storedSeries) add(p Point) {
 	if !ss.full {
 		ss.ring = append(ss.ring, p)
-		if len(ss.ring) >= cap {
+		if len(ss.ring) >= seriesCap {
 			ss.full = true
 			ss.next = 0
 		}
@@ -75,23 +75,17 @@ func (ss *storedSeries) points() []Point {
 // concurrent use and no-op on a nil receiver.
 type Store struct {
 	mu      sync.Mutex
-	cap     int
 	series  map[string]*storedSeries
 	samples uint64
 }
 
-// DefaultSeriesCap bounds each series' ring when the configuration
-// doesn't: enough resolution for a multi-day campaign timeline without
-// unbounded growth.
-const DefaultSeriesCap = 720
+// seriesCap bounds each series' ring: enough resolution for a
+// multi-day campaign timeline without unbounded growth.
+const seriesCap = 720
 
-// NewStore creates a store keeping at most capPerSeries points per
-// series (<= 0 selects DefaultSeriesCap).
-func NewStore(capPerSeries int) *Store {
-	if capPerSeries <= 0 {
-		capPerSeries = DefaultSeriesCap
-	}
-	return &Store{cap: capPerSeries, series: make(map[string]*storedSeries)}
+// NewStore creates a store keeping at most seriesCap points per series.
+func NewStore() *Store {
+	return &Store{series: make(map[string]*storedSeries)}
 }
 
 // Record appends one point per series in the snapshot. Histograms
@@ -130,7 +124,7 @@ func (s *Store) add(name string, labels []string, kind string, t, v float64, uni
 		ss = &storedSeries{name: name, labels: labels, kind: kind}
 		s.series[key] = ss
 	}
-	ss.add(Point{SimSeconds: t, Value: v, Sample: s.samples, Unit: unit}, s.cap)
+	ss.add(Point{SimSeconds: t, Value: v, Sample: s.samples, Unit: unit})
 }
 
 // Samples returns how many snapshots were recorded.

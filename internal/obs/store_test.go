@@ -19,7 +19,7 @@ func TestStoreRecordsCountersGaugesHistograms(t *testing.T) {
 	g := reg.Gauge("vms", "live VMs")
 	h := reg.Histogram("lat_seconds", "latency", []float64{1, 10})
 
-	s := NewStore(16)
+	s := NewStore()
 	c.Add(5)
 	g.Set(2)
 	h.Observe(3)
@@ -60,20 +60,21 @@ func TestStoreRecordsCountersGaugesHistograms(t *testing.T) {
 func TestStoreRingEvictsOldest(t *testing.T) {
 	reg := metrics.New()
 	c := reg.Counter("n", "")
-	s := NewStore(3)
-	for i := 1; i <= 5; i++ {
+	s := NewStore()
+	for i := 1; i <= seriesCap+2; i++ {
 		c.Inc()
 		s.Record(testSnapshot(reg))
 	}
 	got := s.Series("n")[0].Points
-	if len(got) != 3 {
-		t.Fatalf("points = %d", len(got))
+	if len(got) != seriesCap {
+		t.Fatalf("points = %d, want %d", len(got), seriesCap)
 	}
-	if got[0].Value != 3 || got[2].Value != 5 {
-		t.Errorf("ring = %+v (want oldest evicted, order preserved)", got)
+	first, last := got[0], got[seriesCap-1]
+	if first.Value != 3 || last.Value != seriesCap+2 {
+		t.Errorf("ring values %v..%v, want 3..%d (oldest evicted, order preserved)", first.Value, last.Value, seriesCap+2)
 	}
-	if got[0].Sample != 3 || got[2].Sample != 5 {
-		t.Errorf("sample numbers = %+v", got)
+	if first.Sample != 3 || last.Sample != seriesCap+2 {
+		t.Errorf("sample numbers %d..%d, want 3..%d", first.Sample, last.Sample, seriesCap+2)
 	}
 }
 
@@ -88,7 +89,7 @@ func TestNilStoreIsSafe(t *testing.T) {
 func TestStoreConcurrentRecordAndRead(t *testing.T) {
 	reg := metrics.New()
 	c := reg.Counter("n", "")
-	s := NewStore(32)
+	s := NewStore()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)

@@ -80,7 +80,7 @@ func (d Delta) Frac() float64 {
 // Diff is the comparison of two artifacts (or bench documents).
 type Diff struct {
 	// Deltas lists every compared figure, kinds in sections-table
-	// order with bench last, keys sorted within each kind.
+	// order, keys sorted within each kind.
 	Deltas []Delta `json:"deltas"`
 	// Flagged counts deltas beyond tolerance; nonzero means the runs
 	// diverged and the gate should fail.
@@ -121,10 +121,10 @@ const (
 	// the sim tolerance for simulated-seconds figures; both default to
 	// zero, since any drift means the simulation behaved differently.
 	simExact tolClass = iota
-	// hostCost sections measure the machine, not the simulation. Like
-	// bench, they are compared only when both artifacts carry them: the
-	// shape at the count tolerance, the durations at the host tolerance
-	// (which defaults to never-flag).
+	// hostCost sections measure the machine, not the simulation. They
+	// are compared only when both artifacts carry them: the shape at
+	// the count tolerance, the durations at the host tolerance (which
+	// defaults to never-flag).
 	hostCost
 )
 
@@ -172,8 +172,7 @@ var sections = []section{
 }
 
 // Compare diffs two artifacts figure by figure under the given
-// tolerances: every section of the sections table in order, then —
-// when both artifacts embed one — the benchmark documents.
+// tolerances, every section of the sections table in order.
 func Compare(a, b *Artifact, tol Tolerances) *Diff {
 	d := &Diff{}
 	for _, s := range sections {
@@ -194,9 +193,6 @@ func Compare(a, b *Artifact, tol Tolerances) *Diff {
 				d.add(s.kind, key, ha[key], hb[key], tol.HostFrac, tol.HostAbs)
 			}
 		}
-	}
-	if a.Bench != nil && b.Bench != nil {
-		benchDeltas(d, a.Bench, b.Bench, tol)
 	}
 	return d
 }
@@ -418,11 +414,6 @@ func alertsMap(a *Artifact) map[string]float64 {
 // CompareBench diffs two plain benchmark documents (BENCH_*.json).
 func CompareBench(a, b *benchfmt.Output, tol Tolerances) *Diff {
 	d := &Diff{}
-	benchDeltas(d, a, b, tol)
-	return d
-}
-
-func benchDeltas(d *Diff, a, b *benchfmt.Output, tol Tolerances) {
 	ba, bb := a.ByName(), b.ByName()
 	names := make([]string, 0, len(ba))
 	for n := range ba {
@@ -450,6 +441,7 @@ func benchDeltas(d *Diff, a, b *benchfmt.Output, tol Tolerances) {
 		}
 		d.add("bench", n+" ns/op", oa.Metrics["ns/op"], ob.Metrics["ns/op"], tol.BenchFrac, 0)
 	}
+	return d
 }
 
 // counterMap flattens an artifact's counter samples to "name{k=v,...}"
@@ -510,9 +502,9 @@ func (d *Diff) Table(onlyFlagged bool) *report.Table {
 // Summary is the one-line verdict.
 func (d *Diff) Summary() string {
 	if d.Flagged == 0 {
-		return fmt.Sprintf("hh-diff: %d figures compared, all within tolerance", len(d.Deltas))
+		return fmt.Sprintf("hh diff: %d figures compared, all within tolerance", len(d.Deltas))
 	}
-	return fmt.Sprintf("hh-diff: %d of %d figures beyond tolerance", d.Flagged, len(d.Deltas))
+	return fmt.Sprintf("hh diff: %d of %d figures beyond tolerance", d.Flagged, len(d.Deltas))
 }
 
 func signedFrac(d Delta) float64 {

@@ -2,15 +2,15 @@
 // write with -artifact: everything needed to compare two runs after
 // the fact — the configuration and seed of record, the final metrics
 // snapshot, the folded cost profile (see internal/profile), a small
-// time-series extract, the campaign outcome, and optionally an
-// embedded benchmark document.
+// time-series extract, and the campaign outcome.
 //
 // Because the simulation is deterministic for a fixed seed and its
 // clock is simulated (machine-speed independent), two artifacts from
 // the same seed must agree exactly on every sim-time and counter
 // figure; hh diff exploits this to gate regressions with zero
 // tolerance on simulated metrics while allowing generous slack on
-// wall-clock benchmark numbers.
+// wall-clock benchmark numbers, which it compares in plain benchmark
+// documents.
 package runartifact
 
 import (
@@ -20,7 +20,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/forensics"
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/ledger"
@@ -86,9 +85,6 @@ type Artifact struct {
 	// Series is the time-series extract (informational; hh diff
 	// compares endpoints, not curves).
 	Series []Series `json:"series,omitempty"`
-	// Bench optionally embeds a benchmark document so one artifact can
-	// carry both simulated and wall-clock figures.
-	Bench *benchfmt.Output `json:"bench,omitempty"`
 	// Heatmap, Census and Alerts embed the hardware introspection
 	// plane's snapshots when the run carried an inspector; hh diff
 	// compares all three with zero default tolerance and hh top -once

@@ -13,9 +13,9 @@
 //	└── <otherHash>/...
 //
 // The index is the compact cross-run view: headline outcome figures,
-// per-section figure fingerprints, the host-cost summary, and bench
-// figures — everything the trend engine needs without reloading the
-// full artifacts. Artifacts themselves are kept whole so a detected
+// per-section figure fingerprints, and the host-cost summary —
+// everything the trend engine needs without reloading the full
+// artifacts. Artifacts themselves are kept whole so a detected
 // drift can be attributed figure-by-figure with the hh diff machinery
 // (Store.DriftDetail).
 //
@@ -54,8 +54,8 @@ type IndexEntry struct {
 	// RunID names the stored document: "<seq>-<contentHash>". The
 	// content suffix makes byte-identical reruns visible at a glance.
 	RunID string `json:"runID"`
-	// Kind is "artifact" (a full run bundle) or "bench" (an ingested
-	// hh benchjson document).
+	// Kind is "artifact" (a full run bundle) or "bench" (an hh
+	// benchjson document, see EntryFromBench).
 	Kind string `json:"kind"`
 	// ConfigHash groups runs that claim identical simulated inputs;
 	// the artifact lives under this directory.
@@ -81,7 +81,7 @@ type IndexEntry struct {
 	// min/median/last and gated only by an explicit -host-tol.
 	Host map[string]float64 `json:"host,omitempty"`
 	// Bench holds wall-clock benchmark figures ("Name ns/op") from an
-	// embedded or ingested hh benchjson document.
+	// hh benchjson document.
 	Bench map[string]float64 `json:"bench,omitempty"`
 }
 
@@ -272,39 +272,6 @@ func (s *Store) Ingest(a *runartifact.Artifact) (IndexEntry, error) {
 	return e, s.appendLocked(e)
 }
 
-// IngestBench indexes an hh benchjson document so wall-clock bench
-// figures join the cross-run history. The document is stored whole
-// under its config-hash directory like an artifact.
-func (s *Store) IngestBench(b *benchfmt.Output) (IndexEntry, error) {
-	if s == nil {
-		return IndexEntry{}, errors.New("runstore: ingest into a nil store")
-	}
-	if b == nil {
-		return IndexEntry{}, errors.New("runstore: ingest a nil bench document")
-	}
-	e := EntryFromBench(b)
-	raw, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return IndexEntry{}, fmt.Errorf("runstore: encode bench: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.idx == nil {
-		return IndexEntry{}, errors.New("runstore: store is closed")
-	}
-	e.Seq = s.nextSeqLocked()
-	e.RunID = fmt.Sprintf("%06d-%s", e.Seq, e.ContentHash)
-	e.IngestedAt = time.Now().UTC().Format(time.RFC3339)
-	cfgDir := filepath.Join(s.dir, e.ConfigHash)
-	if err := os.MkdirAll(cfgDir, 0o755); err != nil {
-		return IndexEntry{}, fmt.Errorf("runstore: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(cfgDir, e.RunID+".json"), append(raw, '\n'), 0o644); err != nil {
-		return IndexEntry{}, fmt.Errorf("runstore: %w", err)
-	}
-	return e, s.appendLocked(e)
-}
-
 // Load reads a stored run artifact back by its run ID.
 func (s *Store) Load(runID string) (*runartifact.Artifact, error) {
 	if s == nil {
@@ -355,9 +322,8 @@ func (s *Store) appendLocked(e IndexEntry) error {
 }
 
 // EntryFromArtifact builds the compact index view of one artifact:
-// identity hashes, headline sim figures, per-section fingerprints, the
-// host-cost summary, and embedded bench figures. Seq/RunID/IngestedAt
-// are filled by Ingest.
+// identity hashes, headline sim figures, per-section fingerprints, and
+// the host-cost summary. Seq/RunID/IngestedAt are filled by Ingest.
 func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 	e := IndexEntry{
 		Kind:        "artifact",
@@ -392,17 +358,13 @@ func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 			"efficiency":            p.Efficiency,
 		}
 	}
-	if a.Bench != nil {
-		e.Bench = benchFigures(a.Bench)
-	}
 	return e
 }
 
-// EntryFromBench builds the index view of a standalone hh benchjson
-// document. The config hash covers the machine identity lines (goos,
-// goarch, cpu, pkg) so trajectories from different machines stay
-// distinguishable; `hh trend -bench` uses this for uningested BENCH
-// files too.
+// EntryFromBench builds the index view of an hh benchjson document,
+// the entries `hh trend -bench` trends. The config hash covers the
+// machine identity lines (goos, goarch, cpu, pkg) so trajectories from
+// different machines stay distinguishable.
 func EntryFromBench(b *benchfmt.Output) IndexEntry {
 	doc := struct {
 		Goos   string `json:"goos"`

@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -136,23 +137,32 @@ func TestIdenticalRunsShareConfigDir(t *testing.T) {
 	}
 }
 
-func TestIngestBench(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	e, err := s.IngestBench(testBench())
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestEntryFromBench: a benchmark document indexes as the shared bench
+// lineage with its ns/op figures, and a store whose index holds such an
+// entry refuses to load it as an artifact.
+func TestEntryFromBench(t *testing.T) {
+	e := EntryFromBench(testBench())
 	if e.Kind != "bench" || e.GroupKey() != "bench" {
 		t.Fatalf("bench entry = %+v", e)
 	}
 	if e.Bench["BenchmarkCampaignShort ns/op"] != 1.5e9 {
 		t.Fatalf("bench figures not indexed: %v", e.Bench)
 	}
+
+	dir := t.TempDir()
+	e.Seq, e.RunID = 1, "000001-"+e.ContentHash
+	line, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, indexFile), append(line, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	if _, err := s.Load(e.RunID); err == nil {
 		t.Fatal("Load must refuse a bench document")
 	}

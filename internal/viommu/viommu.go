@@ -18,9 +18,9 @@ import (
 	"hyperhammer/internal/phys"
 )
 
-// DefaultMapLimit is vIOMMU's default cap of 65,535 mappings per IOMMU
-// group (Section 4.2.1).
-const DefaultMapLimit = 65535
+// mapLimit is vIOMMU's cap of 65,535 mappings per IOMMU group
+// (Section 4.2.1).
+const mapLimit = 65535
 
 // Errors returned by group operations.
 var (
@@ -44,7 +44,6 @@ type Backend interface {
 type Group struct {
 	iopt     *ept.Table
 	backend  Backend
-	mapLimit int
 	mappings int
 }
 
@@ -58,15 +57,12 @@ func (g *Group) SetLedger(s *ledger.Stream) { g.iopt.SetLedger(s) }
 
 // NewGroup creates an IOMMU group whose shadow IOPT pages come from
 // alloc (the host's unmovable order-0 table-page allocator).
-func NewGroup(mem *phys.Memory, alloc ept.Allocator, backend Backend, mapLimit int) (*Group, error) {
-	if mapLimit <= 0 {
-		mapLimit = DefaultMapLimit
-	}
+func NewGroup(mem *phys.Memory, alloc ept.Allocator, backend Backend) (*Group, error) {
 	iopt, err := ept.New(mem, alloc)
 	if err != nil {
 		return nil, fmt.Errorf("viommu: %w", err)
 	}
-	return &Group{iopt: iopt, backend: backend, mapLimit: mapLimit}, nil
+	return &Group{iopt: iopt, backend: backend}, nil
 }
 
 // Map installs a 4 KiB DMA mapping iova -> (the host frame backing)
@@ -74,7 +70,7 @@ func NewGroup(mem *phys.Memory, alloc ept.Allocator, backend Backend, mapLimit i
 // time costs one fresh host IOPT leaf page, plus upper-level tables as
 // needed.
 func (g *Group) Map(iova memdef.IOVA, gpa memdef.GPA) error {
-	if g.mappings >= g.mapLimit {
+	if g.mappings >= mapLimit {
 		return ErrMapLimit
 	}
 	frame, err := g.backend.ResolveGPA(gpa)
@@ -110,9 +106,6 @@ func (g *Group) Translate(iova memdef.IOVA) (memdef.HPA, error) {
 
 // Mappings returns the number of live mappings.
 func (g *Group) Mappings() int { return g.mappings }
-
-// MapLimit returns the group's mapping cap.
-func (g *Group) MapLimit() int { return g.mapLimit }
 
 // IOPTPages returns the total number of host pages consumed by this
 // group's IOMMU page tables — the attacker's lever on the unmovable

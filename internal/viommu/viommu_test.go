@@ -39,11 +39,11 @@ func (b identBackend) ResolveGPA(gpa memdef.GPA) (memdef.PFN, error) {
 	return memdef.PFN(gpa >> memdef.PageShift), nil
 }
 
-func newGroup(t *testing.T, limit int) (*Group, *poolAlloc) {
+func newGroup(t *testing.T) (*Group, *poolAlloc) {
 	t.Helper()
 	mem := phys.New(256 * memdef.MiB)
 	alloc := &poolAlloc{next: 100}
-	g, err := NewGroup(mem, alloc, identBackend{}, limit)
+	g, err := NewGroup(mem, alloc, identBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,10 +51,7 @@ func newGroup(t *testing.T, limit int) (*Group, *poolAlloc) {
 }
 
 func TestMapTranslate(t *testing.T) {
-	g, _ := newGroup(t, 0)
-	if g.MapLimit() != DefaultMapLimit {
-		t.Errorf("MapLimit = %d", g.MapLimit())
-	}
+	g, _ := newGroup(t)
 	if err := g.Map(0x1_0000_0000, 7*memdef.PageSize); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +70,7 @@ func TestMapTranslate(t *testing.T) {
 // The attack's core arithmetic: mappings spaced 2 MiB apart each burn
 // one fresh leaf IOPT page (Figure 2).
 func TestTwoMiBStrideConsumesOneLeafPerMapping(t *testing.T) {
-	g, alloc := newGroup(t, 0)
+	g, alloc := newGroup(t)
 	before := alloc.allocs
 	const n = 64
 	for i := 0; i < n; i++ {
@@ -95,7 +92,7 @@ func TestTwoMiBStrideConsumesOneLeafPerMapping(t *testing.T) {
 // Densely packed mappings share leaf pages — the reason the attacker
 // must space them 2 MiB apart to maximize page consumption.
 func TestDenseMappingsShareLeafPages(t *testing.T) {
-	g, alloc := newGroup(t, 0)
+	g, alloc := newGroup(t)
 	before := alloc.allocs
 	for i := 0; i < 512; i++ {
 		iova := memdef.IOVA(0x2_0000_0000 + uint64(i)*memdef.PageSize)
@@ -108,27 +105,30 @@ func TestDenseMappingsShareLeafPages(t *testing.T) {
 	}
 }
 
+// The group takes exactly 65,535 mappings. Spacing them 4 KiB apart
+// packs 512 into each leaf page, so filling the budget stays cheap.
 func TestMapLimitEnforced(t *testing.T) {
-	g, _ := newGroup(t, 3)
-	for i := 0; i < 3; i++ {
-		if err := g.Map(memdef.IOVA(i)*memdef.HugePageSize, 0); err != nil {
-			t.Fatal(err)
+	g, _ := newGroup(t)
+	for i := 0; i < 65535; i++ {
+		if err := g.Map(memdef.IOVA(i)*memdef.PageSize, 0); err != nil {
+			t.Fatalf("mapping %d: %v", i, err)
 		}
 	}
-	if err := g.Map(99*memdef.HugePageSize, 0); !errors.Is(err, ErrMapLimit) {
-		t.Errorf("over-limit map: %v", err)
+	over := memdef.IOVA(65535) * memdef.PageSize
+	if err := g.Map(over, 0); !errors.Is(err, ErrMapLimit) {
+		t.Errorf("mapping 65,536: %v", err)
 	}
 	// Unmapping frees budget.
 	if err := g.Unmap(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Map(99*memdef.HugePageSize, 0); err != nil {
+	if err := g.Map(over, 0); err != nil {
 		t.Errorf("map after unmap: %v", err)
 	}
 }
 
 func TestUnmapErrors(t *testing.T) {
-	g, _ := newGroup(t, 0)
+	g, _ := newGroup(t)
 	if err := g.Unmap(0x123000); !errors.Is(err, ErrNotMapped) {
 		t.Errorf("unmap absent: %v", err)
 	}
@@ -137,7 +137,7 @@ func TestUnmapErrors(t *testing.T) {
 func TestBackendFailurePropagates(t *testing.T) {
 	mem := phys.New(64 * memdef.MiB)
 	alloc := &poolAlloc{next: 10}
-	g, err := NewGroup(mem, alloc, identBackend{fail: true}, 0)
+	g, err := NewGroup(mem, alloc, identBackend{fail: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestBackendFailurePropagates(t *testing.T) {
 }
 
 func TestDestroyFreesTables(t *testing.T) {
-	g, alloc := newGroup(t, 0)
+	g, alloc := newGroup(t)
 	for i := 0; i < 8; i++ {
 		if err := g.Map(memdef.IOVA(i)*memdef.HugePageSize, 0); err != nil {
 			t.Fatal(err)

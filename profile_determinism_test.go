@@ -49,7 +49,6 @@ func campaignArtifact(t *testing.T, seed uint64, hammerRounds int) *hyperhammer.
 		Attack:      attackCfg,
 		VM:          hyperhammer.VMConfig{MemSize: 384 * hyperhammer.MiB, VFIOGroups: 1, BootSplits: 16},
 		MaxAttempts: 2,
-		ChurnOps:    100,
 	})
 	if err != nil {
 		t.Fatal(err)
