@@ -250,44 +250,47 @@ func TestTablePagesAndDestroy(t *testing.T) {
 // against the per-level lengths of TablePages after maps, splits and a
 // teardown.
 func TestTableCountByLevelBookkeeping(t *testing.T) {
-	check := func(tbl *Table, step string) {
-		t.Helper()
-		got := tbl.TableCountByLevel()
-		for l := range got {
-			if want := len(tbl.TablePages(l)); got[l] != want {
-				t.Errorf("%s: level %d count = %d, TablePages has %d", step, l, got[l], want)
+	// The tables are 4-level; the subtest keeps the per-depth name.
+	t.Run("levels=4", func(t *testing.T) {
+		check := func(tbl *Table, step string) {
+			t.Helper()
+			got := tbl.TableCountByLevel()
+			for l := range got {
+				if want := len(tbl.TablePages(l)); got[l] != want {
+					t.Errorf("%s: level %d count = %d, TablePages has %d", step, l, got[l], want)
+				}
 			}
 		}
-	}
-	tbl, err := New(phys.New(64*memdef.MiB), &bumpAlloc{next: 3000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	check(tbl, "new")
-	for i := 0; i < 6; i++ {
-		// Three hugepages in each of two 1 GiB regions, so two level-2
-		// tables hang off the level-3 table.
-		va := uint64(i%2)<<30 | uint64(i/2)*memdef.HugePageSize
-		if err := tbl.Map2M(va, memdef.PFN(512*(i+1)), PermRW); err != nil {
+		tbl, err := New(phys.New(64*memdef.MiB), &bumpAlloc{next: 3000})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tbl.Map4K(uint64(3)<<39, 7, PermRW); err != nil {
-		t.Fatal(err)
-	}
-	check(tbl, "mapped")
-	for _, va := range []uint64{0, 1 << 30, 2 * memdef.HugePageSize} {
-		if _, err := tbl.SplitHuge(va, PermRWX); err != nil {
+		check(tbl, "new")
+		for i := 0; i < 6; i++ {
+			// Three hugepages in each of two 1 GiB regions, so two level-2
+			// tables hang off the level-3 table.
+			va := uint64(i%2)<<30 | uint64(i/2)*memdef.HugePageSize
+			if err := tbl.Map2M(va, memdef.PFN(512*(i+1)), PermRW); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tbl.Map4K(uint64(3)<<39, 7, PermRW); err != nil {
 			t.Fatal(err)
 		}
-	}
-	check(tbl, "split")
-	if got := tbl.TableCountByLevel()[1]; got != 4 {
-		t.Errorf("leaf tables = %d, want 3 splits + 1 Map4K leaf", got)
-	}
-	tbl.Destroy()
-	check(tbl, "destroyed")
-	if got := tbl.TableCountByLevel(); got != [countLevels]int{} {
-		t.Errorf("counts after Destroy = %v, want all zero", got)
-	}
+		check(tbl, "mapped")
+		for _, va := range []uint64{0, 1 << 30, 2 * memdef.HugePageSize} {
+			if _, err := tbl.SplitHuge(va, PermRWX); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(tbl, "split")
+		if got := tbl.TableCountByLevel()[1]; got != 4 {
+			t.Errorf("leaf tables = %d, want 3 splits + 1 Map4K leaf", got)
+		}
+		tbl.Destroy()
+		check(tbl, "destroyed")
+		if got := tbl.TableCountByLevel(); got != [countLevels]int{} {
+			t.Errorf("counts after Destroy = %v, want all zero", got)
+		}
+	})
 }
