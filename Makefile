@@ -128,16 +128,16 @@ history-gate:
 
 # Hammer hot-path gate: re-run the dram hammer microbenchmarks and
 # the Table 3 campaign benchmark, then check with hh hotpath that the
-# batched steady-state hammer path still reports 0 allocs/op and that
-# the end-to-end attack cost has not regressed more than 25% against
-# the committed bench_output.txt (same tolerance rule as hh trend's
-# -bench-tol). On a legitimate speedup or workload change, run
+# steady-state hammer path, TRR veto audit included, still reports
+# 0 allocs/op and that the end-to-end attack cost has not regressed
+# more than 25% against the committed bench_output.txt (same tolerance
+# rule as hh trend's -bench-tol). On a legitimate speedup or workload change, run
 # `make bench` and commit the refreshed log pair.
 hotpath-gate:
 	$(GO) test -run xxx -bench 'BenchmarkHammer(Op|Batch|TRRAudit)$$' -benchmem -benchtime 20000x ./internal/dram/ > hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) test -run xxx -bench 'BenchmarkTable3AttackCost$$' -benchmem -benchtime 1x . >> hotpath_bench.txt || { cat hotpath_bench.txt; exit 1; }
 	$(GO) run ./cmd/hh hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
-		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch -compare BenchmarkTable3AttackCost -bench-tol 0.25
+		-zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch,BenchmarkHammerTRRAudit -compare BenchmarkTable3AttackCost -bench-tol 0.25
 	rm -f hotpath_bench.txt
 
 # Determinism-ledger gate: the short matrix run twice with the ledger

@@ -19,15 +19,15 @@ package main
 // benchmarks — and enforces two invariants:
 //
 //  1. The benchmarks named in -zero-alloc report 0 allocs/op in the
-//     fresh log: the batched steady-state hammer path must not
-//     allocate per operation.
+//     fresh log: the steady-state hammer path must not allocate per
+//     operation.
 //  2. The -compare benchmark's ns/op in the fresh log has not
 //     regressed more than -bench-tol (relative) against the committed
 //     log, using the same tolerance rule hh diff and hh trend apply
 //     (runartifact.WithinTol). Improvements never fail the gate.
 //
 //	hh hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
-//	    -zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch \
+//	    -zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch,BenchmarkHammerTRRAudit \
 //	    -compare BenchmarkTable3AttackCost -bench-tol 0.25
 //
 // Exit status: 0 when both invariants hold, 1 when either fails or a

@@ -204,10 +204,11 @@ func retestStability(os *guest.OS, cfg Config, bit VulnBit) bool {
 	wordAddr := bit.Flip.GVA &^ 7
 	bitPos := bit.Flip.EPTEBit()
 	for i := 0; i < stabilityRetests; i++ {
-		if err := os.FillPage(pageBase, profilePattern); err != nil {
+		if err := os.FillPages(pageBase, 1, profilePattern); err != nil {
 			return false
 		}
-		if err := os.Hammer(bit.AggressorA, bit.AggressorB, cfg.HammerRounds); err != nil {
+		aggs := []memdef.GVA{bit.AggressorA, bit.AggressorB}
+		if err := os.Hammer(guest.HammerSpec{Aggressors: aggs, Rounds: cfg.HammerRounds}); err != nil {
 			return false
 		}
 		w, err := os.Read64(wordAddr)

@@ -34,7 +34,7 @@ type attemptScratch struct {
 	probe      []guest.MappingChange
 	known      map[memdef.GVA]bool
 
-	// exploit's batched hammer submission: the spec list and the flat
+	// exploit's hammer submission: the spec list and the flat
 	// aggressor-address backing its Aggressors slices point into. When
 	// an append reallocates the backing, earlier specs keep the old
 	// array — its values are already final, so aliasing is not needed.

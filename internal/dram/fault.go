@@ -113,9 +113,9 @@ func S2FaultModel(seed uint64) FaultModelConfig {
 // and deterministically per (bank, row), so a 16 GiB module costs
 // nothing until rows are actually hammered.
 //
-// Row state is organized per bank (bankState): the population cache,
-// the reusable struct-of-arrays disturbance scratch, and the batch
-// pipeline's verdict buffers are all bank-local (see batch.go).
+// The vulnerable-cell population is cached per bank (bankState); one
+// operation's working state is module-owned scratch (opScratch, see
+// hammer.go).
 type Module struct {
 	Geo *Geometry
 	cfg FaultModelConfig
@@ -158,25 +158,14 @@ type Module struct {
 	trrPCG  rand.PCG
 	trrRand *rand.Rand
 
-	bat batchScratch
-
-	// deliverSelf/deliverConcat/lastFlips adapt the slice-returning
-	// Hammer and HammerBatch APIs onto the callback pipeline without
-	// a per-call closure allocation.
-	deliverSelf   func(int, []CandidateFlip) error
-	deliverConcat func(int, []CandidateFlip) error
-	lastFlips     []CandidateFlip
+	scr opScratch
 }
 
-// bankState is the per-bank slice of the module's row state. Each
-// hammer operation touches a handful of rows per bank, so the
-// disturbance scratch is a tiny struct-of-arrays (parallel row and
-// pressure slices) reused across operations, not a full-row vector.
+// bankState is one bank's vulnerable-cell population cache. checked
+// marks rows whose population has been generated (so the empty
+// majority never re-runs its row RNG); hasCells marks the generated
+// rows that actually hold cells; cells stores those populations.
 type bankState struct {
-	// Vulnerable-cell population cache. checked marks rows whose
-	// population has been generated (so the empty majority never
-	// re-runs its row RNG); hasCells marks the generated rows that
-	// actually hold cells; cells stores those populations.
 	checked  []uint64
 	hasCells []uint64
 	cells    map[int][]Cell
@@ -184,26 +173,6 @@ type bankState struct {
 	// per row; identical streams to a fresh rand.New(rand.NewPCG()).
 	pcg rand.PCG
 	rng *rand.Rand
-
-	// Main disturbance scratch for the current op: vRows[i] carries
-	// vPres[i] accumulated pressure. Reset per (op, bank).
-	vRows []int32
-	vPres []float64
-	// Audit (pre-TRR) disturbance scratch, same shape.
-	aRows []int32
-	aPres []float64
-
-	// Batch pipeline state: the ops (by batch index, ascending) with
-	// work in this bank, and the phase-B verdict records they
-	// produced — main candidates and trr-refreshed audit hits, each
-	// consumed by an emission cursor in phase C. epoch stamps which
-	// batch the buffers belong to, so joining a new batch resets them
-	// without a per-bank sweep.
-	epoch      uint64
-	opIdx      []int32
-	recs       []cellRecord
-	arecs      []cellRecord
-	mCur, aCur int
 }
 
 // ActivationSink accumulates per-row activation pressure from hammer
@@ -280,7 +249,7 @@ func (m *Module) SetFlipSink(s FlipSink) { m.flip = s }
 // flaky-cell RNG draws (dram.rng), per-op row activation state
 // (dram.row), and flip-verdict emissions (dram.flip). A nil recorder
 // resolves nil handles, which fold to nothing — the zero-cost-off
-// path. Folds happen only on the merge-ordered phase-C path.
+// path.
 func (m *Module) SetLedger(r *ledger.Recorder) {
 	m.ledRNG = r.Stream("dram.rng")
 	m.ledRow = r.Stream("dram.row")
@@ -321,15 +290,10 @@ func (m *Module) SetMetrics(reg *metrics.Registry) {
 // NewModule installs a DRAM module with the given geometry and fault
 // model.
 func NewModule(geo *Geometry, cfg FaultModelConfig) *Module {
-	return &Module{Geo: geo, cfg: cfg}
-}
-
-// bank returns bank b's state, sizing the bank table on first use.
-func (m *Module) bank(b int) *bankState {
-	if m.banks == nil {
-		m.banks = make([]bankState, m.Geo.Banks())
-	}
-	return &m.banks[b]
+	m := &Module{Geo: geo, cfg: cfg, banks: make([]bankState, geo.Banks())}
+	m.opRand = rand.New(&m.opPCG)
+	m.trrRand = rand.New(&m.trrPCG)
+	return m
 }
 
 // VulnerableCells returns the vulnerable cells of one (bank, row),
@@ -338,14 +302,7 @@ func (m *Module) bank(b int) *bankState {
 // bit, so a long profiling run neither re-derives their RNG nor
 // bloats a cache with them. The returned slice must not be modified.
 func (m *Module) VulnerableCells(bank, row int) []Cell {
-	return m.cellsForRow(m.bank(bank), bank, row)
-}
-
-// cellsForRow is VulnerableCells against an already-resolved bank
-// state. It touches only that bank's state (plus the immutable config
-// and geometry), which is what makes concurrent per-bank evaluation
-// in the batch pipeline race-free.
-func (m *Module) cellsForRow(bs *bankState, bank, row int) []Cell {
+	bs := &m.banks[bank]
 	if bs.checked == nil {
 		words := (m.Geo.Rows() + 63) / 64
 		bs.checked = make([]uint64, words)
@@ -458,122 +415,10 @@ func (m *Module) AddrOfCell(bank, row, bitIndex int) (memdef.HPA, uint) {
 // each activated Rounds times within refresh windows. The operation
 // models the paper's pattern of hammering two same-bank rows for
 // 250,000 rounds. The Aggressors slice is only read during the
-// Hammer/HammerBatch call, so callers may reuse its backing.
+// Hammer call, so callers may reuse its backing.
 type HammerOp struct {
 	Aggressors []RowRef
 	Rounds     int
-}
-
-// neighborOffsets is the blast radius of one aggressor: row distances
-// whose disturbance weight is nonzero, in accumulation order.
-var neighborOffsets = [4]int{-2, -1, 1, 2}
-
-// addPressure accumulates one aggressor's neighbour disturbance into
-// a bank's (rows, pressure) struct-of-arrays scratch. c1/c2 are the
-// distance-1/distance-2 contributions (weight × rounds); the float
-// additions happen in exactly the aggressor-then-offset order of the
-// sequential evaluation, so sums are bit-identical.
-func addPressure(rowsp *[]int32, presp *[]float64, aggRow, maxRow int, c1, c2 float64) {
-	rows, pres := *rowsp, *presp
-	for _, d := range neighborOffsets {
-		v := aggRow + d
-		if v < 0 || v >= maxRow {
-			continue
-		}
-		c := c1
-		if d == 2 || d == -2 {
-			c = c2
-		}
-		found := false
-		for i, r := range rows {
-			if int(r) == v {
-				pres[i] += c
-				found = true
-				break
-			}
-		}
-		if !found {
-			rows = append(rows, int32(v))
-			pres = append(pres, c)
-		}
-	}
-	*rowsp, *presp = rows, pres
-}
-
-// sortRowsPres insertion-sorts the parallel (rows, pressure) arrays by
-// row ascending. Rows are unique, so the order equals the sequential
-// path's sorted victim iteration.
-func sortRowsPres(rows []int32, pres []float64) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j] < rows[j-1]; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-			pres[j], pres[j-1] = pres[j-1], pres[j]
-		}
-	}
-}
-
-// newOpRand wraps the module's reusable PCG source: reseeding it in
-// place per op draws the identical stream a freshly allocated
-// rand.New(rand.NewPCG(...)) would, without the two allocations.
-func newOpRand(p *rand.PCG) *rand.Rand { return rand.New(p) }
-
-// sortBanks insertion-sorts a bank list ascending.
-func sortBanks(banks []int32) {
-	for i := 1; i < len(banks); i++ {
-		for j := i; j > 0 && banks[j] < banks[j-1]; j-- {
-			banks[j], banks[j-1] = banks[j-1], banks[j]
-		}
-	}
-}
-
-// hasBank reports membership in a (tiny) bank list.
-func hasBank(banks []int32, b int32) bool {
-	for _, x := range banks {
-		if x == b {
-			return true
-		}
-	}
-	return false
-}
-
-// rowExcluded reports whether (bank, row) names one of the op's own
-// aggressor rows: those are being driven, not disturbed. The set to
-// test is the pre-TRR active set — every deduplicated aggressor in a
-// bank with disturbance is in it, so this equals the sequential
-// path's deletion of every raw aggressor key.
-func rowExcluded(set []RowRef, bank, row int) bool {
-	for _, ag := range set {
-		if ag.Bank == bank && ag.Row == row {
-			return true
-		}
-	}
-	return false
-}
-
-// Hammer evaluates the fault model for one hammer operation and
-// returns the candidate flips in all victim rows. The disturbance on
-// a victim row is the weighted sum of aggressor activations at row
-// distance 1 and 2 within the same bank; a vulnerable cell flips when
-// the disturbance reaches its threshold (always for stable cells, with
-// probability FlakyP for unstable ones).
-//
-// Hammer is the batch pipeline run over a single operation; see
-// batch.go for the phases. The returned slice is owned by the caller.
-func (m *Module) Hammer(op HammerOp) []CandidateFlip {
-	b := &m.bat
-	b.one[0] = op
-	m.lastFlips = nil
-	if m.deliverSelf == nil {
-		m.deliverSelf = func(_ int, flips []CandidateFlip) error {
-			m.lastFlips = flips
-			return nil
-		}
-	}
-	// The single-op pipeline cannot fail: errors only come from the
-	// deliver callback.
-	_ = m.runBatch(b.one[:], nil, m.deliverSelf)
-	b.one[0] = HammerOp{}
-	return m.lastFlips
 }
 
 // Activations returns the total DRAM activations an op performs, for

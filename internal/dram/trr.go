@@ -23,11 +23,9 @@ type TRRConfig struct {
 	Seed uint64
 }
 
-// trrScratch is the module-owned reusable state of one trrFilter call:
-// the filter used to build two maps per oversubscribed op (ROADMAP
-// item 5's top remaining hammer-path allocator). Aggressor sets are
-// tiny, so membership is linear scans, like the batch path's
-// containsRef.
+// trrScratch is the module-owned reusable state of one trrFilter call.
+// Aggressor sets are tiny, so membership is linear scans, like
+// Hammer's containsRef.
 type trrScratch struct {
 	banks   []int32
 	rows    []RowRef
@@ -44,9 +42,6 @@ func (m *Module) trrFilter(aggressors []RowRef) []RowRef {
 	c := m.cfg.TRR
 	if c == nil || c.Slots <= 0 {
 		return aggressors
-	}
-	if m.trrRand == nil {
-		m.trrRand = newOpRand(&m.trrPCG)
 	}
 	t := &m.trr
 	// Group per bank: the tracker is a per-bank structure. Banks are

@@ -68,8 +68,8 @@ type OS struct {
 	fill   fillCtx
 	fillFn func(k int) uint64
 
-	// gpaScratch/hammerBatch are reusable translation buffers for the
-	// hammer submission paths.
+	// gpaScratch/hammerBatch are Hammer's reusable translation
+	// buffers.
 	gpaScratch  []memdef.GPA
 	hammerBatch []kvm.HammerBatchOp
 
@@ -214,20 +214,10 @@ func (os *OS) Write64(gva memdef.GVA, v uint64) error {
 	return os.vm.WriteGPA64(gpa, v)
 }
 
-// FillPage fills one 4 KiB page with a repeated word.
-func (os *OS) FillPage(gva memdef.GVA, word uint64) error {
-	gpa, err := os.GPAOf(gva)
-	if err != nil {
-		return err
-	}
-	return os.vm.FillPageGPA(gpa, word)
-}
-
 // FillPages fills count consecutive 4 KiB pages starting at the
-// page-aligned gva with a repeated word — observationally identical
-// to count FillPage calls (same per-page clock charges, errors at the
-// same page), with the per-page translation overhead amortized per
-// 2 MiB chunk.
+// page-aligned gva with a repeated word, one page-write of virtual time
+// per page; an error surfaces at the page that caused it (see
+// kvm.FillPagesGPA).
 func (os *OS) FillPages(gva memdef.GVA, count int, word uint64) error {
 	os.fill = fillCtx{word: word}
 	return os.fillPages(gva, count)
@@ -294,52 +284,23 @@ func (os *OS) Exec(gva memdef.GVA) (bool, error) {
 	return os.vm.ExecGPA(gpa)
 }
 
-// Hammer runs the single-sided hammer loop on two virtual addresses
-// for the given rounds.
-func (os *OS) Hammer(a, b memdef.GVA, rounds int) error {
-	gpaA, err := os.GPAOf(a)
-	if err != nil {
-		return err
-	}
-	gpaB, err := os.GPAOf(b)
-	if err != nil {
-		return err
-	}
-	return os.vm.HammerGPA(gpaA, gpaB, rounds)
-}
-
-// HammerMany runs a many-sided hammer loop over an arbitrary
-// aggressor set — the TRRespass-style pattern used to overwhelm
-// in-DRAM TRR trackers.
-func (os *OS) HammerMany(addrs []memdef.GVA, rounds int) error {
-	gpas := os.gpaScratch[:0]
-	for _, a := range addrs {
-		gpa, err := os.GPAOf(a)
-		if err != nil {
-			return err
-		}
-		gpas = append(gpas, gpa)
-	}
-	os.gpaScratch = gpas[:0]
-	return os.vm.HammerManyGPA(gpas, rounds)
-}
-
-// HammerSpec is one hammer operation for batched submission: an
-// aggressor set in guest virtual addresses, each row activated Rounds
-// times.
+// HammerSpec is one hammer operation: an aggressor set in guest
+// virtual addresses, each row activated Rounds times.
 type HammerSpec struct {
 	Aggressors []memdef.GVA
 	Rounds     int
 }
 
-// HammerBatch submits a sequence of hammer operations to the DRAM
-// fault model's batched pipeline in one flush. Results are identical
-// to issuing the ops through Hammer/HammerMany one at a time, except
-// that every op's addresses are checked up front — a bad address
-// surfaces before any op runs rather than between ops (see
-// kvm.HammerBatchGPA for the full contract, including mid-batch
-// crash and translation-divergence handling).
-func (os *OS) HammerBatch(specs []HammerSpec) error {
+// Hammer runs the cache-flush hammer loop for each spec in turn: two
+// same-bank aggressors make the paper's single-sided pattern, wider
+// sets the TRRespass-style many-sided one. It carries the batch
+// contract of kvm.HammerBatchGPA: every spec's addresses are
+// translated before the first op runs, so a bad address fails the
+// call with nothing hammered; after that each op runs exactly as a
+// one-spec call would, and a host crash or a translation moved by a
+// flip ends the call before the next op. Neither the specs nor their
+// aggressor slices are retained.
+func (os *OS) Hammer(specs ...HammerSpec) error {
 	batch := os.hammerBatch[:0]
 	gpas := os.gpaScratch[:0]
 	for _, sp := range specs {
@@ -363,12 +324,11 @@ func (os *OS) HammerBatch(specs []HammerSpec) error {
 // HammerScanPairs drives the profile sweep's hammer-then-scan loop:
 // each (a, b) pair is hammered for rounds, the guest's memory is
 // scanned, and each(i, flips) receives the new flips. The callback
-// may hammer again itself (stability retests interleave their own
-// operation nonces, which is why this loop cannot fold the pairs into
-// one DRAM batch); returning stop=true ends the sweep early.
+// may hammer again itself (the stability retests); returning stop=true
+// ends the sweep early.
 func (os *OS) HammerScanPairs(pairs [][2]memdef.GVA, rounds int, each func(i int, flips []Flip) (stop bool, err error)) error {
 	for i, p := range pairs {
-		if err := os.Hammer(p[0], p[1], rounds); err != nil {
+		if err := os.Hammer(HammerSpec{Aggressors: p[:], Rounds: rounds}); err != nil {
 			return err
 		}
 		stop, err := each(i, os.ScanForFlips())

@@ -118,7 +118,7 @@ func TestTHPLow21BitsGVAToHPA(t *testing.T) {
 func TestFillAndPageUniform(t *testing.T) {
 	os := bootTestGuest(t, 96*memdef.MiB, nil)
 	base, _ := os.AllocHuge(1)
-	if err := os.FillPage(base+0x3000, 0xAA55); err != nil {
+	if err := os.FillPages(base+0x3000, 1, 0xAA55); err != nil {
 		t.Fatal(err)
 	}
 	w, uniform, err := os.PageUniform(base + 0x3000)
@@ -207,10 +207,8 @@ func TestScanForFlipsMatchesBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	const pattern = ^uint64(0) // all ones: 1->0 flips all observable
-	for i := 0; i < n*memdef.PagesPerHuge; i++ {
-		if err := os.FillPage(base+memdef.GVA(i*memdef.PageSize), pattern); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.FillPages(base, n*memdef.PagesPerHuge, pattern); err != nil {
+		t.Fatal(err)
 	}
 	// Pick aggressors in consecutive row-spans of the same bank, as
 	// the attack does. Bank classes within a hugepage depend only on
@@ -228,7 +226,7 @@ func TestScanForFlipsMatchesBruteForce(t *testing.T) {
 	for hp := 0; hp < n && len(flips) == 0; hp++ {
 		a := base + memdef.GVA(uint64(hp)*memdef.HugePageSize+offA)
 		b := base + memdef.GVA(uint64(hp)*memdef.HugePageSize+offB)
-		if err := os.Hammer(a, b, 250_000); err != nil {
+		if err := os.Hammer(HammerSpec{Aggressors: []memdef.GVA{a, b}, Rounds: 250_000}); err != nil {
 			t.Fatal(err)
 		}
 		flips = os.ScanForFlips()
@@ -389,5 +387,33 @@ func TestPageTablesLiveInGuestMemory(t *testing.T) {
 	}
 	if !found {
 		t.Error("no guest page-table entry for the allocation found in the kernel reserve")
+	}
+}
+
+// A one-spec Hammer call with a literal aggressor list allocates
+// nothing in steady state: the profile sweep and its stability retests
+// make one per hammered pair.
+func TestHammerOneSpecAllocatesNothing(t *testing.T) {
+	os := bootTestGuest(t, 96*memdef.MiB, nil)
+	base, err := os.AllocHuge(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo := testGeometry()
+	rowSpan := uint64(256 * memdef.KiB)
+	offA, offB := 6*rowSpan, 7*rowSpan
+	for geo.Bank(memdef.HPA(offA)) != geo.Bank(memdef.HPA(offB)) {
+		offB += 64
+	}
+	a, b := base+memdef.GVA(offA), base+memdef.GVA(offB)
+	// One round stays below every threshold, so no flip lands.
+	hammer := func() {
+		if err := os.Hammer(HammerSpec{Aggressors: []memdef.GVA{a, b}, Rounds: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hammer()
+	if n := testing.AllocsPerRun(100, hammer); n != 0 {
+		t.Errorf("one-spec Hammer allocates %v times per call, want 0", n)
 	}
 }

@@ -43,7 +43,8 @@ func (g guestMemory) SetWord(a memdef.HPA, v uint64) {
 }
 
 func (g guestMemory) ZeroPage(p memdef.PFN) {
-	if err := g.vm.FillPageGPA(memdef.GPA(p)<<memdef.PageShift, 0); err != nil {
+	zero := func(int) uint64 { return 0 }
+	if err := g.vm.FillPagesGPA(memdef.GPA(p)<<memdef.PageShift, 1, zero); err != nil {
 		panic(fmt.Sprintf("guest: zeroing kernel page %d: %v", p, err))
 	}
 }

@@ -93,7 +93,7 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 
 	var out []Result
 	var specs []guest.HammerSpec
-	var gvas []memdef.GVA
+	var gvas, retest []memdef.GVA
 	for _, pat := range patterns {
 		if err := fill(); err != nil {
 			return nil, err
@@ -103,7 +103,7 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 		// One run across the whole buffer, bank class 0 only: the
 		// search gauges pattern effectiveness, not coverage. No scans
 		// happen between the per-hugepage runs, so the sweep is one
-		// batched submission.
+		// Hammer call.
 		aggr := aggressorsFor(cfg, pat)
 		if len(aggr) == 0 {
 			return nil, fmt.Errorf("hammer: pattern has no aggressors")
@@ -115,7 +115,7 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 			gvas = appendAggressors(gvas, hugeBase, aggr)
 			specs = append(specs, guest.HammerSpec{Aggressors: gvas[off:len(gvas):len(gvas)], Rounds: pat.Rounds})
 		}
-		if err := os.HammerBatch(specs); err != nil {
+		if err := os.Hammer(specs...); err != nil {
 			return nil, err
 		}
 		flips := os.ScanForFlips()
@@ -125,12 +125,13 @@ func Search(os *guest.OS, cfg Config, patterns []Pattern) ([]Result, error) {
 			page := f.GVA &^ (memdef.PageSize - 1)
 			ok := true
 			for r := 0; r < cfg.Repeats && ok; r++ {
-				if err := os.FillPage(page, pattern); err != nil {
+				if err := os.FillPages(page, 1, pattern); err != nil {
 					ok = false
 					break
 				}
 				hugeBase := memdef.HugeBase(f.GVA) // approximate re-aim
-				if err := hammerOnce(os, hugeBase, aggr, pat.Rounds); err != nil {
+				retest = appendAggressors(retest[:0], hugeBase, aggr)
+				if err := os.Hammer(guest.HammerSpec{Aggressors: retest, Rounds: pat.Rounds}); err != nil {
 					return nil, err
 				}
 				w, err := os.Read64(f.GVA &^ 7)
@@ -185,9 +186,9 @@ func bankClass(masks []uint64, off uint64) int {
 }
 
 // appendAggressors appends the pattern's guest addresses for one
-// hugepage, mirroring hammerOnce's shapes: a single aggressor is
-// doubled ([a, a]) so the batched op hashes to the same RNG stream as
-// os.Hammer(a, a, ...).
+// hugepage. A single aggressor is hammered against itself ([a, a]):
+// classic single-row hammering is strictly weaker — the row buffer
+// stays open — which the search should discover.
 func appendAggressors(dst []memdef.GVA, hugeBase memdef.GVA, aggrOffsets []uint64) []memdef.GVA {
 	if len(aggrOffsets) == 1 {
 		a := hugeBase + memdef.GVA(aggrOffsets[0])
@@ -197,31 +198,6 @@ func appendAggressors(dst []memdef.GVA, hugeBase memdef.GVA, aggrOffsets []uint6
 		dst = append(dst, hugeBase+memdef.GVA(off))
 	}
 	return dst
-}
-
-// hammerOnce drives the aggressor set for the reproducibility retests.
-// Patterns with one aggressor hammer it against itself (classic
-// single-row hammering is strictly weaker — the row buffer stays open
-// — which the search should discover); wider sets run the many-sided
-// loop.
-func hammerOnce(os *guest.OS, hugeBase memdef.GVA, aggrOffsets []uint64, rounds int) error {
-	switch len(aggrOffsets) {
-	case 0:
-		return fmt.Errorf("hammer: pattern has no aggressors")
-	case 1:
-		a := hugeBase + memdef.GVA(aggrOffsets[0])
-		return os.Hammer(a, a, rounds)
-	case 2:
-		a := hugeBase + memdef.GVA(aggrOffsets[0])
-		b := hugeBase + memdef.GVA(aggrOffsets[1])
-		return os.Hammer(a, b, rounds)
-	default:
-		addrs := make([]memdef.GVA, 0, len(aggrOffsets))
-		for _, off := range aggrOffsets {
-			addrs = append(addrs, hugeBase+memdef.GVA(off))
-		}
-		return os.HammerMany(addrs, rounds)
-	}
 }
 
 // Best returns the pattern with the most reproducible flips.

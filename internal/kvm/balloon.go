@@ -67,8 +67,6 @@ func (b *vmBalloonBackend) ReclaimPage(gpa memdef.GPA) error {
 			frames[i] = base + memdef.PFN(i)
 			vm.reverse[frames[i]] = chunk + memdef.GPA(i*memdef.PageSize)
 		}
-		delete(vm.reverse, base)
-		vm.reverse[base] = chunk // page 0 of the chunk
 		cb.huge = false
 		cb.frames = frames
 	}

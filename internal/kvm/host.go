@@ -548,28 +548,9 @@ func (h *Host) flipOwner(a memdef.HPA) *forensics.Owner {
 		}
 		return &forensics.Owner{Kind: forensics.OwnerIOPTTable, VM: vm.id}
 	}
-	hugeBase := p &^ memdef.PFN(memdef.PagesPerHuge-1)
 	for vm := range h.vms {
-		if gpa, ok := vm.reverse[p]; ok {
-			cb := vm.backing[gpa]
-			if cb != nil && !cb.huge {
-				// reverse indexes non-huge chunks per frame but maps to
-				// the chunk base GPA; add the frame's offset within it.
-				for i, fp := range cb.frames {
-					if fp == p {
-						gpa += memdef.GPA(uint64(i) * memdef.PageSize)
-						break
-					}
-				}
-			}
+		if gpa, ok := vm.frameToGPA(p); ok {
 			return &forensics.Owner{Kind: forensics.OwnerGuestFrame, VM: vm.id, GPA: uint64(gpa)}
-		}
-		// Huge chunks index only the base frame in reverse.
-		if gpa, ok := vm.reverse[hugeBase]; ok && hugeBase != p {
-			if cb := vm.backing[gpa]; cb != nil && cb.huge {
-				gpa += memdef.GPA(uint64(p-hugeBase) * memdef.PageSize)
-				return &forensics.Owner{Kind: forensics.OwnerGuestFrame, VM: vm.id, GPA: uint64(gpa)}
-			}
 		}
 	}
 	for _, kp := range h.kernelPages {

@@ -119,10 +119,9 @@ func TestHammerCollateralAcrossVMs(t *testing.T) {
 	attacker := newTestVM(t, h, 96*memdef.MiB)
 	victim := newTestVM(t, h, 96*memdef.MiB)
 	// The victim fills its memory with ones.
-	for gpa := memdef.GPA(0); gpa < 96*memdef.MiB; gpa += memdef.PageSize {
-		if err := victim.FillPageGPA(gpa, ^uint64(0)); err != nil {
-			t.Fatal(err)
-		}
+	ones := func(int) uint64 { return ^uint64(0) }
+	if err := victim.FillPagesGPA(0, int(96*memdef.MiB/memdef.PageSize), ones); err != nil {
+		t.Fatal(err)
 	}
 	// The attacker hammers its own borders.
 	geo := h.DRAM.Geo
@@ -134,7 +133,8 @@ func TestHammerCollateralAcrossVMs(t *testing.T) {
 		}
 	}
 	for gpa := memdef.GPA(0); gpa < 96*memdef.MiB; gpa += 2 * memdef.MiB {
-		if err := attacker.HammerGPA(gpa+memdef.GPA(offA), gpa+memdef.GPA(offB), 300_000); err != nil {
+		op := HammerBatchOp{Aggressors: []memdef.GPA{gpa + memdef.GPA(offA), gpa + memdef.GPA(offB)}, Rounds: 300_000}
+		if err := attacker.HammerBatchGPA([]HammerBatchOp{op}); err != nil {
 			t.Fatal(err)
 		}
 	}

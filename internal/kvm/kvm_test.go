@@ -204,10 +204,9 @@ func TestHammerProducesAttributableFlips(t *testing.T) {
 	h := newTestHost(t, cfg)
 	vm := newTestVM(t, h, 64*memdef.MiB)
 	// Fill all guest memory with ones so both flip directions apply.
-	for gpa := memdef.GPA(0); gpa < 64*memdef.MiB; gpa += memdef.PageSize {
-		if err := vm.FillPageGPA(gpa, ^uint64(0)); err != nil {
-			t.Fatal(err)
-		}
+	ones := func(int) uint64 { return ^uint64(0) }
+	if err := vm.FillPagesGPA(0, int(64*memdef.MiB/memdef.PageSize), ones); err != nil {
+		t.Fatal(err)
 	}
 	cursor := 0
 	var flips []GuestFlip
@@ -225,7 +224,7 @@ func TestHammerProducesAttributableFlips(t *testing.T) {
 	for gpa := memdef.GPA(0); gpa < 60*memdef.MiB && len(flips) == 0; gpa += 2 * memdef.MiB {
 		a := gpa + memdef.GPA(offA)
 		b := gpa + memdef.GPA(offB)
-		if err := vm.HammerGPA(a, b, 250_000); err != nil {
+		if err := vm.HammerBatchGPA([]HammerBatchOp{{Aggressors: []memdef.GPA{a, b}, Rounds: 250_000}}); err != nil {
 			t.Fatal(err)
 		}
 		flips, cursor = vm.ContentFlipsSince(cursor)

@@ -84,8 +84,9 @@ type VM struct {
 	// backing maps each plugged 2 MiB chunk base GPA to its host
 	// frames. It is hypervisor truth, independent of EPT contents.
 	backing map[memdef.GPA]*chunkBacking
-	// reverse maps a backing base frame to its chunk GPA (huge
-	// chunks) for flip attribution; non-huge chunks index per frame.
+	// reverse maps backing frames to GPAs for flip attribution: a huge
+	// chunk's base frame to the chunk GPA, every 4 KiB backing frame to
+	// its own page GPA.
 	reverse map[memdef.PFN]memdef.GPA
 
 	tlb map[memdef.GPA]tlbEntry
@@ -105,11 +106,8 @@ type VM struct {
 	scanChunks []memdef.GPA
 	scanDirty  bool
 
-	// aggScratch is HammerManyGPA's reusable aggressor buffer (the
-	// DRAM module does not retain it past the call).
-	aggScratch []dram.RowRef
 	// batchRefs/batchOps are HammerBatchGPA's reusable translation
-	// buffers.
+	// buffers (the DRAM module does not retain them past the call).
 	batchRefs []dram.RowRef
 	batchOps  []dram.HammerOp
 
@@ -306,7 +304,7 @@ func (b *vmMemBackend) PlugRange(gpa memdef.GPA, size uint64) error {
 			return fmt.Errorf("kvm: mapping page: %w", err)
 		}
 		frames[i] = p
-		vm.reverse[p] = gpa
+		vm.reverse[p] = gpa + memdef.GPA(uint64(i)*memdef.PageSize)
 	}
 	vm.backing[gpa] = &chunkBacking{frames: frames}
 	vm.scanDirty = true
@@ -464,27 +462,13 @@ func (vm *VM) WriteGPA64(gpa memdef.GPA, v uint64) error {
 	return nil
 }
 
-// FillPageGPA fills the 4 KiB guest page at gpa with a repeated word,
-// charging one page-write of virtual time.
-func (vm *VM) FillPageGPA(gpa memdef.GPA, word uint64) error {
-	hpa, err := vm.translate(gpa)
-	if err != nil {
-		return err
-	}
-	vm.host.Clock.Advance(simtime.PageWrite)
-	p := memdef.PFNOf(hpa)
-	vm.host.Mem.FillWord(p, word)
-	vm.host.noteWrite(hpa)
-	return nil
-}
-
 // FillPagesGPA fills count consecutive 4 KiB guest pages starting at
-// the page-aligned gpa, page k with wordAt(k). Observationally
-// identical to count FillPageGPA calls — errors surface at the same
-// page, each page charges one page-write before its contents change,
-// and a write landing in a live table frame invalidates cached
-// translations before the next page resolves — but the chunk-level
-// translation is looked up once per 2 MiB run instead of per page.
+// the page-aligned gpa, page k with wordAt(k). Pages are filled one at
+// a time in address order: an error surfaces at the page that caused
+// it, each page charges one page-write of virtual time before its
+// contents change, and a write landing in a live table frame
+// invalidates cached translations before the next page resolves. The
+// chunk-level translation is looked up once per 2 MiB run.
 func (vm *VM) FillPagesGPA(gpa memdef.GPA, count int, wordAt func(k int) uint64) error {
 	h := vm.host
 	k := 0
@@ -575,64 +559,31 @@ func (vm *VM) ExecGPA(gpa memdef.GPA) (bool, error) {
 	return true, nil
 }
 
-// HammerGPA performs the Rowhammer access loop on two guest addresses
-// for the given number of rounds: each round activates the DRAM rows
-// backing both addresses. Candidate flips from the fault model are
-// committed to physical memory. The guest learns nothing from the
-// call itself — it must scan memory to find flips.
-func (vm *VM) HammerGPA(a, b memdef.GPA, rounds int) error {
-	return vm.HammerManyGPA([]memdef.GPA{a, b}, rounds)
-}
-
-// HammerManyGPA hammers an arbitrary aggressor set, the TRRespass-
-// style many-sided access loop used to overwhelm in-DRAM TRR trackers.
-func (vm *VM) HammerManyGPA(addrs []memdef.GPA, rounds int) error {
-	geo := vm.host.DRAM.Geo
-	op := dram.HammerOp{Rounds: rounds, Aggressors: vm.aggScratch[:0]}
-	for _, a := range addrs {
-		hpa, err := vm.translate(a)
-		if err != nil {
-			return err
-		}
-		op.Aggressors = append(op.Aggressors, dram.RowRef{
-			Bank: geo.Bank(hpa), Row: geo.Row(hpa),
-		})
-	}
-	vm.aggScratch = op.Aggressors[:0]
-	vm.host.met.hammerOps.Inc()
-	vm.host.met.hammerRounds.Add(uint64(rounds))
-	vm.host.met.hammerActs.Add(uint64(op.Activations()))
-	vm.host.Clock.Charge(op.Activations(), simtime.RowActivation)
-	vm.host.applyFlips(vm.host.DRAM.Hammer(op))
-	return nil
-}
-
-// HammerBatchOp is one hammer operation on the batched submission
-// path, named by guest physical addresses.
+// HammerBatchOp is one hammer operation named by guest physical
+// addresses: every aggressor row is activated Rounds times.
 type HammerBatchOp struct {
 	Aggressors []memdef.GPA
 	Rounds     int
 }
 
-// HammerBatchGPA submits a batch of hammer operations to the DRAM
-// fault model's batched pipeline. Results — flips applied, metrics,
-// sim-clock charges, forensics lineage — are identical to submitting
-// the ops through HammerManyGPA one at a time, with two narrow,
-// loudly-handled exceptions inherent to eager translation:
+// HammerBatchGPA performs the Rowhammer access loop for each op in
+// turn. Candidate flips from the fault model are committed to physical
+// memory. The guest learns nothing from the call itself — it must scan
+// memory to find flips.
 //
-//   - every op's aggressors are translated up front, so an address
-//     error surfaces before any op runs instead of after the earlier
-//     ops completed;
+// Batch contract:
 //
-//   - if a mid-batch flip lands in a live translation-table frame,
-//     the remaining ops' pre-translated rows are re-checked against a
-//     fresh translation and the batch aborts with an explicit
-//     divergence error if any moved (sequential submission would
-//     silently hammer the new rows).
-//
-// A host crash (ECC machine check) mid-batch aborts the remaining
-// ops with ErrHostDown, exactly where sequential submission's next
-// translate would have failed.
+//   - Every op's aggressors are translated up front, so an address
+//     error fails the batch before any op charges the clock.
+//   - Each op then runs as a one-op batch would: the hammer metrics,
+//     the clock charge (tick hooks see the state the previous op
+//     left), the DRAM fault model, flip application.
+//   - After each op but the last: if its flips machine-checked the
+//     host, the batch ends with ErrHostDown; if one landed in a live
+//     translation-table frame, the remaining ops are re-translated and
+//     the batch ends with a divergence error if any aggressor moved,
+//     where one-op submission would have hammered the new rows. Either
+//     way no later op is evaluated.
 func (vm *VM) HammerBatchGPA(batch []HammerBatchOp) error {
 	h := vm.host
 	geo := h.DRAM.Geo
@@ -653,31 +604,32 @@ func (vm *VM) HammerBatchGPA(batch []HammerBatchOp) error {
 		})
 	}
 	vm.batchRefs, vm.batchOps = refs, dops
-	pre := func(i int) {
+	for i, op := range dops {
 		h.met.hammerOps.Inc()
-		h.met.hammerRounds.Add(uint64(dops[i].Rounds))
-		h.met.hammerActs.Add(uint64(dops[i].Activations()))
-		h.Clock.Charge(dops[i].Activations(), simtime.RowActivation)
-	}
-	deliver := func(i int, flips []dram.CandidateFlip) error {
+		h.met.hammerRounds.Add(uint64(op.Rounds))
+		h.met.hammerActs.Add(uint64(op.Activations()))
+		h.Clock.Charge(op.Activations(), simtime.RowActivation)
+		flips := h.DRAM.Hammer(op)
 		applied := h.applyFlips(flips)
-		if h.crashed && i < len(dops)-1 {
+		if i == len(dops)-1 {
+			break
+		}
+		if h.crashed {
 			return ErrHostDown
 		}
-		if applied > 0 && i < len(dops)-1 && h.flipsHitTables(flips) {
+		if applied > 0 && h.flipsHitTables(flips) {
 			if err := vm.verifyBatchTranslations(batch, dops, i+1); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	return h.DRAM.HammerBatchFunc(dops, pre, deliver)
+	return nil
 }
 
 // verifyBatchTranslations re-translates the remaining ops' aggressors
 // after a flip corrupted a live table frame, comparing against the
 // batch's eager translation. Any movement means the batch can no
-// longer reproduce sequential submission and must abort.
+// longer reproduce one-op submission and must abort.
 func (vm *VM) verifyBatchTranslations(batch []HammerBatchOp, dops []dram.HammerOp, from int) error {
 	geo := vm.host.DRAM.Geo
 	for i := from; i < len(batch); i++ {
