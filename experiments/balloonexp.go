@@ -123,8 +123,9 @@ func balloonRun(o Options, drain bool) (BalloonRow, error) {
 
 	// Release single pages across the buffer — the balloon's per-page
 	// granularity in action. Track their physical frames (via the
-	// experiment hypercall) for the host-side reuse count.
-	released := make(map[memdef.PFN]bool)
+	// experiment hypercall) for the host-side reuse count; each backs a
+	// distinct guest page, so no frame appears twice.
+	var released []memdef.PFN
 	for i := 0; i < n; i += 4 {
 		for _, pg := range []int{37, 205, 411} {
 			gva := base + memdef.GVA(i)*memdef.HugePageSize + memdef.GVA(pg)*memdef.PageSize
@@ -135,7 +136,7 @@ func balloonRun(o Options, drain bool) (BalloonRow, error) {
 			if err := gos.InflateBalloonPage(gva); err != nil {
 				return BalloonRow{}, err
 			}
-			released[memdef.PFNOf(hpa)] = true
+			released = append(released, memdef.PFNOf(hpa))
 		}
 	}
 
@@ -148,9 +149,8 @@ func balloonRun(o Options, drain bool) (BalloonRow, error) {
 	}
 
 	reused := 0
-	leaves := vm.EPTTablePages(1)
-	for _, p := range leaves {
-		if released[p] {
+	for _, p := range released {
+		if vm.IsEPTLeaf(p) {
 			reused++
 		}
 	}
@@ -161,7 +161,7 @@ func balloonRun(o Options, drain bool) (BalloonRow, error) {
 	return BalloonRow{
 		Path:       path,
 		Released:   len(released),
-		TablePages: len(leaves),
+		TablePages: vm.EPTReuse().EPTPages,
 		Reused:     reused,
 	}, nil
 }

@@ -19,6 +19,7 @@ import (
 
 	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
+	"hyperhammer/internal/memmap"
 	"hyperhammer/internal/metrics"
 )
 
@@ -44,13 +45,6 @@ const (
 	pcpHigh = 186
 )
 
-type blockInfo struct {
-	order int
-	mt    memdef.MigrateType
-	// index of the block inside its free list, for O(1) removal.
-	index int
-}
-
 // Allocator is the buddy allocator over a contiguous PFN range.
 // It is not safe for concurrent use.
 type Allocator struct {
@@ -61,9 +55,11 @@ type Allocator struct {
 	// a stack: allocation pops the most recently freed block, which
 	// reproduces the reuse behaviour Page Steering relies on.
 	freeLists [memdef.NumMigrateTypes][memdef.MaxOrder][]memdef.PFN
-	// free indexes every free block head for coalescing and for
-	// removing a buddy from the middle of its list.
-	free map[memdef.PFN]blockInfo
+	// mm describes every frame. A free block's head records its order,
+	// migration type and free-list index, for coalescing and for
+	// removing a buddy from the middle of its list; a PCP page records
+	// its cache. The hypervisor records every other owner in it.
+	mm memmap.Map
 
 	// pcp is the order-0 per-CPU cache, per migration type.
 	pcp [memdef.NumMigrateTypes][]memdef.PFN
@@ -115,12 +111,12 @@ func (a *Allocator) SetLedger(r *ledger.Recorder) {
 // New creates an allocator over pages frames starting at start, with
 // the whole range initially free as MIGRATE_MOVABLE max-order blocks
 // (the state of a freshly booted host's ZONE_NORMAL before kernel
-// allocations carve it up).
+// allocations carve it up), and the memmap that describes them.
 func New(start memdef.PFN, pages uint64) *Allocator {
 	a := &Allocator{
 		start: start,
 		pages: pages,
-		free:  make(map[memdef.PFN]blockInfo),
+		mm:    make(memmap.Map, uint64(start)+pages),
 	}
 	p := uint64(start)
 	end := uint64(start) + pages
@@ -141,11 +137,9 @@ func New(start memdef.PFN, pages uint64) *Allocator {
 	return a
 }
 
-// Start returns the first managed PFN.
-func (a *Allocator) Start() memdef.PFN { return a.start }
-
-// Pages returns the number of managed frames.
-func (a *Allocator) Pages() uint64 { return a.pages }
+// Memmap returns the frame descriptors the allocator keeps, which the
+// host shares to record every other owner.
+func (a *Allocator) Memmap() memmap.Map { return a.mm }
 
 // FreePages returns the total number of free pages, including pages
 // cached in the PCP.
@@ -161,31 +155,23 @@ func (a *Allocator) contains(p memdef.PFN) bool {
 	return uint64(p) >= uint64(a.start) && uint64(p) < uint64(a.start)+a.pages
 }
 
-// pushFree places a block on its free list and indexes it.
+// pushFree places a block on its free list and describes its head.
 func (a *Allocator) pushFree(p memdef.PFN, order int, mt memdef.MigrateType) {
 	list := &a.freeLists[mt][order]
-	a.free[p] = blockInfo{order: order, mt: mt, index: len(*list)}
+	a.mm[p] = memmap.FreeDesc(order, mt, len(*list))
 	*list = append(*list, p)
 }
 
-// removeFree unlinks a specific free block (swap-remove).
-func (a *Allocator) removeFree(p memdef.PFN) blockInfo {
-	bi, ok := a.free[p]
-	if !ok {
-		panic(fmt.Sprintf("buddy: block %d not free", p))
-	}
-	list := &a.freeLists[bi.mt][bi.order]
+// removeFree unlinks free block head d at p (swap-remove): the list's
+// last block takes p's slot, and so p's descriptor.
+func (a *Allocator) removeFree(p memdef.PFN, d memmap.Desc) {
+	list := &a.freeLists[d.MT()][d.Order()]
 	last := len(*list) - 1
 	moved := (*list)[last]
-	(*list)[bi.index] = moved
+	(*list)[d.Index()] = moved
 	*list = (*list)[:last]
-	if moved != p {
-		mi := a.free[moved]
-		mi.index = bi.index
-		a.free[moved] = mi
-	}
-	delete(a.free, p)
-	return bi
+	a.mm[moved] = d
+	a.mm[p] = 0
 }
 
 // popFree pops the most recently freed block of (mt, order), or false.
@@ -196,7 +182,7 @@ func (a *Allocator) popFree(mt memdef.MigrateType, order int) (memdef.PFN, bool)
 	}
 	p := (*list)[len(*list)-1]
 	*list = (*list)[:len(*list)-1]
-	delete(a.free, p)
+	a.mm[p] = 0
 	return p, true
 }
 
@@ -285,13 +271,17 @@ func (a *Allocator) Free(p memdef.PFN, order int, mt memdef.MigrateType) {
 	a.met.frees[order].Inc()
 	a.led.Fold3(ledBuddyFree, uint64(p), uint64(order))
 	a.freePages += uint64(1) << order
+	a.mm[p] = 0
 	for order < memdef.MaxOrder-1 {
 		buddyPFN := p ^ memdef.PFN(uint64(1)<<order)
-		bi, ok := a.free[buddyPFN]
-		if !ok || bi.order != order || bi.mt != mt || !a.contains(buddyPFN) {
+		if !a.contains(buddyPFN) {
 			break
 		}
-		a.removeFree(buddyPFN)
+		d := a.mm[buddyPFN]
+		if d.Kind() != memmap.FreeHead || d.Order() != order || d.MT() != mt {
+			break
+		}
+		a.removeFree(buddyPFN, d)
 		if buddyPFN < p {
 			p = buddyPFN
 		}
@@ -314,6 +304,7 @@ func (a *Allocator) AllocPage(mt memdef.MigrateType) (memdef.PFN, error) {
 			if err != nil {
 				break
 			}
+			a.mm[p] = memmap.PCPDesc(mt)
 			*cache = append(*cache, p)
 		}
 		if len(*cache) == 0 {
@@ -322,6 +313,7 @@ func (a *Allocator) AllocPage(mt memdef.MigrateType) (memdef.PFN, error) {
 	}
 	p := (*cache)[len(*cache)-1]
 	*cache = (*cache)[:len(*cache)-1]
+	a.mm[p] = 0
 	a.led.Fold3(ledBuddyPCPAlloc, uint64(p), uint64(mt))
 	a.syncPCPGauge()
 	return p, nil
@@ -337,6 +329,7 @@ func (a *Allocator) syncPCPGauge() {
 // watermark.
 func (a *Allocator) FreePage(p memdef.PFN, mt memdef.MigrateType) {
 	a.led.Fold3(ledBuddyPCPFree, uint64(p), uint64(mt))
+	a.mm[p] = memmap.PCPDesc(mt)
 	cache := &a.pcp[mt]
 	*cache = append(*cache, p)
 	if len(*cache) > pcpHigh {
@@ -365,15 +358,6 @@ func (a *Allocator) DrainPCP() {
 	a.syncPCPGauge()
 }
 
-// PCPCount returns how many order-0 pages of mt sit in the PCP cache.
-func (a *Allocator) PCPCount(mt memdef.MigrateType) int { return len(a.pcp[mt]) }
-
-// FreeBlocks returns the number of free blocks of (mt, order),
-// matching one cell of /proc/pagetypeinfo.
-func (a *Allocator) FreeBlocks(mt memdef.MigrateType, order int) int {
-	return len(a.freeLists[mt][order])
-}
-
 // PageTypeInfo returns the full free-block table, the simulation's
 // /proc/pagetypeinfo.
 func (a *Allocator) PageTypeInfo() [memdef.NumMigrateTypes][memdef.MaxOrder]int {
@@ -386,30 +370,14 @@ func (a *Allocator) PageTypeInfo() [memdef.NumMigrateTypes][memdef.MaxOrder]int 
 	return out
 }
 
-// FreeBlockContaining reports whether frame p currently lies inside a
-// free block, and if so that block's base, order and migration type.
-// Diagnostic API (the kernel's equivalent is PageBuddy inspection).
-func (a *Allocator) FreeBlockContaining(p memdef.PFN) (base memdef.PFN, order int, mt memdef.MigrateType, ok bool) {
-	for o := 0; o < memdef.MaxOrder; o++ {
-		candidate := p &^ (memdef.PFN(1)<<o - 1)
-		if bi, found := a.free[candidate]; found && bi.order == o {
-			return candidate, o, bi.mt, true
-		}
-	}
-	return 0, 0, 0, false
+// FreeList returns the (mt, order) free list; Alloc pops its end.
+// Read only.
+func (a *Allocator) FreeList(mt memdef.MigrateType, order int) []memdef.PFN {
+	return a.freeLists[mt][order]
 }
 
-// InPCP reports whether frame p is cached in a per-CPU pageset.
-func (a *Allocator) InPCP(p memdef.PFN) bool {
-	for mt := range a.pcp {
-		for _, q := range a.pcp[mt] {
-			if q == p {
-				return true
-			}
-		}
-	}
-	return false
-}
+// PCP returns the mt per-CPU pageset; AllocPage pops its end. Read only.
+func (a *Allocator) PCP(mt memdef.MigrateType) []memdef.PFN { return a.pcp[mt] }
 
 // NoisePages returns the number of free pages held in small-order
 // (below order-9) blocks of the given migration type, plus PCP-cached

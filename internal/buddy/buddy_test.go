@@ -17,10 +17,10 @@ func TestNewAllFree(t *testing.T) {
 		t.Fatalf("FreePages() = %d, want 4096", got)
 	}
 	// 4096 pages = 4 max-order (1024-page) blocks, all movable.
-	if got := a.FreeBlocks(memdef.MigrateMovable, memdef.MaxOrder-1); got != 4 {
+	if got := len(a.FreeList(memdef.MigrateMovable, memdef.MaxOrder-1)); got != 4 {
 		t.Errorf("max-order movable blocks = %d, want 4", got)
 	}
-	if got := a.FreeBlocks(memdef.MigrateUnmovable, memdef.MaxOrder-1); got != 0 {
+	if got := len(a.FreeList(memdef.MigrateUnmovable, memdef.MaxOrder-1)); got != 0 {
 		t.Errorf("unmovable blocks = %d, want 0", got)
 	}
 }
@@ -44,12 +44,12 @@ func TestAllocSplitsAndFreeCoalesces(t *testing.T) {
 	}
 	// Splitting one order-10 block must populate each order 0..9 once.
 	for o := 0; o < memdef.MaxOrder-1; o++ {
-		if got := a.FreeBlocks(memdef.MigrateMovable, o); got != 1 {
+		if got := len(a.FreeList(memdef.MigrateMovable, o)); got != 1 {
 			t.Errorf("order %d blocks = %d, want 1", o, got)
 		}
 	}
 	a.Free(p, 0, memdef.MigrateMovable)
-	if got := a.FreeBlocks(memdef.MigrateMovable, memdef.MaxOrder-1); got != 1 {
+	if got := len(a.FreeList(memdef.MigrateMovable, memdef.MaxOrder-1)); got != 1 {
 		t.Errorf("after free, max-order blocks = %d, want full coalesce to 1", got)
 	}
 }
@@ -97,7 +97,7 @@ func TestFallbackStealing(t *testing.T) {
 	// The remainder of the stolen block is re-typed unmovable.
 	unmovableFree := 0
 	for o := 0; o < memdef.MaxOrder; o++ {
-		unmovableFree += a.FreeBlocks(memdef.MigrateUnmovable, o) << o
+		unmovableFree += len(a.FreeList(memdef.MigrateUnmovable, o)) << o
 	}
 	if unmovableFree != 1023 {
 		t.Errorf("unmovable free pages after steal = %d, want 1023", unmovableFree)
@@ -137,11 +137,11 @@ func TestPCPBatchingBehaviour(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One batch was pulled; batch-1 remain cached.
-	if got := a.PCPCount(memdef.MigrateUnmovable); got != pcpBatch-1 {
+	if got := len(a.PCP(memdef.MigrateUnmovable)); got != pcpBatch-1 {
 		t.Errorf("PCP count after first alloc = %d, want %d", got, pcpBatch-1)
 	}
 	a.FreePage(p, memdef.MigrateUnmovable)
-	if got := a.PCPCount(memdef.MigrateUnmovable); got != pcpBatch {
+	if got := len(a.PCP(memdef.MigrateUnmovable)); got != pcpBatch {
 		t.Errorf("PCP count after free = %d, want %d", got, pcpBatch)
 	}
 	// Push past the high watermark: a batch drains.
@@ -192,10 +192,10 @@ func TestDrainPCP(t *testing.T) {
 	p, _ := a.AllocPage(memdef.MigrateMovable)
 	a.FreePage(p, memdef.MigrateMovable)
 	a.DrainPCP()
-	if got := a.PCPCount(memdef.MigrateMovable); got != 0 {
+	if got := len(a.PCP(memdef.MigrateMovable)); got != 0 {
 		t.Errorf("PCP count after drain = %d", got)
 	}
-	if got := a.FreeBlocks(memdef.MigrateMovable, memdef.MaxOrder-1); got != 1 {
+	if got := len(a.FreeList(memdef.MigrateMovable, memdef.MaxOrder-1)); got != 1 {
 		t.Errorf("drain did not coalesce back: %d max-order blocks", got)
 	}
 }

@@ -13,7 +13,6 @@ package ept
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
@@ -108,12 +107,11 @@ type Memory interface {
 
 // Allocator provides zeroable table pages. The hypervisor implements
 // it on top of the host buddy allocator with MIGRATE_UNMOVABLE order-0
-// pages — the allocation the attacker steers onto vulnerable frames.
+// pages — the allocation the attacker steers onto vulnerable frames —
+// and records each page's owner and level, so it frees them too.
 type Allocator interface {
-	// AllocTable returns a frame to be used as a table page.
-	AllocTable() (memdef.PFN, error)
-	// FreeTable returns a table frame.
-	FreeTable(p memdef.PFN)
+	// AllocTable returns a frame to be used as a table page at level.
+	AllocTable(level int) (memdef.PFN, error)
 }
 
 // Errors returned by table operations.
@@ -144,24 +142,21 @@ const (
 	countLevels = 6
 )
 
+// LevelCounts counts table pages by level (index = level, 0 unused).
+type LevelCounts = [countLevels]int
+
 // Table is one 4-level translation structure.
 type Table struct {
 	mem   Memory
 	alloc Allocator
 	root  memdef.PFN
 
-	// tables records every table page the *hypervisor* allocated for
-	// this structure and its level. It is bookkeeping, not the truth:
-	// translation always follows the (possibly flip-corrupted) words
-	// in memory. Used for instrumentation such as Table 2's EPT-page
-	// dump and for teardown.
-	tables map[memdef.PFN]int
-
 	// leaf4k and leaf2m count installed leaf mappings by page size,
-	// and byLevel counts tables' entries by level (index = level).
-	// Like tables, this is hypervisor bookkeeping — flip-corrupted
-	// entries still count as whatever was installed — maintained O(1)
-	// so the layout census never walks the structure.
+	// and byLevel counts the table pages the allocator handed out by
+	// level (index = level). It is hypervisor bookkeeping, not the
+	// truth: translation always follows the (possibly flip-corrupted)
+	// words in memory. Maintained O(1) so the layout census never walks
+	// the structure.
 	leaf4k, leaf2m int
 	byLevel        [countLevels]int
 
@@ -190,7 +185,7 @@ func (t *Table) SetMetrics(reg *metrics.Registry) {
 		splits:       reg.Counter("ept_splits_total", "2 MiB leaves demoted to 4 KiB leaf tables."),
 		tablePages:   reg.Gauge("ept_table_pages", "Live hypervisor-allocated table pages across all structures."),
 	}
-	t.met.tablePages.Add(int64(len(t.tables)))
+	t.met.tablePages.Add(int64(t.NumTables()))
 }
 
 // SetLedger attaches a determinism-ledger stream for structure
@@ -204,17 +199,12 @@ func (t *Table) SetLedger(s *ledger.Stream) {
 
 // New allocates an empty 4-level table structure.
 func New(mem Memory, alloc Allocator) (*Table, error) {
-	root, err := alloc.AllocTable()
+	root, err := alloc.AllocTable(rootLevel)
 	if err != nil {
 		return nil, fmt.Errorf("ept: allocating root: %w", err)
 	}
 	mem.ZeroPage(root)
-	t := &Table{
-		mem:    mem,
-		alloc:  alloc,
-		root:   root,
-		tables: map[memdef.PFN]int{root: rootLevel},
-	}
+	t := &Table{mem: mem, alloc: alloc, root: root}
 	t.byLevel[rootLevel] = 1
 	return t, nil
 }
@@ -255,12 +245,12 @@ func (t *Table) walkTo(va uint64, toLevel int, create bool) (memdef.PFN, error) 
 			if !create {
 				return 0, ErrNotMapped
 			}
-			next, err := t.alloc.AllocTable()
+			next, err := t.alloc.AllocTable(level - 1)
 			if err != nil {
 				return 0, fmt.Errorf("ept: allocating level-%d table: %w", level-1, err)
 			}
 			t.mem.ZeroPage(next)
-			t.addTable(next, level-1)
+			t.addTable(level - 1)
 			t.writeEntry(tp, va, level, NewEntry(next, PermRWX, false))
 			tp = next
 			continue
@@ -402,12 +392,12 @@ func (t *Table) SplitHuge(va uint64, perm Perm) (memdef.PFN, error) {
 	if !e.Present() || !e.Large() {
 		return 0, ErrNotHuge
 	}
-	leaf, err := t.alloc.AllocTable()
+	leaf, err := t.alloc.AllocTable(leafLevel)
 	if err != nil {
 		return 0, fmt.Errorf("ept: allocating split leaf: %w", err)
 	}
 	t.mem.ZeroPage(leaf)
-	t.addTable(leaf, leafLevel)
+	t.addTable(leafLevel)
 	t.met.splits.Inc()
 	base := e.PFN()
 	for i := 0; i < memdef.PagesPerHuge; i++ {
@@ -445,53 +435,29 @@ func (t *Table) Unmap(va uint64) (Entry, error) {
 // structure.
 func (t *Table) Leaves() (leaf4k, leaf2m int) { return t.leaf4k, t.leaf2m }
 
-// addTable books a freshly allocated table page at level.
-func (t *Table) addTable(p memdef.PFN, level int) {
-	t.tables[p] = level
+// addTable counts a freshly allocated table page at level.
+func (t *Table) addTable(level int) {
 	t.byLevel[level]++
 	t.met.tablePages.Add(1)
 }
 
 // TableCountByLevel returns how many table pages exist at each level
-// (index = level, 0 unused), the O(1) form of TablePages for the
-// layout census.
-func (t *Table) TableCountByLevel() [countLevels]int { return t.byLevel }
-
-// TablePages returns the frames of all hypervisor-allocated table
-// pages at the given level (per bookkeeping, not memory contents).
-// Level 1 returns the leaf tables — the paper's "EPT pages" count E.
-func (t *Table) TablePages(level int) []memdef.PFN {
-	var out []memdef.PFN
-	for p, l := range t.tables {
-		if l == level {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+// (index = level, 0 unused). Level 1 counts the leaf tables — the
+// paper's "EPT pages" count E.
+func (t *Table) TableCountByLevel() LevelCounts { return t.byLevel }
 
 // NumTables returns the total number of table pages at all levels.
-func (t *Table) NumTables() int { return len(t.tables) }
-
-// IsTablePage reports whether frame p is a bookkept table page of this
-// structure and its level.
-func (t *Table) IsTablePage(p memdef.PFN) (int, bool) {
-	l, ok := t.tables[p]
-	return l, ok
+func (t *Table) NumTables() int {
+	n := 0
+	for _, c := range t.byLevel {
+		n += c
+	}
+	return n
 }
 
-// Destroy frees every bookkept table page back to the allocator, in
-// frame order so the allocator's free-list state stays deterministic.
+// Destroy zeroes the per-level counts and takes the table pages off
+// the shared gauge. The allocator's owner frees the frames.
 func (t *Table) Destroy() {
-	pages := make([]memdef.PFN, 0, len(t.tables))
-	for p := range t.tables {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i] < pages[j] })
-	for _, p := range pages {
-		t.alloc.FreeTable(p)
-	}
-	t.met.tablePages.Add(-int64(len(pages)))
-	t.tables = nil
-	t.byLevel = [countLevels]int{}
+	t.met.tablePages.Add(-int64(t.NumTables()))
+	t.byLevel = LevelCounts{}
 }

@@ -5,22 +5,37 @@ import (
 	"testing"
 
 	"hyperhammer/internal/memdef"
+	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/phys"
 )
 
-// bumpAlloc hands out frames top-down from a private pool.
+// bumpAlloc hands out frames upward from a private pool and records
+// each one's level, as the hypervisor's memmap does.
 type bumpAlloc struct {
-	next  memdef.PFN
-	freed []memdef.PFN
+	next   memdef.PFN
+	levels map[memdef.PFN]int
 }
 
-func (b *bumpAlloc) AllocTable() (memdef.PFN, error) {
+func (b *bumpAlloc) AllocTable(level int) (memdef.PFN, error) {
+	if b.levels == nil {
+		b.levels = make(map[memdef.PFN]int)
+	}
 	p := b.next
 	b.next++
+	b.levels[p] = level
 	return p, nil
 }
 
-func (b *bumpAlloc) FreeTable(p memdef.PFN) { b.freed = append(b.freed, p) }
+// tablePages counts the frames handed out at level.
+func (b *bumpAlloc) tablePages(level int) int {
+	n := 0
+	for _, l := range b.levels {
+		if l == level {
+			n++
+		}
+	}
+	return n
+}
 
 func newTestTable(t *testing.T) (*Table, *phys.Memory, *bumpAlloc) {
 	t.Helper()
@@ -225,6 +240,8 @@ func TestFlipOutOfRangeIsMisconfiguration(t *testing.T) {
 
 func TestTablePagesAndDestroy(t *testing.T) {
 	tbl, _, alloc := newTestTable(t)
+	reg := metrics.New()
+	tbl.SetMetrics(reg)
 	for i := 0; i < 4; i++ {
 		if err := tbl.Map2M(uint64(i)*memdef.HugePageSize, memdef.PFN(512*(i+1)), PermRW); err != nil {
 			t.Fatal(err)
@@ -233,35 +250,39 @@ func TestTablePagesAndDestroy(t *testing.T) {
 	if _, err := tbl.SplitHuge(0, PermRWX); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tbl.TablePages(1)); got != 1 {
+	if got := alloc.tablePages(1); got != 1 {
 		t.Errorf("leaf tables = %d, want 1", got)
 	}
-	if _, ok := tbl.IsTablePage(tbl.Root()); !ok {
-		t.Error("root not a table page")
+	if l, ok := alloc.levels[tbl.Root()]; !ok || l != rootLevel {
+		t.Errorf("root booked at level %d (%v), want %d", l, ok, rootLevel)
 	}
-	n := tbl.NumTables()
+	gauge := reg.Gauge("ept_table_pages", "").Value
+	if n := tbl.NumTables(); n != len(alloc.levels) || gauge() != int64(n) {
+		t.Errorf("NumTables = %d, gauge %v, allocator handed out %d", n, gauge(), len(alloc.levels))
+	}
 	tbl.Destroy()
-	if len(alloc.freed) != n {
-		t.Errorf("Destroy freed %d pages, want %d", len(alloc.freed), n)
+	if n, g := tbl.NumTables(), gauge(); n != 0 || g != 0 {
+		t.Errorf("after Destroy: NumTables = %d, gauge %v, want 0", n, g)
 	}
 }
 
 // TestTableCountByLevelBookkeeping checks the O(1) per-level counts
-// against the per-level lengths of TablePages after maps, splits and a
-// teardown.
+// against the levels the allocator was asked for after maps and
+// splits, and against zero after a teardown.
 func TestTableCountByLevelBookkeeping(t *testing.T) {
 	// The tables are 4-level; the subtest keeps the per-depth name.
 	t.Run("levels=4", func(t *testing.T) {
+		alloc := &bumpAlloc{next: 3000}
 		check := func(tbl *Table, step string) {
 			t.Helper()
 			got := tbl.TableCountByLevel()
 			for l := range got {
-				if want := len(tbl.TablePages(l)); got[l] != want {
-					t.Errorf("%s: level %d count = %d, TablePages has %d", step, l, got[l], want)
+				if want := alloc.tablePages(l); got[l] != want {
+					t.Errorf("%s: level %d count = %d, allocator handed out %d", step, l, got[l], want)
 				}
 			}
 		}
-		tbl, err := New(phys.New(64*memdef.MiB), &bumpAlloc{next: 3000})
+		tbl, err := New(phys.New(64*memdef.MiB), alloc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +309,6 @@ func TestTableCountByLevelBookkeeping(t *testing.T) {
 			t.Errorf("leaf tables = %d, want 3 splits + 1 Map4K leaf", got)
 		}
 		tbl.Destroy()
-		check(tbl, "destroyed")
 		if got := tbl.TableCountByLevel(); got != [countLevels]int{} {
 			t.Errorf("counts after Destroy = %v, want all zero", got)
 		}

@@ -67,7 +67,6 @@ func (g guestMemory) Frames() int {
 type kernelPageAlloc struct {
 	next memdef.GPA
 	end  memdef.GPA
-	free []memdef.PFN
 }
 
 func newKernelPageAlloc() *kernelPageAlloc {
@@ -79,12 +78,7 @@ func newKernelPageAlloc() *kernelPageAlloc {
 	}
 }
 
-func (a *kernelPageAlloc) AllocTable() (memdef.PFN, error) {
-	if n := len(a.free); n > 0 {
-		p := a.free[n-1]
-		a.free = a.free[:n-1]
-		return p, nil
-	}
+func (a *kernelPageAlloc) AllocTable(int) (memdef.PFN, error) {
 	if a.next >= a.end {
 		return 0, fmt.Errorf("guest: kernel reserve exhausted by page tables")
 	}
@@ -92,8 +86,6 @@ func (a *kernelPageAlloc) AllocTable() (memdef.PFN, error) {
 	a.next += memdef.PageSize
 	return p, nil
 }
-
-func (a *kernelPageAlloc) FreeTable(p memdef.PFN) { a.free = append(a.free, p) }
 
 // initPageTables builds the guest's root paging structure.
 func (os *OS) initPageTables() {

@@ -6,6 +6,7 @@ import (
 	"hyperhammer/internal/balloon"
 	"hyperhammer/internal/ept"
 	"hyperhammer/internal/memdef"
+	"hyperhammer/internal/memmap"
 	"hyperhammer/internal/simtime"
 )
 
@@ -45,8 +46,8 @@ func (b *vmBalloonBackend) ReclaimPage(gpa memdef.GPA) error {
 		return ErrHostDown
 	}
 	chunk := memdef.HugeBase(gpa)
-	cb, ok := vm.backing[chunk]
-	if !ok {
+	cb := vm.backing[chunk/memdef.HugePageSize]
+	if cb == nil {
 		return fmt.Errorf("kvm: balloon reclaim of unbacked gpa %#x", gpa)
 	}
 	idx := int(uint64(gpa-chunk) / memdef.PageSize)
@@ -65,7 +66,7 @@ func (b *vmBalloonBackend) ReclaimPage(gpa memdef.GPA) error {
 		frames := make([]memdef.PFN, memdef.PagesPerHuge)
 		for i := range frames {
 			frames[i] = base + memdef.PFN(i)
-			vm.reverse[frames[i]] = chunk + memdef.GPA(i*memdef.PageSize)
+			h.frames[frames[i]] = memmap.GuestDesc(vm.slot, memdef.GFNOf(chunk)+memdef.GFN(i), false)
 		}
 		cb.huge = false
 		cb.frames = frames
@@ -77,7 +78,6 @@ func (b *vmBalloonBackend) ReclaimPage(gpa memdef.GPA) error {
 	if _, err := vm.ept.Unmap(uint64(gpa) &^ (memdef.PageSize - 1)); err != nil {
 		return fmt.Errorf("kvm: balloon unmap: %w", err)
 	}
-	delete(vm.reverse, frame)
 	cb.frames[idx] = reclaimedFrame
 	h.Buddy.FreePage(frame, vm.backingMT())
 	h.Clock.Advance(simtime.VirtioUnplug)
@@ -94,8 +94,8 @@ func (b *vmBalloonBackend) ProvidePage(gpa memdef.GPA) error {
 		return ErrHostDown
 	}
 	chunk := memdef.HugeBase(gpa)
-	cb, ok := vm.backing[chunk]
-	if !ok || cb.huge {
+	cb := vm.backing[chunk/memdef.HugePageSize]
+	if cb == nil || cb.huge {
 		return fmt.Errorf("kvm: balloon provide for non-reclaimed gpa %#x", gpa)
 	}
 	idx := int(uint64(gpa-chunk) / memdef.PageSize)
@@ -113,7 +113,7 @@ func (b *vmBalloonBackend) ProvidePage(gpa memdef.GPA) error {
 		return fmt.Errorf("kvm: balloon remap: %w", err)
 	}
 	cb.frames[idx] = p
-	vm.reverse[p] = memdef.GPA(pageVA)
+	h.frames[p] = memmap.GuestDesc(vm.slot, memdef.GFNOf(memdef.GPA(pageVA)), false)
 	h.met.balloonProvide.Inc()
 	vm.flushChunk(chunk)
 	return nil

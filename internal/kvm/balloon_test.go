@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyperhammer/internal/memdef"
+	"hyperhammer/internal/memmap"
 )
 
 // newBalloonVM builds a VM without VFIO (the Section 6 balloon
@@ -47,6 +48,7 @@ func TestBalloonReclaimAndProvide(t *testing.T) {
 	if err := dev.Inflate(target); err != nil {
 		t.Fatal(err)
 	}
+	mustCheckFrames(t, h, "balloon reclaim")
 	// The THP chunk was split (one new leaf table allocated, one
 	// backing frame released): net one page freed minus one table.
 	if vm.Splits() != splitsBefore+1 {
@@ -72,6 +74,7 @@ func TestBalloonReclaimAndProvide(t *testing.T) {
 	if err := dev.Deflate(target); err != nil {
 		t.Fatal(err)
 	}
+	mustCheckFrames(t, h, "balloon provide")
 	v, err := vm.ReadGPA64(target)
 	if err != nil {
 		t.Fatal(err)
@@ -95,20 +98,17 @@ func TestBalloonReleaseIsMovableOrder0(t *testing.T) {
 	if err := vm.Balloon().Inflate(target); err != nil {
 		t.Fatal(err)
 	}
-	frame := memdef.PFNOf(hpa)
-	if h.Buddy.InPCP(frame) {
-		// Cached in the movable per-CPU list: order-0 by definition.
-		return
+	// Cached in a per-CPU list (order-0 by definition), or heading an
+	// order-0 free block: either way the memmap says so and which list.
+	d := h.frames[memdef.PFNOf(hpa)]
+	if d.Kind() != memmap.PCP && d.Kind() != memmap.FreeHead {
+		t.Fatalf("reclaimed frame is neither a free-block head nor PCP-cached: %#x", d)
 	}
-	base, order, mt, ok := h.Buddy.FreeBlockContaining(frame)
-	if !ok {
-		t.Fatal("reclaimed frame neither free nor PCP-cached")
+	if d.MT() != memdef.MigrateMovable {
+		t.Errorf("reclaimed frame migratetype = %v", d.MT())
 	}
-	if mt != memdef.MigrateMovable {
-		t.Errorf("reclaimed frame migratetype = %v", mt)
-	}
-	if order != 0 || base != frame {
-		t.Errorf("reclaimed frame in order-%d block at %d", order, base)
+	if d.Kind() == memmap.FreeHead && d.Order() != 0 {
+		t.Errorf("reclaimed frame heads an order-%d block", d.Order())
 	}
 }
 
@@ -143,6 +143,7 @@ func TestDrainNetBuffers(t *testing.T) {
 		t.Fatal("no boot noise to drain")
 	}
 	consumed := vm.DrainNetBuffers(1 << 20)
+	mustCheckFrames(t, h, "net-buffer drain")
 	if consumed < noise/2 {
 		t.Errorf("drained %d of %d noise pages", consumed, noise)
 	}

@@ -21,6 +21,7 @@ import (
 	"hyperhammer/internal/forensics"
 	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
+	"hyperhammer/internal/memmap"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/obs"
 	"hyperhammer/internal/phys"
@@ -110,7 +111,13 @@ type Host struct {
 	cfg Config
 	rng *rand.Rand
 
-	vms map[*VM]struct{}
+	// frames is the buddy's memmap, where the host also records the
+	// kernel pages, table pages and guest backing it hands out.
+	frames memmap.Map
+
+	// vms holds the live VMs by slot, the VM number in memmap
+	// descriptors; a destroyed VM's slot is nil until reused.
+	vms []*VM
 	// vmSeq numbers VMs in creation order so forensics owner records
 	// can name them stably.
 	vmSeq int
@@ -118,14 +125,6 @@ type Host struct {
 	// kernelPages are frames the "host kernel" holds forever (boot
 	// allocations that create the initial unmovable noise).
 	kernelPages []memdef.PFN
-
-	// tableOwner maps every live EPT/IOPT table frame to the VM whose
-	// translations it serves, for TLB-coherence on writes and for
-	// instrumentation. tableBits mirrors its key set as a bitset so
-	// the write hot path (noteWrite, once per filled page) answers
-	// "not a table frame" without a map lookup.
-	tableOwner map[memdef.PFN]*VM
-	tableBits  []uint64
 
 	// releasedLog records, in order, the base PFNs of order-9 blocks
 	// that VMs released through virtio-mem — the paper's added
@@ -225,17 +224,15 @@ func NewHost(cfg Config) (*Host, error) {
 		return nil, fmt.Errorf("kvm: config needs a DRAM geometry")
 	}
 	h := &Host{
-		Mem:        phys.New(cfg.Geometry.Size),
-		DRAM:       dram.NewModule(cfg.Geometry, cfg.Fault),
-		Buddy:      buddy.New(0, cfg.Geometry.Size/memdef.PageSize),
-		Clock:      &simtime.Clock{},
-		cfg:        cfg,
-		rng:        rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6C62272E07BB0142)),
-		vms:        make(map[*VM]struct{}),
-		tableOwner: make(map[memdef.PFN]*VM),
-		met:        newHostMetrics(cfg.Metrics),
+		Mem:   phys.New(cfg.Geometry.Size),
+		DRAM:  dram.NewModule(cfg.Geometry, cfg.Fault),
+		Buddy: buddy.New(0, cfg.Geometry.Size/memdef.PageSize),
+		Clock: &simtime.Clock{},
+		cfg:   cfg,
+		rng:   rand.New(rand.NewPCG(cfg.Seed, cfg.Seed^0x6C62272E07BB0142)),
+		met:   newHostMetrics(cfg.Metrics),
 	}
-	h.tableBits = make([]uint64, (h.Mem.Frames()+63)/64)
+	h.frames = h.Buddy.Memmap()
 	cfg.Metrics.BindClock(h.Clock)
 	h.DRAM.SetMetrics(cfg.Metrics)
 	h.Buddy.SetMetrics(cfg.Metrics)
@@ -295,6 +292,7 @@ func (h *Host) bootNoise() error {
 			if err != nil {
 				return fmt.Errorf("kvm: boot reserve: %w", err)
 			}
+			h.frames[p] = memmap.KernelDesc
 			h.kernelPages = append(h.kernelPages, p)
 		}
 		return nil
@@ -318,6 +316,7 @@ func (h *Host) bootNoise() error {
 		if v < 0.5 {
 			h.Buddy.Free(p, 0, memdef.MigrateUnmovable)
 		} else {
+			h.frames[p] = memmap.KernelDesc
 			h.kernelPages = append(h.kernelPages, p)
 		}
 	}
@@ -357,7 +356,15 @@ func (h *Host) FlipLog() []AppliedFlip {
 }
 
 // VMs returns the live VM count.
-func (h *Host) VMs() int { return len(h.vms) }
+func (h *Host) VMs() int {
+	n := 0
+	for _, vm := range h.vms {
+		if vm != nil {
+			n++
+		}
+	}
+	return n
+}
 
 // BackgroundChurn models host-side activity between attack attempts:
 // kernel services and host processes allocating and freeing unmovable
@@ -410,36 +417,17 @@ func (h *Host) PlantSecret(value uint64) memdef.HPA {
 	return p.HPAOf()
 }
 
-// registerTable records t as a live table frame serving vm.
-func (h *Host) registerTable(p memdef.PFN, vm *VM) {
-	h.tableOwner[p] = vm
-	h.tableBits[p>>6] |= 1 << (uint(p) & 63)
-}
-
-func (h *Host) unregisterTable(p memdef.PFN) {
-	delete(h.tableOwner, p)
-	h.tableBits[p>>6] &^= 1 << (uint(p) & 63)
-}
-
-// isTableFrame answers via the bitset, without touching the map.
-func (h *Host) isTableFrame(p memdef.PFN) bool {
-	return h.tableBits[p>>6]&(1<<(uint(p)&63)) != 0
-}
-
 // noteWrite maintains TLB coherence: a write that lands in a live
 // table frame invalidates the owning VM's cached translations, the
 // way a hardware page-table write eventually invalidates TLB entries.
 // Reports whether a flush happened.
 func (h *Host) noteWrite(a memdef.HPA) bool {
-	p := memdef.PFNOf(a)
-	if !h.isTableFrame(p) {
+	d := h.frames[memdef.PFNOf(a)]
+	if d.Kind() != memmap.Table {
 		return false
 	}
-	if vm, ok := h.tableOwner[p]; ok {
-		vm.flushTLB()
-		return true
-	}
-	return false
+	h.vms[d.VM()].flushTLB()
+	return true
 }
 
 // flipsHitTables reports whether any candidate flip landed in a live
@@ -447,7 +435,7 @@ func (h *Host) noteWrite(a memdef.HPA) bool {
 // later address translation.
 func (h *Host) flipsHitTables(flips []dram.CandidateFlip) bool {
 	for _, f := range flips {
-		if h.isTableFrame(memdef.PFNOf(f.Addr)) {
+		if h.frames[memdef.PFNOf(f.Addr)].Kind() == memmap.Table {
 			return true
 		}
 	}
@@ -529,34 +517,47 @@ func (h *Host) applyFlips(cands []dram.CandidateFlip) int {
 		}
 	}
 	if applied > 0 {
-		for vm := range h.vms {
-			vm.flushTLB()
+		for _, vm := range h.vms {
+			if vm != nil {
+				vm.flushTLB()
+			}
 		}
 	}
 	return applied
 }
 
 // flipOwner resolves the frame a landed flip corrupted to its owner at
-// flip time. Only called with a forensics recorder attached. Iterating
-// h.vms (a map) is safe here: a frame backs at most one VM, so the
-// result does not depend on iteration order.
+// flip time, from its memmap descriptor. Only called with a forensics
+// recorder attached.
 func (h *Host) flipOwner(a memdef.HPA) *forensics.Owner {
 	p := memdef.PFNOf(a)
-	if vm, ok := h.tableOwner[p]; ok {
-		if level, isEPT := vm.ept.IsTablePage(p); isEPT {
-			return &forensics.Owner{Kind: forensics.OwnerEPTTable, VM: vm.id, Level: level}
+	switch d := h.frames[p]; d.Kind() {
+	case memmap.Table:
+		vm := h.vms[d.VM()]
+		if d.Structure() == eptStructure {
+			return &forensics.Owner{Kind: forensics.OwnerEPTTable, VM: vm.id, Level: d.Level()}
 		}
 		return &forensics.Owner{Kind: forensics.OwnerIOPTTable, VM: vm.id}
+	case memmap.Kernel:
+		return &forensics.Owner{Kind: forensics.OwnerKernel}
 	}
-	for vm := range h.vms {
-		if gpa, ok := vm.frameToGPA(p); ok {
-			return &forensics.Owner{Kind: forensics.OwnerGuestFrame, VM: vm.id, GPA: uint64(gpa)}
-		}
-	}
-	for _, kp := range h.kernelPages {
-		if kp == p {
-			return &forensics.Owner{Kind: forensics.OwnerKernel}
-		}
+	if vm, gpa, ok := h.guestPage(p); ok {
+		return &forensics.Owner{Kind: forensics.OwnerGuestFrame, VM: vm.id, GPA: uint64(gpa)}
 	}
 	return &forensics.Owner{Kind: forensics.OwnerFree}
+}
+
+// guestPage finds the guest page frame p backs, if any. A THP chunk is
+// recorded at its head frame only, so a frame with no descriptor of
+// its own defers to its 2 MiB-aligned head.
+func (h *Host) guestPage(p memdef.PFN) (*VM, memdef.GPA, bool) {
+	d, off := h.frames[p], memdef.PFN(0)
+	if d.Kind() == memmap.Allocated {
+		off = p % memdef.PagesPerHuge
+		d = h.frames[p-off]
+	}
+	if d.Kind() != memmap.Guest || off != 0 && !d.Huge() {
+		return nil, 0, false
+	}
+	return h.vms[d.VM()], d.GFN().GPAOf() + memdef.GPA(off<<memdef.PageShift), true
 }

@@ -14,6 +14,7 @@ func TestBackgroundChurnConservesMemory(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.BackgroundChurn(300)
 	}
+	mustCheckFrames(t, h, "churn")
 	if after := h.Buddy.FreePages(); after != before {
 		t.Errorf("churn leaked pages: %d -> %d", before, after)
 	}
@@ -62,7 +63,7 @@ func TestBootSplitsCreateEPTPages(t *testing.T) {
 	if got := vm.Splits(); got < 10 {
 		t.Errorf("boot splits = %d, want >= 10", got)
 	}
-	if got := len(vm.EPTTablePages(1)); got < 10 {
+	if got := len(eptLeaves(vm)); got < 10 {
 		t.Errorf("leaf tables after boot = %d", got)
 	}
 	// Boot-split chunks execute without further splits.

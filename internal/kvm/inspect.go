@@ -44,20 +44,25 @@ func (h *Host) CensusEvent(label string) {
 }
 
 // censusNow folds the host's current memory-layout state into one
-// census. Every field is a sum or a count, so the h.vms map's random
-// iteration order cannot leak into the result. Runs on the simulating
-// goroutine only (Evaluate ticks and unit absorption).
+// census. Every field is a sum or a count, so the order of the VM
+// table cannot leak into the result. Runs on the simulating goroutine
+// only (Evaluate ticks and unit absorption).
 func (h *Host) censusNow() inspect.Census {
 	c := inspect.Census{
 		SimSeconds: h.Clock.Now().Seconds(),
 		Geometry:   h.cfg.Geometry.Name,
-		VMs:        len(h.vms),
+		VMs:        h.VMs(),
 		Crashed:    h.crashed,
 		// Non-nil so the census never serializes null (the /api/census
 		// contract), even on a host with no VMs yet.
 		EPT: inspect.EPTCensus{TablePages: []int{}},
 	}
-	for vm := range h.vms {
+	tables := 0
+	for _, vm := range h.vms {
+		if vm == nil {
+			continue
+		}
+		tables += vm.EPTPageCount()
 		l4k, l2m := vm.ept.Leaves()
 		c.EPT.Leaves4K += l4k
 		c.EPT.Leaves2M += l2m
@@ -79,13 +84,11 @@ func (h *Host) censusNow() inspect.Census {
 			c.Virtio.NACKs += vm.memDev.NACKs()
 		}
 	}
-	// tableOwner tracks every live translation-table frame on the host,
-	// EPTs and IOPTs alike.
-	c.EPT.TotalTables = len(h.tableOwner)
+	c.EPT.TotalTables = tables
 
 	c.Buddy.FreePages = h.Buddy.FreePages()
 	for mt := memdef.MigrateType(0); mt < memdef.NumMigrateTypes; mt++ {
-		c.Buddy.PCPPages += h.Buddy.PCPCount(mt)
+		c.Buddy.PCPPages += len(h.Buddy.PCP(mt))
 	}
 	c.Buddy.NoiseUnmovable = h.NoisePages()
 	info := h.Buddy.PageTypeInfo()
@@ -98,7 +101,7 @@ func (h *Host) censusNow() inspect.Census {
 		Frames:         h.Mem.Frames(),
 		Materialized:   h.Mem.MaterializedFrames(),
 		KernelPages:    len(h.kernelPages),
-		TableFrames:    len(h.tableOwner),
+		TableFrames:    tables,
 		ReleasedBlocks: len(h.releasedLog),
 		FlipsApplied:   len(h.flipLog),
 	}

@@ -1,10 +1,12 @@
 package kvm
 
 import (
+	"slices"
+
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/ept"
 	"hyperhammer/internal/memdef"
-	"sort"
+	"hyperhammer/internal/memmap"
 )
 
 // This file hosts two kinds of observation APIs.
@@ -53,9 +55,8 @@ func (vm *VM) ContentFlipsSince(cursor int) ([]GuestFlip, int) {
 	log := vm.host.flipLog
 	var out []GuestFlip
 	for _, f := range log[cursor:] {
-		frame := memdef.PFNOf(f.Addr)
-		gpa, ok := vm.frameToGPA(frame)
-		if !ok {
+		owner, gpa, ok := vm.host.guestPage(memdef.PFNOf(f.Addr))
+		if !ok || owner != vm {
 			continue
 		}
 		out = append(out, GuestFlip{
@@ -65,25 +66,6 @@ func (vm *VM) ContentFlipsSince(cursor int) ([]GuestFlip, int) {
 		})
 	}
 	return out, len(log)
-}
-
-// frameToGPA finds the guest page currently backed by frame, if any.
-func (vm *VM) frameToGPA(frame memdef.PFN) (memdef.GPA, bool) {
-	// Huge chunks: the backing block is order-9 aligned, so the
-	// candidate chunk base frame is the aligned-down frame.
-	base := frame &^ (memdef.PagesPerHuge - 1)
-	if gpa, ok := vm.reverse[base]; ok {
-		if cb := vm.backing[gpa]; cb != nil && cb.huge && cb.frames[0] == base {
-			return gpa + memdef.GPA(uint64(frame-base)<<memdef.PageShift), true
-		}
-	}
-	// Scattered 4 KiB backing indexes frames exactly.
-	if gpa, ok := vm.reverse[frame]; ok {
-		if cb := vm.backing[memdef.HugeBase(gpa)]; cb != nil && !cb.huge {
-			return gpa, true
-		}
-	}
-	return 0, false
 }
 
 // MappingChange reports one guest page whose translation no longer
@@ -107,23 +89,14 @@ func (vm *VM) ChangedMappings() []MappingChange {
 
 // AppendChangedMappings is ChangedMappings appending into a
 // caller-provided buffer — the allocation-free form for the exploit
-// step's repeated post-probe rescans. The chunk-ordering scratch is
-// VM-owned and reused across calls.
+// step's repeated post-probe rescans. Chunks are visited in ascending
+// GPA order.
 func (vm *VM) AppendChangedMappings(out []MappingChange) []MappingChange {
-	// The sorted chunk list changes only when plug/unplug changes the
-	// backing map's key set; between those events (every post-probe
-	// rescan of the exploit step) the cached order is reused.
-	if vm.scanDirty || len(vm.scanChunks) != len(vm.backing) {
-		chunks := vm.scanChunks[:0]
-		for gpa := range vm.backing {
-			chunks = append(chunks, gpa)
+	for i, cb := range vm.backing {
+		if cb == nil {
+			continue
 		}
-		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-		vm.scanChunks = chunks
-		vm.scanDirty = false
-	}
-	for _, chunk := range vm.scanChunks {
-		cb := vm.backing[chunk]
+		chunk := memdef.GPA(i) * memdef.HugePageSize
 		tr, err := vm.ept.Translate(uint64(chunk))
 		if err != nil {
 			out = append(out, MappingChange{GPA: chunk, Faulted: true})
@@ -193,27 +166,31 @@ func (s EPTReuseStats) RE() float64 {
 
 // EPTReuse computes the Table 2 statistics for this VM by intersecting
 // the host's released-block log with the VM's current EPT page dump —
-// the combination of the paper's two added hypervisor functions.
+// the combination of the paper's two added hypervisor functions. A
+// block released more than once counts its reused pages once.
 func (vm *VM) EPTReuse() EPTReuseStats {
-	released := make(map[memdef.PFN]bool)
-	blocks := 0
-	for _, base := range vm.host.releasedLog {
-		blocks++
-		for i := memdef.PFN(0); i < memdef.PagesPerHuge; i++ {
-			released[base+i] = true
-		}
-	}
-	leaves := vm.ept.TablePages(1)
+	bases := slices.Clone(vm.host.releasedLog)
+	slices.Sort(bases)
+	bases = slices.Compact(bases)
 	reused := 0
-	for _, p := range leaves {
-		if released[p] {
-			reused++
+	for _, base := range bases {
+		for i := memdef.PFN(0); i < memdef.PagesPerHuge; i++ {
+			if vm.IsEPTLeaf(base + i) {
+				reused++
+			}
 		}
 	}
+	blocks := len(vm.host.releasedLog)
 	return EPTReuseStats{
 		ReleasedBlocks: blocks,
 		ReleasedPages:  blocks * memdef.PagesPerHuge,
-		EPTPages:       len(leaves),
+		EPTPages:       vm.ept.TableCountByLevel()[1],
 		ReusedPages:    reused,
 	}
+}
+
+// IsEPTLeaf reports whether host frame p holds one of the VM's leaf
+// EPT tables, read from the memmap.
+func (vm *VM) IsEPTLeaf(p memdef.PFN) bool {
+	return vm.host.frames[p] == memmap.TableDesc(vm.slot, eptStructure, 1)
 }

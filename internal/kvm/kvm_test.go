@@ -45,6 +45,7 @@ func newTestHost(t *testing.T, cfg Config) *Host {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCheckFrames(t, h, "boot")
 	return h
 }
 
@@ -54,6 +55,7 @@ func newTestVM(t *testing.T, h *Host, memSize uint64) *VM {
 	if err != nil {
 		t.Fatal(err)
 	}
+	mustCheckFrames(t, h, "create")
 	return vm
 }
 
@@ -136,6 +138,7 @@ func TestExecTriggersMultihitSplit(t *testing.T) {
 	if got := vm.EPTPageCount() - before; got != 1 {
 		t.Errorf("split allocated %d EPT pages, want 1", got)
 	}
+	mustCheckFrames(t, h, "split")
 	// Second exec in the same chunk: already executable, no split.
 	split, err = vm.ExecGPA(4*memdef.MiB + 0x5000)
 	if err != nil || split {
@@ -155,11 +158,12 @@ func TestExecWithoutMitigationDoesNotSplit(t *testing.T) {
 	cfg.NXHugepages = false
 	h := newTestHost(t, cfg)
 	vm := newTestVM(t, h, 8*memdef.MiB)
+	tables := vm.EPTPageCount()
 	split, err := vm.ExecGPA(2 * memdef.MiB)
 	if err != nil || split {
 		t.Errorf("exec on RWX hugepage: split=%v err=%v", split, err)
 	}
-	if vm.EPTPageCount() != vm.eptAlloc.count || vm.Splits() != 0 {
+	if vm.EPTPageCount() != tables || vm.Splits() != 0 {
 		t.Errorf("unexpected split activity")
 	}
 }
@@ -174,15 +178,16 @@ func TestVoluntaryUnplugReleasesOrder9Unmovable(t *testing.T) {
 	hpa, _ := vm.HypercallGPAToHPA(target)
 	wantBase := memdef.PFNOf(hpa) &^ (memdef.PagesPerHuge - 1)
 
-	before9 := h.Buddy.FreeBlocks(memdef.MigrateUnmovable, memdef.HugeOrder)
+	before9 := len(h.Buddy.FreeList(memdef.MigrateUnmovable, memdef.HugeOrder))
 	if err := drv.UnplugSubBlock(target); err != nil {
 		t.Fatal(err)
 	}
+	mustCheckFrames(t, h, "unplug")
 	log := h.ReleasedBlockLog()
 	if len(log) != 1 || log[0] != wantBase {
 		t.Errorf("released log = %v, want [%d]", log, wantBase)
 	}
-	after9 := h.Buddy.FreeBlocks(memdef.MigrateUnmovable, memdef.HugeOrder)
+	after9 := len(h.Buddy.FreeList(memdef.MigrateUnmovable, memdef.HugeOrder))
 	if after9 != before9+1 {
 		t.Errorf("order-9 unmovable blocks %d -> %d, want +1", before9, after9)
 	}
@@ -262,7 +267,7 @@ func TestChangedMappingsDetectsEPTECorruption(t *testing.T) {
 	if _, err := vm.ExecGPA(6 * memdef.MiB); err != nil {
 		t.Fatal(err)
 	}
-	leaves := vm.EPTTablePages(1)
+	leaves := eptLeaves(vm)
 	if len(leaves) != 1 {
 		t.Fatalf("leaf tables = %d", len(leaves))
 	}
@@ -297,7 +302,7 @@ func TestStolenEPTPageGrantsArbitraryAccess(t *testing.T) {
 	if _, err := vm.ExecGPA(4 * memdef.MiB); err != nil {
 		t.Fatal(err)
 	}
-	leaves := vm.EPTTablePages(1)
+	leaves := eptLeaves(vm)
 	if len(leaves) != 2 {
 		t.Fatalf("leaf tables = %d", len(leaves))
 	}
@@ -393,6 +398,7 @@ func TestDestroyReturnsAllMemory(t *testing.T) {
 	}
 	vm.Destroy()
 	vm.Destroy() // idempotent
+	mustCheckFrames(t, h, "destroy")
 	if after := h.Buddy.FreePages(); after != before {
 		t.Errorf("FreePages %d -> %d after destroy", before, after)
 	}

@@ -3,12 +3,13 @@ package kvm
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"hyperhammer/internal/balloon"
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/ept"
 	"hyperhammer/internal/memdef"
+	"hyperhammer/internal/memmap"
 	"hyperhammer/internal/simtime"
 	"hyperhammer/internal/viommu"
 	"hyperhammer/internal/virtio"
@@ -74,20 +75,19 @@ type VM struct {
 	// id numbers the VM in host creation order (1-based), for stable
 	// naming in traces and forensics owner records.
 	id int
+	// slot is the VM's index in the host's VM table, the VM number its
+	// memmap descriptors carry.
+	slot int
 
-	ept      *ept.Table
-	eptAlloc *tableAllocator
+	ept *ept.Table
 
 	memDev *virtio.MemDevice
 	groups []*viommu.Group
 
-	// backing maps each plugged 2 MiB chunk base GPA to its host
-	// frames. It is hypervisor truth, independent of EPT contents.
-	backing map[memdef.GPA]*chunkBacking
-	// reverse maps backing frames to GPAs for flip attribution: a huge
-	// chunk's base frame to the chunk GPA, every 4 KiB backing frame to
-	// its own page GPA.
-	reverse map[memdef.PFN]memdef.GPA
+	// backing holds the host frames of each 2 MiB chunk, indexed by
+	// GPA / HugePageSize; nil for an unplugged chunk. It is hypervisor
+	// truth, independent of EPT contents.
+	backing []*chunkBacking
 
 	tlb map[memdef.GPA]tlbEntry
 
@@ -99,12 +99,6 @@ type VM struct {
 	// netBuffers are unmovable pages held by the simulated NIC after
 	// DrainNetBuffers.
 	netBuffers []memdef.PFN
-
-	// scanChunks is AppendChangedMappings' reusable chunk-ordering
-	// scratch; scanDirty marks it stale after plug/unplug changes the
-	// backing map's key set.
-	scanChunks []memdef.GPA
-	scanDirty  bool
 
 	// batchRefs/batchOps are HammerBatchGPA's reusable translation
 	// buffers (the DRAM module does not retain them past the call).
@@ -125,30 +119,27 @@ func (vm *VM) backingMT() memdef.MigrateType {
 	return memdef.MigrateMovable
 }
 
-// tableAllocator provides EPT/IOPT table pages from the host buddy
-// allocator as order-0 MIGRATE_UNMOVABLE pages through the PCP — the
-// allocation path Page Steering aims at.
+// eptStructure is the structure number of a VM's EPT in table-page
+// descriptors; IOPT group g is g+1.
+const eptStructure = 0
+
+// tableAllocator provides one structure's table pages from the host
+// buddy allocator as order-0 MIGRATE_UNMOVABLE pages through the PCP —
+// the allocation path Page Steering aims at — booked in the memmap.
 type tableAllocator struct {
-	h     *Host
-	vm    *VM
-	count int
+	vm        *VM
+	structure int
 }
 
-func (a *tableAllocator) AllocTable() (memdef.PFN, error) {
-	p, err := a.h.Buddy.AllocPage(memdef.MigrateUnmovable)
+func (a tableAllocator) AllocTable(level int) (memdef.PFN, error) {
+	h := a.vm.host
+	p, err := h.Buddy.AllocPage(memdef.MigrateUnmovable)
 	if err != nil {
 		return 0, err
 	}
-	a.h.Mem.ZeroPage(p)
-	a.h.registerTable(p, a.vm)
-	a.count++
+	h.Mem.ZeroPage(p)
+	h.frames[p] = memmap.TableDesc(a.vm.slot, a.structure, level)
 	return p, nil
-}
-
-func (a *tableAllocator) FreeTable(p memdef.PFN) {
-	a.h.unregisterTable(p)
-	a.h.Buddy.FreePage(p, memdef.MigrateUnmovable)
-	a.count--
 }
 
 // CreateVM builds and boots a guest: allocates its EPT, creates the
@@ -164,13 +155,17 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 		host:    h,
 		cfg:     cfg,
 		id:      h.vmSeq,
-		backing: make(map[memdef.GPA]*chunkBacking),
-		reverse: make(map[memdef.PFN]memdef.GPA),
+		backing: make([]*chunkBacking, cfg.MemSize/memdef.HugePageSize),
 		tlb:     make(map[memdef.GPA]tlbEntry),
 	}
-	vm.eptAlloc = &tableAllocator{h: h, vm: vm}
-	t, err := ept.New(h.Mem, vm.eptAlloc)
+	if vm.slot = slices.Index(h.vms, nil); vm.slot < 0 {
+		vm.slot = len(h.vms)
+		h.vms = append(h.vms, nil)
+	}
+	h.vms[vm.slot] = vm
+	t, err := ept.New(h.Mem, tableAllocator{vm, eptStructure})
 	if err != nil {
+		h.vms[vm.slot] = nil
 		return nil, fmt.Errorf("kvm: creating EPT: %w", err)
 	}
 	vm.ept = t
@@ -192,7 +187,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 	}
 
 	for i := 0; i < cfg.VFIOGroups; i++ {
-		g, err := viommu.NewGroup(h.Mem, vm.eptAlloc, (*vmIOMMUBackend)(vm))
+		g, err := viommu.NewGroup(h.Mem, tableAllocator{vm, i + 1}, (*vmIOMMUBackend)(vm))
 		if err != nil {
 			vm.Destroy()
 			return nil, fmt.Errorf("kvm: creating IOMMU group %d: %w", i, err)
@@ -201,7 +196,6 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 		g.SetLedger(h.ledEPT)
 		vm.groups = append(vm.groups, g)
 	}
-	h.vms[vm] = struct{}{}
 	h.met.vmsCreated.Inc()
 	h.cfg.Trace.Emit("vm.create",
 		"memBytes", cfg.MemSize, "vfioGroups", cfg.VFIOGroups, "bootSplits", cfg.BootSplits)
@@ -243,12 +237,14 @@ func (vm *VM) IOMMUGroups() int { return len(vm.groups) }
 // Splits returns how many multihit hugepage splits have occurred.
 func (vm *VM) Splits() int { return vm.splits }
 
-// EPTTablePages returns the frames of the VM's EPT table pages at a
-// level (1 = leaf), host instrumentation for Table 2's dump function.
-func (vm *VM) EPTTablePages(level int) []memdef.PFN { return vm.ept.TablePages(level) }
-
 // EPTPageCount returns the total EPT+IOPT table pages allocated.
-func (vm *VM) EPTPageCount() int { return vm.eptAlloc.count }
+func (vm *VM) EPTPageCount() int {
+	n := vm.ept.NumTables()
+	for _, g := range vm.groups {
+		n += g.IOPTPages()
+	}
+	return n
+}
 
 func (vm *VM) flushTLB() {
 	if len(vm.tlb) > 0 {
@@ -285,9 +281,8 @@ func (b *vmMemBackend) PlugRange(gpa memdef.GPA, size uint64) error {
 		for i := memdef.PFN(0); i < memdef.PagesPerHuge; i++ {
 			h.Mem.ZeroPage(base + i)
 		}
-		vm.backing[gpa] = &chunkBacking{huge: true, frames: []memdef.PFN{base}}
-		vm.reverse[base] = gpa
-		vm.scanDirty = true
+		vm.backing[gpa/memdef.HugePageSize] = &chunkBacking{huge: true, frames: []memdef.PFN{base}}
+		h.frames[base] = memmap.GuestDesc(vm.slot, memdef.GFNOf(gpa), true)
 		vm.flushChunk(gpa)
 		return nil
 	}
@@ -304,10 +299,12 @@ func (b *vmMemBackend) PlugRange(gpa memdef.GPA, size uint64) error {
 			return fmt.Errorf("kvm: mapping page: %w", err)
 		}
 		frames[i] = p
-		vm.reverse[p] = gpa + memdef.GPA(uint64(i)*memdef.PageSize)
 	}
-	vm.backing[gpa] = &chunkBacking{frames: frames}
-	vm.scanDirty = true
+	// Booked only once the chunk is whole, like the chunk table entry.
+	for i, p := range frames {
+		h.frames[p] = memmap.GuestDesc(vm.slot, memdef.GFNOf(gpa)+memdef.GFN(i), false)
+	}
+	vm.backing[gpa/memdef.HugePageSize] = &chunkBacking{frames: frames}
 	vm.flushChunk(gpa)
 	return nil
 }
@@ -323,8 +320,8 @@ func (b *vmMemBackend) UnplugRange(gpa memdef.GPA, size uint64) error {
 	if size != memdef.HugePageSize {
 		return fmt.Errorf("kvm: unplug size %#x unsupported", size)
 	}
-	cb, ok := vm.backing[gpa]
-	if !ok {
+	cb := vm.backing[gpa/memdef.HugePageSize]
+	if cb == nil {
 		return fmt.Errorf("kvm: unplug of unbacked chunk %#x", gpa)
 	}
 	h.Clock.Advance(simtime.VirtioUnplug)
@@ -339,7 +336,6 @@ func (b *vmMemBackend) UnplugRange(gpa memdef.GPA, size uint64) error {
 		for i := 0; i < memdef.PagesPerHuge; i++ {
 			_, _ = vm.ept.Unmap(uint64(gpa) + uint64(i)*memdef.PageSize)
 		}
-		delete(vm.reverse, base)
 		h.Buddy.Free(base, memdef.HugeOrder, vm.backingMT())
 		h.releasedLog = append(h.releasedLog, base)
 		h.cfg.Trace.Emit("virtio.unplug", "gpa", fmt.Sprintf("%#x", gpa), "basePFN", uint64(base))
@@ -349,12 +345,10 @@ func (b *vmMemBackend) UnplugRange(gpa memdef.GPA, size uint64) error {
 				continue // already given up via the balloon
 			}
 			_, _ = vm.ept.Unmap(uint64(gpa) + uint64(i)*memdef.PageSize)
-			delete(vm.reverse, p)
 			h.Buddy.FreePage(p, vm.backingMT())
 		}
 	}
-	delete(vm.backing, gpa)
-	vm.scanDirty = true
+	vm.backing[gpa/memdef.HugePageSize] = nil
 	vm.flushChunk(gpa)
 	return nil
 }
@@ -713,41 +707,47 @@ func (vm *VM) Destroy() {
 	vm.destroyed = true
 	// Teardown order mirrors KVM: the MMU (EPT and IOPT table pages)
 	// is destroyed before the guest's memory is released back to the
-	// kernel. The order is visible in the host's free-list LIFO
-	// structure, and therefore in where a respawned VM's memory comes
-	// from.
-	for _, g := range vm.groups {
-		g.Destroy()
+	// kernel — each IOPT group in group order, then the EPT, each in
+	// ascending frame order, then the backing in ascending GPA order.
+	// The order is visible in the host's free-list LIFO structure, and
+	// therefore in where a respawned VM's memory comes from.
+	h := vm.host
+	for i := range vm.groups {
+		vm.freeTables(i + 1)
+		vm.groups[i].Destroy()
 	}
 	vm.groups = nil
+	vm.freeTables(eptStructure)
 	vm.ept.Destroy()
-	// Free backing in address order so the host allocator ends up in
-	// a deterministic state regardless of map iteration order.
-	chunks := make([]memdef.GPA, 0, len(vm.backing))
-	for gpa := range vm.backing {
-		chunks = append(chunks, gpa)
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-	for _, gpa := range chunks {
-		cb := vm.backing[gpa]
-		if cb.huge {
-			vm.host.Buddy.Free(cb.frames[0], memdef.HugeOrder, vm.backingMT())
-		} else {
+	for _, cb := range vm.backing {
+		switch {
+		case cb == nil:
+		case cb.huge:
+			h.Buddy.Free(cb.frames[0], memdef.HugeOrder, vm.backingMT())
+		default:
 			for _, p := range cb.frames {
-				if p == reclaimedFrame {
-					continue
+				if p != reclaimedFrame {
+					h.Buddy.FreePage(p, vm.backingMT())
 				}
-				vm.host.Buddy.FreePage(p, vm.backingMT())
 			}
 		}
-		delete(vm.backing, gpa)
 	}
+	clear(vm.backing)
 	for _, p := range vm.netBuffers {
-		vm.host.Buddy.FreePage(p, memdef.MigrateUnmovable)
+		h.Buddy.FreePage(p, memdef.MigrateUnmovable)
 	}
 	vm.netBuffers = nil
-	vm.reverse = nil
-	delete(vm.host.vms, vm)
-	vm.host.met.vmsDestroyed.Inc()
-	vm.host.cfg.Trace.Emit("vm.destroy", "memBytes", vm.cfg.MemSize)
+	h.vms[vm.slot] = nil
+	h.met.vmsDestroyed.Inc()
+	h.cfg.Trace.Emit("vm.destroy", "memBytes", vm.cfg.MemSize)
+}
+
+// freeTables returns one structure's table pages to the host in
+// ascending frame order, found by a scan of the memmap.
+func (vm *VM) freeTables(structure int) {
+	for p, d := range vm.host.frames {
+		if d.TableOf(vm.slot, structure) {
+			vm.host.Buddy.FreePage(memdef.PFN(p), memdef.MigrateUnmovable)
+		}
+	}
 }

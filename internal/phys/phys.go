@@ -21,8 +21,8 @@ import (
 // wordsPerPage is the number of 64-bit words in one frame.
 const wordsPerPage = memdef.PageSize / 8
 
-// frame is the per-frame content record. A frame is in exactly one of
-// two representations:
+// frame is the per-frame content record, 16 bytes. A frame is in
+// exactly one of two representations:
 //
 //   - pattern: every word of the page equals `pattern` (data == nil).
 //     The zero value is therefore an all-zeros page, so a freshly
@@ -32,7 +32,7 @@ const wordsPerPage = memdef.PageSize / 8
 // Pages transparently promote from pattern to materialized on the
 // first non-uniform write or bit flip.
 type frame struct {
-	data    []uint64
+	data    *[wordsPerPage]uint64
 	pattern uint64
 }
 
@@ -49,7 +49,7 @@ type Memory struct {
 	// and fill loops materialize and revert thousands of frames per
 	// attempt; recycling caps that at one allocation per concurrent
 	// materialized frame instead of one per touch.
-	pool [][]uint64
+	pool []*[wordsPerPage]uint64
 
 	led *ledger.Stream
 }
@@ -131,7 +131,7 @@ func (m *Memory) materialize(f *frame) {
 			f.data[i] = f.pattern
 		}
 	} else {
-		f.data = make([]uint64, wordsPerPage)
+		f.data = new([wordsPerPage]uint64)
 		if f.pattern != 0 {
 			for i := range f.data {
 				f.data[i] = f.pattern

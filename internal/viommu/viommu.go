@@ -112,5 +112,9 @@ func (g *Group) Mappings() int { return g.mappings }
 // free lists.
 func (g *Group) IOPTPages() int { return g.iopt.NumTables() }
 
-// Destroy releases all IOPT pages back to the host.
+// TableCountByLevel returns the group's IOPT pages by level.
+func (g *Group) TableCountByLevel() ept.LevelCounts { return g.iopt.TableCountByLevel() }
+
+// Destroy retires the group's IOPT bookkeeping. The host, which
+// recorded each IOPT page's owner when it allocated it, frees them.
 func (g *Group) Destroy() { g.iopt.Destroy() }

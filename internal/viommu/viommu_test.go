@@ -13,11 +13,10 @@ import (
 type poolAlloc struct {
 	next    memdef.PFN
 	allocs  int
-	freed   int
 	failAll bool
 }
 
-func (p *poolAlloc) AllocTable() (memdef.PFN, error) {
+func (p *poolAlloc) AllocTable(int) (memdef.PFN, error) {
 	if p.failAll {
 		return 0, errors.New("injected alloc failure")
 	}
@@ -26,8 +25,6 @@ func (p *poolAlloc) AllocTable() (memdef.PFN, error) {
 	p.allocs++
 	return f, nil
 }
-
-func (p *poolAlloc) FreeTable(memdef.PFN) { p.freed++ }
 
 // identBackend resolves GPA x to frame x>>12.
 type identBackend struct{ fail bool }
@@ -149,6 +146,9 @@ func TestBackendFailurePropagates(t *testing.T) {
 	}
 }
 
+// TestDestroyFreesTables checks that every table page the allocator
+// handed out is booked to the group until Destroy, and none after; the
+// allocator's owner returns the frames themselves.
 func TestDestroyFreesTables(t *testing.T) {
 	g, alloc := newGroup(t)
 	for i := 0; i < 8; i++ {
@@ -156,9 +156,12 @@ func TestDestroyFreesTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if g.IOPTPages() != alloc.allocs {
+		t.Errorf("group books %d of %d tables", g.IOPTPages(), alloc.allocs)
+	}
 	g.Destroy()
-	if alloc.freed != alloc.allocs {
-		t.Errorf("Destroy freed %d of %d tables", alloc.freed, alloc.allocs)
+	if g.IOPTPages() != 0 {
+		t.Errorf("Destroy left %d of %d tables booked", g.IOPTPages(), alloc.allocs)
 	}
 }
 
