@@ -241,7 +241,9 @@ func (vm *VM) Splits() int { return vm.splits }
 func (vm *VM) EPTPageCount() int {
 	n := vm.ept.NumTables()
 	for _, g := range vm.groups {
-		n += g.IOPTPages()
+		for _, c := range g.TableCountByLevel() {
+			n += c
+		}
 	}
 	return n
 }

@@ -107,12 +107,9 @@ func (g *Group) Translate(iova memdef.IOVA) (memdef.HPA, error) {
 // Mappings returns the number of live mappings.
 func (g *Group) Mappings() int { return g.mappings }
 
-// IOPTPages returns the total number of host pages consumed by this
-// group's IOMMU page tables — the attacker's lever on the unmovable
+// TableCountByLevel returns the host pages this group's IOMMU page
+// tables consume, by level — the attacker's lever on the unmovable
 // free lists.
-func (g *Group) IOPTPages() int { return g.iopt.NumTables() }
-
-// TableCountByLevel returns the group's IOPT pages by level.
 func (g *Group) TableCountByLevel() ept.LevelCounts { return g.iopt.TableCountByLevel() }
 
 // Destroy retires the group's IOPT bookkeeping. The host, which

@@ -81,8 +81,8 @@ func TestTwoMiBStrideConsumesOneLeafPerMapping(t *testing.T) {
 	if grew < n || grew > n+4 {
 		t.Errorf("allocated %d table pages for %d 2MiB-spaced mappings", grew, n)
 	}
-	if g.IOPTPages() != grew+1 { // +1 root from NewGroup
-		t.Errorf("IOPTPages = %d, want %d", g.IOPTPages(), grew+1)
+	if g.iopt.NumTables() != grew+1 { // +1 root from NewGroup
+		t.Errorf("IOPT pages = %d, want %d", g.iopt.NumTables(), grew+1)
 	}
 }
 
@@ -156,12 +156,12 @@ func TestDestroyFreesTables(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if g.IOPTPages() != alloc.allocs {
-		t.Errorf("group books %d of %d tables", g.IOPTPages(), alloc.allocs)
+	if g.iopt.NumTables() != alloc.allocs {
+		t.Errorf("group books %d of %d tables", g.iopt.NumTables(), alloc.allocs)
 	}
 	g.Destroy()
-	if g.IOPTPages() != 0 {
-		t.Errorf("Destroy left %d of %d tables booked", g.IOPTPages(), alloc.allocs)
+	if g.iopt.NumTables() != 0 {
+		t.Errorf("Destroy left %d of %d tables booked", g.iopt.NumTables(), alloc.allocs)
 	}
 }
 
