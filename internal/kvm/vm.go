@@ -159,8 +159,7 @@ func (h *Host) CreateVM(cfg VMConfig) (*VM, error) {
 		tlb:     make(map[memdef.GPA]tlbEntry),
 	}
 	if vm.slot = slices.Index(h.vms, nil); vm.slot < 0 {
-		vm.slot = len(h.vms)
-		h.vms = append(h.vms, nil)
+		vm.slot, h.vms = len(h.vms), append(h.vms, nil)
 	}
 	h.vms[vm.slot] = vm
 	t, err := ept.New(h.Mem, tableAllocator{vm, eptStructure})
@@ -747,8 +746,9 @@ func (vm *VM) Destroy() {
 // freeTables returns one structure's table pages to the host in
 // ascending frame order, found by a scan of the memmap.
 func (vm *VM) freeTables(structure int) {
+	key := memmap.TableDesc(vm.slot, structure, 0)
 	for p, d := range vm.host.frames {
-		if d.TableOf(vm.slot, structure) {
+		if d.TableKey() == key {
 			vm.host.Buddy.FreePage(memdef.PFN(p), memdef.MigrateUnmovable)
 		}
 	}

@@ -72,11 +72,10 @@ func (d Desc) VM() int                { return int(d>>16) & 0xFFFF }
 func (d Desc) Index() int             { return int(d >> 32) }
 func (d Desc) GFN() memdef.GFN        { return memdef.GFN(d >> 32) }
 
-// TableOf reports whether d is a table page of the VM's structure, at
-// any level.
-func (d Desc) TableOf(vm, structure int) bool {
-	return d&^(0xF<<3) == TableDesc(vm, structure, 0)
-}
+// TableKey clears a table page's level: every table page of one
+// structure has the key TableDesc(vm, structure, 0), and no other
+// descriptor does.
+func (d Desc) TableKey() Desc { return d &^ (0xF << 3) }
 
 // Map holds one descriptor per host frame, indexed by PFN.
 type Map []Desc

@@ -20,8 +20,9 @@ func TestDescFieldsRoundTrip(t *testing.T) {
 	if tb.Kind() != Table || tb.VM() != 0xFFFF || tb.Structure() != 0xFF || tb.Level() != 4 {
 		t.Errorf("table %#x: vm %d structure %d level %d", tb, tb.VM(), tb.Structure(), tb.Level())
 	}
-	if !tb.TableOf(0xFFFF, 0xFF) || tb.TableOf(0xFFFF, 0) || TableDesc(1, 0, 1).TableOf(2, 0) {
-		t.Error("TableOf matched the wrong structure or VM")
+	if tb.TableKey() != TableDesc(0xFFFF, 0xFF, 0) || TableDesc(1, 0, 1).TableKey() == TableDesc(2, 0, 0) ||
+		FreeDesc(0, 0, 0).TableKey() == TableDesc(0, 0, 0) {
+		t.Error("TableKey matched the wrong structure, VM or kind")
 	}
 	g := GuestDesc(3, 13<<18-1, true)
 	if g.Kind() != Guest || g.VM() != 3 || g.GFN() != 13<<18-1 || !g.Huge() {
