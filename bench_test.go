@@ -23,8 +23,7 @@ import (
 )
 
 func benchOpts(b *testing.B) experiments.Options {
-	o := experiments.DefaultOptions()
-	o.Short = testing.Short()
+	o := experiments.Options{Seed: 1, Short: testing.Short()}
 	// HH_PARALLEL sets the experiment worker-pool size, like the CLIs'
 	// -parallel flag (0/unset = GOMAXPROCS, 1 = sequential). Results
 	// are identical at any setting; only wall clock changes.
@@ -38,15 +37,30 @@ func benchOpts(b *testing.B) experiments.Options {
 	return o
 }
 
+// run registers one experiment on a fresh plan over o, runs it and
+// returns the experiment's result.
+func run[T any](b *testing.B, o experiments.Options, register func(*experiments.Plan) *experiments.Future[T]) T {
+	b.Helper()
+	p := experiments.NewPlan(o)
+	f := register(p)
+	if err := p.Run(); err != nil {
+		b.Fatal(err)
+	}
+	return f.Get()
+}
+
+// analysis registers the Section 5.3 analysis on the paper's own
+// Table 1 inputs.
+func analysis(p *experiments.Plan) *experiments.Future[*experiments.AnalysisResult] {
+	return p.Analysis(experiments.Resolved[*experiments.Table1Result](nil))
+}
+
 // BenchmarkTable1MemoryProfiling reproduces Table 1: profile the
 // attacker VM's memory on S1 and S2.
 func BenchmarkTable1MemoryProfiling(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table1(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Table1)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			for _, row := range res.Rows {
@@ -65,10 +79,7 @@ func BenchmarkTable1MemoryProfiling(b *testing.B) {
 func BenchmarkTable2PageSteering(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Table2)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			// Headline: best and worst R_E per system.
@@ -88,10 +99,7 @@ func BenchmarkTable3AttackCost(b *testing.B) {
 		o.MaxAttempts = 800
 	}
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table3(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Table3)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			for _, row := range res.Rows {
@@ -108,10 +116,7 @@ func BenchmarkTable3AttackCost(b *testing.B) {
 func BenchmarkFigure3aNoisePages(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Figure3)
 		if i == 0 {
 			b.Log("\n" + res.Figure().Summary())
 			b.ReportMetric(res.DropBelow(experiments.SystemS1, 1024), "S1-secs-below-1024")
@@ -125,10 +130,7 @@ func BenchmarkFigure3aNoisePages(b *testing.B) {
 func BenchmarkFigure3bNoisePagesS3(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Figure3(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Figure3)
 		if i == 0 {
 			for _, s := range res.Series {
 				if s.System == experiments.SystemS3 {
@@ -145,7 +147,7 @@ func BenchmarkFigure3bNoisePagesS3(b *testing.B) {
 func BenchmarkAnalysisSuccessProbability(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res := experiments.Analysis(o, nil)
+		res := run(b, o, analysis)
 		if i == 0 {
 			b.ReportMetric(1/res.Bound, "expected-attempts")
 			b.ReportMetric(res.MonteCarlo*1e6, "montecarlo-ppm")
@@ -158,7 +160,7 @@ func BenchmarkAnalysisSuccessProbability(b *testing.B) {
 func BenchmarkAnalysisEndToEndTime(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res := experiments.Analysis(o, nil)
+		res := run(b, o, analysis)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			for _, row := range res.EndToEnd {
@@ -187,10 +189,7 @@ func BenchmarkAnalysisVMSizeSweep(b *testing.B) {
 func BenchmarkDRAMDigRecovery(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.DRAMDig(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).DRAMDig)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.Rows[0].Probes), "S1-probes")
@@ -203,10 +202,7 @@ func BenchmarkDRAMDigRecovery(b *testing.B) {
 func BenchmarkMitigationQuarantine(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Mitigation(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Mitigation)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.StockReleased), "stock-releases")
@@ -219,10 +215,7 @@ func BenchmarkMitigationQuarantine(b *testing.B) {
 func BenchmarkXenLiteSteering(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Xen(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Xen)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(100*res.XenRE(), "xen-reuse-%")
@@ -236,10 +229,7 @@ func BenchmarkXenLiteSteering(b *testing.B) {
 func BenchmarkBalloonSteering(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Balloon(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Balloon)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			for _, row := range res.Rows {
@@ -256,10 +246,7 @@ func BenchmarkBalloonSteering(b *testing.B) {
 func BenchmarkMitigationTRR(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.TRR(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).TRR)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			for _, row := range res.Rows {
@@ -275,10 +262,7 @@ func BenchmarkMitigationTRR(b *testing.B) {
 func BenchmarkMitigationECC(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.ECC(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).ECC)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.FlipsNonECC), "flips-non-ecc")
@@ -293,10 +277,7 @@ func BenchmarkMitigationECC(b *testing.B) {
 func BenchmarkMultihitTradeoff(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Multihit(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).Multihit)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.SplitsWithMitigation), "splits-with-nx")
@@ -317,10 +298,7 @@ func boolMetric(v bool) float64 {
 func BenchmarkAblationHammerSidedness(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSidedness(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).AblationSidedness)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.SingleSidedUsable), "single-sided-usable")
@@ -334,10 +312,7 @@ func BenchmarkAblationHammerSidedness(b *testing.B) {
 func BenchmarkAblationNoExhaust(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationNoExhaust(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).AblationNoExhaust)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(100*res.WithExhaust.RN(), "with-exhaust-RN-%")
@@ -351,10 +326,7 @@ func BenchmarkAblationNoExhaust(b *testing.B) {
 func BenchmarkAblationSpraySize(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationSpraySize(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).AblationSpraySize)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(100*res.Rows[len(res.Rows)-1].RN(), "full-spray-RN-%")
@@ -366,10 +338,7 @@ func BenchmarkAblationSpraySize(b *testing.B) {
 func BenchmarkAblationTHP(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationTHP(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).AblationTHP)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.FlipsWithTHP), "flips-thp")
@@ -383,10 +352,7 @@ func BenchmarkAblationTHP(b *testing.B) {
 func BenchmarkAblationPCPNoise(b *testing.B) {
 	o := benchOpts(b)
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.AblationPCPNoise(o)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := run(b, o, (*experiments.Plan).AblationPCPNoise)
 		if i == 0 {
 			b.Log("\n" + res.Table().String())
 			b.ReportMetric(float64(res.ExactSpray.Reused), "exact-reused")

@@ -11,7 +11,7 @@ package main
 //	hh dramdig -system S2
 //
 // Exit status: 0 on success, 1 on a simulation error, 2 on an unknown
-// -system.
+// -system or a -blocks below 1.
 
 import (
 	"fmt"
@@ -96,6 +96,10 @@ func cmdSteer(args []string) int {
 	sprayGiB := fs.Int("spray", 10, "EPT-creation buffer in GiB (the paper's S)")
 	if status, ok := parse(fs, args); !ok {
 		return status
+	}
+	if *blocks < 1 {
+		fmt.Fprintln(os.Stderr, "hh steer: -blocks must be at least 1")
+		return 2
 	}
 	host, vm, gos, err := bootAttacker(hyperhammer.S1(*seed))
 	if err != nil {

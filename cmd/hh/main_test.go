@@ -41,6 +41,16 @@ func TestDispatchUsage(t *testing.T) {
 	}
 }
 
+// TestSteerRejectsNoBlocks: a -blocks below 1 is a usage error caught
+// before the 16 GiB host boots, not a divide by zero after it.
+func TestSteerRejectsNoBlocks(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		if status := dispatch([]string{"steer", "-blocks", v}, io.Discard); status != 2 {
+			t.Errorf("hh steer -blocks %s = %d, want 2", v, status)
+		}
+	}
+}
+
 func TestLoadArtifact(t *testing.T) {
 	path := writeTemp(t, "art.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":1.5,"metrics":{}}`)
 	a, b, err := load(path)

@@ -96,16 +96,10 @@ func cmdTables(args []string) int {
 		return fail("tables", 1, err)
 	}
 	o := experiments.Options{Scope: s.Scope, Obs: s.plane, Seed: *seed, Short: *short, MaxAttempts: *attempts, Parallel: *parallel}
-	if s.plane != nil {
-		// Units run hosts with Obs unset, so nothing ever taps the
-		// shared recorder implicitly; tap it here so absorbed unit
-		// events stream onto the live bus — then detach the profile
-		// sink TapTrace installs: the plan absorbs each unit's own
-		// profile at delivery (Plan.SetProfiler), and a shared sink
-		// would count the absorbed replays a second time.
-		s.plane.TapTrace(s.Trace)
-		s.Trace.SetNamedSink("profile", nil)
-	}
+	// Units run hosts with Obs unset, so nothing ever taps the shared
+	// recorder implicitly; tap it here so absorbed unit events stream
+	// onto the live bus.
+	s.plane.TapTrace(s.Trace)
 	p := experiments.NewPlan(o)
 	p.SetProfiler(s.profiler)
 	s.publish(func() *runartifact.Artifact {

@@ -1,14 +1,10 @@
-// Hardware: the hardware context around HyperHammer in one run.
-//
-//  1. The iTLB-Multihit trade-off (Section 4.2.3): on an affected CPU
-//     without the NX-hugepage countermeasure, a malicious guest can
-//     machine-check the host at will; the countermeasure stops the DoS
-//     — and in doing so creates the EPT-page allocations HyperHammer
-//     steers onto vulnerable frames.
-//  2. The deployed Rowhammer defenses (Section 6): in-DRAM TRR stops
-//     the paper's single-sided pattern but falls to a TRRespass-style
-//     many-sided one, while ECC silently absorbs single-bit flips and
-//     starves the profiler.
+// Hardware: the iTLB-Multihit trade-off around HyperHammer (Section
+// 4.2.3), driven through the library API. On an affected CPU without
+// the NX-hugepage countermeasure, a malicious guest can machine-check
+// the host at will; the countermeasure stops the DoS — and in doing so
+// creates the EPT-page allocations HyperHammer steers onto vulnerable
+// frames. The deployed Rowhammer defenses of Section 6, in-DRAM TRR
+// and ECC, are tables of `hh tables -extras`.
 package main
 
 import (
@@ -16,29 +12,12 @@ import (
 	"log"
 
 	"hyperhammer"
-	"hyperhammer/experiments"
 )
 
 func main() {
-	fmt.Println("== 1. the iTLB Multihit trade-off ==")
+	fmt.Println("== the iTLB Multihit trade-off ==")
 	demoMultihit(false)
 	demoMultihit(true)
-
-	o := experiments.Options{Seed: 7, Short: true}
-
-	fmt.Println("\n== 2. in-DRAM TRR vs hammer patterns ==")
-	trr, err := experiments.TRR(o)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(trr.Table())
-
-	fmt.Println("\n== 3. ECC memory vs profiling ==")
-	ecc, err := experiments.ECC(o)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(ecc.Table())
 }
 
 // demoMultihit runs the guest DoS against an affected CPU with the

@@ -42,13 +42,8 @@ func (r *SidednessResult) Table() *report.Table {
 // would survive releasing the victim's hugepage. Double-sided needs
 // rows on both sides of the victim; for victims at a hugepage border
 // (the only ones the attacker can create) one of those rows is always
-// inside the released hugepage.
-func AblationSidedness(o Options) (*SidednessResult, error) {
-	return planOne(o, (*Plan).AblationSidedness)
-}
-
-// AblationSidedness registers the single profiling unit and returns
-// the future of the sidedness analysis.
+// inside the released hugepage. It registers the single profiling unit
+// and returns the future of the sidedness analysis.
 func (p *Plan) AblationSidedness() *Future[*SidednessResult] {
 	f := &Future[*SidednessResult]{}
 	var res *SidednessResult
@@ -60,7 +55,7 @@ func (p *Plan) AblationSidedness() *Future[*SidednessResult] {
 
 func sidednessRun(o Options) (*SidednessResult, error) {
 	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
 	if err != nil {
 		return nil, err
 	}
@@ -115,13 +110,9 @@ func (r *ExhaustAblationResult) Table() *report.Table {
 
 // AblationNoExhaust measures how much of the released memory EPT
 // allocations reach when the attacker does or does not drain the
-// noise pages first.
-func AblationNoExhaust(o Options) (*ExhaustAblationResult, error) {
-	return planOne(o, (*Plan).AblationNoExhaust)
-}
-
-// AblationNoExhaust registers the exhaust-on and exhaust-off steering
-// runs as independent units and returns the future of the comparison.
+// noise pages first. It registers the exhaust-on and exhaust-off
+// steering runs as independent units and returns the future of the
+// comparison.
 func (p *Plan) AblationNoExhaust() *Future[*ExhaustAblationResult] {
 	f := &Future[*ExhaustAblationResult]{}
 	res := &ExhaustAblationResult{}
@@ -153,13 +144,8 @@ func (r *SprayAblationResult) Table() *report.Table {
 
 // AblationSpraySize runs steering with spray budgets from well below
 // to above 512*(B+2), showing the knee the paper's sizing rule sits
-// on.
-func AblationSpraySize(o Options) (*SprayAblationResult, error) {
-	return planOne(o, (*Plan).AblationSpraySize)
-}
-
-// AblationSpraySize registers one steering unit per spray budget and
-// returns the future of the sweep, assembled in budget order.
+// on. It registers one steering unit per spray budget and returns the
+// future of the sweep, assembled in budget order.
 func (p *Plan) AblationSpraySize() *Future[*SprayAblationResult] {
 	const blocks = 2
 	f := &Future[*SprayAblationResult]{}
@@ -172,66 +158,6 @@ func (p *Plan) AblationSpraySize() *Future[*SprayAblationResult] {
 	}
 	p.finally(func() error { f.set(res); return nil })
 	return f
-}
-
-// steerOnce runs the Table 2 workload once at short scale with
-// explicit knobs. sprayPages 0 means "the whole buffer".
-func steerOnce(o Options, exhaust bool, blocks, sprayPages int) (Table2Row, error) {
-	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1})
-	if err != nil {
-		return Table2Row{}, err
-	}
-	gos := guest.Boot(vm)
-	gos.InstallAttackDriver()
-	n := gos.FreeHugepages()
-	base, err := gos.AllocHuge(n)
-	if err != nil {
-		return Table2Row{}, err
-	}
-	if exhaust {
-		iova := memdef.IOVA(0x1_0000_0000)
-		for m := 0; m < sc.iovaMaps; m++ {
-			if err := gos.MapDMA(0, iova, base); err != nil {
-				return Table2Row{}, err
-			}
-			iova += memdef.HugePageSize
-		}
-	}
-	stride := (n - 1) / blocks
-	for i, rel := 1, 0; i < n && rel < blocks; i += stride {
-		if err := gos.ReleaseHugepage(base + memdef.GVA(i)*memdef.HugePageSize); err != nil {
-			return Table2Row{}, err
-		}
-		rel++
-	}
-	if sprayPages == 0 {
-		sprayPages = n
-	}
-	sprayed := 0
-	for i := 0; i < n && sprayed < sprayPages; i++ {
-		gva := base + memdef.GVA(i)*memdef.HugePageSize
-		if _, err := gos.GPAOf(gva); err != nil {
-			continue
-		}
-		if _, err := gos.Exec(gva); err != nil {
-			return Table2Row{}, err
-		}
-		sprayed++
-	}
-	stats := vm.EPTReuse()
-	return Table2Row{
-		System:     SystemS1,
-		SprayBytes: uint64(sprayed) * memdef.HugePageSize,
-		Blocks:     stats.ReleasedBlocks,
-		Released:   stats.ReleasedPages,
-		EPTPages:   stats.EPTPages,
-		Reused:     stats.ReusedPages,
-	}, nil
 }
 
 // THPAblationResult compares profiling effectiveness with and without
@@ -254,22 +180,17 @@ func (r *THPAblationResult) Table() *report.Table {
 	return t
 }
 
-// AblationTHP runs the same profiling budget on a THP host and a
-// 4 KiB-backed host. Without THP the bank-class placement no longer
-// corresponds to physical banks and the profiler's aggressor pairs
-// land in unrelated rows.
-func AblationTHP(o Options) (*THPAblationResult, error) {
-	return planOne(o, (*Plan).AblationTHP)
-}
-
 // thpOutcome is one host's profiling yield and address preservation.
 type thpOutcome struct {
 	flips     int
 	preserved float64
 }
 
-// AblationTHP registers the THP-on and THP-off hosts as independent
-// units and returns the future of the comparison.
+// AblationTHP runs the same profiling budget on a THP host and a
+// 4 KiB-backed host. Without THP the bank-class placement no longer
+// corresponds to physical banks and the profiler's aggressor pairs
+// land in unrelated rows. It registers the THP-on and THP-off hosts as
+// independent units and returns the future of the comparison.
 func (p *Plan) AblationTHP() *Future[*THPAblationResult] {
 	f := &Future[*THPAblationResult]{}
 	res := &THPAblationResult{}
@@ -301,15 +222,8 @@ func thpRun(o Options, thp bool) (thpOutcome, error) {
 	// A small slice of the machine keeps the THP-off run (which
 	// backs 512 pages per chunk individually) affordable.
 	vmSize := uint64(512 * memdef.MiB)
-	cfg := kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          sc.fault(SystemS1, o.Seed),
-		THP:            thp,
-		NXHugepages:    true,
-		BootNoisePages: 500,
-		Seed:           o.Seed,
-		Scope:          o.ledgerless(),
-	}
+	cfg := o.hostConfig(sc, SystemS1)
+	cfg.THP, cfg.BootNoisePages = thp, 500
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return thpOutcome{}, err
@@ -363,12 +277,7 @@ func (r *PCPAblationResult) Table() *report.Table {
 }
 
 // AblationPCPNoise compares the exact spray budget against the paper's
-// padded budget.
-func AblationPCPNoise(o Options) (*PCPAblationResult, error) {
-	return planOne(o, (*Plan).AblationPCPNoise)
-}
-
-// AblationPCPNoise registers the exact and padded spray budgets as
+// padded budget. It registers the exact and padded spray budgets as
 // independent units and returns the future of the comparison.
 func (p *Plan) AblationPCPNoise() *Future[*PCPAblationResult] {
 	const blocks = 2

@@ -72,22 +72,13 @@ func analysisMCConfig(o Options) attack.MonteCarloConfig {
 // this only tunes scheduling granularity.
 const mcShards = 8
 
-// Analysis computes the paper's analytic results. profile supplies the
-// measured Table 1 numbers the end-to-end estimate consumes; pass nil
-// to use the paper's own published values (72 h / 96 bits on S1,
-// 48 h / 90 bits on S2).
-func Analysis(o Options, profile *Table1Result) *AnalysisResult {
-	p := NewPlan(o)
-	f := p.Analysis(resolved(profile))
-	// The only units are Monte-Carlo shards, which cannot fail.
-	_ = p.Run()
-	return f.Get()
-}
-
-// Analysis registers the Monte-Carlo sampling as mcShards independent
-// units (summed in shard order at delivery) and assembles the
-// closed-form analysis once t1 — the Table 1 future feeding the
-// end-to-end estimate, possibly resolved(nil) — is available.
+// Analysis computes the paper's analytic results. t1 supplies the
+// measured Table 1 numbers the end-to-end estimate consumes; pass
+// Resolved(nil) to use the paper's own published values (72 h / 96
+// bits on S1, 48 h / 90 bits on S2). It registers the Monte-Carlo
+// sampling as mcShards independent units (summed in shard order at
+// delivery) and assembles the closed-form analysis once t1 is
+// available.
 func (p *Plan) Analysis(t1 *Future[*Table1Result]) *Future[*AnalysisResult] {
 	f := &Future[*AnalysisResult]{}
 	cfg := analysisMCConfig(p.o)

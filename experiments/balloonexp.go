@@ -54,15 +54,10 @@ func (r *BalloonResult) Table() *report.Table {
 // the migratetype wall: EPT allocations reach them only after
 // migratetype stealing has consumed every larger movable block, which
 // a spray never does. The numbers quantify why the paper leaves the
-// balloon variant to future work.
-func Balloon(o Options) (*BalloonResult, error) {
-	return planOne(o, (*Plan).Balloon)
-}
-
-// Balloon registers the virtio-mem reference and both balloon variants
-// as independent units and returns the future of the comparison. Row
-// order (mem reference, drained, undrained) is preserved by the
-// scheduler's ordered delivery.
+// balloon variant to future work. It registers the virtio-mem
+// reference and both balloon variants as independent units and returns
+// the future of the comparison. Row order (mem reference, drained,
+// undrained) is preserved by the scheduler's ordered delivery.
 func (p *Plan) Balloon() *Future[*BalloonResult] {
 	f := &Future[*BalloonResult]{}
 	res := &BalloonResult{}
@@ -97,7 +92,7 @@ func (p *Plan) Balloon() *Future[*BalloonResult] {
 
 func balloonRun(o Options, drain bool) (BalloonRow, error) {
 	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
 	if err != nil {
 		return BalloonRow{}, err
 	}

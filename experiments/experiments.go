@@ -1,9 +1,10 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section 5), plus the Section 6 analyses and a
 // set of ablations for the design choices DESIGN.md calls out. Each
-// experiment returns both structured data and a formatted table or
-// figure, and is driven by the hh tables command and by the benchmark
-// harness in the repository root.
+// experiment is a Plan registrar: it adds its independent units to the
+// plan and returns a future that resolves, after Plan.Run, to both
+// structured data and a formatted table or figure. The hh tables
+// command and the benchmark harness in the repository root drive them.
 //
 // Absolute numbers come from the simulated substrate, so they match
 // the paper's *shape* — who wins, by what rough factor, where the
@@ -12,8 +13,6 @@
 package experiments
 
 import (
-	"time"
-
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/memdef"
@@ -51,9 +50,6 @@ type Options struct {
 	// completed unit, tagging the series points with the unit's name.
 	Obs *obs.Plane
 }
-
-// DefaultOptions returns the full-scale deterministic defaults.
-func DefaultOptions() Options { return Options{Seed: 1} }
 
 // System identifies one evaluation setup.
 type System int
@@ -183,20 +179,28 @@ func (o Options) scale() scale {
 	return fullScale()
 }
 
-// newHost boots a host for one system at the chosen scale, attaching
-// the OpenStack workload for S3.
-func (o Options) newHost(sys System) (*kvm.Host, error) {
-	sc := o.scale()
-	cfg := kvm.Config{
+// hostConfig is the one host configuration every unit boots from:
+// system sys's DRAM geometry and fault model at scale sc, THP and NX
+// hugepages on, the scale's boot noise, a seed derived from o.Seed and
+// the system, and the ledgerless scope. Units override fields on the
+// returned value before booting it.
+func (o Options) hostConfig(sc scale, sys System) kvm.Config {
+	return kvm.Config{
 		Geometry:       sc.geometry(sys),
 		Fault:          sc.fault(sys, o.Seed),
 		THP:            true,
 		NXHugepages:    true,
 		BootNoisePages: sc.hostNoise(sys),
 		Seed:           o.Seed ^ uint64(sys)<<32,
-		Scope:          o.Scope,
-		Obs:            o.Obs,
+		Scope:          o.ledgerless(),
 	}
+}
+
+// newHost boots a host for one system at o's scale with the full
+// scope, ledger included, attaching the OpenStack workload for S3.
+func (o Options) newHost(sys System) (*kvm.Host, error) {
+	cfg := o.hostConfig(o.scale(), sys)
+	cfg.Scope = o.Scope
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return nil, err
@@ -209,18 +213,16 @@ func (o Options) newHost(sys System) (*kvm.Host, error) {
 	return h, nil
 }
 
-// ledgerless is the scope of the hosts the mitigation, TRR, ECC and
-// Multihit units, the THP ablation and newHostAt boot. Those hosts have
-// never fed the determinism ledger, so hh bisect cannot localize drift
-// inside their units. Wiring it would add their streams to every
-// ledgered artifact and move the content hashes the benchmark's golden
-// file records, so the gap stays until a benchmark change re-records
-// them (DESIGN.md §12).
+// ledgerless is the scope of every host but newHost's: the mitigation,
+// TRR, ECC and Multihit units, the THP ablation, the short-scale
+// steering ablations, the balloon experiment and the Xen comparison.
+// Those hosts have never fed the determinism ledger, so hh bisect
+// cannot localize drift inside their units. Wiring it would add their
+// streams to every ledgered artifact and move the content hashes the
+// benchmark's golden file records, so the gap stays until a benchmark
+// change re-records them (DESIGN.md §12).
 func (o Options) ledgerless() scope.Scope {
 	s := o.Scope
 	s.Ledger = nil
 	return s
 }
-
-// Durations below are shared formatting helpers.
-func hours(d time.Duration) float64 { return d.Hours() }

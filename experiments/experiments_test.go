@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -9,11 +12,34 @@ func shortOpts() Options {
 	return Options{Seed: 61, Short: true, MaxAttempts: 40}
 }
 
-func TestTable1Short(t *testing.T) {
-	res, err := Table1(shortOpts())
-	if err != nil {
+// runPlan registers one experiment on a fresh plan over o, runs it and
+// returns the experiment's result.
+func runPlan[T any](t *testing.T, o Options, register func(*Plan) *Future[T]) T {
+	t.Helper()
+	p := NewPlan(o)
+	f := register(p)
+	if err := p.Run(); err != nil {
 		t.Fatal(err)
 	}
+	return f.Get()
+}
+
+// checkDigest pins an experiment's exact figures: the first 8 bytes of
+// the SHA-256 of its result's %+v rendering must equal want. The
+// property checks around each call say what the figures mean; this
+// says they did not move. A deliberate change to the model re-records
+// want from the failure message.
+func checkDigest(t *testing.T, res any, want string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", res)))
+	if got := hex.EncodeToString(sum[:8]); got != want {
+		t.Errorf("result digest = %s, want %s: a simulated figure moved\n%+v", got, want, res)
+	}
+}
+
+func TestTable1Short(t *testing.T) {
+	res := runPlan(t, shortOpts(), (*Plan).Table1)
+	checkDigest(t, *res, "4376d08636aee041")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -53,10 +79,8 @@ func TestTable1Short(t *testing.T) {
 }
 
 func TestFigure3Short(t *testing.T) {
-	res, err := Figure3(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Figure3)
+	checkDigest(t, *res, "11df71dbe27b402b")
 	if len(res.Series) != 3 {
 		t.Fatalf("series = %d", len(res.Series))
 	}
@@ -83,10 +107,8 @@ func TestFigure3Short(t *testing.T) {
 }
 
 func TestTable2Short(t *testing.T) {
-	res, err := Table2(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Table2)
+	checkDigest(t, *res, "78baa50d64328f73")
 	if len(res.Rows) != 15 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -116,10 +138,8 @@ func TestTable3Short(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign experiment")
 	}
-	res, err := Table3(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Table3)
+	checkDigest(t, *res, "0d1e1581bf513b4b")
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -134,7 +154,10 @@ func TestTable3Short(t *testing.T) {
 }
 
 func TestAnalysis(t *testing.T) {
-	res := Analysis(DefaultOptions(), nil)
+	res := runPlan(t, Options{Seed: 1}, func(p *Plan) *Future[*AnalysisResult] {
+		return p.Analysis(Resolved[*Table1Result](nil))
+	})
+	checkDigest(t, *res, "1451e2a1699fac82")
 	if res.Bound < 1.0/700 || res.Bound > 1.0/500 {
 		t.Errorf("bound = %v", res.Bound)
 	}
@@ -156,10 +179,8 @@ func TestAnalysis(t *testing.T) {
 }
 
 func TestDRAMDigExperiment(t *testing.T) {
-	res, err := DRAMDig(DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, Options{Seed: 1}, (*Plan).DRAMDig)
+	checkDigest(t, *res, "4d8a8e2432107482")
 	for _, row := range res.Rows {
 		if row.Banks != 32 {
 			t.Errorf("%s: %d banks", row.System, row.Banks)
@@ -171,10 +192,8 @@ func TestDRAMDigExperiment(t *testing.T) {
 }
 
 func TestMitigationExperiment(t *testing.T) {
-	res, err := Mitigation(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Mitigation)
+	checkDigest(t, *res, "69ef52f56520b0dc")
 	if res.StockReleased != 8 {
 		t.Errorf("stock released = %d, want 8", res.StockReleased)
 	}
@@ -190,10 +209,8 @@ func TestMitigationExperiment(t *testing.T) {
 }
 
 func TestXenComparison(t *testing.T) {
-	res, err := Xen(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Xen)
+	checkDigest(t, *res, "b295752837d86756")
 	if res.XenRE() < 0.9 {
 		t.Errorf("Xen reuse = %.2f, want near-total", res.XenRE())
 	}
@@ -204,10 +221,8 @@ func TestXenComparison(t *testing.T) {
 }
 
 func TestBalloonFeasibility(t *testing.T) {
-	res, err := Balloon(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Balloon)
+	checkDigest(t, *res, "9787f6c53782951d")
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -234,10 +249,8 @@ func TestBalloonFeasibility(t *testing.T) {
 func TestAblations(t *testing.T) {
 	o := shortOpts()
 
-	side, err := AblationSidedness(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	side := runPlan(t, o, (*Plan).AblationSidedness)
+	checkDigest(t, *side, "f38d545ed978bfa8")
 	if side.ProfiledBits == 0 {
 		t.Fatal("sidedness: no bits profiled")
 	}
@@ -246,28 +259,22 @@ func TestAblations(t *testing.T) {
 			side.SingleSidedUsable, side.DoubleSidedUsable, side.ProfiledBits)
 	}
 
-	ex, err := AblationNoExhaust(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := runPlan(t, o, (*Plan).AblationNoExhaust)
+	checkDigest(t, *ex, "81f92cde06b851b7")
 	if ex.WithExhaust.RN() <= ex.WithoutExhaust.RN() {
 		t.Errorf("exhaustion did not help: %.2f vs %.2f",
 			ex.WithExhaust.RN(), ex.WithoutExhaust.RN())
 	}
 
-	spray, err := AblationSpraySize(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spray := runPlan(t, o, (*Plan).AblationSpraySize)
+	checkDigest(t, *spray, "3302559440240e49")
 	first, last := spray.Rows[0], spray.Rows[len(spray.Rows)-1]
 	if last.RN() <= first.RN() {
 		t.Errorf("spray sweep flat: %.2f -> %.2f", first.RN(), last.RN())
 	}
 
-	thp, err := AblationTHP(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	thp := runPlan(t, o, (*Plan).AblationTHP)
+	checkDigest(t, *thp, "cf33f17c96411661")
 	if thp.Low21PreservedWithTHP < 0.99 {
 		t.Errorf("THP preservation = %.2f", thp.Low21PreservedWithTHP)
 	}
@@ -279,10 +286,8 @@ func TestAblations(t *testing.T) {
 			thp.FlipsWithoutTHP, thp.FlipsWithTHP)
 	}
 
-	pcp, err := AblationPCPNoise(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pcp := runPlan(t, o, (*Plan).AblationPCPNoise)
+	checkDigest(t, *pcp, "60c337b184c1e9ac")
 	if pcp.HeadroomSpray.Reused < pcp.ExactSpray.Reused {
 		t.Errorf("headroom hurt reuse: %d vs %d",
 			pcp.HeadroomSpray.Reused, pcp.ExactSpray.Reused)
@@ -292,7 +297,8 @@ func TestAblations(t *testing.T) {
 // The Section 5.3.1 sensitivity claim: shrinking the attacker's VM
 // makes the attack monotonically and sharply slower.
 func TestVMSizeSweep(t *testing.T) {
-	res := VMSize(DefaultOptions())
+	res := VMSize(Options{Seed: 1})
+	checkDigest(t, *res, "bbf6999d75e1e6c9")
 	if len(res.Rows) < 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -47,13 +47,9 @@ func (r *DRAMDigResult) Table() *report.Table {
 
 // DRAMDig recovers the bank function of both processors from timing
 // and verifies the paper's two claims: the recovery matches the real
-// function, and every function bit is preserved by THP translation.
-func DRAMDig(o Options) (*DRAMDigResult, error) {
-	return planOne(o, (*Plan).DRAMDig)
-}
-
-// DRAMDig registers one per-geometry recovery unit per system and
-// returns the future of the assembled table.
+// function, and every function bit is preserved by THP translation. It
+// registers one per-geometry recovery unit per system and returns the
+// future of the assembled table.
 func (p *Plan) DRAMDig() *Future[*DRAMDigResult] {
 	f := &Future[*DRAMDigResult]{}
 	res := &DRAMDigResult{}
@@ -119,20 +115,16 @@ func (r *MitigationResult) Table() *report.Table {
 	return t
 }
 
-// Mitigation runs Page Steering's release step against a stock host
-// and a quarantined host and compares.
-func Mitigation(o Options) (*MitigationResult, error) {
-	return planOne(o, (*Plan).Mitigation)
-}
-
 // mitigationOutcome is what one host (stock or quarantined) reports.
 type mitigationOutcome struct {
 	released, nacks int
 	legit           bool
 }
 
-// Mitigation registers the stock host and the quarantined host as
-// independent units and returns the future of the comparison.
+// Mitigation runs Page Steering's release step against a stock host
+// and a quarantined host and compares. It registers the stock host and
+// the quarantined host as independent units and returns the future of
+// the comparison.
 func (p *Plan) Mitigation() *Future[*MitigationResult] {
 	f := &Future[*MitigationResult]{}
 	res := &MitigationResult{}
@@ -168,16 +160,8 @@ func mitigationRun(o Options, guarded bool) (mitigationOutcome, error) {
 		// the owning unit's span stream.
 		guard, _ = mitigation.Traced(o.Trace)
 	}
-	cfg := kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          sc.fault(SystemS1, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 1000,
-		Seed:           o.Seed,
-		Quarantine:     guard,
-		Scope:          o.ledgerless(),
-	}
+	cfg := o.hostConfig(sc, SystemS1)
+	cfg.BootNoisePages, cfg.Quarantine = 1000, guard
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return mitigationOutcome{}, err
@@ -250,13 +234,9 @@ func (r *XenResult) Table() *report.Table {
 // Xen runs the comparison: on Xen-lite, released domain pages are
 // immediately eligible for p2m allocations; on KVM, skipping the
 // exhaustion step leaves the noise pages in front of the released
-// blocks and reuse collapses.
-func Xen(o Options) (*XenResult, error) {
-	return planOne(o, (*Plan).Xen)
-}
-
-// Xen registers the Xen-lite heap side and the KVM no-exhaust side as
-// independent units and returns the future of the comparison.
+// blocks and reuse collapses. It registers the Xen-lite heap side and
+// the KVM no-exhaust side as independent units and returns the future
+// of the comparison.
 func (p *Plan) Xen() *Future[*XenResult] {
 	f := &Future[*XenResult]{}
 	res := &XenResult{}
@@ -292,7 +272,7 @@ func xenHeapRun() ([2]int, error) {
 // xenKVMRun measures the same shape on KVM, but skips exhaustion.
 func xenKVMRun(o Options) ([2]int, error) {
 	sc := shortScale()
-	h, err := o.newHostAt(sc, SystemS1)
+	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
 	if err != nil {
 		return [2]int{}, err
 	}
@@ -323,18 +303,4 @@ func xenKVMRun(o Options) ([2]int, error) {
 	}
 	stats := vm.EPTReuse()
 	return [2]int{stats.ReleasedPages, stats.ReusedPages}, nil
-}
-
-// newHostAt boots a host at an explicit scale (used by comparisons
-// that always run small).
-func (o Options) newHostAt(sc scale, sys System) (*kvm.Host, error) {
-	return kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(sys),
-		Fault:          sc.fault(sys, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: sc.hostNoise(sys),
-		Seed:           o.Seed ^ uint64(sys)<<32,
-		Scope:          o.ledgerless(),
-	})
 }

@@ -69,13 +69,8 @@ func (r *Figure3Result) DropBelow(sys System, threshold int) float64 {
 // systems: allocate one guest page, map it at 60,000 IOVAs spaced
 // 2 MiB apart with an artificial one-second delay per 1,000 mappings,
 // and sample the host's noise-page count from /proc/pagetypeinfo
-// concurrently.
-func Figure3(o Options) (*Figure3Result, error) {
-	return planOne(o, (*Plan).Figure3)
-}
-
-// Figure3 registers one exhaustion trace per system as independent
-// units and returns the future of the assembled figure.
+// concurrently. It registers one exhaustion trace per system as
+// independent units and returns the future of the assembled figure.
 func (p *Plan) Figure3() *Future[*Figure3Result] {
 	f := &Future[*Figure3Result]{}
 	res := &Figure3Result{Threshold512: 512, Threshold1024: 1024}

@@ -46,13 +46,9 @@ func (r *TRRResult) Table() *report.Table {
 // same DIMM with a 4-slot TRR tracker. The expected shape (matching
 // TRRespass, which the paper cites for its pattern search): TRR stops
 // the narrow pattern cold, while the many-sided pattern overwhelms the
-// tracker and still flips bits.
-func TRR(o Options) (*TRRResult, error) {
-	return planOne(o, (*Plan).TRR)
-}
-
-// TRR registers each DIMM variant's pattern search as an independent
-// unit and returns the future of the assembled comparison.
+// tracker and still flips bits. It registers each DIMM variant's
+// pattern search as an independent unit and returns the future of the
+// assembled comparison.
 func (p *Plan) TRR() *Future[*TRRResult] {
 	f := &Future[*TRRResult]{}
 	res := &TRRResult{}
@@ -86,15 +82,9 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 		TRR: trr,
 	}
 	sc := shortScale()
-	h, err := kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          fault,
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 500,
-		Seed:           o.Seed,
-		Scope:          o.ledgerless(),
-	})
+	cfg := o.hostConfig(sc, SystemS1)
+	cfg.Fault, cfg.BootNoisePages = fault, 500
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -154,24 +144,20 @@ func (r *ECCResult) Table() *report.Table {
 	return t
 }
 
-// ECC runs the same profiling budget on a non-ECC host and an ECC
-// host. The paper's Section 6 notes its machines use non-ECC DIMMs
-// "which differs from typical commodity servers": on the ECC host the
-// attacker observes nothing (while the operator's corrected-error
-// counters climb), unless a double-bit word machine-checks the host —
-// either way HyperHammer's profiling starves.
-func ECC(o Options) (*ECCResult, error) {
-	return planOne(o, (*Plan).ECC)
-}
-
 // eccOutcome is what one host (ECC or not) reports.
 type eccOutcome struct {
 	flips, corrected, detected int
 	crashed                    bool
 }
 
-// ECC registers the non-ECC and ECC hosts as independent units and
-// returns the future of the comparison.
+// ECC runs the same profiling budget on a non-ECC host and an ECC
+// host. The paper's Section 6 notes its machines use non-ECC DIMMs
+// "which differs from typical commodity servers": on the ECC host the
+// attacker observes nothing (while the operator's corrected-error
+// counters climb), unless a double-bit word machine-checks the host —
+// either way HyperHammer's profiling starves. It registers the non-ECC
+// and ECC hosts as independent units and returns the future of the
+// comparison.
 func (p *Plan) ECC() *Future[*ECCResult] {
 	f := &Future[*ECCResult]{}
 	res := &ECCResult{}
@@ -200,18 +186,10 @@ func (p *Plan) ECC() *Future[*ECCResult] {
 // eccRun runs the profiling budget on one host.
 func eccRun(o Options, ecc bool) (eccOutcome, error) {
 	sc := shortScale()
-	fault := sc.fault(SystemS1, o.Seed)
-	fault.CellsPerRow = 0.1 // dense enough to see the contrast quickly
-	h, err := kvm.NewHost(kvm.Config{
-		Geometry:       sc.geometry(SystemS1),
-		Fault:          fault,
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: 500,
-		ECC:            ecc,
-		Seed:           o.Seed,
-		Scope:          o.ledgerless(),
-	})
+	cfg := o.hostConfig(sc, SystemS1)
+	cfg.Fault.CellsPerRow = 0.1 // dense enough to see the contrast quickly
+	cfg.BootNoisePages, cfg.ECC = 500, ecc
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return eccOutcome{}, err
 	}
@@ -220,8 +198,7 @@ func eccRun(o Options, ecc bool) (eccOutcome, error) {
 		return eccOutcome{}, err
 	}
 	gos := guest.Boot(vm)
-	cfg := attackConfig(sc, SystemS1)
-	prof, err := attack.Profile(gos, cfg)
+	prof, err := attack.Profile(gos, attackConfig(sc, SystemS1))
 	if err != nil && !ecc {
 		return eccOutcome{}, err
 	}
@@ -258,23 +235,18 @@ func (r *MultihitResult) Table() *report.Table {
 	return t
 }
 
-// Multihit demonstrates why KVM ships the countermeasure HyperHammer
-// exploits: on an affected CPU without it, a malicious guest
-// machine-checks the host at will (denial of service); with it, the
-// host survives — but every guest code fetch now mints the EPT pages
-// Page Steering feeds on.
-func Multihit(o Options) (*MultihitResult, error) {
-	return planOne(o, (*Plan).Multihit)
-}
-
 // multihitOutcome is one host's DoS-vs-splits measurement.
 type multihitOutcome struct {
 	crashed bool
 	splits  int
 }
 
-// Multihit registers the mitigated and unmitigated hosts as
-// independent units and returns the future of the trade-off.
+// Multihit demonstrates why KVM ships the countermeasure HyperHammer
+// exploits: on an affected CPU without it, a malicious guest
+// machine-checks the host at will (denial of service); with it, the
+// host survives — but every guest code fetch now mints the EPT pages
+// Page Steering feeds on. It registers the mitigated and unmitigated
+// hosts as independent units and returns the future of the trade-off.
 func (p *Plan) Multihit() *Future[*MultihitResult] {
 	f := &Future[*MultihitResult]{}
 	res := &MultihitResult{}
@@ -303,17 +275,9 @@ func (p *Plan) Multihit() *Future[*MultihitResult] {
 // multihitRun measures one host: exec in every hugepage, then attempt
 // the Multihit DoS.
 func multihitRun(o Options, mitigated bool) (multihitOutcome, error) {
-	sc := shortScale()
-	h, err := kvm.NewHost(kvm.Config{
-		Geometry:           sc.geometry(SystemS1),
-		Fault:              sc.fault(SystemS1, o.Seed),
-		THP:                true,
-		NXHugepages:        mitigated,
-		MultihitBugPresent: true,
-		BootNoisePages:     500,
-		Seed:               o.Seed,
-		Scope:              o.ledgerless(),
-	})
+	cfg := o.hostConfig(shortScale(), SystemS1)
+	cfg.NXHugepages, cfg.MultihitBugPresent, cfg.BootNoisePages = mitigated, true, 500
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return multihitOutcome{}, err
 	}

@@ -5,10 +5,8 @@ import "testing"
 // The TRRespass shape: TRR kills the paper's narrow pattern but not
 // the many-sided one; without TRR both work.
 func TestTRRExperiment(t *testing.T) {
-	res, err := TRR(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).TRR)
+	checkDigest(t, *res, "adac8b3c81aa895c")
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -33,10 +31,8 @@ func TestTRRExperiment(t *testing.T) {
 }
 
 func TestECCExperiment(t *testing.T) {
-	res, err := ECC(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).ECC)
+	checkDigest(t, *res, "db6c6f709be77b72")
 	if res.FlipsNonECC == 0 {
 		t.Fatal("no flips without ECC; fault model too sparse")
 	}
@@ -52,10 +48,8 @@ func TestECCExperiment(t *testing.T) {
 // splits abound (HyperHammer's precondition); without it the DoS
 // succeeds and no splits happen.
 func TestMultihitExperiment(t *testing.T) {
-	res, err := Multihit(shortOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPlan(t, shortOpts(), (*Plan).Multihit)
+	checkDigest(t, *res, "f250e7445e539240")
 	if res.DoSWithMitigation {
 		t.Error("DoS succeeded despite the countermeasure")
 	}

@@ -32,8 +32,7 @@ import (
 // Future is a placeholder for one experiment's assembled result,
 // resolved when the plan's Run completes.
 type Future[T any] struct {
-	v  T
-	ok bool
+	v T
 }
 
 // Get returns the resolved value; the zero value before Run finishes.
@@ -45,20 +44,12 @@ func (f *Future[T]) Get() T {
 	return f.v
 }
 
-func (f *Future[T]) set(v T) { f.v, f.ok = v, true }
+func (f *Future[T]) set(v T) { f.v = v }
 
-// resolved wraps an already-known value, for feeding one experiment's
-// output into another (Analysis consuming Table 1) outside a plan.
-func resolved[T any](v T) *Future[T] {
-	f := &Future[T]{}
-	f.set(v)
-	return f
-}
-
-// Resolved is the exported form of resolved, for callers that need to
-// feed a fixed value (e.g. a nil Table 1) into a plan-registered
-// consumer such as Analysis.
-func Resolved[T any](v T) *Future[T] { return resolved(v) }
+// Resolved wraps an already-known value, for feeding a fixed input
+// (e.g. a nil Table 1) into a plan-registered consumer such as
+// Analysis.
+func Resolved[T any](v T) *Future[T] { return &Future[T]{v: v} }
 
 // unitResult pairs a unit's value with its private telemetry for the
 // merge step.
@@ -212,19 +203,4 @@ func addTyped[T any](p *Plan, name string, run func(Options) (T, error), store f
 	p.add(name,
 		func(o Options) (any, error) { return run(o) },
 		func(v any) { store(v.(T)) })
-}
-
-// planOne builds a single-experiment plan, runs it, and returns the
-// experiment's result: the compatibility path behind the package's
-// original one-call-per-experiment API. Even at Parallel <= 1 the
-// experiment runs through the same scoped-unit machinery as a parallel
-// run, which is what makes the two byte-identical by construction.
-func planOne[T any](o Options, register func(*Plan) *Future[T]) (T, error) {
-	p := NewPlan(o)
-	f := register(p)
-	if err := p.Run(); err != nil {
-		var zero T
-		return zero, err
-	}
-	return f.Get(), nil
 }

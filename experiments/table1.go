@@ -41,13 +41,9 @@ func (r *Table1Result) Table() *report.Table {
 
 // Table1 reproduces the Table 1 experiment: profile the attacker VM's
 // memory on S1 and S2, reporting flip counts by direction, stability
-// and exploitability, plus the simulated profiling time.
-func Table1(o Options) (*Table1Result, error) {
-	return planOne(o, (*Plan).Table1)
-}
-
-// Table1 registers the experiment's per-system profiling runs as
-// independent units and returns the future of the assembled table.
+// and exploitability, plus the simulated profiling time. It registers
+// the experiment's per-system profiling runs as independent units and
+// returns the future of the assembled table.
 func (p *Plan) Table1() *Future[*Table1Result] {
 	f := &Future[*Table1Result]{}
 	res := &Table1Result{}

@@ -91,14 +91,9 @@ func table2Settings(sc scale) []struct {
 // each (S, B) setting, exhaust the host's noise pages through vIOMMU,
 // release B page blocks through the modified virtio-mem driver,
 // trigger EPT creation over S bytes of the VM's memory, and use the
-// hypervisor's released-PFN log and EPT-page dump to count reuse.
-func Table2(o Options) (*Table2Result, error) {
-	return planOne(o, (*Plan).Table2)
-}
-
-// Table2 registers each (system, S, B) row as an independent unit —
-// every row boots its own fresh host — and returns the future of the
-// assembled table.
+// hypervisor's released-PFN log and EPT-page dump to count reuse. Each
+// (system, S, B) row is an independent unit that boots its own fresh
+// host; the future resolves to the assembled table.
 func (p *Plan) Table2() *Future[*Table2Result] {
 	f := &Future[*Table2Result]{}
 	res := &Table2Result{}
@@ -120,14 +115,38 @@ func (p *Plan) Table2() *Future[*Table2Result] {
 	return f
 }
 
-// table2Run performs one steering measurement on a fresh host.
+// table2Run is one Table 2 row: steering at o's scale on the system's
+// own ledgered host, in a VM with boot splits. The row reports the
+// requested spray bytes, the paper's S.
 func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row, error) {
 	sc := o.scale()
 	h, err := o.newHost(sys)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits})
+	row, err := steer(h, sc, sys, sc.bootSplits, true, blocks, int(sprayBytes/memdef.HugePageSize))
+	row.SprayBytes = sprayBytes
+	return row, err
+}
+
+// steerOnce is the steering ablations' measurement: steering at short
+// scale on a ledgerless S1 host, in a VM without boot splits. The row
+// reports the bytes actually sprayed.
+func steerOnce(o Options, exhaust bool, blocks, spray int) (Table2Row, error) {
+	sc := shortScale()
+	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
+	if err != nil {
+		return Table2Row{}, err
+	}
+	return steer(h, sc, SystemS1, 0, exhaust, blocks, spray)
+}
+
+// steer performs one Page Steering measurement (Section 4.2) in a fresh
+// VM on h and reads the hypervisor's released-PFN log and EPT-page dump
+// back as a row for sys. spray caps the hugepages the EPT spray
+// executes in; 0 sprays every hugepage still mapped.
+func steer(h *kvm.Host, sc scale, sys System, bootSplits int, exhaust bool, blocks, spray int) (Table2Row, error) {
+	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: bootSplits})
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -141,34 +160,37 @@ func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row,
 	}
 
 	// Step 1: exhaust noise pages (Section 4.2.1).
-	iova := memdef.IOVA(0x1_0000_0000)
-	for m := 0; m < sc.iovaMaps; m++ {
-		if err := gos.MapDMA(0, iova, base); err != nil {
-			return Table2Row{}, err
+	if exhaust {
+		iova := memdef.IOVA(0x1_0000_0000)
+		for m := 0; m < sc.iovaMaps; m++ {
+			if err := gos.MapDMA(0, iova, base); err != nil {
+				return Table2Row{}, err
+			}
+			iova += memdef.HugePageSize
 		}
-		iova += memdef.HugePageSize
 	}
 
-	// Step 2: release B blocks (Section 4.2.2). The Table 2 workload
-	// releases arbitrary blocks — reuse statistics do not depend on
-	// the blocks being Rowhammer-vulnerable. Spread them through the
-	// buffer, skipping the DMA target's hugepage.
+	// Step 2: release B blocks (Section 4.2.2). The workload releases
+	// arbitrary blocks — reuse statistics do not depend on the blocks
+	// being Rowhammer-vulnerable. Spread them through the buffer,
+	// skipping the DMA target's hugepage.
 	if blocks >= n-1 {
 		return Table2Row{}, fmt.Errorf("experiments: B=%d too large for %d hugepages", blocks, n)
 	}
 	stride := (n - 1) / blocks
-	released := 0
-	for i := 1; i < n && released < blocks; i += stride {
+	for i, released := 1, 0; i < n && released < blocks; i += stride {
 		if err := gos.ReleaseHugepage(base + memdef.GVA(i)*memdef.HugePageSize); err != nil {
 			return Table2Row{}, err
 		}
 		released++
 	}
 
-	// Step 3: trigger EPT creation over S bytes (Section 4.2.3).
-	sprayHugepages := int(sprayBytes / memdef.HugePageSize)
+	// Step 3: trigger EPT creation (Section 4.2.3).
+	if spray == 0 {
+		spray = n
+	}
 	sprayed := 0
-	for i := 0; i < n && sprayed < sprayHugepages; i++ {
+	for i := 0; i < n && sprayed < spray; i++ {
 		gva := base + memdef.GVA(i)*memdef.HugePageSize
 		if _, err := gos.GPAOf(gva); err != nil {
 			continue // released
@@ -182,7 +204,7 @@ func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row,
 	stats := vm.EPTReuse()
 	return Table2Row{
 		System:     sys,
-		SprayBytes: sprayBytes,
+		SprayBytes: uint64(sprayed) * memdef.HugePageSize,
 		Blocks:     stats.ReleasedBlocks,
 		Released:   stats.ReleasedPages,
 		EPTPages:   stats.EPTPages,

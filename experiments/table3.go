@@ -54,15 +54,11 @@ func (r *Table3Result) Table() *report.Table {
 // (reusing results across respawns via the GPA-to-HPA hypercall),
 // then run steer-and-exploit attempts on respawned VMs until the first
 // verified escape. Success is verified by reading a host-planted magic
-// value through the stolen EPT page, as in Section 5.3.2.
-func Table3(o Options) (*Table3Result, error) {
-	return planOne(o, (*Plan).Table3)
-}
-
-// Table3 registers one full campaign per system as independent units
-// and returns the future of the assembled table. These are the
-// dominant units of a full run — scheduling them early lets the pool
-// overlap them with everything else.
+// value through the stolen EPT page, as in Section 5.3.2. It registers
+// one full campaign per system as independent units and returns the
+// future of the assembled table. These are the dominant units of a
+// full run — scheduling them early lets the pool overlap them with
+// everything else.
 func (p *Plan) Table3() *Future[*Table3Result] {
 	f := &Future[*Table3Result]{}
 	res := &Table3Result{}

@@ -251,9 +251,10 @@ func NewLedger(cfg LedgerConfig) *LedgerRecorder { return ledger.New(cfg) }
 func BisectLedgers(a, b *LedgerSnapshot) *ledger.Divergence { return ledger.Bisect(a, b) }
 
 // CostProfiler folds the span trace into a per-phase simulated-time
-// cost profile (see internal/profile). Attach one to a trace recorder
-// with TraceRecorder.SetNamedSink("profile", p.Consume), or install it
-// on an ObsPlane with AttachProfile so /api/profile serves it live.
+// cost profile (see internal/profile). Feed one by attaching it to a
+// trace recorder with TraceRecorder.SetNamedSink("profile", p.Consume);
+// installing it on an ObsPlane with AttachProfile only serves it live
+// at /api/profile.
 type CostProfiler = profile.Builder
 
 // CostProfile is one folded snapshot of a CostProfiler: per-span-path

@@ -162,10 +162,10 @@ func (p *Plane) SampleUnit(unit string) {
 	})
 }
 
-// AttachProfile installs a live cost profiler: once attached, every
-// recorder tapped via TapTrace also feeds the builder, and the
-// server's /api/profile endpoint serves its snapshots. Attach before
-// booting hosts so span starts are not missed. Safe on a nil receiver.
+// AttachProfile installs the cost profiler whose snapshots the
+// server's /api/profile endpoint serves. The plane only reads it: its
+// owner feeds it, by attaching it to a recorder as the "profile" sink
+// or handing it to an experiment plan. Safe on a nil receiver.
 func (p *Plane) AttachProfile(b *profile.Builder) {
 	if p == nil {
 		return
@@ -293,11 +293,11 @@ func (p *Plane) ArtifactFunc() func() any {
 }
 
 // TapTrace streams every event the recorder emits onto the plane's
-// bus, timestamps converted to seconds, and — when a profiler is
-// attached — into the cost profile. The taps register under named
-// sinks, so re-tapping at every host boot is idempotent and leaves
-// other consumers of the recorder undisturbed. Safe on a nil receiver
-// (the recorder keeps whatever sinks it had).
+// bus, timestamps converted to seconds. The tap registers under the
+// named sink "obs", so re-tapping at every host boot is idempotent and
+// leaves other consumers of the recorder, the cost profiler among
+// them, undisturbed. Safe on a nil receiver (the recorder keeps
+// whatever sinks it had).
 func (p *Plane) TapTrace(r *trace.Recorder) {
 	if p == nil {
 		return
@@ -309,10 +309,4 @@ func (p *Plane) TapTrace(r *trace.Recorder) {
 		}
 		p.bus.Publish(ev.Kind, sim, ev.Data)
 	})
-	p.mu.Lock()
-	b := p.profiler
-	p.mu.Unlock()
-	if b != nil {
-		r.SetNamedSink("profile", b.Consume)
-	}
 }

@@ -167,6 +167,7 @@ func TestProfileEndpoint(t *testing.T) {
 	rec := trace.New(nil, 0)
 	rec.BindClock(clock)
 	b := profile.NewBuilder(reg)
+	rec.SetNamedSink("profile", b.Consume)
 	srv.plane.AttachProfile(b)
 	srv.plane.TapTrace(rec)
 
