@@ -11,7 +11,8 @@ package main
 //	hh dramdig -system S2
 //
 // Exit status: 0 on success, 1 on a simulation error, 2 on an unknown
-// -system or a -blocks below 1.
+// -system, a -blocks below 1, or a -blocks above the attacker VM's free
+// hugepages minus one (checked after boot, before any mapping).
 
 import (
 	"fmt"
@@ -107,6 +108,11 @@ func cmdSteer(args []string) int {
 	}
 	gos.InstallAttackDriver()
 	n := gos.FreeHugepages()
+	if *blocks > n-1 {
+		// The release stride (n-1)/blocks would be 0.
+		fmt.Fprintf(os.Stderr, "hh steer: -blocks must be at most %d, the VM's free hugepages minus one\n", n-1)
+		return 2
+	}
 	base, err := gos.AllocHuge(n)
 	if err != nil {
 		return fail("steer", 1, err)

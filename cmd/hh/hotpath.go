@@ -1,19 +1,5 @@
 package main
 
-// The benchmark-log subcommands.
-//
-// hh benchjson converts `go test -bench` text output into a
-// machine-readable JSON document, so CI can archive benchmark results
-// (including the custom sim-time metrics the harness reports via
-// b.ReportMetric) and diff them across commits with hh diff. Parsing
-// and the document schema live in internal/benchfmt.
-//
-//	go test -bench . -benchmem | hh benchjson -o BENCH_full.json
-//	hh benchjson bench.txt                  # read a saved log, JSON to stdout
-//
-// Exit status: 0 on success, 1 on a read or write error (an existing
-// -o file is then left as it was), 2 on usage errors.
-//
 // hh hotpath is the hammer hot-path CI gate. It reads two bench logs —
 // the committed bench_output.txt and a fresh run of the hot-path
 // benchmarks — and enforces two invariants:
@@ -23,8 +9,9 @@ package main
 //     operation.
 //  2. The -compare benchmark's ns/op in the fresh log has not
 //     regressed more than -bench-tol (relative) against the committed
-//     log, using the same tolerance rule hh diff and hh trend apply
-//     (runartifact.WithinTol). Improvements never fail the gate.
+//     log, using the rule hh diff and hh trend apply to host-cost
+//     figures (runartifact.WithinTol). Improvements never fail the
+//     gate.
 //
 //	hh hotpath -committed bench_output.txt -fresh hotpath_bench.txt \
 //	    -zero-alloc BenchmarkHammerOp,BenchmarkHammerBatch,BenchmarkHammerTRRAudit \
@@ -34,59 +21,13 @@ package main
 // log cannot be read, 2 on usage errors.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/runartifact"
 )
-
-func cmdBenchJSON(args []string) int {
-	fs := newFlags("benchjson", "usage: hh benchjson [-o out.json] [bench.txt]")
-	outPath := fs.String("o", "", "write the document to this file instead of stdout")
-	if status, ok := parse(fs, args); !ok {
-		return status
-	}
-	in := io.Reader(os.Stdin)
-	switch fs.NArg() {
-	case 0:
-	case 1:
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			return fail("benchjson", 1, err)
-		}
-		defer f.Close()
-		in = f
-	default:
-		fs.Usage()
-		return 2
-	}
-
-	out, err := benchfmt.Parse(in)
-	if err != nil {
-		return fail("benchjson", 1, err)
-	}
-	write := func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}
-	if *outPath != "" {
-		err = runartifact.WriteFileAtomic(*outPath, write)
-	} else {
-		err = write(os.Stdout)
-	}
-	if err != nil {
-		return fail("benchjson", 1, err)
-	}
-	if len(out.Benchmarks) == 0 {
-		fmt.Fprintln(os.Stderr, "hh benchjson: warning: no benchmark lines found")
-	}
-	return 0
-}
 
 func cmdHotpath(args []string) int {
 	fs := newFlags("hotpath", "")

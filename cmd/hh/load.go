@@ -1,6 +1,6 @@
 package main
 
-// The one reader of run documents and run-history stores, shared by
+// The one reader of run artifacts and run-history stores, shared by
 // every subcommand that reads what run and tables wrote.
 
 import (
@@ -9,71 +9,34 @@ import (
 	"fmt"
 	"os"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
 )
 
-// load reads path as a run artifact or a benchmark document. Exactly
-// one of the returns is non-nil on success.
-//
-// The kind is sniffed before full decoding so a damaged file is
-// reported for what it is: a truncated artifact used to fall through
-// to the bench decoder and surface as a baffling "not a bench
-// document" error.
-func load(path string) (*runartifact.Artifact, *benchfmt.Output, error) {
+// load reads path as a run artifact, naming path in every error. The
+// bytes are checked as JSON before the artifact schema, so a truncated
+// or empty file is reported as damaged rather than as some other kind
+// of document.
+func load(path string) (*runartifact.Artifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var probe struct {
-		Version     int             `json:"version"`
-		GeneratedAt string          `json:"generatedAt"`
-		Benchmarks  json.RawMessage `json:"benchmarks"`
+	if err := json.Unmarshal(data, new(json.RawMessage)); err != nil {
+		return nil, fmt.Errorf("%s: corrupt or truncated JSON: %v", path, err)
 	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return nil, nil, fmt.Errorf("%s: corrupt or truncated JSON: %v", path, err)
+	a, err := runartifact.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if probe.Version != 0 {
-		a, err := runartifact.Read(bytes.NewReader(data))
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return a, nil, nil
-	}
-	if probe.GeneratedAt == "" && probe.Benchmarks == nil {
-		return nil, nil, fmt.Errorf("%s: neither a run artifact (no version field) nor a bench document", path)
-	}
-	var out benchfmt.Output
-	if err := json.Unmarshal(data, &out); err != nil {
-		return nil, nil, fmt.Errorf("%s: corrupt bench document: %v", path, err)
-	}
-	return nil, &out, nil
-}
-
-// loadArtifact reads path as a run artifact.
-func loadArtifact(path string) (*runartifact.Artifact, error) {
-	a, _, err := load(path)
-	if err == nil && a == nil {
-		err = fmt.Errorf("%s: a bench document, not a run artifact", path)
-	}
-	return a, err
-}
-
-// loadBench reads path as a benchmark document.
-func loadBench(path string) (*benchfmt.Output, error) {
-	_, b, err := load(path)
-	if err == nil && (b == nil || b.Benchmarks == nil) {
-		err = fmt.Errorf("%s: not a bench document (no benchmarks field)", path)
-	}
-	return b, err
+	return a, nil
 }
 
 // loadArtifacts reads each argument as an artifact file or, when
 // storeDir is set, as a run ID in that store, opened once for all of
 // them.
 func loadArtifacts(name, storeDir string, args []string) ([]*runartifact.Artifact, error) {
-	read := loadArtifact
+	read := load
 	if storeDir != "" {
 		st, err := openStore(name, storeDir)
 		if err != nil {

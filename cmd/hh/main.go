@@ -29,15 +29,14 @@ type command struct {
 var commands = []command{
 	{"run", "the end-to-end escape: profile, steer, exploit, read the host secret", cmdRun},
 	{"tables", "regenerate Tables 1-3, Figure 3 and the Section 5-6 analyses", cmdTables},
-	{"diff", "compare two run artifacts or bench documents and gate regressions", cmdDiff},
+	{"diff", "compare two run artifacts and gate regressions", cmdDiff},
 	{"bisect", "localize where two runs' determinism ledgers first diverge", cmdBisect},
 	{"why", "explain each attempt's outcome from an artifact's flip provenance", cmdWhy},
 	{"top", "DRAM heatmap, layout census and alerts, live or from an artifact", cmdTop},
 	{"plan", "host-cost schedule (Gantt, utilization, critical path), live or from an artifact", cmdPlan},
-	{"trend", "fold a run-history store or bench documents into cross-run trends", cmdTrend},
+	{"trend", "fold a run-history store into cross-run trends", cmdTrend},
 	{"inspect", "analyze a JSONL trace offline, or list a run-history store", cmdInspect},
 	{"hotpath", "gate the hammer hot path: zero allocations, bounded ns/op", cmdHotpath},
-	{"benchjson", "convert `go test -bench` output into a BENCH JSON document", cmdBenchJSON},
 	{"profile", "the memory-profiling step (Section 4.1) on one system", cmdProfile},
 	{"steer", "the Page Steering step (Section 4.2)", cmdSteer},
 	{"dramdig", "recover the DRAM bank address function (Section 5.1)", cmdDramdig},

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
 	"io/fs"
@@ -11,7 +10,6 @@ import (
 	"strings"
 	"testing"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/sched"
 )
@@ -51,56 +49,46 @@ func TestSteerRejectsNoBlocks(t *testing.T) {
 	}
 }
 
+// TestSteerRejectsTooManyBlocks: a -blocks above the VM's free
+// hugepages minus one (6,623 on S1's 13 GiB VM) would make the release
+// stride 0. It is a usage error caught right after boot, before the
+// 60,000 exhaustion mappings.
+func TestSteerRejectsTooManyBlocks(t *testing.T) {
+	if status := dispatch([]string{"steer", "-blocks", "6624"}, io.Discard); status != 2 {
+		t.Errorf("hh steer -blocks 6624 = %d, want 2", status)
+	}
+}
+
 func TestLoadArtifact(t *testing.T) {
 	path := writeTemp(t, "art.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":1.5,"metrics":{}}`)
-	a, b, err := load(path)
+	a, err := load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
-	}
-	if a == nil || b != nil {
-		t.Fatalf("want artifact, got (artifact=%v, bench=%v)", a != nil, b != nil)
 	}
 	if a.Seed != 4 {
 		t.Errorf("seed = %d, want 4", a.Seed)
 	}
-	if _, err := loadBench(path); err == nil {
-		t.Error("loadBench accepted a run artifact")
-	}
-}
-
-func TestLoadBench(t *testing.T) {
-	path := writeTemp(t, "bench.json", `{"generatedAt":"2026-01-01T00:00:00Z","benchmarks":[]}`)
-	a, b, err := load(path)
-	if err != nil {
-		t.Fatalf("load: %v", err)
-	}
-	if a != nil || b == nil {
-		t.Fatalf("want bench, got (artifact=%v, bench=%v)", a != nil, b != nil)
-	}
-	if _, err := loadArtifact(path); err == nil {
-		t.Error("loadArtifact accepted a bench document")
-	}
 }
 
 // A truncated artifact must produce a clear corruption message, not a
-// bench-decoder fallback error.
+// complaint about the document's kind.
 func TestLoadTruncatedArtifact(t *testing.T) {
 	path := writeTemp(t, "trunc.json", `{"version":1,"tool":"hyperhammer","seed":4,"metr`)
-	_, _, err := load(path)
+	_, err := load(path)
 	if err == nil {
 		t.Fatal("load succeeded on a truncated artifact")
 	}
 	if !strings.Contains(err.Error(), "corrupt or truncated JSON") {
 		t.Errorf("error %q does not name the corruption", err)
 	}
-	if strings.Contains(err.Error(), "bench") {
-		t.Errorf("error %q blames the bench decoder for a damaged artifact", err)
+	if strings.Contains(err.Error(), "not a run artifact") {
+		t.Errorf("error %q reports a damaged artifact as another kind of document", err)
 	}
 }
 
 func TestLoadEmptyFile(t *testing.T) {
 	path := writeTemp(t, "empty.json", "")
-	_, _, err := load(path)
+	_, err := load(path)
 	if err == nil {
 		t.Fatal("load succeeded on an empty file")
 	}
@@ -109,20 +97,31 @@ func TestLoadEmptyFile(t *testing.T) {
 	}
 }
 
+// TestLoadUnknownDocument: well-formed JSON that is not a run artifact,
+// such as an unrelated document or a benchmark document (which has no
+// version field), is refused by name, and hh diff exits 2 on it.
 func TestLoadUnknownDocument(t *testing.T) {
-	path := writeTemp(t, "other.json", `{"hello":"world"}`)
-	_, _, err := load(path)
-	if err == nil {
-		t.Fatal("load succeeded on an unrelated JSON document")
-	}
-	if !strings.Contains(err.Error(), "neither a run artifact") {
-		t.Errorf("error %q does not explain the document kind", err)
+	for _, doc := range []string{
+		`{"hello":"world"}`,
+		`{"generatedAt":"2026-01-01T00:00:00Z","ok":true,"benchmarks":[{"name":"BenchmarkX","procs":1,"runs":1,"metrics":{"ns/op":100}}]}`,
+	} {
+		path := writeTemp(t, "other.json", doc)
+		_, err := load(path)
+		if err == nil {
+			t.Fatalf("load succeeded on %s", doc)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "not a run artifact") {
+			t.Errorf("error %q does not name the file and its kind", err)
+		}
+		if status := cmdDiff([]string{path, path}); status != 2 {
+			t.Errorf("hh diff on %s exited %d, want 2", doc, status)
+		}
 	}
 }
 
 func TestLoadFutureArtifactVersion(t *testing.T) {
 	path := writeTemp(t, "future.json", `{"version":99,"tool":"hyperhammer","metrics":{}}`)
-	_, _, err := load(path)
+	_, err := load(path)
 	if err == nil {
 		t.Fatal("load accepted an artifact from the future")
 	}
@@ -166,42 +165,8 @@ func TestConfigNotice(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, _, err := load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
+	if _, err := load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("load succeeded on a missing file")
-	}
-}
-
-// TestParseThroughCommandSchema: hh benchjson -o writes the documented
-// schema, and a run that cannot produce a document leaves an existing
-// output file as it was.
-func TestParseThroughCommandSchema(t *testing.T) {
-	in := writeTemp(t, "bench.txt",
-		"BenchmarkSteerShort-8-4   \t      10\t  52400000 ns/op\nok  \thyperhammer\t1.2s\n")
-	outPath := filepath.Join(t.TempDir(), "out.json")
-	if status := cmdBenchJSON([]string{"-o", outPath, in}); status != 0 {
-		t.Fatalf("hh benchjson exited %d", status)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out benchfmt.Output
-	if err := json.Unmarshal(data, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Ok || len(out.Benchmarks) != 1 {
-		t.Fatalf("out = %+v", out)
-	}
-	b := out.Benchmarks[0]
-	if b.Name != "BenchmarkSteerShort" || b.Procs != 4 || b.Metrics["ns/op"] != 52400000 {
-		t.Errorf("bench = %+v", b)
-	}
-
-	if status := cmdBenchJSON([]string{"-o", outPath, in + ".missing"}); status != 1 {
-		t.Errorf("hh benchjson on a missing log exited %d, want 1", status)
-	}
-	if after, _ := os.ReadFile(outPath); !bytes.Equal(after, data) {
-		t.Error("a failed hh benchjson changed the existing output file")
 	}
 }
 
@@ -268,18 +233,18 @@ func TestReadersNeverCreateStore(t *testing.T) {
 }
 
 // TestDiffSummaryLine: hh diff closes with a verdict line that names
-// the command as it is typed, for artifacts and benchmark documents.
+// the command as it is typed, whether the runs match or not.
 func TestDiffSummaryLine(t *testing.T) {
 	baseline := filepath.Join("..", "..", "testdata", "baselines", "short-seed4.json")
-	oldBench := writeTemp(t, "old.json", `{"generatedAt":"x","benchmarks":[{"name":"BenchmarkX","metrics":{"ns/op":100}}]}`)
-	newBench := writeTemp(t, "new.json", `{"generatedAt":"x","benchmarks":[{"name":"BenchmarkX","metrics":{"ns/op":200}}]}`)
+	oldRun := writeTemp(t, "old.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":1.5,"metrics":{}}`)
+	newRun := writeTemp(t, "new.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":2.5,"metrics":{}}`)
 	for _, tc := range []struct {
 		old, new   string
 		status     int
 		wantPrefix string
 	}{
 		{baseline, baseline, 0, "hh diff: "},
-		{oldBench, newBench, 1, "hh diff: 1 of 1 figures beyond tolerance"},
+		{oldRun, newRun, 1, "hh diff: 1 of 1 figures beyond tolerance"},
 	} {
 		out, status := captureStdout(t, func() int { return cmdDiff([]string{tc.old, tc.new}) })
 		if status != tc.status {

@@ -5,20 +5,18 @@ package main
 // figure per experiment lineage, with min/median/last, ASCII
 // sparklines, and first-regressed-run attribution.
 //
-// Simulated figures are held to hh diff's zero tolerance — the
+// Simulated figures are compared exactly, as hh diff does — the
 // simulation is seed-deterministic, so ANY drift between same-config
 // runs of the same code is a determinism regression. Drift that
 // coincides with a config-hash change is classified "config" instead
-// (the lineage's knobs moved). Host-cost figures and benchmark ns/op
-// are wall clock, tracked with the -host-tol machinery: listed by
-// default, gated only when a tolerance is requested (bench defaults to
-// ±30% like hh diff).
+// (the lineage's knobs moved). Host-cost figures are wall clock,
+// tracked with the -host-tol machinery: listed by default, gated only
+// when a tolerance is requested.
 //
 //	hh trend                        # trend report over ./store
 //	hh trend -store /path/to/store -json
 //	hh trend -last 10 -since 24h    # newest runs only
 //	hh trend -host-tol 0.5          # gate host wall-clock at ±50%
-//	hh trend -bench BENCH_a.json BENCH_b.json   # bench trajectories from files
 //
 // Exit status, matching hh diff: 0 when no figure regressed, 1 when
 // any did, 2 on usage or read errors (including a store directory that
@@ -35,52 +33,31 @@ import (
 
 func cmdTrend(args []string) int {
 	opts := runstore.DefaultTrendOptions()
-	fs := newFlags("trend", "usage: hh trend [flags]\n       hh trend -bench BENCH_old.json [BENCH_newer.json ...]")
+	fs := newFlags("trend", "usage: hh trend [flags]")
 	storeDir := fs.String("store", "store", "run-history store directory to fold")
 	jsonOut := fs.Bool("json", false, "emit the trend report as JSON (the /api/trend document)")
 	fs.IntVar(&opts.LastN, "last", 0, "keep only the newest N runs of each lineage (0 = all)")
 	since := fs.Duration("since", 0, "keep only runs ingested within this window (e.g. 24h; 0 = all)")
 	fs.Float64Var(&opts.HostFrac, "host-tol", opts.HostFrac, "relative tolerance on host-cost figures (1.0 lists without gating)")
 	fs.Float64Var(&opts.HostAbs, "host-abs", opts.HostAbs, "absolute tolerance on host-cost figures (seconds)")
-	fs.Float64Var(&opts.BenchFrac, "bench-tol", opts.BenchFrac, "relative tolerance on benchmark ns/op")
 	width := fs.Int("width", 48, "sparkline width in cells (0 = unbounded)")
-	bench := fs.Bool("bench", false, "treat the positional arguments as BENCH_*.json documents (hh benchjson output) and trend them in file order, no store needed")
 	if status, ok := parse(fs, args); !ok {
 		return status
 	}
 	if *since > 0 {
 		opts.Since = time.Now().UTC().Add(-*since)
 	}
-	if *bench != (fs.NArg() > 0) { // -bench takes documents, a store none
-
+	if fs.NArg() > 0 {
 		fs.Usage()
 		return 2
 	}
 
-	var r *runstore.Report
-	var store *runstore.Store
-	if *bench {
-		// Bench documents trend in argument order (oldest first), so
-		// committed benchmark history trends without ever having been
-		// ingested into a store.
-		entries := make([]runstore.IndexEntry, fs.NArg())
-		for i, path := range fs.Args() {
-			out, err := loadBench(path)
-			if err != nil {
-				return fail("trend", 2, err)
-			}
-			entries[i] = runstore.EntryFromBench(out)
-			entries[i].Seq, entries[i].RunID = i+1, path
-		}
-		r = runstore.Build(entries, opts)
-	} else {
-		var err error
-		if store, err = openStore("trend", *storeDir); err != nil {
-			return fail("trend", 2, err)
-		}
-		defer store.Close()
-		r = store.Trend(opts)
+	store, err := openStore("trend", *storeDir)
+	if err != nil {
+		return fail("trend", 2, err)
 	}
+	defer store.Close()
+	r := store.Trend(opts)
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -96,7 +73,7 @@ func cmdTrend(args []string) int {
 		// diffing the stored artifacts on either side of it.
 		for i := range r.Groups {
 			g := &r.Groups[i]
-			if !g.SimDrift || store == nil {
+			if !g.SimDrift {
 				continue
 			}
 			deltas, err := store.DriftDetail(g, 12)

@@ -119,7 +119,7 @@ func cmdTop(args []string) int {
 		return status
 	}
 	if *once != "" {
-		a, err := loadArtifact(*once)
+		a, err := load(*once)
 		if err == nil && a.Heatmap == nil && a.Census == nil && a.Alerts == nil {
 			err = fmt.Errorf("%s carries no introspection sections (rerun the producing command with -obs or -artifact)", *once)
 		}
@@ -184,7 +184,7 @@ func cmdPlan(args []string) int {
 	var err error
 	if *artifact != "" {
 		var a *runartifact.Artifact
-		a, err = loadArtifact(*artifact)
+		a, err = load(*artifact)
 		if err == nil && a.Plan == nil {
 			err = fmt.Errorf("%s carries no plan section (rerun the producing command with -artifact)", *artifact)
 		}

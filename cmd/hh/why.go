@@ -41,7 +41,7 @@ func cmdWhy(args []string) int {
 		return 2
 	}
 	path := fs.Arg(0)
-	a, err := loadArtifact(path)
+	a, err := load(path)
 	if err != nil {
 		return fail("why", 1, err)
 	}

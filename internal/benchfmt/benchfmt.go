@@ -1,14 +1,12 @@
-// Package benchfmt parses `go test -bench` text output into the
-// machine-readable document CI archives as BENCH_*.json. It is shared
-// by hh benchjson (which writes the document) and hh diff
-// (which compares two of them), so the schema lives in one place.
+// Package benchfmt parses `go test -bench` text output into per-
+// benchmark metrics, the figures hh hotpath gates.
 //
 // Benchmark names are normalized for cross-machine stability: the
 // test binary appends a -GOMAXPROCS suffix to every name, and a -cpu
 // list multiplies the same benchmark across several such suffixes
 // (BenchmarkX-8, BenchmarkX-8-4, ...). All trailing -N groups of the
 // final path segment are stripped into the Procs field, so the same
-// benchmark diffs under the same key no matter which machine or -cpu
+// benchmark compares under the same key no matter which machine or -cpu
 // setting produced it.
 package benchfmt
 
@@ -18,36 +16,26 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Benchmark is one parsed benchmark result line.
 type Benchmark struct {
 	// Name is the benchmark name with any -GOMAXPROCS/-cpu suffixes
 	// stripped (the stable cross-machine key).
-	Name string `json:"name"`
+	Name string
 	// Procs is the GOMAXPROCS the benchmark ran under (the outermost
 	// stripped suffix; 1 when the name carried none).
-	Procs int `json:"procs"`
+	Procs int
 	// Runs is the iteration count (b.N).
-	Runs int64 `json:"runs"`
+	Runs int64
 	// Metrics maps unit to value: ns/op, B/op, allocs/op, and any
 	// custom units from b.ReportMetric (e.g. sim_hours/profile).
-	Metrics map[string]float64 `json:"metrics"`
+	Metrics map[string]float64
 }
 
-// Output is the whole document.
+// Output is one parsed log: its benchmark lines in input order.
 type Output struct {
-	// GeneratedAt is the wall-clock parse time (RFC 3339).
-	GeneratedAt string `json:"generatedAt"`
-	// Goos/Goarch/Pkg/CPU echo the `go test` header lines when present.
-	Goos   string `json:"goos,omitempty"`
-	Goarch string `json:"goarch,omitempty"`
-	Pkg    string `json:"pkg,omitempty"`
-	CPU    string `json:"cpu,omitempty"`
-	// Ok reports whether a final "ok" line was seen (the run completed).
-	Ok         bool        `json:"ok"`
-	Benchmarks []Benchmark `json:"benchmarks"`
+	Benchmarks []Benchmark
 }
 
 // ByName indexes the benchmarks by normalized name. When a -cpu list
@@ -65,33 +53,19 @@ func (o *Output) ByName() map[string]Benchmark {
 }
 
 // Parse reads `go test -bench` output and extracts every benchmark
-// line plus the run headers. Lines it doesn't recognize (test logs,
-// PASS markers) are skipped; benchmarks are passed through to the
-// document in input order.
+// line in input order. Other lines (headers, test logs, PASS markers)
+// are skipped.
 func Parse(r io.Reader) (*Output, error) {
-	out := &Output{
-		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Benchmarks:  []Benchmark{},
-	}
+	out := &Output{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos: "):
-			out.Goos = strings.TrimPrefix(line, "goos: ")
-		case strings.HasPrefix(line, "goarch: "):
-			out.Goarch = strings.TrimPrefix(line, "goarch: ")
-		case strings.HasPrefix(line, "pkg: "):
-			out.Pkg = strings.TrimPrefix(line, "pkg: ")
-		case strings.HasPrefix(line, "cpu: "):
-			out.CPU = strings.TrimPrefix(line, "cpu: ")
-		case strings.HasPrefix(line, "ok "):
-			out.Ok = true
-		case strings.HasPrefix(line, "Benchmark"):
-			if b, ok := parseBench(line); ok {
-				out.Benchmarks = append(out.Benchmarks, b)
-			}
+		if !strings.HasPrefix(line, "Benchmark") {
+			continue
+		}
+		if b, ok := parseBench(line); ok {
+			out.Benchmarks = append(out.Benchmarks, b)
 		}
 	}
 	return out, sc.Err()
@@ -103,9 +77,8 @@ func Parse(r io.Reader) (*Output, error) {
 //
 // A malformed metric pair is skipped rather than dropping the whole
 // line, so a benchmark that logged a stray token still contributes its
-// parseable metrics. A NaN or infinite value counts as malformed: JSON
-// cannot encode it, so keeping it would make the whole document
-// unwritable.
+// parseable metrics. A NaN or infinite value counts as malformed: no
+// gate can compare it.
 func parseBench(line string) (Benchmark, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {

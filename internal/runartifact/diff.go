@@ -7,54 +7,41 @@ import (
 	"strconv"
 	"strings"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/report"
 )
 
-// Tolerances bounds how far two artifacts may drift before hh diff
-// flags them. Simulated metrics default to zero tolerance — the clock
-// is simulated and the run is seed-deterministic, so any drift means
-// the code's behavior changed. Wall-clock benchmark figures are noisy
-// and get a generous relative band.
+// Tolerances bounds how far two artifacts' host-cost figures may drift
+// before hh diff flags them. Every simulated figure compares exactly,
+// with no tolerance to set: the clock is simulated and the run is
+// seed-deterministic, so any drift means the code's behavior changed.
 type Tolerances struct {
-	// SimFrac/SimAbs bound per-phase and total simulated-time drift:
-	// a delta is within tolerance when |Δ| ≤ max(SimAbs, SimFrac·max(|a|,|b|)).
-	SimFrac float64
-	SimAbs  float64
-	// CountFrac/CountAbs bound counter drift (DRAM activations,
-	// hammer rounds, attempt counts, ...), same rule.
-	CountFrac float64
-	CountAbs  float64
-	// BenchFrac bounds benchmark ns/op drift relative to the old
-	// value; other bench metrics are informational only.
-	BenchFrac float64
 	// HostFrac/HostAbs bound the plan section's host-time figures
-	// (wall seconds, per-unit run times, critical path). Host time is
-	// real wall clock — noisy by nature and legitimately different
-	// across -parallel settings — so the default is HostFrac = 1.0,
-	// which under the max(|a|,|b|)-relative rule never flags
-	// non-negative durations: plan durations are listed for the
+	// (wall seconds, per-unit run times, critical path): a delta is
+	// within tolerance when |Δ| ≤ max(HostAbs, HostFrac·max(|a|,|b|)).
+	// Host time is real wall clock — noisy by nature and legitimately
+	// different across -parallel settings — so the default is
+	// HostFrac = 1.0, which under the max(|a|,|b|)-relative rule never
+	// flags non-negative durations: plan durations are listed for the
 	// record, and only gate when the caller tightens -host-tol. The
 	// plan's *shape* (unit count, per-unit presence) always compares
-	// at the exact count tolerance.
+	// exactly.
 	HostFrac float64
 	HostAbs  float64
 }
 
-// DefaultTolerances: exact on everything simulated, ±30% on ns/op,
-// host durations listed but not gated.
+// DefaultTolerances: host durations listed but not gated.
 func DefaultTolerances() Tolerances {
-	return Tolerances{BenchFrac: 0.30, HostFrac: 1.0}
+	return Tolerances{HostFrac: 1.0}
 }
 
 // Delta is one compared figure.
 type Delta struct {
 	// Kind groups the row: a section's kind from the sections table
-	// ("run" is the headline, "phase" a profile path), or "bench".
+	// ("run" is the headline, "phase" a profile path).
 	Kind string `json:"kind"`
 	// Key identifies the figure within its kind (span path, metric
-	// name+labels, benchmark name).
+	// name+labels).
 	Key string `json:"key"`
 	// A and B are the old and new values; Delta = B − A.
 	A     float64 `json:"a"`
@@ -77,7 +64,7 @@ func (d Delta) Frac() float64 {
 	return abs(d.Delta) / base
 }
 
-// Diff is the comparison of two artifacts (or bench documents).
+// Diff is the comparison of two artifacts.
 type Diff struct {
 	// Deltas lists every compared figure, kinds in sections-table
 	// order, keys sorted within each kind.
@@ -116,15 +103,14 @@ type tolClass int
 
 const (
 	// simExact sections are seed-deterministic. They are compared
-	// whenever either artifact carries them (a section on one side only
-	// shows as figures drifting from zero), at the count tolerance, or
-	// the sim tolerance for simulated-seconds figures; both default to
-	// zero, since any drift means the simulation behaved differently.
+	// exactly whenever either artifact carries them (a section on one
+	// side only shows as figures drifting from zero), since any drift
+	// means the simulation behaved differently.
 	simExact tolClass = iota
 	// hostCost sections measure the machine, not the simulation. They
-	// are compared only when both artifacts carry them: the shape at
-	// the count tolerance, the durations at the host tolerance (which
-	// defaults to never-flag).
+	// are compared only when both artifacts carry them: the shape
+	// exactly, the durations at the host tolerance (which defaults to
+	// never-flag).
 	hostCost
 )
 
@@ -138,9 +124,6 @@ type section struct {
 	// figures flattens the section to comparison keys; nil when the
 	// artifact does not carry the section.
 	figures func(*Artifact) map[string]float64
-	// simTime reports the keys that are simulated seconds, compared at
-	// the sim tolerance rather than the count tolerance (nil: none).
-	simTime func(key string) bool
 	// hostFigures flattens a hostCost section's durations, compared
 	// after its shape figures at the host tolerance.
 	hostFigures func(*Artifact) map[string]float64
@@ -153,8 +136,8 @@ type section struct {
 
 // sections lists every artifact section in verdict-table order.
 var sections = []section{
-	{kind: "run", figures: runFigures, simTime: func(string) bool { return true }, fingerprint: "outcome"},
-	{kind: "phase", figures: profileMap, simTime: isPhaseSeconds, fingerprint: "profile"},
+	{kind: "run", figures: runFigures, fingerprint: "outcome"},
+	{kind: "phase", figures: profileMap, fingerprint: "profile"},
 	{kind: "counter", figures: counterMap, fingerprint: "counters"},
 	{kind: "outcome", figures: func(a *Artifact) map[string]float64 { return a.Outcome },
 		fingerprint: "outcome", fpKey: func(k string) string { return "outcome[" + k + "]" }},
@@ -171,8 +154,9 @@ var sections = []section{
 	{kind: "plan", class: hostCost, figures: planShapeMap, hostFigures: planHostMap},
 }
 
-// Compare diffs two artifacts figure by figure under the given
-// tolerances, every section of the sections table in order.
+// Compare diffs two artifacts figure by figure, every section of the
+// sections table in order: simulated figures exactly, host-cost
+// durations under tol.
 func Compare(a, b *Artifact, tol Tolerances) *Diff {
 	d := &Diff{}
 	for _, s := range sections {
@@ -181,11 +165,7 @@ func Compare(a, b *Artifact, tol Tolerances) *Diff {
 			continue
 		}
 		for _, key := range unionKeys(fa, fb) {
-			frac, absTol := tol.CountFrac, tol.CountAbs
-			if s.simTime != nil && s.simTime(key) {
-				frac, absTol = tol.SimFrac, tol.SimAbs
-			}
-			d.add(s.kind, key, fa[key], fb[key], frac, absTol)
+			d.add(s.kind, key, fa[key], fb[key], 0, 0)
 		}
 		if s.hostFigures != nil {
 			ha, hb := s.hostFigures(a), s.hostFigures(b)
@@ -216,8 +196,6 @@ func runFigures(a *Artifact) map[string]float64 {
 // activationsSuffix marks a phase's activation count; every other phase
 // key is a span path's simulated seconds.
 const activationsSuffix = " activations"
-
-func isPhaseSeconds(key string) bool { return !strings.HasSuffix(key, activationsSuffix) }
 
 // planShapeMap flattens a plan report's deterministic shape: how many
 // units were scheduled, and that each declared unit ran and was
@@ -409,39 +387,6 @@ func alertsMap(a *Artifact) map[string]float64 {
 		m["rule["+rc.Rule+"]"] = float64(rc.Count)
 	}
 	return m
-}
-
-// CompareBench diffs two plain benchmark documents (BENCH_*.json).
-func CompareBench(a, b *benchfmt.Output, tol Tolerances) *Diff {
-	d := &Diff{}
-	ba, bb := a.ByName(), b.ByName()
-	names := make([]string, 0, len(ba))
-	for n := range ba {
-		names = append(names, n)
-	}
-	for n := range bb {
-		if _, ok := ba[n]; !ok {
-			names = append(names, n)
-		}
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		oa, oka := ba[n]
-		ob, okb := bb[n]
-		if !oka || !okb {
-			// A benchmark appearing or disappearing is always flagged.
-			d.Deltas = append(d.Deltas, Delta{
-				Kind: "bench", Key: n + " ns/op",
-				A: oa.Metrics["ns/op"], B: ob.Metrics["ns/op"],
-				Delta:   ob.Metrics["ns/op"] - oa.Metrics["ns/op"],
-				Flagged: true,
-			})
-			d.Flagged++
-			continue
-		}
-		d.add("bench", n+" ns/op", oa.Metrics["ns/op"], ob.Metrics["ns/op"], tol.BenchFrac, 0)
-	}
-	return d
 }
 
 // counterMap flattens an artifact's counter samples to "name{k=v,...}"

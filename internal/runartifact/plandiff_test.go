@@ -54,8 +54,7 @@ func TestPlanDiffDefaultToleratesHostNoise(t *testing.T) {
 }
 
 // TestPlanDiffShapeIsExact: a unit disappearing from the matrix is
-// flagged even at default tolerances — shape compares at the
-// (zero-default) count tolerance.
+// flagged even at default tolerances — shape compares exactly.
 func TestPlanDiffShapeIsExact(t *testing.T) {
 	a, b := sampleArtifact(t, 60), sampleArtifact(t, 60)
 	a.Plan = planFor(1)
@@ -91,8 +90,8 @@ func TestPlanDiffTightenedHostTolerance(t *testing.T) {
 	}
 }
 
-// TestPlanDiffOnlyWhenBothPresent: like bench, the plan section is
-// skipped unless both artifacts carry one, so old baselines keep
+// TestPlanDiffOnlyWhenBothPresent: the plan section is skipped
+// unless both artifacts carry one, so old baselines keep
 // comparing clean against plan-bearing runs.
 func TestPlanDiffOnlyWhenBothPresent(t *testing.T) {
 	a, b := sampleArtifact(t, 60), sampleArtifact(t, 60)

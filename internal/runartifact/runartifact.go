@@ -7,10 +7,9 @@
 // Because the simulation is deterministic for a fixed seed and its
 // clock is simulated (machine-speed independent), two artifacts from
 // the same seed must agree exactly on every sim-time and counter
-// figure; hh diff exploits this to gate regressions with zero
-// tolerance on simulated metrics while allowing generous slack on
-// wall-clock benchmark numbers, which it compares in plain benchmark
-// documents.
+// figure; hh diff exploits this to gate regressions by comparing every
+// simulated figure exactly, with a tolerance only on the plan
+// section's host durations.
 package runartifact
 
 import (
@@ -205,9 +204,9 @@ func (a *Artifact) WriteFile(path string) error {
 // to a temporary file in the same directory, which is synced and then
 // renamed over path. A failed or interrupted write leaves any previous
 // file at path whole and no temporary file behind. The CLI writes its
-// one-piece run files through it (artifacts, metrics, Chrome traces,
-// bench documents); the streamed JSONL trace is not, because its tail
-// is what explains a crash.
+// one-piece run files through it (artifacts, metrics, Chrome traces);
+// the streamed JSONL trace is not, because its tail is what explains a
+// crash.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -234,8 +233,8 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // Read parses an artifact. It rejects documents that are not
-// artifacts (no version stamp) so hh diff can fall back to treating
-// the file as a plain benchmark document.
+// artifacts (no version stamp) and versions newer than this package
+// writes.
 func Read(r io.Reader) (*Artifact, error) {
 	var a Artifact
 	dec := json.NewDecoder(r)

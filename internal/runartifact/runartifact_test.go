@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/metrics"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/simtime"
@@ -141,7 +140,7 @@ func TestWriteFileAtomicKeepsTarget(t *testing.T) {
 
 func TestReadRejectsNonArtifact(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"generatedAt":"x","benchmarks":[]}`)); err == nil {
-		t.Error("bench document accepted as artifact")
+		t.Error("a document with no version accepted as artifact")
 	}
 	if _, err := Read(strings.NewReader(`{"version":99}`)); err == nil {
 		t.Error("future version accepted")
@@ -192,10 +191,19 @@ func TestDifferentBudgetsFlagged(t *testing.T) {
 	if !exploitFlagged {
 		t.Errorf("exploit phase not named in:\n%s", d.Table(true))
 	}
-	// Generous tolerance swallows the drift.
-	loose := Compare(a, b, Tolerances{SimFrac: 2, CountFrac: 2})
-	if loose.Regressed() {
-		t.Errorf("tolerant compare still flagged:\n%s", loose.Table(true))
+
+	// No simulated figure has slack: the headline sim time moved by
+	// one part in 10^9, and nothing else, is the one flagged row.
+	c := sampleArtifact(t, 60)
+	c.SimSeconds *= 1 + 1e-9
+	d = Compare(a, c, DefaultTolerances())
+	if d.Flagged != 1 {
+		t.Fatalf("flagged = %d, want 1:\n%s", d.Flagged, d.Table(true))
+	}
+	for _, row := range d.Deltas {
+		if row.Flagged != (row.Kind == "run" && row.Key == "sim_seconds") {
+			t.Errorf("row %+v: flagged = %v", row, row.Flagged)
+		}
 	}
 }
 
@@ -216,27 +224,6 @@ func TestWithinTolRules(t *testing.T) {
 		if got := withinTol(tc.a, tc.b, tc.frac, tc.abs); got != tc.want {
 			t.Errorf("withinTol(%v,%v,%v,%v) = %v", tc.a, tc.b, tc.frac, tc.abs, got)
 		}
-	}
-}
-
-func TestCompareBench(t *testing.T) {
-	parse := func(s string) *benchfmt.Output {
-		out, err := benchfmt.Parse(strings.NewReader(s))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	a := parse("BenchmarkSteer-8 10 1000 ns/op\nBenchmarkGone-8 10 50 ns/op\nok x 1s\n")
-	b := parse("BenchmarkSteer-8 10 1200 ns/op\nok x 1s\n")
-	d := CompareBench(a, b, DefaultTolerances())
-	// +20% is inside the default 30% band; the vanished benchmark is not.
-	if d.Flagged != 1 {
-		t.Fatalf("flagged = %d:\n%s", d.Flagged, d.Table(false))
-	}
-	tight := CompareBench(a, b, Tolerances{BenchFrac: 0.05})
-	if tight.Flagged != 2 {
-		t.Errorf("tight flagged = %d", tight.Flagged)
 	}
 }
 

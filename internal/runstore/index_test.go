@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -66,6 +67,48 @@ func TestOpenDropsTornTail(t *testing.T) {
 	defer s.Close()
 	if s.Len() != 3 || s.Repaired() != nil {
 		t.Fatalf("reopened %d entries (repaired: %v), want 3 and a whole index", s.Len(), s.Repaired())
+	}
+}
+
+// TestKindRowsStillLoad: index rows written when the index still
+// carried a document kind hold "kind":"artifact". A store of such rows
+// opens, loads every run and trends clean.
+func TestKindRowsStillLoad(t *testing.T) {
+	dir := t.TempDir()
+	path := ingestN(t, dir, 2)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []byte
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var row map[string]any
+		if err := json.Unmarshal(line, &row); err != nil {
+			t.Fatal(err)
+		}
+		row["kind"] = "artifact"
+		b, err := json.Marshal(row)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(append(rows, b...), '\n')
+	}
+	if err := os.WriteFile(path, rows, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, e := range s.Entries() {
+		if _, err := s.Load(e.RunID); err != nil {
+			t.Errorf("load %s: %v", e.RunID, err)
+		}
+	}
+	if r := s.Trend(DefaultTrendOptions()); r.Runs != 2 || r.Regressed() {
+		t.Errorf("trend over kind rows: %d runs, %d flagged; want 2 runs, none flagged", r.Runs, r.Flagged)
 	}
 }
 

@@ -27,8 +27,6 @@ package runstore
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/runartifact"
 )
 
@@ -54,9 +51,6 @@ type IndexEntry struct {
 	// RunID names the stored document: "<seq>-<contentHash>". The
 	// content suffix makes byte-identical reruns visible at a glance.
 	RunID string `json:"runID"`
-	// Kind is "artifact" (a full run bundle) or "bench" (an hh
-	// benchjson document, see EntryFromBench).
-	Kind string `json:"kind"`
 	// ConfigHash groups runs that claim identical simulated inputs;
 	// the artifact lives under this directory.
 	ConfigHash string `json:"configHash"`
@@ -80,20 +74,13 @@ type IndexEntry struct {
 	// CPU, speedup, efficiency) — noisy by nature, tracked with
 	// min/median/last and gated only by an explicit -host-tol.
 	Host map[string]float64 `json:"host,omitempty"`
-	// Bench holds wall-clock benchmark figures ("Name ns/op") from an
-	// hh benchjson document.
-	Bench map[string]float64 `json:"bench,omitempty"`
 }
 
 // GroupKey identifies the experiment lineage an entry belongs to: the
 // same tool at the same seed and scale, run over time. Config-knob
 // changes within a lineage keep the key (the trend engine detects and
-// classifies them via ConfigHash); bench documents form one shared
-// lineage.
+// classifies them via ConfigHash).
 func (e IndexEntry) GroupKey() string {
-	if e.Kind == "bench" {
-		return "bench"
-	}
 	return fmt.Sprintf("%s/%s/seed%d", e.Tool, e.Scale, e.Seed)
 }
 
@@ -278,25 +265,18 @@ func (s *Store) Load(runID string) (*runartifact.Artifact, error) {
 		return nil, errors.New("runstore: load from a nil store")
 	}
 	s.mu.Lock()
-	var found *IndexEntry
-	for i := range s.entries {
-		if s.entries[i].RunID == runID {
-			found = &s.entries[i]
+	path := ""
+	for _, e := range s.entries {
+		if e.RunID == runID {
+			path = filepath.Join(s.dir, e.ConfigHash, e.RunID+".json")
 			break
 		}
 	}
-	var entry IndexEntry
-	if found != nil {
-		entry = *found
-	}
 	s.mu.Unlock()
-	if found == nil {
+	if path == "" {
 		return nil, fmt.Errorf("runstore: run %q not in the index", runID)
 	}
-	if entry.Kind != "artifact" {
-		return nil, fmt.Errorf("runstore: run %q is a %s document, not an artifact", runID, entry.Kind)
-	}
-	return runartifact.ReadFile(filepath.Join(s.dir, entry.ConfigHash, entry.RunID+".json"))
+	return runartifact.ReadFile(path)
 }
 
 func (s *Store) nextSeqLocked() int {
@@ -326,7 +306,6 @@ func (s *Store) appendLocked(e IndexEntry) error {
 // the host-cost summary. Seq/RunID/IngestedAt are filled by Ingest.
 func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 	e := IndexEntry{
-		Kind:        "artifact",
 		ConfigHash:  a.ConfigHash,
 		ContentHash: a.ContentHash(),
 		Tool:        a.Tool,
@@ -359,45 +338,4 @@ func EntryFromArtifact(a *runartifact.Artifact) IndexEntry {
 		}
 	}
 	return e
-}
-
-// EntryFromBench builds the index view of an hh benchjson document,
-// the entries `hh trend -bench` trends. The config hash covers the
-// machine identity lines (goos, goarch, cpu, pkg) so trajectories from
-// different machines stay distinguishable.
-func EntryFromBench(b *benchfmt.Output) IndexEntry {
-	doc := struct {
-		Goos   string `json:"goos"`
-		Goarch string `json:"goarch"`
-		CPU    string `json:"cpu"`
-		Pkg    string `json:"pkg"`
-	}{b.Goos, b.Goarch, b.CPU, b.Pkg}
-	idb, _ := json.Marshal(doc)
-	raw, _ := json.Marshal(b)
-	return IndexEntry{
-		Kind:        "bench",
-		Tool:        "bench",
-		ConfigHash:  shortHash(idb),
-		ContentHash: shortHash(raw),
-		CreatedAt:   b.GeneratedAt,
-		Bench:       benchFigures(b),
-	}
-}
-
-// benchFigures extracts the gating wall-clock figure per benchmark.
-func benchFigures(b *benchfmt.Output) map[string]float64 {
-	m := map[string]float64{}
-	for name, bm := range b.ByName() {
-		if v, ok := bm.Metrics["ns/op"]; ok {
-			m[name+" ns/op"] = v
-		}
-	}
-	return m
-}
-
-// shortHash is the 16-hex-char identity used throughout the store,
-// matching runartifact's config/content hashes.
-func shortHash(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
 }

@@ -2,12 +2,10 @@ package runstore
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"hyperhammer/internal/benchfmt"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
 )
@@ -27,15 +25,6 @@ func testArtifact(seed uint64) *runartifact.Artifact {
 	return a
 }
 
-func testBench() *benchfmt.Output {
-	return &benchfmt.Output{
-		Goos: "linux", Goarch: "amd64", CPU: "testcpu", Pkg: "hyperhammer/bench",
-		Benchmarks: []benchfmt.Benchmark{
-			{Name: "BenchmarkCampaignShort", Metrics: map[string]float64{"ns/op": 1.5e9}},
-		},
-	}
-}
-
 func TestIngestRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -48,8 +37,8 @@ func TestIngestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Seq != 1 || e.Kind != "artifact" {
-		t.Fatalf("entry = %+v, want seq 1 artifact", e)
+	if e.Seq != 1 {
+		t.Fatalf("entry = %+v, want seq 1", e)
 	}
 	if e.ConfigHash != a.ConfigHash || len(e.ConfigHash) != 16 {
 		t.Fatalf("entry hash %q does not match stamped artifact hash %q", e.ConfigHash, a.ConfigHash)
@@ -134,37 +123,6 @@ func TestIdenticalRunsShareConfigDir(t *testing.T) {
 	}
 	if got := s.ByConfig(e1.ConfigHash); len(got) != 2 {
 		t.Fatalf("ByConfig returned %d entries, want 2", len(got))
-	}
-}
-
-// TestEntryFromBench: a benchmark document indexes as the shared bench
-// lineage with its ns/op figures, and a store whose index holds such an
-// entry refuses to load it as an artifact.
-func TestEntryFromBench(t *testing.T) {
-	e := EntryFromBench(testBench())
-	if e.Kind != "bench" || e.GroupKey() != "bench" {
-		t.Fatalf("bench entry = %+v", e)
-	}
-	if e.Bench["BenchmarkCampaignShort ns/op"] != 1.5e9 {
-		t.Fatalf("bench figures not indexed: %v", e.Bench)
-	}
-
-	dir := t.TempDir()
-	e.Seq, e.RunID = 1, "000001-"+e.ContentHash
-	line, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, indexFile), append(line, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Load(e.RunID); err == nil {
-		t.Fatal("Load must refuse a bench document")
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 )
 
 // TrendOptions tunes the cross-run trend engine. The zero value gates
-// nothing but sim drift; DefaultTrendOptions matches hh diff's
-// defaults for the noisy kinds.
+// any host-cost rise as well as sim drift; DefaultTrendOptions matches
+// hh diff's host default.
 type TrendOptions struct {
 	// Since drops runs ingested before this instant (zero keeps all).
 	Since time.Time
@@ -22,14 +22,12 @@ type TrendOptions struct {
 	// of 1.0 lists trajectories without ever gating them.
 	HostFrac float64
 	HostAbs  float64
-	// BenchFrac gates benchmark ns/op trajectories the same way.
-	BenchFrac float64
 }
 
 // DefaultTrendOptions: sim figures exact (always), host durations
-// listed but not gated, bench ns/op at ±30% — the hh diff defaults.
+// listed but not gated — the hh diff defaults.
 func DefaultTrendOptions() TrendOptions {
-	return TrendOptions{HostFrac: 1.0, BenchFrac: 0.30}
+	return TrendOptions{HostFrac: 1.0}
 }
 
 // Drift classification for a group's first simulated-figure
@@ -56,16 +54,15 @@ type TrendPoint struct {
 // FigureTrend is one figure folded across a group's runs.
 type FigureTrend struct {
 	Name string `json:"name"`
-	// Kind is "sim" (zero tolerance), "host" (-host-tol), or "bench"
-	// (-bench-tol).
+	// Kind is "sim" (exact) or "host" (-host-tol).
 	Kind   string       `json:"kind"`
 	Points []TrendPoint `json:"points"`
 	Min    float64      `json:"min"`
 	Median float64      `json:"median"`
 	Last   float64      `json:"last"`
 	// Regressed gates the hh trend exit status: sim figures regress on
-	// any drift at all; host/bench figures when the latest value
-	// exceeds the best seen by more than the tolerance.
+	// any drift at all; host figures when the latest value exceeds the
+	// best seen by more than the tolerance.
 	Regressed bool `json:"regressed,omitempty"`
 	// FirstRegressedSeq/Run attribute the first run that broke the
 	// figure (0/"" when it never regressed).
@@ -113,8 +110,8 @@ type Report struct {
 	Runs    int          `json:"runs"`
 	Groups  []GroupTrend `json:"groups"`
 	// Flagged counts gating findings (drifted sim figures plus
-	// regressed host/bench figures); nonzero fails hh trend with
-	// exit 1, like hh diff.
+	// regressed host figures); nonzero fails hh trend with exit 1,
+	// like hh diff.
 	Flagged int `json:"flagged"`
 }
 
@@ -123,8 +120,8 @@ func (r *Report) Regressed() bool { return r.Flagged > 0 }
 
 // Build folds index entries into the cross-run trend report. Entries
 // are grouped by lineage, ordered by ingest seq; simulated figures are
-// checked at hh diff zero tolerance (any change between consecutive
-// same-lineage runs is drift), host and bench figures are tracked with
+// checked exactly, as hh diff does (any change between consecutive
+// same-lineage runs is drift), host figures are tracked with
 // min/median/last and first-regressed attribution under the given
 // tolerances.
 func Build(entries []IndexEntry, opts TrendOptions) *Report {
@@ -181,12 +178,7 @@ func buildGroup(key string, runs []IndexEntry, opts TrendOptions) GroupTrend {
 	g.ConfigHashes = len(hashes)
 
 	g.Figures = append(g.Figures, simFigures(runs)...)
-	g.Figures = append(g.Figures, tolFigures(runs, "host",
-		func(e IndexEntry) map[string]float64 { return e.Host },
-		opts.HostFrac, opts.HostAbs)...)
-	g.Figures = append(g.Figures, tolFigures(runs, "bench",
-		func(e IndexEntry) map[string]float64 { return e.Bench },
-		opts.BenchFrac, 0)...)
+	g.Figures = append(g.Figures, hostFigures(runs, opts.HostFrac, opts.HostAbs)...)
 
 	// Group-level drift attribution: the earliest run any sim figure
 	// moved at, classified by whether the config hash moved with it.
@@ -225,9 +217,6 @@ func simFigures(runs []IndexEntry) []FigureTrend {
 		var prevV float64
 		var prevOK, started bool
 		for _, e := range runs {
-			if e.Kind != "artifact" {
-				continue
-			}
 			v, ok := e.Sim[name]
 			if ok {
 				f.Points = append(f.Points, TrendPoint{Seq: e.Seq, RunID: e.RunID, V: v})
@@ -244,21 +233,21 @@ func simFigures(runs []IndexEntry) []FigureTrend {
 	return out
 }
 
-// tolFigures folds the noisy-kind figures (host wall clock, bench
-// ns/op) with the -host-tol machinery: the running best (minimum)
-// value is the reference, and a run regresses the figure when it
-// exceeds that best by more than the tolerance. Larger-is-better
-// figures (speedup, efficiency) invert the sense.
-func tolFigures(runs []IndexEntry, kind string, get func(IndexEntry) map[string]float64, frac, abs float64) []FigureTrend {
-	names := unionNames(runs, get)
+// hostFigures folds the host-cost figures with the -host-tol
+// machinery: the running best (minimum) value is the reference, and a
+// run regresses the figure when it exceeds that best by more than the
+// tolerance. Larger-is-better figures (speedup, efficiency) invert the
+// sense.
+func hostFigures(runs []IndexEntry, frac, abs float64) []FigureTrend {
+	names := unionNames(runs, func(e IndexEntry) map[string]float64 { return e.Host })
 	out := make([]FigureTrend, 0, len(names))
 	for _, name := range names {
-		f := FigureTrend{Name: name, Kind: kind, Points: []TrendPoint{}}
+		f := FigureTrend{Name: name, Kind: "host", Points: []TrendPoint{}}
 		betterIsHigher := higherIsBetter(name)
 		best := 0.0
 		haveBest := false
 		for _, e := range runs {
-			v, ok := get(e)[name]
+			v, ok := e.Host[name]
 			if !ok {
 				continue
 			}

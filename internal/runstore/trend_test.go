@@ -10,7 +10,7 @@ import (
 // entry builds a minimal artifact-kind index entry for trend tests.
 func entry(seq int, cfg string, sim map[string]float64) IndexEntry {
 	return IndexEntry{
-		Seq: seq, RunID: runIDFor(seq), Kind: "artifact",
+		Seq: seq, RunID: runIDFor(seq),
 		ConfigHash: cfg, Tool: "hyperhammer", Seed: 4, Scale: "short",
 		Sim: sim,
 	}
@@ -161,32 +161,6 @@ func TestHigherIsBetterFigures(t *testing.T) {
 	r = Build([]IndexEntry{mk(1, 1.0), mk(2, 3.0)}, opts)
 	if r.Regressed() {
 		t.Fatal("speedup improvement flagged as regression")
-	}
-}
-
-func TestBenchRegression(t *testing.T) {
-	mk := func(seq int, ns float64) IndexEntry {
-		return IndexEntry{
-			Seq: seq, RunID: runIDFor(seq), Kind: "bench", Tool: "bench",
-			ConfigHash: "mach", Bench: map[string]float64{"BenchmarkX ns/op": ns},
-		}
-	}
-	r := Build([]IndexEntry{mk(1, 100), mk(2, 120), mk(3, 200)}, DefaultTrendOptions())
-	if !r.Regressed() {
-		t.Fatal("2x bench slowdown not flagged at the default ±30%")
-	}
-	g := r.Groups[0]
-	if g.Key != "bench" || g.SimDrift {
-		t.Fatalf("bench group misfolded: %+v", g)
-	}
-	var f *FigureTrend
-	for i := range g.Figures {
-		if g.Figures[i].Kind == "bench" {
-			f = &g.Figures[i]
-		}
-	}
-	if f == nil || f.FirstRegressedSeq != 3 {
-		t.Fatalf("bench figure = %+v, want attribution at seq 3", f)
 	}
 }
 
