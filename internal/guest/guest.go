@@ -50,9 +50,14 @@ type OS struct {
 	// chunks (LIFO).
 	freeChunks []memdef.GPA
 	// vmas caches each allocated 2 MiB virtual region's physical
-	// chunk (the guest TLB analogue of pt); rmap is the inverse.
-	vmas map[memdef.GVA]memdef.GPA
-	rmap map[memdef.GPA]memdef.GVA
+	// chunk (the guest TLB analogue of pt), indexed by hugepage number
+	// from gvaBase; rmap is the inverse, indexed by guest hugepage
+	// number from GPA 0. A zero entry is a hole in either: gvaBase is
+	// above zero, and GPA 0 lies in the kernel reserve, which the heap
+	// never maps. mapped counts vmas' mapped hugepages.
+	vmas   []memdef.GPA
+	rmap   []memdef.GVA
+	mapped int
 
 	nextGVA memdef.GVA
 
@@ -100,8 +105,7 @@ type fillCtx struct {
 func Boot(vm *kvm.VM) *OS {
 	os := &OS{
 		vm:      vm,
-		vmas:    make(map[memdef.GVA]memdef.GPA),
-		rmap:    make(map[memdef.GPA]memdef.GVA),
+		rmap:    make([]memdef.GVA, vm.Config().MemSize/memdef.HugePageSize),
 		nextGVA: gvaBase,
 	}
 	os.led = vm.Host().GuestMappingLedger()
@@ -165,8 +169,8 @@ func (os *OS) AllocHuge(n int) (memdef.GVA, error) {
 func (os *OS) FreeHuge(base memdef.GVA, n int) error {
 	for i := 0; i < n; i++ {
 		gva := base + memdef.GVA(i)*memdef.HugePageSize
-		gpa, ok := os.vmas[gva]
-		if !ok {
+		gpa, ok := os.chunkOf(gva)
+		if !ok || !memdef.HugeAligned(gva) {
 			return fmt.Errorf("%w: %#x", ErrBadAddress, gva)
 		}
 		os.unmapHuge(gva)
@@ -178,22 +182,30 @@ func (os *OS) FreeHuge(base memdef.GVA, n int) error {
 // GPAOf translates a guest virtual address through the guest's own
 // page tables — knowledge the guest legitimately has.
 func (os *OS) GPAOf(gva memdef.GVA) (memdef.GPA, error) {
-	chunk := memdef.HugeBase(gva)
-	gpa, ok := os.vmas[chunk]
+	gpa, ok := os.chunkOf(gva)
 	if !ok {
 		return 0, fmt.Errorf("%w: %#x", ErrBadAddress, gva)
 	}
-	return gpa + memdef.GPA(gva-chunk), nil
+	return gpa + memdef.GPA(gva-memdef.HugeBase(gva)), nil
+}
+
+// chunkOf returns the physical chunk backing the hugepage holding gva,
+// if mapped.
+func (os *OS) chunkOf(gva memdef.GVA) (memdef.GPA, bool) {
+	i := uint64(gva-gvaBase) >> memdef.HugePageShift
+	if gva < gvaBase || i >= uint64(len(os.vmas)) || os.vmas[i] == 0 {
+		return 0, false
+	}
+	return os.vmas[i], true
 }
 
 // gvaOfGPA reverse-translates a guest physical address, if mapped.
 func (os *OS) gvaOfGPA(gpa memdef.GPA) (memdef.GVA, bool) {
-	chunk := memdef.HugeBase(gpa)
-	gva, ok := os.rmap[chunk]
-	if !ok {
+	i := uint64(gpa) >> memdef.HugePageShift
+	if i >= uint64(len(os.rmap)) || os.rmap[i] == 0 {
 		return 0, false
 	}
-	return gva + memdef.GVA(gpa-chunk), true
+	return os.rmap[i] + memdef.GVA(gpa-memdef.HugeBase(gpa)), true
 }
 
 // Read64 reads the 64-bit word at an 8-byte-aligned virtual address.
@@ -215,8 +227,9 @@ func (os *OS) Write64(gva memdef.GVA, v uint64) error {
 }
 
 // FillPages fills count consecutive 4 KiB pages starting at the
-// page-aligned gva with a repeated word, one page-write of virtual time
-// per page; an error surfaces at the page that caused it (see
+// page-aligned gva with a repeated word. The clock is charged one
+// page-write per page, in one charge per run of pages that reaches no
+// tick boundary; an error surfaces at the page that caused it (see
 // kvm.FillPagesGPA).
 func (os *OS) FillPages(gva memdef.GVA, count int, word uint64) error {
 	os.fill = fillCtx{word: word}
@@ -359,15 +372,14 @@ func (os *OS) TriggerMultihitDoS(gva memdef.GVA) (bool, error) {
 // physical chunk goes back to the host and never returns to the guest
 // pool (auto re-plug is suppressed).
 func (os *OS) ReleaseHugepage(gva memdef.GVA) error {
-	chunk := memdef.HugeBase(gva)
-	gpa, ok := os.vmas[chunk]
+	gpa, ok := os.chunkOf(gva)
 	if !ok {
 		return fmt.Errorf("%w: %#x", ErrBadAddress, gva)
 	}
 	if err := os.drv.UnplugSubBlock(gpa); err != nil {
 		return err
 	}
-	os.unmapHuge(chunk)
+	os.unmapHuge(memdef.HugeBase(gva))
 	return nil
 }
 
@@ -508,7 +520,7 @@ func (os *OS) AppendMappingChanges(out []MappingChange) []MappingChange {
 // chargeFullScan advances the virtual clock by the cost of touching
 // every allocated page once.
 func (os *OS) chargeFullScan() {
-	pages := int64(len(os.vmas)) * memdef.PagesPerHuge
+	pages := int64(os.mapped) * memdef.PagesPerHuge
 	os.vm.Host().Clock.Charge(pages, simtime.PageScan)
 }
 

@@ -102,8 +102,13 @@ func (os *OS) mapHuge(gva memdef.GVA, gpa memdef.GPA) {
 	if err := os.pt.Map2M(uint64(gva), memdef.PFN(gpa>>memdef.PageShift), ept.PermRWX); err != nil {
 		panic(fmt.Sprintf("guest: mapping %#x -> %#x: %v", gva, gpa, err))
 	}
-	os.vmas[gva] = gpa
-	os.rmap[gpa] = gva
+	i := int(uint64(gva-gvaBase) >> memdef.HugePageShift)
+	if i >= len(os.vmas) {
+		os.vmas = append(os.vmas, make([]memdef.GPA, i+1-len(os.vmas))...)
+	}
+	os.vmas[i] = gpa
+	os.rmap[gpa>>memdef.HugePageShift] = gva
+	os.mapped++
 	os.led.Fold3(ledGuestMap, uint64(gva), uint64(gpa))
 }
 
@@ -112,9 +117,11 @@ func (os *OS) unmapHuge(gva memdef.GVA) {
 	if _, err := os.pt.Unmap(uint64(gva)); err != nil {
 		panic(fmt.Sprintf("guest: unmapping %#x: %v", gva, err))
 	}
-	gpa := os.vmas[gva]
-	delete(os.vmas, gva)
-	delete(os.rmap, gpa)
+	i := uint64(gva-gvaBase) >> memdef.HugePageShift
+	gpa := os.vmas[i]
+	os.vmas[i] = 0
+	os.rmap[gpa>>memdef.HugePageShift] = 0
+	os.mapped--
 	os.led.Fold3(ledGuestUnmap, uint64(gva), uint64(gpa))
 }
 

@@ -147,6 +147,9 @@ type Host struct {
 	// churnHeld is BackgroundChurn's reusable transient-page buffer;
 	// campaigns churn between every attempt.
 	churnHeld []memdef.PFN
+	// tableBuf holds a destroyed VM's table pages by structure
+	// (VM.tableFrames); campaigns destroy a VM every attempt.
+	tableBuf [][]memdef.PFN
 
 	// led* are the determinism-ledger fold handles owned by the host
 	// layer (nil when the ledger is off): host RNG draws, resolved

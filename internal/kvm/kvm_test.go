@@ -1,6 +1,9 @@
 package kvm
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -404,6 +407,51 @@ func TestDestroyReturnsAllMemory(t *testing.T) {
 	}
 	if h.VMs() != 0 {
 		t.Errorf("VMs = %d", h.VMs())
+	}
+}
+
+// TestDestroyFreeListOrder pins where teardown leaves every freed
+// frame: the buddy free lists and the PCP lists, in order, after
+// destroying a VM with split hugepages and two IOPT groups. The order
+// is what a respawned VM's tables and backing are carved from, so a
+// teardown that frees the same frames in another order fails here
+// even though TestDestroyReturnsAllMemory passes. The digest was
+// recorded with one memmap scan per structure.
+func TestDestroyFreeListOrder(t *testing.T) {
+	h := newTestHost(t, testHostConfig())
+	vm, err := h.CreateVM(VMConfig{MemSize: 64 * memdef.MiB, VFIOGroups: 2, BootSplits: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, windows := range []int{40, 25} {
+		for w := 0; w < windows; w++ {
+			iova := memdef.IOVA(g+1)<<32 + memdef.IOVA(w)*memdef.HugePageSize
+			if err := vm.MapDMA(g, iova, memdef.GPA(w%32)*memdef.HugePageSize); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	vm.Destroy()
+	mustCheckFrames(t, h, "destroy")
+	sum := sha256.New()
+	word := func(v uint64) { _ = binary.Write(sum, binary.LittleEndian, v) }
+	for mt := memdef.MigrateType(0); mt < memdef.NumMigrateTypes; mt++ {
+		for o := 0; o < memdef.MaxOrder; o++ {
+			list := h.Buddy.FreeList(mt, o)
+			word(uint64(len(list)))
+			for _, p := range list {
+				word(uint64(p))
+			}
+		}
+		pcp := h.Buddy.PCP(mt)
+		word(uint64(len(pcp)))
+		for _, p := range pcp {
+			word(uint64(p))
+		}
+	}
+	const want = "0339e8514bdec6c8"
+	if got := hex.EncodeToString(sum.Sum(nil)[:8]); got != want {
+		t.Errorf("free-list digest after destroy = %s, want %s", got, want)
 	}
 }
 

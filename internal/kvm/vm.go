@@ -458,12 +458,21 @@ func (vm *VM) WriteGPA64(gpa memdef.GPA, v uint64) error {
 }
 
 // FillPagesGPA fills count consecutive 4 KiB guest pages starting at
-// the page-aligned gpa, page k with wordAt(k). Pages are filled one at
-// a time in address order: an error surfaces at the page that caused
-// it, each page charges one page-write of virtual time before its
-// contents change, and a write landing in a live table frame
-// invalidates cached translations before the next page resolves. The
-// chunk-level translation is looked up once per 2 MiB run.
+// the page-aligned gpa, page k with wordAt(k). Pages are filled in
+// address order and the clock is charged one page-write per page: an
+// error surfaces at the page that caused it, after the pages before
+// it are charged, and a write landing in a live table frame
+// invalidates cached translations, charges the pages done and
+// re-resolves before the next page. The chunk-level translation is
+// looked up once per 2 MiB run; a THP chunk's frames follow from its
+// base, while a split chunk re-reads its leaf entry for every page.
+//
+// Within a run, the pages that reach no tick boundary are filled first
+// and charged with one Charge; a page whose page-write would reach a
+// boundary is stepped alone, Advance then fill, so every hook fires at
+// the reading and over the memory one-page-at-a-time filling gives it.
+// That is valid only because no step body reads the clock: FillWord,
+// noteWrite and wordAt must stay clock-free.
 func (vm *VM) FillPagesGPA(gpa memdef.GPA, count int, wordAt func(k int) uint64) error {
 	h := vm.host
 	k := 0
@@ -480,20 +489,38 @@ func (vm *VM) FillPagesGPA(gpa memdef.GPA, count int, wordAt func(k int) uint64)
 		if n > count-k {
 			n = count - k
 		}
+		// pending pages are filled but not yet charged; budget more
+		// may go uncharged before a page-write reaches a boundary.
+		pending, budget := int64(0), h.Clock.StepsBeforeTick(simtime.PageWrite)
+		// p is the page's frame: a THP run's follow from the chunk
+		// base, a split run's come from its leaf entries.
+		p := e.basePFN + memdef.PFN((gpa-chunk)>>memdef.PageShift)
 		flushed := false
 		for j := 0; j < n && !flushed; j++ {
-			hpa, err := vm.resolveInChunk(e, gpa)
-			if err != nil {
-				return err
+			if !e.huge {
+				hpa, err := vm.resolveInChunk(e, gpa)
+				if err != nil {
+					h.Clock.Charge(pending, simtime.PageWrite)
+					return err
+				}
+				p = memdef.PFNOf(hpa)
 			}
-			h.Clock.Advance(simtime.PageWrite)
-			h.Mem.FillWord(memdef.PFNOf(hpa), wordAt(k))
+			if pending < budget {
+				pending++
+			} else {
+				h.Clock.Charge(pending, simtime.PageWrite)
+				h.Clock.Advance(simtime.PageWrite)
+				pending, budget = 0, h.Clock.StepsBeforeTick(simtime.PageWrite)
+			}
+			h.Mem.FillWord(p, wordAt(k))
 			// A fill that hits a live table frame flushes cached
 			// translations; drop the chunk entry and re-resolve.
-			flushed = h.noteWrite(hpa)
+			flushed = h.noteWrite(p.HPAOf())
+			p++
 			gpa += memdef.PageSize
 			k++
 		}
+		h.Clock.Charge(pending, simtime.PageWrite)
 	}
 	return nil
 }
@@ -713,12 +740,13 @@ func (vm *VM) Destroy() {
 	// The order is visible in the host's free-list LIFO structure, and
 	// therefore in where a respawned VM's memory comes from.
 	h := vm.host
+	tables := vm.tableFrames()
 	for i := range vm.groups {
-		vm.freeTables(i + 1)
+		h.freeTables(tables[i+1])
 		vm.groups[i].Destroy()
 	}
 	vm.groups = nil
-	vm.freeTables(eptStructure)
+	h.freeTables(tables[eptStructure])
 	vm.ept.Destroy()
 	for _, cb := range vm.backing {
 		switch {
@@ -743,13 +771,31 @@ func (vm *VM) Destroy() {
 	h.cfg.Trace.Emit("vm.destroy", "memBytes", vm.cfg.MemSize)
 }
 
-// freeTables returns one structure's table pages to the host in
-// ascending frame order, found by a scan of the memmap.
-func (vm *VM) freeTables(structure int) {
-	key := memmap.TableDesc(vm.slot, structure, 0)
-	for p, d := range vm.host.frames {
-		if d.TableKey() == key {
-			vm.host.Buddy.FreePage(memdef.PFN(p), memdef.MigrateUnmovable)
+// tableFrames collects the VM's table pages by structure, each in
+// ascending frame order, in one pass over the memmap. The lists reuse
+// the host's buffers and live until the next call.
+func (vm *VM) tableFrames() [][]memdef.PFN {
+	h := vm.host
+	n := len(vm.groups) + 1
+	for len(h.tableBuf) < n {
+		h.tableBuf = append(h.tableBuf, nil)
+	}
+	tables := h.tableBuf[:n]
+	for i := range tables {
+		tables[i] = tables[i][:0]
+	}
+	for p, d := range h.frames {
+		if d.Kind() == memmap.Table && d.VM() == vm.slot {
+			s := d.Structure()
+			tables[s] = append(tables[s], memdef.PFN(p))
 		}
+	}
+	return tables
+}
+
+// freeTables returns table pages to the host in the order given.
+func (h *Host) freeTables(frames []memdef.PFN) {
+	for _, p := range frames {
+		h.Buddy.FreePage(p, memdef.MigrateUnmovable)
 	}
 }

@@ -21,19 +21,28 @@ import (
 // wordsPerPage is the number of 64-bit words in one frame.
 const wordsPerPage = memdef.PageSize / 8
 
-// frame is the per-frame content record, 16 bytes. A frame is in
-// exactly one of two representations:
-//
-//   - pattern: every word of the page equals `pattern` (data == nil).
-//     The zero value is therefore an all-zeros page, so a freshly
-//     created memory is all-zero for free.
-//   - materialized: data holds all 512 words explicitly.
-//
-// Pages transparently promote from pattern to materialized on the
-// first non-uniform write or bit flip.
+// Frame forms. The zero form is pattern, so a freshly created memory
+// is all-zero for free.
+const (
+	// formPattern: every word of the page equals the frame's pattern.
+	formPattern uint8 = iota
+	// formSparse: every word equals the pattern except word idx,
+	// which is words[slot] — the shape of a fresh IOPT or EPT leaf
+	// holding one entry, and of a pattern page after one bit flip.
+	formSparse
+	// formFull: the page's 512 words are pages[slot].
+	formFull
+)
+
+// frame is the per-frame content record: 16 bytes and no pointer, so
+// the collector never scans the frame array. A frame turns sparse on
+// its first write that changes a word, full on a write that changes a
+// second word, and back to pattern only through FillWord.
 type frame struct {
-	data    *[wordsPerPage]uint64
 	pattern uint64
+	slot    uint32
+	idx     uint16
+	form    uint8
 }
 
 // Memory is the physical memory content store.
@@ -41,21 +50,22 @@ type Memory struct {
 	frames []frame
 	size   uint64
 
-	// materialized counts frames holding explicit word arrays, for
-	// resource diagnostics in tests.
+	// materialized counts sparse and full frames, for resource
+	// diagnostics and the census.
 	materialized int
 
-	// pool recycles word arrays of dematerialized frames. The spray
-	// and fill loops materialize and revert thousands of frames per
-	// attempt; recycling caps that at one allocation per concurrent
-	// materialized frame instead of one per touch.
-	pool []*[wordsPerPage]uint64
+	// words holds sparse frames' overridden words and pages full
+	// frames' contents, each indexed by the frame's slot; freeWords
+	// and freePages list the slots FillWord released, reused first.
+	// pages grows one separately allocated page at a time, so growing
+	// it never copies a page.
+	words     []uint64
+	freeWords []uint32
+	pages     []*[wordsPerPage]uint64
+	freePages []uint32
 
 	led *ledger.Stream
 }
-
-// poolCap bounds the recycled-array pool (4 KiB each, so 16 MiB).
-const poolCap = 4096
 
 // New creates a zeroed physical memory of the given byte size, which
 // must be a positive multiple of the page size.
@@ -83,8 +93,10 @@ func (m *Memory) SetLedger(r *ledger.Recorder) {
 // Frames returns the number of 4 KiB frames.
 func (m *Memory) Frames() int { return len(m.frames) }
 
-// MaterializedFrames returns how many frames hold explicit content,
-// a proxy for the simulation's real memory footprint.
+// MaterializedFrames returns how many frames hold explicit content
+// (sparse or full), a proxy for the simulation's real memory
+// footprint. A frame counts from its first write that changes a word
+// until its next FillWord.
 func (m *Memory) MaterializedFrames() int { return m.materialized }
 
 func (m *Memory) frameOf(a memdef.HPA) *frame {
@@ -100,11 +112,7 @@ func (m *Memory) Word(a memdef.HPA) uint64 {
 	if a&7 != 0 {
 		panic(fmt.Sprintf("phys: unaligned word read at %#x", a))
 	}
-	f := m.frameOf(a)
-	if f.data == nil {
-		return f.pattern
-	}
-	return f.data[memdef.PageOffset(a)/8]
+	return m.word(m.frameOf(a), int(memdef.PageOffset(a)/8))
 }
 
 // SetWord writes the 64-bit word at 8-byte-aligned address a.
@@ -112,50 +120,84 @@ func (m *Memory) SetWord(a memdef.HPA, v uint64) {
 	if a&7 != 0 {
 		panic(fmt.Sprintf("phys: unaligned word write at %#x", a))
 	}
-	f := m.frameOf(a)
-	if f.data == nil {
-		if f.pattern == v {
-			return
-		}
-		m.materialize(f)
-	}
-	f.data[memdef.PageOffset(a)/8] = v
+	m.setWord(m.frameOf(a), int(memdef.PageOffset(a)/8), v)
 }
 
-func (m *Memory) materialize(f *frame) {
-	if n := len(m.pool); n > 0 {
-		f.data = m.pool[n-1]
-		m.pool[n-1] = nil
-		m.pool = m.pool[:n-1]
-		for i := range f.data {
-			f.data[i] = f.pattern
-		}
+func (m *Memory) word(f *frame, idx int) uint64 {
+	if f.form == formFull {
+		return m.pages[f.slot][idx]
+	}
+	if f.form == formSparse && int(f.idx) == idx {
+		return m.words[f.slot]
+	}
+	return f.pattern
+}
+
+func (m *Memory) setWord(f *frame, idx int, v uint64) {
+	switch {
+	case f.form == formFull:
+		m.pages[f.slot][idx] = v
+	case f.form == formSparse && int(f.idx) == idx:
+		m.words[f.slot] = v
+	case v == f.pattern:
+		// The word already holds v.
+	case f.form == formPattern:
+		f.slot, f.idx, f.form = m.takeWord(), uint16(idx), formSparse
+		m.words[f.slot] = v
+		m.materialized++
+	default:
+		m.promote(f)
+		m.pages[f.slot][idx] = v
+	}
+}
+
+// takeWord returns a free slot of the sparse-word slab.
+func (m *Memory) takeWord() uint32 {
+	if n := len(m.freeWords); n > 0 {
+		s := m.freeWords[n-1]
+		m.freeWords = m.freeWords[:n-1]
+		return s
+	}
+	m.words = append(m.words, 0)
+	return uint32(len(m.words) - 1)
+}
+
+// promote turns a sparse frame full: a page slot holding the
+// pattern and the overridden word, with the word slot released.
+func (m *Memory) promote(f *frame) {
+	var slot uint32
+	if n := len(m.freePages); n > 0 {
+		slot = m.freePages[n-1]
+		m.freePages = m.freePages[:n-1]
 	} else {
-		f.data = new([wordsPerPage]uint64)
-		if f.pattern != 0 {
-			for i := range f.data {
-				f.data[i] = f.pattern
-			}
-		}
+		slot = uint32(len(m.pages))
+		m.pages = append(m.pages, new([wordsPerPage]uint64))
 	}
-	m.materialized++
+	pg := m.pages[slot]
+	for i := range pg {
+		pg[i] = f.pattern
+	}
+	pg[f.idx] = m.words[f.slot]
+	m.freeWords = append(m.freeWords, f.slot)
+	f.slot, f.form = slot, formFull
 }
 
-// FillWord sets every word of frame p to v, reverting the frame to the
-// compact pattern representation.
+// FillWord sets every word of frame p to v, returning the frame to
+// pattern form and releasing its slot.
 func (m *Memory) FillWord(p memdef.PFN, v uint64) {
 	if uint64(p) >= uint64(len(m.frames)) {
 		panic(fmt.Sprintf("phys: frame %d outside memory", p))
 	}
 	f := &m.frames[p]
-	if f.data != nil {
-		if len(m.pool) < poolCap {
-			m.pool = append(m.pool, f.data)
-		}
-		f.data = nil
+	switch f.form {
+	case formSparse:
+		m.freeWords = append(m.freeWords, f.slot)
+		m.materialized--
+	case formFull:
+		m.freePages = append(m.freePages, f.slot)
 		m.materialized--
 	}
-	f.pattern = v
+	*f = frame{pattern: v}
 }
 
 // ZeroPage clears frame p, as the kernel does before handing a page to
@@ -165,39 +207,39 @@ func (m *Memory) ZeroPage(p memdef.PFN) { m.FillWord(p, 0) }
 // PageWord returns word idx (0..511) of frame p without computing an
 // address, the fast path for page scans.
 func (m *Memory) PageWord(p memdef.PFN, idx int) uint64 {
-	f := &m.frames[p]
-	if f.data == nil {
-		return f.pattern
-	}
-	return f.data[idx]
+	return m.word(&m.frames[p], idx)
 }
 
 // SetPageWord writes word idx of frame p.
 func (m *Memory) SetPageWord(p memdef.PFN, idx int, v uint64) {
 	f := &m.frames[p]
-	if f.data == nil {
-		if f.pattern == v {
-			return
-		}
-		m.materialize(f)
+	if f.form == formFull {
+		m.pages[f.slot][idx] = v
+		return
 	}
-	f.data[idx] = v
+	m.setWord(f, idx, v)
 }
 
 // PageUniform reports whether frame p currently holds the same word in
 // all 512 positions, and that word.
 func (m *Memory) PageUniform(p memdef.PFN) (uint64, bool) {
 	f := &m.frames[p]
-	if f.data == nil {
-		return f.pattern, true
-	}
-	w := f.data[0]
-	for _, v := range f.data[1:] {
-		if v != w {
+	switch f.form {
+	case formSparse:
+		if m.words[f.slot] != f.pattern {
 			return 0, false
 		}
+	case formFull:
+		pg := m.pages[f.slot]
+		w := pg[0]
+		for _, v := range pg[1:] {
+			if v != w {
+				return 0, false
+			}
+		}
+		return w, true
 	}
-	return w, true
+	return f.pattern, true
 }
 
 // FlipBit applies a Rowhammer flip candidate to the byte at address a,

@@ -9,49 +9,118 @@ import (
 )
 
 // Property: the content store behaves exactly like a flat word array
-// under any interleaving of word writes, page fills and bit flips.
+// under any interleaving of word writes, page fills and bit flips, and
+// counts a frame as materialized from its first write that changes a
+// word until its next fill. Word positions favour a few hot indices
+// and values a small pool, so frames often take a write of the word
+// they already hold, the same word twice, a second distinct word, and
+// flips inside and outside their one overridden word — every path
+// between the pattern, sparse and full forms.
 func TestPropertyMatchesFlatArray(t *testing.T) {
 	const size = 256 * memdef.KiB
 	const words = size / 8
+	const pages = size / memdef.PageSize
 	f := func(seed uint64, opsRaw uint16) bool {
 		rng := rand.New(rand.NewPCG(seed, 42))
 		m := New(size)
 		ref := make([]uint64, words)
+		mat := make([]bool, pages)
+		pool := []uint64{0, 1, ^uint64(0), 0x5555_5555_5555_5555, rng.Uint64()}
+		value := func() uint64 {
+			if rng.IntN(4) == 0 {
+				return rng.Uint64()
+			}
+			return pool[rng.IntN(len(pool))]
+		}
+		word := func() (p, idx int) {
+			p = rng.IntN(pages)
+			if rng.IntN(4) == 0 {
+				return p, rng.IntN(512)
+			}
+			return p, []int{0, 3, 511}[rng.IntN(3)]
+		}
+		write := func(w int, v uint64) {
+			if ref[w] != v {
+				mat[w/512] = true
+			}
+			ref[w] = v
+		}
+		flip := func(legal bool) bool {
+			p, idx := word()
+			w := p*512 + idx
+			bitPos := uint(rng.IntN(64))
+			addr := memdef.HPA(w*8) + memdef.HPA(bitPos/8)
+			cur := (ref[w] >> bitPos) & 1
+			oneToZero := (cur == 1) == legal
+			if m.FlipBit(addr, bitPos%8, oneToZero) != legal {
+				return false // legal flip refused, or illegal one applied
+			}
+			if legal {
+				write(w, ref[w]^1<<bitPos)
+			}
+			return true
+		}
 		ops := int(opsRaw)%500 + 50
 		for i := 0; i < ops; i++ {
-			switch rng.IntN(4) {
-			case 0: // word write
-				w := rng.IntN(words)
-				v := rng.Uint64()
-				m.SetWord(memdef.HPA(w*8), v)
-				ref[w] = v
-			case 1: // page fill
-				p := rng.IntN(size / memdef.PageSize)
-				v := rng.Uint64()
+			switch rng.IntN(8) {
+			case 0: // word write by address
+				p, idx := word()
+				v := value()
+				m.SetWord(memdef.HPA((p*512+idx)*8), v)
+				write(p*512+idx, v)
+			case 1: // word write by page and index
+				p, idx := word()
+				v := value()
+				m.SetPageWord(memdef.PFN(p), idx, v)
+				write(p*512+idx, v)
+			case 2: // rewrite the word already held
+				p, idx := word()
+				m.SetPageWord(memdef.PFN(p), idx, ref[p*512+idx])
+			case 3: // page fill
+				p := rng.IntN(pages)
+				v := value()
 				m.FillWord(memdef.PFN(p), v)
 				for w := p * 512; w < (p+1)*512; w++ {
 					ref[w] = v
 				}
-			case 2: // bit flip in a legal direction
-				w := rng.IntN(words)
-				bitPos := uint(rng.IntN(64))
-				addr := memdef.HPA(w*8) + memdef.HPA(bitPos/8)
-				bit := bitPos % 8
-				cur := (ref[w] >> bitPos) & 1
-				oneToZero := cur == 1
-				if !m.FlipBit(addr, bit, oneToZero) {
-					return false // legal flip refused
+				mat[p] = false
+			case 4: // bit flip in a legal direction
+				if !flip(true) {
+					return false
 				}
-				ref[w] ^= 1 << bitPos
-			case 3: // bit flip in the illegal direction: must refuse
-				w := rng.IntN(words)
-				bitPos := uint(rng.IntN(64))
-				addr := memdef.HPA(w*8) + memdef.HPA(bitPos/8)
-				bit := bitPos % 8
-				cur := (ref[w] >> bitPos) & 1
-				if m.FlipBit(addr, bit, cur == 0) {
-					return false // flip applied against its direction
+			case 5: // bit flip in the illegal direction: must refuse
+				if !flip(false) {
+					return false
 				}
+			case 6: // page-level reads
+				p, idx := word()
+				if m.PageWord(memdef.PFN(p), idx) != ref[p*512+idx] {
+					return false
+				}
+				w, uniform := m.PageUniform(memdef.PFN(p))
+				first, same := ref[p*512], true
+				for _, v := range ref[p*512 : (p+1)*512] {
+					same = same && v == first
+				}
+				if uniform != same || uniform && w != first {
+					return false
+				}
+			case 7: // the same word written twice
+				p, idx := word()
+				for range 2 {
+					v := value()
+					m.SetPageWord(memdef.PFN(p), idx, v)
+					write(p*512+idx, v)
+				}
+			}
+			want := 0
+			for _, b := range mat {
+				if b {
+					want++
+				}
+			}
+			if m.MaterializedFrames() != want {
+				return false
 			}
 			// Spot-check a few random words.
 			for k := 0; k < 4; k++ {

@@ -1,6 +1,7 @@
 package phys
 
 import (
+	"reflect"
 	"testing"
 
 	"hyperhammer/internal/memdef"
@@ -145,4 +146,21 @@ func mustPanic(t *testing.T, f func()) {
 		}
 	}()
 	f()
+}
+
+// TestFrameRecordIsPointerFree pins the frame record's layout: 16 bytes
+// with no pointer, so a 16 GiB host's 64 MiB frame array is never
+// scanned by the collector.
+func TestFrameRecordIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(frame{})
+	if typ.Size() != 16 {
+		t.Errorf("frame is %d bytes, want 16", typ.Size())
+	}
+	for i := range typ.NumField() {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("frame field %s has kind %v, want an unsigned integer", f.Name, f.Type.Kind())
+		}
+	}
 }

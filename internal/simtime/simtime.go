@@ -11,6 +11,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 	"time"
 )
@@ -118,6 +119,28 @@ func (c *Clock) Advance(d time.Duration) {
 		}
 	}
 	c.firing = false
+}
+
+// StepsBeforeTick returns how many consecutive Advance(unit) calls
+// reach no tick boundary: the largest k with Now()+k·unit below every
+// hook's next boundary, or math.MaxInt64 when no hook is registered.
+// Charging those k steps as one Charge(k, unit) is indistinguishable
+// from advancing them one at a time, provided nothing between the
+// steps reads the clock. A non-positive unit panics.
+func (c *Clock) StepsBeforeTick(unit time.Duration) int64 {
+	if unit <= 0 {
+		panic(fmt.Sprintf("simtime: non-positive step %v", unit))
+	}
+	now := c.Now()
+	k := int64(math.MaxInt64)
+	for _, t := range c.ticks {
+		gap := t.next - now
+		if gap <= 0 {
+			return 0
+		}
+		k = min(k, int64((gap-1)/unit))
+	}
+	return k
 }
 
 // Charge advances the clock by n repetitions of a unit cost.

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -128,4 +129,61 @@ func TestStopwatch(t *testing.T) {
 	if c.Now() != 0 {
 		t.Error("Reset failed")
 	}
+}
+
+func TestStepsBeforeTick(t *testing.T) {
+	const unit = PageWrite // 500 ns
+	cases := []struct {
+		name  string
+		setup func(c *Clock, hook func(time.Duration))
+		want  int64
+	}{
+		{"no hooks", func(c *Clock, _ func(time.Duration)) { c.Advance(1234) }, math.MaxInt64},
+		{"boundary one step ahead", func(c *Clock, hook func(time.Duration)) {
+			c.OnTick(unit, hook)
+		}, 0},
+		{"nearest hook wins", func(c *Clock, hook func(time.Duration)) {
+			c.OnTick(10*time.Microsecond, hook)
+			c.OnTick(3*time.Microsecond, hook)
+			c.Advance(1200) // 3 µs is 1800 ns away: 3 steps stay below it
+		}, 3},
+		{"after Reset", func(c *Clock, hook func(time.Duration)) {
+			c.OnTick(2*time.Microsecond, hook)
+			c.Advance(5100)
+			c.Reset() // next boundary back at 2 µs
+		}, 3},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var c Clock
+			fired := 0
+			tc.setup(&c, func(time.Duration) { fired++ })
+			got := c.StepsBeforeTick(unit)
+			if got != tc.want {
+				t.Fatalf("StepsBeforeTick = %d, want %d", got, tc.want)
+			}
+			if got == math.MaxInt64 {
+				return
+			}
+			// The k steps fire nothing; the step after them fires.
+			fired = 0
+			for i := int64(0); i < got; i++ {
+				c.Advance(unit)
+			}
+			if fired != 0 {
+				t.Fatalf("%d steps fired %d hooks", got, fired)
+			}
+			c.Advance(unit)
+			if fired == 0 {
+				t.Fatalf("step %d reached no boundary", got+1)
+			}
+		})
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("non-positive step did not panic")
+		}
+	}()
+	var c Clock
+	c.StepsBeforeTick(0)
 }
