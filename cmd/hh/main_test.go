@@ -187,8 +187,10 @@ func TestSessionCloseWritesEveryOutput(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s.Trace.Emit("test.event", "i", i)
 	}
-	s.publish(func() *runartifact.Artifact { return s.newArtifact("hyperhammer", 4, true) },
-		func() *sched.Schedule { return nil })
+	if err := s.publish(func() *runartifact.Artifact { return s.newArtifact("hyperhammer", 4, true) },
+		func() *sched.Schedule { return nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	err = s.close()
 	if !errors.Is(err, fs.ErrNotExist) {

@@ -83,12 +83,12 @@ func cmdRun(args []string) int {
 	if *hammerRounds > 0 {
 		c.attack.HammerRounds = *hammerRounds
 	}
-	c.host.Scope, c.host.Obs = s.Scope, s.plane
+	c.host.Scope = s.Scope
 	if s.profiler != nil {
 		s.Trace.SetNamedSink("profile", s.profiler.Consume)
 	}
 
-	s.publish(func() *runartifact.Artifact {
+	err = s.publish(func() *runartifact.Artifact {
 		a := s.newArtifact("hyperhammer", *seed, *short)
 		a.Config["attempts"] = strconv.Itoa(c.budget)
 		a.Config["hammer-rounds"] = strconv.Itoa(c.attack.HammerRounds)
@@ -106,20 +106,11 @@ func cmdRun(args []string) int {
 			a.Outcome["setup_seconds"] = res.SetupTime.Seconds()
 			a.Outcome["total_seconds"] = res.TotalDuration.Seconds()
 		}
-		// A compact extract of the headline series, when the plane
-		// sampled any (hh diff compares endpoints; the curves are for
-		// humans and plots).
-		for _, name := range []string{"dram_activations_total", "hammer_rounds_total"} {
-			for _, sd := range s.plane.Store().Series(name) {
-				series := runartifact.Series{Name: sd.Name, Labels: sd.Labels, Kind: sd.Kind}
-				for _, pt := range sd.Points {
-					series.Points = append(series.Points, runartifact.SeriesPoint{T: pt.SimSeconds, V: pt.Value})
-				}
-				a.Series = append(a.Series, series)
-			}
-		}
 		return a
 	}, c.schedule.Load)
+	if err != nil {
+		return fail("run", 1, err)
+	}
 
 	status := c.run(s)
 	// The campaign (or its error path) is done and the simulating
@@ -142,9 +133,22 @@ type escapeRun struct {
 	schedule atomic.Pointer[sched.Schedule]
 }
 
+// boot boots the campaign's host and binds the live plane's sampler to
+// its clock: an anchor sample at the host's t=0, then one per
+// -obs-sample of simulated time. The plane already taps the recorder,
+// so the host's boot event is on the bus before the anchor sample.
+func (c *escapeRun) boot(s *session) (*hyperhammer.Host, error) {
+	host, err := hyperhammer.NewHost(c.host)
+	if err != nil {
+		return nil, err
+	}
+	s.plane.BindClock(host.Clock)
+	return host, nil
+}
+
 // run boots the host, runs the campaign and reports it on stdout.
 func (c *escapeRun) run(s *session) int {
-	host, err := hyperhammer.NewHost(c.host)
+	host, err := c.boot(s)
 	if err != nil {
 		return fail("run", 1, err)
 	}
@@ -163,8 +167,9 @@ func (c *escapeRun) run(s *session) int {
 	// the timed scheduler: one unit takes the sequential fast path, so
 	// execution is identical to a direct call, but the run lands in the
 	// host-cost plane (/api/plan, the artifact's plan section,
-	// -chrome-trace). It is not a plan unit: units run hosts without the
-	// live plane, which would then sample only once, at the unit's end.
+	// -chrome-trace). It is not a plan unit: a unit's host has a scoped
+	// clock the sampler never binds, so the plane would then sample only
+	// once, at the unit's end.
 	sc, err := sched.New(1).RunTimed([]sched.Unit{{
 		Name: "campaign",
 		Run: func() (any, error) {

@@ -128,33 +128,39 @@ func openSession(name string, out outputs, logTo io.Writer) (*session, error) {
 	}
 	s.log = obs.NewLogger(logTo, s.Metrics.SimTime, nil)
 	if out.obs != "" {
-		s.plane = obs.NewPlane(s.Metrics, obs.Config{SampleEvery: out.obsSample})
-		s.plane.AttachProfile(s.profiler) // nil profiler → /api/profile serves empty
-		s.plane.SetScope(s.Scope)
-		srv, err := s.plane.Serve(out.obs)
-		if err != nil {
-			s.store.Close()
-			if s.traceFile != nil {
-				s.traceFile.Close()
-			}
-			return nil, err
-		}
-		s.srv = srv
-		s.log.Info("observability plane serving", "url", "http://"+srv.Addr()+"/")
+		// The plane taps the recorder here, before any host boots, so
+		// its bus carries every event the run records.
+		s.plane = obs.NewPlane(s.Scope, obs.Config{SampleEvery: out.obsSample})
 	}
-	s.plane.SetRunStore(s.store)
 	return s, nil
 }
 
-// publish installs the subcommand's run bundle and host-cost schedule:
-// the live /api/artifact and /api/plan endpoints serve them, and close
-// writes them. schedule returns nil until the run has been scheduled.
-func (s *session) publish(build func() *runartifact.Artifact, schedule func() *sched.Schedule) {
+// publish installs the subcommand's run bundle and host-cost schedule,
+// which close writes, and with -obs starts serving: the live endpoints
+// read the published builders, the profiler and the store from their
+// first request. schedule returns nil until the run has been scheduled.
+// On a listen error publish releases the store and the trace file, and
+// the subcommand exits without writing any output.
+func (s *session) publish(build func() *runartifact.Artifact, schedule func() *sched.Schedule) error {
 	s.build, s.schedule = build, schedule
-	if s.out.archive() {
-		s.plane.SetArtifactFunc(func() any { return build() })
+	if s.plane == nil {
+		return nil
 	}
-	s.plane.SetPlanFunc(func() *profile.PlanReport { return profile.BuildPlanReport(schedule()) })
+	src := obs.Sources{Profile: s.profiler, Schedule: schedule, Store: s.store}
+	if s.out.archive() {
+		src.Artifact = func() any { return build() }
+	}
+	srv, err := s.plane.Serve(s.out.obs, src)
+	if err != nil {
+		s.store.Close()
+		if s.traceFile != nil {
+			s.traceFile.Close()
+		}
+		return err
+	}
+	s.srv = srv
+	s.log.Info("observability plane serving", "url", "http://"+srv.Addr()+"/")
+	return nil
 }
 
 // newArtifact starts the run bundle with everything the session owns:

@@ -96,13 +96,9 @@ func cmdTables(args []string) int {
 		return fail("tables", 1, err)
 	}
 	o := experiments.Options{Scope: s.Scope, Obs: s.plane, Seed: *seed, Short: *short, MaxAttempts: *attempts, Parallel: *parallel}
-	// Units run hosts with Obs unset, so nothing ever taps the shared
-	// recorder implicitly; tap it here so absorbed unit events stream
-	// onto the live bus.
-	s.plane.TapTrace(s.Trace)
 	p := experiments.NewPlan(o)
 	p.SetProfiler(s.profiler)
-	s.publish(func() *runartifact.Artifact {
+	err = s.publish(func() *runartifact.Artifact {
 		a := s.newArtifact("hh-tables", *seed, *short)
 		a.Config["attempts"] = strconv.Itoa(*attempts)
 		a.Config["parallel"] = strconv.Itoa(*parallel)
@@ -114,6 +110,9 @@ func cmdTables(args []string) int {
 		a.Config["selection"] = strings.Join(args, " ")
 		return a
 	}, p.Schedule)
+	if err != nil {
+		return fail("tables", 1, err)
+	}
 
 	// Every selected experiment registers its units on the shared plan;
 	// the plan fans independent units across the worker pool and folds

@@ -158,7 +158,7 @@ func (p *Plan) Schedule() *sched.Schedule {
 // PlanReport builds the host-cost analysis of the last Run: per-unit
 // timings, critical path, parallel efficiency. Never nil — before any
 // run it is the empty report — so it plugs directly into
-// obs.Plane.SetPlanFunc and runartifact.Artifact.SetPlan.
+// runartifact.Artifact.SetPlan.
 func (p *Plan) PlanReport() *profile.PlanReport {
 	return profile.BuildPlanReport(p.Schedule())
 }

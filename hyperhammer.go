@@ -34,6 +34,8 @@
 package hyperhammer
 
 import (
+	"io"
+
 	"hyperhammer/internal/attack"
 	"hyperhammer/internal/balloon"
 	"hyperhammer/internal/dram"
@@ -47,10 +49,7 @@ import (
 	"hyperhammer/internal/ledger"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/metrics"
-	"io"
-
 	"hyperhammer/internal/mitigation"
-	"hyperhammer/internal/obs"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
@@ -168,33 +167,16 @@ func NewTrace(w io.Writer, keep int) *TraceRecorder {
 // TraceRecorder.StartSpan and children with Span.StartChild.
 type TraceSpan = trace.Span
 
-// ObsPlane is the live observability plane: a sim-time time-series
-// sampler over a metrics registry plus an event bus fed by the trace
-// recorder. Install one via HostConfig.Obs (every host boot arms the
-// sampler on its clock), hand it the recorder planes its section
-// endpoints serve with ObsPlane.SetScope, and serve it over HTTP with
-// ObsPlane.Serve.
-type ObsPlane = obs.Plane
-
-// ObsConfig tunes the observability plane's sampling interval; the
-// zero value samples every simulated second.
-type ObsConfig = obs.Config
-
-// NewObs creates an observability plane over a metrics registry (which
-// should be the same registry installed via HostConfig.Metrics).
-func NewObs(reg *MetricsRegistry, cfg ObsConfig) *ObsPlane {
-	return obs.NewPlane(reg, cfg)
-}
-
 // Inspector is the hardware introspection plane: bucketed DRAM
 // activation/flip heatmaps, memory-layout censuses, and the sim-time
 // alerts of six fixed watchpoints (row pressure past the flip
 // threshold, TRR neutralizations, NX-hugepage split onset, applied
 // flips, host machine checks, obs bus drops). Install one via
 // HostConfig.Inspect (every host boot sizes the heatmap and arms
-// watchpoint evaluation on its clock), serve it live by handing the
-// host's scope to ObsPlane.SetScope, and embed its snapshots in a
-// RunArtifact with RunArtifact.SetInspector.
+// watchpoint evaluation on its clock) and embed its snapshots in a
+// RunArtifact with RunArtifact.SetInspector; hh run and hh tables
+// serve it live at /api/heatmap, /api/census and /api/alerts under
+// -obs.
 type Inspector = inspect.Inspector
 
 // InspectConfig is NewInspector's argument. It has no fields: the
@@ -210,9 +192,9 @@ func NewInspector(InspectConfig) *Inspector { return inspect.New() }
 // flip lineage (aggressors → verdict → owning frame), campaign outcome
 // taxonomies, and one-line cause synthesis. Install one via
 // HostConfig.Forensics (every host boot binds its clock and installs
-// the DRAM flip sink), serve it live through ObsPlane.SetScope, and
-// embed its snapshot in a RunArtifact with RunArtifact.SetForensics
-// for hh why to read offline.
+// the DRAM flip sink) and embed its snapshot in a RunArtifact with
+// RunArtifact.SetForensics for hh why to read offline; hh serves it
+// live at /api/forensics under -obs.
 type ForensicsRecorder = forensics.Recorder
 
 // ForensicsConfig is NewForensics's argument. It has no fields: the
@@ -231,9 +213,9 @@ func NewForensics(ForensicsConfig) *ForensicsRecorder { return forensics.New() }
 // row/flip events, allocator traffic, EPT and guest-mapping mutations,
 // attack outcomes), sealed into sim-time epochs. Install one via
 // HostConfig.Ledger (every host boot binds its clock and resolves the
-// subsystem streams), serve it live through ObsPlane.SetScope, and
-// embed its snapshot in a RunArtifact with RunArtifact.SetLedger for
-// hh bisect to localize divergence offline.
+// subsystem streams) and embed its snapshot in a RunArtifact with
+// RunArtifact.SetLedger for hh bisect to localize divergence offline;
+// hh serves it live at /api/ledger under -obs.
 type LedgerRecorder = ledger.Recorder
 
 // LedgerConfig tunes a LedgerRecorder's epoch interval; the zero value
@@ -253,8 +235,7 @@ func BisectLedgers(a, b *LedgerSnapshot) *ledger.Divergence { return ledger.Bise
 // CostProfiler folds the span trace into a per-phase simulated-time
 // cost profile (see internal/profile). Feed one by attaching it to a
 // trace recorder with TraceRecorder.SetNamedSink("profile", p.Consume);
-// installing it on an ObsPlane with AttachProfile only serves it live
-// at /api/profile.
+// hh serves it live at /api/profile under -obs.
 type CostProfiler = profile.Builder
 
 // CostProfile is one folded snapshot of a CostProfiler: per-span-path
@@ -267,13 +248,6 @@ type CostProfile = profile.Profile
 // sim-time-only profile).
 func NewCostProfiler(reg *MetricsRegistry) *CostProfiler {
 	return profile.NewBuilder(reg)
-}
-
-// CostProfileFromTrace folds a recorded JSONL trace file offline into
-// a cost profile (sim time only; counter attribution needs a live
-// registry).
-func CostProfileFromTrace(r io.Reader) (*CostProfile, error) {
-	return profile.FromTrace(r)
 }
 
 // HostSchedule is the host-cost record of one scheduled batch: which

@@ -23,7 +23,6 @@ import (
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/memmap"
 	"hyperhammer/internal/metrics"
-	"hyperhammer/internal/obs"
 	"hyperhammer/internal/phys"
 	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
@@ -84,12 +83,6 @@ type Config struct {
 	// commits or a mitigation vetoes resolves to a verdict and an
 	// owning frame.
 	scope.Scope
-	// Obs, when non-nil, is the live observability plane: at boot it is
-	// bound to the host's simulated clock (arming the periodic
-	// time-series sampler) and tapped into the host's trace recorder
-	// (streaming events to subscribers). The plane should wrap the same
-	// registry as Metrics.
-	Obs *obs.Plane
 }
 
 // AppliedFlip records one Rowhammer bit flip that actually changed
@@ -256,8 +249,6 @@ func NewHost(cfg Config) (*Host, error) {
 		return nil, err
 	}
 	h.cfg.Trace.BindClock(h.Clock)
-	h.cfg.Obs.TapTrace(h.cfg.Trace)
-	h.cfg.Obs.BindClock(h.Clock)
 	h.bindInspector()
 	if cfg.Forensics != nil {
 		// Explicit nil guard: installing a typed-nil *Recorder would

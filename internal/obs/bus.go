@@ -8,8 +8,9 @@
 //   - Store: a ring-buffered time-series store that snapshots every
 //     registry series on a simulated-time interval, turning metrics
 //     into series over campaign time,
-//   - Plane: the wiring between a metrics registry, a trace recorder,
-//     and a host's simulated clock,
+//   - Plane: the wiring between one run's observation scope (its
+//     registry, recorder and recorder planes, fixed when the plane is
+//     made) and a host's simulated clock,
 //   - Server: an opt-in HTTP server exposing Prometheus text, JSON
 //     snapshots and series, a live SSE event stream, pprof, and an
 //     embedded status page,

@@ -9,16 +9,15 @@ import (
 	"hyperhammer/internal/forensics"
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/ledger"
-	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runstore"
 	"hyperhammer/internal/sched"
 	"hyperhammer/internal/scope"
 )
 
 // TestSnapshotEndpoints: every /api/<name> snapshot endpoint answers
-// 200 with a JSON object that never serializes null, both before
-// anything is installed and with every plane, the plan source and the
-// run store populated.
+// 200 with a JSON object that never serializes null, both with no
+// plane or source and with every plane, the schedule and the run store
+// populated.
 func TestSnapshotEndpoints(t *testing.T) {
 	check := func(t *testing.T, srv *Server) {
 		t.Helper()
@@ -42,8 +41,27 @@ func TestSnapshotEndpoints(t *testing.T) {
 		check(t, srv)
 	})
 	t.Run("populated", func(t *testing.T) {
-		srv, reg, clock := newTestServer(t)
-		ins := inspect.New()
+		ins, fr := inspect.New(), forensics.New()
+		led := ledger.New(ledger.Config{Epoch: time.Second})
+		store, err := runstore.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		for _, rounds := range []string{"150000", "400000"} {
+			if _, err := store.Ingest(historyTestArtifact(rounds)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		schedule := func() *sched.Schedule {
+			return &sched.Schedule{
+				Workers: 1, WallSeconds: 0.1,
+				Units: []sched.UnitTiming{{Name: "exp.a", EndSeconds: 0.1,
+					DeliverStartSeconds: 0.1, DeliverEndSeconds: 0.1, Started: true, Delivered: true}},
+			}
+		}
+		srv, reg, clock := newServerOver(t, scope.Scope{Inspect: ins, Forensics: fr, Ledger: led},
+			Sources{Schedule: schedule, Store: store})
 		ins.BindMachine(4, 1024)
 		ins.SetMetrics(reg)
 		ins.SetCensusFunc(func() inspect.Census {
@@ -55,37 +73,15 @@ func TestSnapshotEndpoints(t *testing.T) {
 		ins.RecordFlip(1, 512)
 		ins.Evaluate(time.Second)
 
-		fr := forensics.New()
 		fr.BindClock(clock)
 		fr.BeginCampaign(1)
 		fr.BeginAttempt(0)
 		fr.EndAttempt(forensics.AttemptFacts{Index: 0, Outcome: forensics.OutcomeSteerMiss})
 		fr.EndCampaign()
 
-		led := ledger.New(ledger.Config{Epoch: time.Second})
 		led.BindClock(clock)
 		led.Stream("kvm.rng").Fold1(7)
 		clock.Advance(2 * time.Second)
-
-		srv.plane.SetScope(scope.Scope{Metrics: reg, Inspect: ins, Forensics: fr, Ledger: led})
-		srv.plane.SetPlanFunc(func() *profile.PlanReport {
-			return profile.BuildPlanReport(&sched.Schedule{
-				Workers: 1, WallSeconds: 0.1,
-				Units: []sched.UnitTiming{{Name: "exp.a", EndSeconds: 0.1,
-					DeliverStartSeconds: 0.1, DeliverEndSeconds: 0.1, Started: true, Delivered: true}},
-			})
-		})
-		store, err := runstore.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer store.Close()
-		for _, rounds := range []string{"150000", "400000"} {
-			if _, err := store.Ingest(historyTestArtifact(rounds)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		srv.plane.SetRunStore(store)
 		check(t, srv)
 	})
 }

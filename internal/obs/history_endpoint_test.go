@@ -9,6 +9,7 @@ import (
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
+	"hyperhammer/internal/scope"
 )
 
 func historyTestArtifact(rounds string) *runartifact.Artifact {
@@ -41,16 +42,15 @@ func TestHistoryEndpointsNoStore(t *testing.T) {
 	}
 }
 
-// TestHistoryEndpointsServeStore: an installed store's runs appear in
+// TestHistoryEndpointsServeStore: a served store's runs appear in
 // both endpoints, and the trend endpoint attributes drift.
 func TestHistoryEndpointsServeStore(t *testing.T) {
-	srv, _, _ := newTestServer(t)
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv.plane.SetRunStore(store)
+	srv, _, _ := newServerOver(t, scope.Scope{}, Sources{Store: store})
 
 	if _, err := store.Ingest(historyTestArtifact("150000")); err != nil {
 		t.Fatal(err)
@@ -94,13 +94,12 @@ func TestHistoryEndpointsServeStore(t *testing.T) {
 // contract, and every observed response must be complete, valid JSON
 // with no nulls (never a partial view of an in-flight ingest).
 func TestHistoryEndpointsRaceIngest(t *testing.T) {
-	srv, _, _ := newTestServer(t)
 	store, err := runstore.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	srv.plane.SetRunStore(store)
+	srv, _, _ := newServerOver(t, scope.Scope{}, Sources{Store: store})
 
 	const perWriter = 8
 	var wg sync.WaitGroup

@@ -82,30 +82,21 @@ func Inspect(r io.Reader) (*Inspection, error) {
 			in.SeqGaps += int(ev.Seq - prevSeq - 1)
 		}
 		prevSeq = ev.Seq
-		sim := 0.0
-		if d, err := time.ParseDuration(ev.SimTime); err == nil {
-			sim = d.Seconds()
-		}
+		sim := simSeconds(ev)
 		if sim > in.LastSimSeconds {
 			in.LastSimSeconds = sim
 		}
 		switch ev.Kind {
 		case "span.start":
-			id := asUint(ev.Data["span"])
+			id, parent, name := ev.Span()
 			if id == 0 {
 				in.MalformedLines++
 				continue
 			}
-			n := &SpanNode{
-				ID:           id,
-				Parent:       asUint(ev.Data["parent"]),
-				Name:         asString(ev.Data["name"]),
-				StartSeconds: sim,
-			}
-			spans[id] = n
+			spans[id] = &SpanNode{ID: id, Parent: parent, Name: name, StartSeconds: sim}
 			order = append(order, id)
 		case "span.end":
-			id := asUint(ev.Data["span"])
+			id, _, _ := ev.Span()
 			n, ok := spans[id]
 			if !ok {
 				in.UnmatchedEnds++
@@ -141,25 +132,6 @@ func Inspect(r io.Reader) (*Inspection, error) {
 		p.Children = append(p.Children, n)
 	}
 	return in, nil
-}
-
-// asUint coerces a decoded JSON number (float64 after Unmarshal, or a
-// native integer from in-memory events) to uint64.
-func asUint(v any) uint64 {
-	switch x := v.(type) {
-	case float64:
-		return uint64(x)
-	case uint64:
-		return x
-	case int:
-		return uint64(x)
-	}
-	return 0
-}
-
-func asString(v any) string {
-	s, _ := v.(string)
-	return s
 }
 
 // WriteSpanTree renders the span forest with per-span simulated

@@ -39,12 +39,11 @@ func TestIntrospectionEndpointsWithoutInspector(t *testing.T) {
 // live inspector state: heat cells, the cached census, and fired
 // alerts.
 func TestIntrospectionEndpointsWithInspector(t *testing.T) {
-	srv, reg, _ := newTestServer(t)
 	ins := inspect.New()
+	srv, reg, _ := newServerOver(t, scope.Scope{Inspect: ins}, Sources{})
 	ins.BindMachine(4, 1024)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 2} })
-	srv.plane.SetScope(scope.Scope{Inspect: ins})
 
 	ins.RecordRowActivations(1, 512, 9000)
 	ins.RecordFlip(1, 512)
@@ -89,10 +88,10 @@ func TestEventsSSEKeepalive(t *testing.T) {
 	reg := metrics.New()
 	clock := &simtime.Clock{}
 	reg.BindClock(clock)
-	p := NewPlane(reg, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
 	p.keepalive = 50 * time.Millisecond // keep the test quick
 	p.BindClock(clock)
-	srv, err := p.Serve("127.0.0.1:0")
+	srv, err := p.Serve("127.0.0.1:0", Sources{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +126,7 @@ func TestEventsSSEKeepalive(t *testing.T) {
 // watchpoint fires on it.
 func TestBusDropCounterMetric(t *testing.T) {
 	reg := metrics.New()
-	p := NewPlane(reg, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
 	sub := p.Bus().Subscribe(2)
 	defer sub.Cancel()
 	for i := 0; i < 5; i++ {

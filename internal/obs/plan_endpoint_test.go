@@ -7,6 +7,7 @@ import (
 
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/sched"
+	"hyperhammer/internal/scope"
 )
 
 // TestPlanEndpointEmpty: without a plan source, /api/plan serves the
@@ -29,11 +30,18 @@ func TestPlanEndpointEmpty(t *testing.T) {
 	}
 }
 
-// TestPlanEndpointServesInstalledSource: the installed callback's
-// report is what the endpoint returns, reflecting the live schedule.
+// TestPlanEndpointServesInstalledSource: the report of the schedule the
+// published source returns is what the endpoint serves, reflecting the
+// live schedule.
 func TestPlanEndpointServesInstalledSource(t *testing.T) {
-	srv, _, _ := newTestServer(t)
-	sc := &sched.Schedule{
+	var live *sched.Schedule
+	srv, _, _ := newServerOver(t, scope.Scope{}, Sources{Schedule: func() *sched.Schedule { return live }})
+	// Before the batch has run the source returns nil, and the
+	// endpoint serves the empty report.
+	if _, body := get(t, srv, "/api/plan"); strings.Contains(body, "null") || !strings.Contains(body, `"units": []`) {
+		t.Fatalf("unscheduled source serves:\n%s", body)
+	}
+	live = &sched.Schedule{
 		Workers:     2,
 		WallSeconds: 0.2,
 		Units: []sched.UnitTiming{
@@ -43,7 +51,6 @@ func TestPlanEndpointServesInstalledSource(t *testing.T) {
 				DeliverStartSeconds: 0.2, DeliverEndSeconds: 0.2, Started: true, Delivered: true},
 		},
 	}
-	srv.plane.SetPlanFunc(func() *profile.PlanReport { return profile.BuildPlanReport(sc) })
 	code, body := get(t, srv, "/api/plan")
 	if code != 200 {
 		t.Fatalf("status = %d", code)
@@ -54,11 +61,5 @@ func TestPlanEndpointServesInstalledSource(t *testing.T) {
 	}
 	if r.Workers != 2 || len(r.Units) != 2 || len(r.CriticalPath) == 0 {
 		t.Fatalf("served plan = %+v", r)
-	}
-	// A callback returning nil degrades to the empty report.
-	srv.plane.SetPlanFunc(func() *profile.PlanReport { return nil })
-	_, body = get(t, srv, "/api/plan")
-	if strings.Contains(body, "null") {
-		t.Fatalf("nil-returning source serves null:\n%s", body)
 	}
 }

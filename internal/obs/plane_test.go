@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hyperhammer/internal/metrics"
+	"hyperhammer/internal/scope"
 	"hyperhammer/internal/simtime"
 	"hyperhammer/internal/trace"
 )
@@ -15,7 +16,7 @@ func TestPlaneSamplesOnSimInterval(t *testing.T) {
 	reg.BindClock(clock)
 	acts := reg.Counter("dram_activations_total", "activations")
 
-	p := NewPlane(reg, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
 	sub := p.Bus().Subscribe(64)
 	defer sub.Cancel()
 	p.BindClock(clock) // immediate t=0 sample
@@ -53,12 +54,16 @@ func TestPlaneSamplesOnSimInterval(t *testing.T) {
 	}
 }
 
+// TestPlaneTapTracePublishes: the plane taps its scope's recorder when
+// it is made, under the named sink "obs", beside the recorder's other
+// consumers.
 func TestPlaneTapTracePublishes(t *testing.T) {
 	clock := &simtime.Clock{}
 	rec := trace.New(nil, 0)
 	rec.BindClock(clock)
-	p := NewPlane(nil, Config{})
-	p.TapTrace(rec)
+	profiled := 0
+	rec.SetNamedSink("profile", func(trace.Event) { profiled++ })
+	p := NewPlane(scope.Scope{Trace: rec}, Config{})
 	sub := p.Bus().Subscribe(16)
 	defer sub.Cancel()
 
@@ -79,14 +84,17 @@ func TestPlaneTapTracePublishes(t *testing.T) {
 	if start.Kind != "span.start" || end.Kind != "span.end" {
 		t.Errorf("span events = %+v %+v", start, end)
 	}
+	if profiled != 3 {
+		t.Errorf("the other sink saw %d events, want 3", profiled)
+	}
 }
 
 func TestPlaneRebindAcrossHosts(t *testing.T) {
-	// hh-tables boots several hosts against one plane; each host's
-	// clock gets its own sampler and the series keep growing.
+	// A plane bound to several hosts' clocks gives each its own
+	// sampler, and the series keep growing.
 	reg := metrics.New()
 	c := reg.Counter("n", "")
-	p := NewPlane(reg, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
 
 	c1 := &simtime.Clock{}
 	reg.BindClock(c1)
@@ -119,14 +127,11 @@ func TestPlaneRebindAcrossHosts(t *testing.T) {
 func TestNilPlaneIsSafe(t *testing.T) {
 	var p *Plane
 	p.BindClock(&simtime.Clock{})
-	p.TapTrace(trace.New(nil, 0))
-	if p.Bus() != nil || p.Store() != nil || p.Registry() != nil {
+	p.SampleUnit("unit")
+	if p.Bus() != nil || p.Store() != nil {
 		t.Error("nil plane leaked components")
 	}
-	if p.SimNow() != 0 || p.SampleEvery() != 0 || p.Uptime() != 0 {
-		t.Error("nil plane not inert")
-	}
-	if _, err := p.Serve("127.0.0.1:0"); err == nil {
+	if _, err := p.Serve("127.0.0.1:0", Sources{}); err == nil {
 		t.Error("nil plane served")
 	}
 }

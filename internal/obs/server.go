@@ -8,8 +8,33 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runstore"
+	"hyperhammer/internal/sched"
 )
+
+// Sources are what the server's endpoints read beyond the plane's
+// scope. Serve takes them once: the CLI publishes its builders before
+// it serves, so every endpoint answers from its first request with
+// what the run will archive. Each source is optional.
+type Sources struct {
+	// Profile is the cost profiler /api/profile snapshots (empty
+	// profile when nil). The server only reads it: its owner feeds it,
+	// as the recorder's "profile" sink or through an experiment plan.
+	Profile *profile.Builder
+	// Schedule returns the host-cost schedule /api/plan analyses, nil
+	// until the batch has run; the endpoint then serves the empty
+	// report.
+	Schedule func() *sched.Schedule
+	// Store is the run-history store behind /api/history and /api/trend
+	// (empty documents when nil). Its readers fold a snapshot copy of
+	// the index, so the endpoints never race an in-flight ingest.
+	Store *runstore.Store
+	// Artifact builds the run bundle /api/artifact serves, JSON-encoded
+	// per request; a func keeps obs from importing runartifact. The
+	// endpoint answers 404 when it is nil.
+	Artifact func() any
+}
 
 // Server is the plane's HTTP front end.
 //
@@ -23,7 +48,7 @@ import (
 //	/api/events    live SSE stream off the event bus (recent events
 //	               replayed first)
 //	/api/profile   live sim-time cost profile (?format=json|folded|pprof)
-//	/api/artifact  current run-artifact bundle, when the CLI installed
+//	/api/artifact  current run-artifact bundle, when the CLI published
 //	               a builder (404 otherwise)
 //	/api/heatmap   bucketed DRAM activation/flip heatmap (introspection
 //	               plane; empty-but-valid without an inspector)
@@ -36,11 +61,10 @@ import (
 //	               (empty-but-valid without a recorder)
 //	/api/plan      host-cost schedule analysis of the current batch:
 //	               per-unit host timings, critical path, parallel
-//	               efficiency (empty-but-valid until a CLI installs a
-//	               plan source)
+//	               efficiency (empty-but-valid until the batch has run)
 //	/api/history   run-history store index: one row per ingested run
 //	               with config/content hashes and headline figures
-//	               (empty-but-valid until a CLI opens a store with
+//	               (empty-but-valid without a store: hh opens one with
 //	               -store)
 //	/api/trend     cross-run trend report over the store at default
 //	               tolerances: per-figure series, drift attribution,
@@ -50,13 +74,14 @@ import (
 //	               simulation's own profile is /api/profile)
 type Server struct {
 	plane *Plane
+	src   Sources
 	ln    net.Listener
 	srv   *http.Server
 }
 
 // Serve starts the plane's HTTP server on addr (":0" picks a free
-// port) and serves in a background goroutine until Close.
-func (p *Plane) Serve(addr string) (*Server, error) {
+// port) over src and serves in a background goroutine until Close.
+func (p *Plane) Serve(addr string, src Sources) (*Server, error) {
 	if p == nil {
 		return nil, fmt.Errorf("obs: serve on a nil plane")
 	}
@@ -64,7 +89,7 @@ func (p *Plane) Serve(addr string) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	s := &Server{plane: p, ln: ln}
+	s := &Server{plane: p, src: src, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -76,7 +101,7 @@ func (p *Plane) Serve(addr string) (*Server, error) {
 	mux.HandleFunc("/api/artifact", s.handleArtifact)
 	for _, e := range snapshotEndpoints {
 		mux.HandleFunc("/api/"+e.name, func(w http.ResponseWriter, _ *http.Request) {
-			writeJSON(w, e.snapshot(p))
+			writeJSON(w, e.snapshot(s))
 		})
 	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -116,12 +141,12 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	published, dropped, subs := s.plane.Bus().Stats()
+	published, dropped, subs := s.plane.bus.Stats()
 	writeJSON(w, map[string]any{
 		"ok":            true,
-		"simSeconds":    s.plane.SimNow().Seconds(),
-		"uptimeSeconds": s.plane.Uptime().Seconds(),
-		"samples":       s.plane.Store().Samples(),
+		"simSeconds":    s.plane.scope.Metrics.SimTime().Seconds(),
+		"uptimeSeconds": time.Since(s.plane.start).Seconds(),
+		"samples":       s.plane.store.Samples(),
 		"busPublished":  published,
 		"busDropped":    dropped,
 		"busSubs":       subs,
@@ -130,12 +155,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.plane.Registry().WriteProm(w) //nolint:errcheck // client went away
+	s.plane.scope.Metrics.WriteProm(w) //nolint:errcheck // client went away
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	s.plane.Registry().WriteJSON(w) //nolint:errcheck // client went away
+	s.plane.scope.Metrics.WriteJSON(w) //nolint:errcheck // client went away
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
@@ -143,13 +168,13 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 	// Shape contract: "series" is always a JSON array, never null —
 	// an unknown name or an empty store yields []. Dashboards iterate
 	// the field without guarding.
-	series := s.plane.Store().Series(name)
+	series := s.plane.store.Series(name)
 	if series == nil {
 		series = []SeriesData{}
 	}
 	writeJSON(w, map[string]any{
-		"simSeconds": s.plane.SimNow().Seconds(),
-		"samples":    s.plane.Store().Samples(),
+		"simSeconds": s.plane.scope.Metrics.SimTime().Seconds(),
+		"samples":    s.plane.store.Samples(),
 		"series":     series,
 	})
 }
@@ -158,7 +183,7 @@ func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
 // JSON entry table (default), flamegraph folded stacks, or gzipped
 // pprof protobuf (`go tool pprof http://.../api/profile?format=pprof`).
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	p := s.plane.Profile()
+	p := s.src.Profile.Snapshot()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "json":
 		writeJSON(w, p)
@@ -174,38 +199,43 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleArtifact serves the CLI-installed run-artifact builder's
-// current bundle; 404 until a CLI installs one.
+// handleArtifact serves the published run-artifact builder's current
+// bundle; 404 when the run archives none.
 func (s *Server) handleArtifact(w http.ResponseWriter, _ *http.Request) {
-	fn := s.plane.ArtifactFunc()
-	if fn == nil {
+	if s.src.Artifact == nil {
 		http.Error(w, "no artifact builder installed (run with -artifact)", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, fn())
+	writeJSON(w, s.src.Artifact())
 }
 
 // snapshotEndpoints are the endpoints that each serve one JSON
 // snapshot, at /api/<name>. The names match the run artifact's section
 // names, plus the two run-history views. Every snapshot is nil-safe and
 // never null, so each endpoint serves an empty-but-schema-valid
-// document (lists [], never null) until its plane, plan source or store
-// is installed. The run-history views fold a snapshot copy of the index
+// document (lists [], never null) when its plane, schedule or store is
+// absent. The run-history views fold a snapshot copy of the index
 // built under the store lock, so they never show a partial in-flight
 // ingest; trend applies the default tolerances (sim figures exact, host
 // durations listed but not gated, bench ns/op at ±30%).
 var snapshotEndpoints = []struct {
 	name     string
-	snapshot func(*Plane) any
+	snapshot func(*Server) any
 }{
-	{"heatmap", func(p *Plane) any { return p.recorders().Inspect.HeatmapSnapshot() }},
-	{"census", func(p *Plane) any { return p.recorders().Inspect.CensusSnapshot() }},
-	{"alerts", func(p *Plane) any { return p.recorders().Inspect.AlertsSnapshot() }},
-	{"forensics", func(p *Plane) any { return p.recorders().Forensics.Snapshot() }},
-	{"ledger", func(p *Plane) any { return p.recorders().Ledger.Snapshot() }},
-	{"plan", func(p *Plane) any { return p.PlanReport() }},
-	{"history", func(p *Plane) any { return p.RunStore().History() }},
-	{"trend", func(p *Plane) any { return p.RunStore().Trend(runstore.DefaultTrendOptions()) }},
+	{"heatmap", func(s *Server) any { return s.plane.scope.Inspect.HeatmapSnapshot() }},
+	{"census", func(s *Server) any { return s.plane.scope.Inspect.CensusSnapshot() }},
+	{"alerts", func(s *Server) any { return s.plane.scope.Inspect.AlertsSnapshot() }},
+	{"forensics", func(s *Server) any { return s.plane.scope.Forensics.Snapshot() }},
+	{"ledger", func(s *Server) any { return s.plane.scope.Ledger.Snapshot() }},
+	{"plan", func(s *Server) any {
+		var sc *sched.Schedule
+		if s.src.Schedule != nil {
+			sc = s.src.Schedule()
+		}
+		return profile.BuildPlanReport(sc)
+	}},
+	{"history", func(s *Server) any { return s.src.Store.History() }},
+	{"trend", func(s *Server) any { return s.src.Store.Trend(runstore.DefaultTrendOptions()) }},
 }
 
 // handleEvents streams the bus over SSE: the replay ring first, then
@@ -220,7 +250,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 
-	sub := s.plane.Bus().Subscribe(512)
+	sub := s.plane.bus.Subscribe(512)
 	defer sub.Cancel()
 
 	write := func(ev Event) bool {
@@ -236,7 +266,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// Replay before going live; events published between Recent and
 	// Subscribe-drain may duplicate, which SSE consumers dedupe by seq.
 	lastSeq := uint64(0)
-	for _, ev := range s.plane.Bus().Recent() {
+	for _, ev := range s.plane.bus.Recent() {
 		if !write(ev) {
 			return
 		}

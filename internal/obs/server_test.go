@@ -18,21 +18,30 @@ import (
 	"hyperhammer/internal/trace"
 )
 
-// newTestServer boots a plane with one live counter and a ticking
-// clock, serving on a random port.
+// newTestServer boots a plane over a fresh registry on a ticking
+// clock, serving no sources on a random port.
 func newTestServer(t *testing.T) (*Server, *metrics.Registry, *simtime.Clock) {
 	t.Helper()
-	reg := metrics.New()
+	return newServerOver(t, scope.Scope{}, Sources{})
+}
+
+// newServerOver is newTestServer over the recorder planes in s (its
+// Metrics replaced by the fresh registry, its Trace bound to the
+// clock), serving src.
+func newServerOver(t *testing.T, s scope.Scope, src Sources) (*Server, *metrics.Registry, *simtime.Clock) {
+	t.Helper()
 	clock := &simtime.Clock{}
-	reg.BindClock(clock)
-	p := NewPlane(reg, Config{SampleEvery: time.Second})
+	s.Metrics = metrics.New()
+	s.Metrics.BindClock(clock)
+	s.Trace.BindClock(clock)
+	p := NewPlane(s, Config{SampleEvery: time.Second})
 	p.BindClock(clock)
-	srv, err := p.Serve("127.0.0.1:0")
+	srv, err := p.Serve("127.0.0.1:0", src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	return srv, reg, clock
+	return srv, s.Metrics, clock
 }
 
 func get(t *testing.T, srv *Server, path string) (int, string) {
@@ -127,8 +136,8 @@ func TestSeriesEndpointAccumulatesOverSimTime(t *testing.T) {
 // no name filter — never null, and each series' "points" is an array
 // too. Dashboards iterate these without guarding.
 func TestSeriesShapeIsStable(t *testing.T) {
-	p := NewPlane(nil, Config{}) // no registry, no samples ever
-	srv, err := p.Serve("127.0.0.1:0")
+	p := NewPlane(scope.Scope{}, Config{}) // no registry, no samples ever
+	srv, err := p.Serve("127.0.0.1:0", Sources{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +172,10 @@ func TestSeriesShapeIsStable(t *testing.T) {
 }
 
 func TestProfileEndpoint(t *testing.T) {
-	srv, reg, clock := newTestServer(t)
 	rec := trace.New(nil, 0)
-	rec.BindClock(clock)
-	b := profile.NewBuilder(reg)
+	b := profile.NewBuilder(nil)
 	rec.SetNamedSink("profile", b.Consume)
-	srv.plane.AttachProfile(b)
-	srv.plane.TapTrace(rec)
+	srv, _, clock := newServerOver(t, scope.Scope{Trace: rec}, Sources{Profile: b})
 
 	root := rec.StartSpan("attack.campaign")
 	child := root.StartChild("attack.steer")
@@ -219,9 +225,9 @@ func TestArtifactEndpoint(t *testing.T) {
 	if code, _ := get(t, srv, "/api/artifact"); code != 404 {
 		t.Errorf("without builder: status = %d", code)
 	}
-	srv.plane.SetArtifactFunc(func() any {
+	srv, _, _ = newServerOver(t, scope.Scope{}, Sources{Artifact: func() any {
 		return map[string]any{"tool": "test", "seed": 4}
-	})
+	}})
 	code, body := get(t, srv, "/api/artifact")
 	if code != 200 || !strings.Contains(body, `"tool": "test"`) {
 		t.Errorf("with builder: code=%d body=%s", code, body)
@@ -229,10 +235,8 @@ func TestArtifactEndpoint(t *testing.T) {
 }
 
 func TestEventsSSEStreamsTraceEvents(t *testing.T) {
-	srv, _, clock := newTestServer(t)
 	rec := trace.New(nil, 0)
-	rec.BindClock(clock)
-	srv.plane.TapTrace(rec)
+	srv, _, clock := newServerOver(t, scope.Scope{Trace: rec}, Sources{})
 
 	resp, err := http.Get("http://" + srv.Addr() + "/api/events")
 	if err != nil {
@@ -325,17 +329,15 @@ func TestConcurrentScrapeWhileSimulating(t *testing.T) {
 	reg := metrics.New()
 	clock := &simtime.Clock{}
 	reg.BindClock(clock)
-	p := NewPlane(reg, Config{SampleEvery: time.Second})
 	rec := trace.New(nil, 0)
 	rec.BindClock(clock)
-	p.TapTrace(rec)
-	p.BindClock(clock)
 	ins := inspect.New()
 	ins.BindMachine(4, 2048)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 1} })
-	p.SetScope(scope.Scope{Inspect: ins})
-	srv, err := p.Serve("127.0.0.1:0")
+	p := NewPlane(scope.Scope{Trace: rec, Metrics: reg, Inspect: ins}, Config{SampleEvery: time.Second})
+	p.BindClock(clock)
+	srv, err := p.Serve("127.0.0.1:0", Sources{})
 	if err != nil {
 		t.Fatal(err)
 	}

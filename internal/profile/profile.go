@@ -13,15 +13,12 @@
 //
 // A Builder consumes trace events live (attach it to a trace.Recorder
 // with SetNamedSink), charging counter deltas from the metrics
-// registry to the innermost open span. FromTrace replays a recorded
-// JSONL trace offline (simulated time only — counter readings are not
-// part of the trace). Snapshots export as folded flamegraph stacks
-// (WriteFolded) or gzipped pprof protobuf (WritePprof).
+// registry to the innermost open span. Snapshots export as folded
+// flamegraph stacks (WriteFolded) or gzipped pprof protobuf
+// (WritePprof); hh inspect is the offline reader of a recorded trace.
 package profile
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -205,13 +202,12 @@ func (b *Builder) Consume(ev trace.Event) {
 
 	switch ev.Kind {
 	case "span.start":
-		id := asUint(ev.Data["span"])
+		id, parentID, name := ev.Span()
 		if id == 0 {
 			return
 		}
-		name := asString(ev.Data["name"])
 		path := name
-		if parent, ok := b.open[asUint(ev.Data["parent"])]; ok {
+		if parent, ok := b.open[parentID]; ok {
 			path = parent.path + PathSep + name
 		}
 		b.open[id] = &openSpan{
@@ -220,7 +216,7 @@ func (b *Builder) Consume(ev trace.Event) {
 			roundStart: b.rounds.Value(),
 		}
 	case "span.end":
-		id := asUint(ev.Data["span"])
+		id, _, _ := ev.Span()
 		s, ok := b.open[id]
 		if !ok {
 			b.unmatchedEnds++
@@ -332,50 +328,6 @@ func (b *Builder) Snapshot() *Profile {
 		p.Subsystems = append(p.Subsystems, SubsystemStat{Name: s, Events: b.subs[s]})
 	}
 	return p
-}
-
-// FromTrace replays a recorded JSONL trace (as written by
-// trace.Recorder) into a profile. Counter attribution is unavailable
-// offline — the trace does not carry registry readings — so the
-// resulting entries report simulated time and counts only.
-func FromTrace(r io.Reader) (*Profile, error) {
-	b := NewBuilder(nil)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev trace.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			continue // hh inspect reports malformed lines; profiling skips them
-		}
-		b.Consume(ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("profile: reading trace: %w", err)
-	}
-	return b.Snapshot(), nil
-}
-
-// asUint coerces a span/parent ID out of event data: native uint64
-// from in-memory events, float64 after a JSON round trip.
-func asUint(v any) uint64 {
-	switch x := v.(type) {
-	case uint64:
-		return x
-	case float64:
-		return uint64(x)
-	case int:
-		return uint64(x)
-	}
-	return 0
-}
-
-func asString(v any) string {
-	s, _ := v.(string)
-	return s
 }
 
 // counterDelta subtracts two monotonic counter readings, tolerating a

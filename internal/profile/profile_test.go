@@ -113,33 +113,6 @@ func TestBuilderSubsystemCensus(t *testing.T) {
 	}
 }
 
-func TestFromTraceMatchesLiveFolding(t *testing.T) {
-	var buf bytes.Buffer
-	clock := &simtime.Clock{}
-	rec := trace.New(&buf, 0)
-	rec.BindClock(clock)
-	b := NewBuilder(nil)
-	rec.SetNamedSink("profile", b.Consume)
-
-	root := rec.StartSpan("campaign")
-	child := root.StartChild("steer")
-	clock.Advance(90 * time.Second)
-	child.End()
-	root.End()
-
-	offline, err := FromTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := b.Snapshot()
-	if offline.Folded() != live.Folded() {
-		t.Errorf("offline folding diverges:\nlive:\n%s\noffline:\n%s", live.Folded(), offline.Folded())
-	}
-	if _, ok := offline.Lookup("campaign;steer"); !ok {
-		t.Errorf("offline entries = %+v", offline.Entries)
-	}
-}
-
 func TestFoldedDeterministicAcrossIdenticalRuns(t *testing.T) {
 	run := func() string {
 		rec, clock, reg, b := rig(t)

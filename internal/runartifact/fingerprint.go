@@ -64,18 +64,17 @@ func (a *Artifact) ComputeConfigHash() string {
 // ContentHash hashes the deterministic content of the artifact: the
 // full bundle minus the fields that legitimately differ between
 // byte-identical-figure runs (CreatedAt is wall clock, Plan is host
-// cost, Series depends on the live sampling cadence, ToolVersion is a
-// release stamp, and HostOnlyConfigKeys describe execution, not
-// simulation — hh tables at -parallel 1 and -parallel 4 produces the
-// same hash). Two same-config runs of the same code hash equal — the
-// single-value determinism check the run-history store records per
-// run, and the visible suffix of every stored run ID.
+// cost, ToolVersion is a release stamp, and HostOnlyConfigKeys
+// describe execution, not simulation — hh tables at -parallel 1 and
+// -parallel 4 produces the same hash). Two same-config runs of the
+// same code hash equal — the single-value determinism check the
+// run-history store records per run, and the visible suffix of every
+// stored run ID.
 func (a *Artifact) ContentHash() string {
 	c := *a
 	c.CreatedAt = ""
 	c.ToolVersion = ""
 	c.Plan = nil
-	c.Series = nil
 	cfg := make(map[string]string, len(a.Config))
 	for k, v := range a.Config {
 		if !HostOnlyConfigKeys[k] {

@@ -94,7 +94,6 @@ func TestContentHashIgnoresHostFields(t *testing.T) {
 	a, b := hashTestArtifact(), hashTestArtifact()
 	b.CreatedAt = "2026-08-07T00:00:00Z"
 	b.Plan = profile.EmptyPlanReport()
-	b.Series = []Series{{Name: "x", Points: []SeriesPoint{{T: 1, V: 2}}}}
 	b.Config["parallel"] = "8"
 	b.Config["selection"] = "-short -all -parallel 8"
 	if a.ContentHash() != b.ContentHash() {

@@ -1,8 +1,8 @@
 // Package runartifact defines the self-describing run bundle the CLIs
 // write with -artifact: everything needed to compare two runs after
 // the fact — the configuration and seed of record, the final metrics
-// snapshot, the folded cost profile (see internal/profile), a small
-// time-series extract, and the campaign outcome.
+// snapshot, the folded cost profile (see internal/profile), the
+// observation planes' sections, and the campaign outcome.
 //
 // Because the simulation is deterministic for a fixed seed and its
 // clock is simulated (machine-speed independent), two artifacts from
@@ -28,21 +28,6 @@ import (
 
 // Version is the artifact schema version this package writes.
 const Version = 1
-
-// SeriesPoint is one (sim-time, value) sample of an extracted series.
-type SeriesPoint struct {
-	T float64 `json:"t"` // simulated seconds
-	V float64 `json:"v"`
-}
-
-// Series is a compact extract of one observability time series, kept
-// in the artifact so a run's shape (not just its endpoint) survives.
-type Series struct {
-	Name   string        `json:"name"`
-	Labels []string      `json:"labels,omitempty"` // alternating key/value
-	Kind   string        `json:"kind,omitempty"`
-	Points []SeriesPoint `json:"points"`
-}
 
 // Artifact is the whole bundle. CreatedAt is the only wall-clock field
 // and is excluded from comparison; everything else is reproducible
@@ -81,9 +66,6 @@ type Artifact struct {
 	Metrics metrics.Snapshot `json:"metrics"`
 	// Profile is the folded cost profile's entry table.
 	Profile []profile.Entry `json:"profile,omitempty"`
-	// Series is the time-series extract (informational; hh diff
-	// compares endpoints, not curves).
-	Series []Series `json:"series,omitempty"`
 	// Heatmap, Census and Alerts embed the hardware introspection
 	// plane's snapshots when the run carried an inspector; hh diff
 	// compares all three with zero default tolerance and hh top -once

@@ -2,6 +2,7 @@ package runartifact
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -53,10 +54,6 @@ func sampleArtifact(t *testing.T, hammerSeconds int) *Artifact {
 	a.Outcome["successes"] = 1
 	a.Metrics = reg.Snapshot()
 	a.SetProfile(b.Snapshot())
-	a.Series = []Series{{
-		Name: "dram_activations_total", Kind: "counter",
-		Points: []SeriesPoint{{T: 30, V: 0}, {T: a.SimSeconds, V: float64(100 * hammerSeconds)}},
-	}}
 	return a
 }
 
@@ -73,6 +70,37 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, got) {
 		t.Errorf("round trip diverged:\nwrote %+v\nread  %+v", a, got)
+	}
+}
+
+// TestReadSkipsRetiredSeriesSection: artifacts written while hh run
+// kept a "series" extract of the live plane's samples still load, and
+// the section, which the content hash always left out, changes nothing
+// that is read.
+func TestReadSkipsRetiredSeriesSection(t *testing.T) {
+	a := sampleArtifact(t, 60)
+	var buf bytes.Buffer
+	if err := a.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["series"] = []any{map[string]any{
+		"name": "dram_activations_total", "kind": "counter",
+		"points": []any{map[string]any{"t": 30, "v": 0}, map[string]any{"t": 60, "v": 6000}},
+	}}
+	old, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(old))
+	if err != nil {
+		t.Fatalf("artifact with a series section: %v", err)
+	}
+	if got.ContentHash() != a.ContentHash() {
+		t.Error("a series section moved the content hash")
 	}
 }
 

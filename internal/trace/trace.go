@@ -91,21 +91,14 @@ func (r *Recorder) BindClock(c *simtime.Clock) {
 	}
 }
 
-// SetSink installs fn as the default live tap: every subsequently
-// recorded event is also passed to fn, after the recorder's own lock
-// is released (so fn may call back into the recorder, though recursing
-// from a sink is usually a mistake). A nil fn removes the tap.
-// Equivalent to SetNamedSink("", fn). Safe on a nil receiver.
-func (r *Recorder) SetSink(fn func(Event)) {
-	r.SetNamedSink("", fn)
-}
-
 // SetNamedSink installs fn as the live tap registered under name,
-// replacing any previous sink of the same name (so re-binding is
-// idempotent: a plane that taps the same recorder at every host boot
-// keeps exactly one tap). A nil fn removes that tap. Independent
-// consumers — the observability bus, the cost profiler — use distinct
-// names and all receive every event. Safe on a nil receiver.
+// replacing any previous sink of the same name. Every subsequently
+// recorded event is passed to each sink after the recorder's own lock
+// is released (so fn may call back into the recorder, though recursing
+// from a sink is usually a mistake). A nil fn removes that tap.
+// Independent consumers — the observability bus, the cost profiler —
+// use distinct names and all receive every event. Safe on a nil
+// receiver.
 func (r *Recorder) SetNamedSink(name string, fn func(Event)) {
 	if r == nil {
 		return
@@ -230,11 +223,12 @@ func (r *Recorder) Absorb(child *Recorder) {
 			for k, v := range ev.Data {
 				data[k] = v
 			}
-			if id := asSpanID(data["span"]); id != 0 {
+			id, parent, _ := ev.Span()
+			if id != 0 {
 				data["span"] = id + offset
 			}
-			if p := asSpanID(data["parent"]); p != 0 {
-				data["parent"] = p + offset
+			if parent != 0 {
+				data["parent"] = parent + offset
 			}
 			ev.Data = data
 		}
@@ -265,9 +259,17 @@ func (r *Recorder) Absorb(child *Recorder) {
 	}
 }
 
-// asSpanID coerces a span/parent ID out of event data: native uint64
-// from in-memory events, float64 after a JSON round trip.
-func asSpanID(v any) uint64 {
+// Span reads a span.start or span.end event's span ID, parent span ID
+// and name, each zero when the event lacks it. IDs are native uint64 in
+// events from a live recorder and float64 after a JSON round trip; both
+// read the same, so live sinks and offline readers of a recorded trace
+// share one coercion.
+func (ev Event) Span() (id, parent uint64, name string) {
+	name, _ = ev.Data["name"].(string)
+	return spanID(ev.Data["span"]), spanID(ev.Data["parent"]), name
+}
+
+func spanID(v any) uint64 {
 	switch x := v.(type) {
 	case uint64:
 		return x

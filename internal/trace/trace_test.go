@@ -215,7 +215,7 @@ func TestSinkReceivesEveryEvent(t *testing.T) {
 	r := New(nil, 0)
 	var mu sync.Mutex
 	var kinds []string
-	r.SetSink(func(ev Event) {
+	r.SetNamedSink("test", func(ev Event) {
 		mu.Lock()
 		kinds = append(kinds, ev.Kind)
 		mu.Unlock()
@@ -234,13 +234,37 @@ func TestSinkReceivesEveryEvent(t *testing.T) {
 			t.Fatalf("sink saw %v, want %v", kinds, want)
 		}
 	}
-	r.SetSink(nil)
+	r.SetNamedSink("test", nil)
 	r.Emit("after")
 	if len(kinds) != len(want) {
 		t.Error("removed sink still receiving")
 	}
-	var nilRec *Recorder
-	nilRec.SetSink(func(Event) {}) // must not panic
+}
+
+// TestEventSpanReadsLiveAndDecodedEvents: Span reads the same IDs and
+// name from a live event (native uint64 IDs) and from the same event
+// after a JSON round trip (float64 IDs), and zeros for fields an event
+// lacks.
+func TestEventSpanReadsLiveAndDecodedEvents(t *testing.T) {
+	var buf bytes.Buffer
+	r := New(&buf, 8)
+	root := r.StartSpan("root")
+	root.StartChild("child").End()
+	live := r.Recent()[1] // the child's span.start
+	var decoded Event
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if err := json.Unmarshal([]byte(lines[1]), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range []Event{live, decoded} {
+		id, parent, name := ev.Span()
+		if id != 2 || parent != 1 || name != "child" {
+			t.Errorf("%T ids: Span() = %d, %d, %q; want 2, 1, \"child\"", ev.Data["span"], id, parent, name)
+		}
+	}
+	if id, parent, name := (Event{Kind: "vm.create", Data: map[string]any{"span": "x"}}).Span(); id != 0 || parent != 0 || name != "" {
+		t.Errorf("non-span event: Span() = %d, %d, %q", id, parent, name)
+	}
 }
 
 // TestNamedSinksAreIndependent covers the multi-consumer contract: the
