@@ -36,7 +36,6 @@ var commands = []command{
 	{"plan", "host-cost schedule (Gantt, utilization, critical path), live or from an artifact", cmdPlan},
 	{"trend", "fold a run-history store into cross-run trends", cmdTrend},
 	{"inspect", "analyze a JSONL trace offline, or list a run-history store", cmdInspect},
-	{"hotpath", "gate the hammer hot path: zero allocations, bounded ns/op", cmdHotpath},
 	{"profile", "the memory-profiling step (Section 4.1) on one system", cmdProfile},
 	{"steer", "the Page Steering step (Section 4.2)", cmdSteer},
 	{"dramdig", "recover the DRAM bank address function (Section 5.1)", cmdDramdig},

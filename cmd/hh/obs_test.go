@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
@@ -19,9 +20,21 @@ import (
 // TestRunBootArmsObsPlane: hh run's host path binds the live plane's
 // sampler to the booted host's clock. Boot alone leaves an anchor
 // sample, after the host.boot event, on the bus; simulated time on the
-// host then grows the series.
+// host then grows the series. -obs records the run's events whether or
+// not -trace writes them to a file.
 func TestRunBootArmsObsPlane(t *testing.T) {
-	out := outputs{obs: "127.0.0.1:0", obsSample: time.Second, trace: filepath.Join(t.TempDir(), "t.jsonl")}
+	for _, tc := range []struct {
+		name string
+		out  outputs
+	}{
+		{"trace", outputs{obs: "127.0.0.1:0", obsSample: time.Second, trace: filepath.Join(t.TempDir(), "t.jsonl")}},
+		{"obs-only", outputs{obs: "127.0.0.1:0", obsSample: time.Second}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkRunBootArmsObsPlane(t, tc.out) })
+	}
+}
+
+func checkRunBootArmsObsPlane(t *testing.T, out outputs) {
 	s, err := openSession("run", out, io.Discard)
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +85,29 @@ func TestRunBootArmsObsPlane(t *testing.T) {
 	}
 	if !grew {
 		t.Errorf("vms_created_total series did not grow: %+v", s.plane.Store().Series("vms_created_total"))
+	}
+}
+
+// TestObsLeavesContentHash: serving the live plane moves no
+// deterministic section of the run bundle (DESIGN §3, rule 6), so a
+// run with -obs and one without give one ContentHash.
+func TestObsLeavesContentHash(t *testing.T) {
+	dir := t.TempDir()
+	discardStdout(t)
+	var hashes []string
+	for i, obs := range [][]string{nil, {"-obs", "127.0.0.1:0"}} {
+		path := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+		// One attempt does not escape, so the status is 1; the
+		// artifact is written on every exit path.
+		cmdRun(append([]string{"-short", "-attempts", "1", "-artifact", path}, obs...))
+		a, err := runartifact.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, a.ContentHash())
+	}
+	if hashes[0] != hashes[1] {
+		t.Errorf("ContentHash %s without -obs, %s with it", hashes[0], hashes[1])
 	}
 }
 

@@ -101,10 +101,11 @@ func openSession(name string, out outputs, logTo io.Writer) (*session, error) {
 		// close flushes on every exit path, and the buffered tail is
 		// the part that explains a crash.
 		s.Trace = trace.New(bufio.NewWriterSize(f, 1<<20), 0)
-	} else if archive {
-		// The artifact's cost profile folds span events, so profiling
-		// needs a recorder even when no trace file was requested;
-		// in-memory with no ring is nearly free.
+	} else if archive || out.obs != "" {
+		// The artifact's cost profile folds span events and the live
+		// plane streams every recorded event, so either needs a
+		// recorder even when no trace file was requested; in-memory
+		// with no ring is nearly free.
 		s.Trace = trace.New(nil, 0)
 	}
 	if out.metrics != "" || out.metricsTable || out.obs != "" || archive {

@@ -169,9 +169,9 @@ type TraceSpan = trace.Span
 
 // Inspector is the hardware introspection plane: bucketed DRAM
 // activation/flip heatmaps, memory-layout censuses, and the sim-time
-// alerts of six fixed watchpoints (row pressure past the flip
+// alerts of five fixed watchpoints (row pressure past the flip
 // threshold, TRR neutralizations, NX-hugepage split onset, applied
-// flips, host machine checks, obs bus drops). Install one via
+// flips, host machine checks). Install one via
 // HostConfig.Inspect (every host boot sizes the heatmap and arms
 // watchpoint evaluation on its clock) and embed its snapshots in a
 // RunArtifact with RunArtifact.SetInspector; hh run and hh tables

@@ -28,8 +28,8 @@ func BenchmarkComposeLine(b *testing.B) {
 // benchPairs picks aggressor pairs whose ±2 neighborhoods carry no
 // vulnerable cells, so the steady-state loop exercises the full
 // pressure-spread and threshold-crossing machinery without the
-// result-slice allocation a fired flip implies — the configuration the
-// hotpath-gate's zero-alloc assertion measures. Selection is
+// result-slice allocation a fired flip implies — the configuration
+// TestHammerAllocatesNothing holds to zero allocations. Selection is
 // deterministic (it only consults the seeded cell population), and the
 // probe warms the module's cell cache so no lazy generation happens
 // inside the timed loop.
@@ -51,36 +51,6 @@ func benchPairs(m *Module, want int) [][2]RowRef {
 	return pairs
 }
 
-func BenchmarkHammerOp(b *testing.B) {
-	m := NewModule(CoreI310100(), S1FaultModel(1))
-	pairs := benchPairs(m, 64)
-	aggs := make([]RowRef, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i&63]
-		aggs[0], aggs[1] = p[0], p[1]
-		m.Hammer(HammerOp{Aggressors: aggs, Rounds: 250_000})
-	}
-}
-
-// BenchmarkHammerBatch runs 64 ops over distinct pairs per iteration,
-// the shape of one hammer sweep across a profiled buffer. make
-// hotpath-gate and the committed bench log look it up by this name.
-func BenchmarkHammerBatch(b *testing.B) {
-	m := NewModule(CoreI310100(), S1FaultModel(1))
-	pairs := benchPairs(m, 64)
-	aggs := make([]RowRef, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range pairs {
-			aggs[0], aggs[1] = p[0], p[1]
-			m.Hammer(HammerOp{Aggressors: aggs, Rounds: 250_000})
-		}
-	}
-}
-
 // nopSink is the cheapest possible flip-provenance consumer; its
 // presence forces the TRR audit walk to run.
 type nopSink struct{}
@@ -88,21 +58,96 @@ type nopSink struct{}
 func (nopSink) BeginHammerOp(FlipOpInfo)  {}
 func (nopSink) RecordFlipEvent(FlipEvent) {}
 
-func BenchmarkHammerTRRAudit(b *testing.B) {
+// hammerPairs is how many distinct aggressor pairs a hammer loop
+// cycles through: one sweep across a profiled buffer.
+const hammerPairs = 64
+
+// hammerLoop returns a step that hammers the next of hammerPairs clean
+// pairs on a fresh S1 module, one 250k-round op per call. With trr the
+// module runs a 2-slot tracker and a flip sink, so two same-bank
+// aggressors are fully neutralized and every op takes the veto audit.
+func hammerLoop(trr bool) func() {
 	cfg := S1FaultModel(1)
-	cfg.TRR = &TRRConfig{Slots: 2, Seed: 7}
+	if trr {
+		cfg.TRR = &TRRConfig{Slots: 2, Seed: 7}
+	}
 	m := NewModule(CoreI310100(), cfg)
-	m.SetFlipSink(nopSink{})
-	pairs := benchPairs(m, 64)
+	if trr {
+		m.SetFlipSink(nopSink{})
+	}
+	pairs := benchPairs(m, hammerPairs)
 	aggs := make([]RowRef, 2)
+	i := 0
+	return func() {
+		p := pairs[i%hammerPairs]
+		i++
+		aggs[0], aggs[1] = p[0], p[1]
+		m.Hammer(HammerOp{Aggressors: aggs, Rounds: 250_000})
+	}
+}
+
+// sweep runs step once per pair.
+func sweep(step func()) {
+	for range hammerPairs {
+		step()
+	}
+}
+
+// TestHammerAllocatesNothing holds the steady-state hammer path to zero
+// allocations in the three shapes the hammer benchmarks time: one op,
+// a sweep of one op per pair, and one op through the TRR veto audit.
+// A sweep first sizes each module's first-touch state, which a single
+// cold op would count.
+func TestHammerAllocatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		trr   bool
+		sweep bool
+	}{
+		{"op", false, false},
+		{"batch", false, true},
+		{"trr-audit", true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			step := hammerLoop(tc.trr)
+			sweep(step)
+			run := step
+			if tc.sweep {
+				run = func() { sweep(step) }
+			}
+			if n := testing.AllocsPerRun(100, run); n != 0 {
+				t.Errorf("%v allocations per run, want 0", n)
+			}
+		})
+	}
+}
+
+func BenchmarkHammerOp(b *testing.B) {
+	step := hammerLoop(false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Two same-bank aggressors against a 2-slot tracker: fully
-		// neutralized, so every op takes the audit path.
-		p := pairs[i&63]
-		aggs[0], aggs[1] = p[0], p[1]
-		m.Hammer(HammerOp{Aggressors: aggs, Rounds: 250_000})
+		step()
+	}
+}
+
+// BenchmarkHammerBatch runs one op per pair per iteration, the shape
+// of one hammer sweep across a profiled buffer.
+func BenchmarkHammerBatch(b *testing.B) {
+	step := hammerLoop(false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep(step)
+	}
+}
+
+func BenchmarkHammerTRRAudit(b *testing.B) {
+	step := hammerLoop(true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 

@@ -93,8 +93,10 @@ func regWith(t *testing.T, name string, v uint64) *metrics.Registry {
 	return r
 }
 
-// TestStockWatchpoints pins the six watchpoints' names and conditions
+// TestStockWatchpoints pins the five watchpoints' names and conditions
 // in evaluation order: alerts, artifacts and stored runs carry them.
+// None reads a host figure such as the obs bus's drop total, which a
+// wall-clock client sets.
 func TestStockWatchpoints(t *testing.T) {
 	want := [][2]string{
 		{"dram-row-pressure", "dram.row_window_activations > 120000"},
@@ -102,7 +104,6 @@ func TestStockWatchpoints(t *testing.T) {
 		{"ept-split-onset", "rate(ept_splits_total) > 0"},
 		{"flips-applied", "dram_flips_total > 0"},
 		{"host-machine-check", "host_machine_checks_total > 0"},
-		{"obs-bus-drops", "obs_bus_dropped_total > 0"},
 	}
 	if len(watchpoints) != len(want) {
 		t.Fatalf("%d watchpoints, want %d", len(watchpoints), len(want))

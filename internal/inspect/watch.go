@@ -1,6 +1,6 @@
 package inspect
 
-// The watchpoints are six fixed alarms on the paper's attack
+// The watchpoints are five fixed alarms on the paper's attack
 // milestones, evaluated at sample ticks on the simulated clock. Each
 // reads one value: a counter family's sum, that sum's rate per
 // simulated second, or the heatmap's row-window peak. Everything they
@@ -27,15 +27,13 @@ type watchpoint struct {
 
 // watchpoints is the stock set, in evaluation order: row pressure past
 // the minimum flip threshold (§4.1), TRR neutralizations, NX-hugepage
-// split onset (§4.2.3), applied flips, host machine checks, and obs
-// event-bus drops.
+// split onset (§4.2.3), applied flips and host machine checks.
 var watchpoints = [...]watchpoint{
 	{name: "dram-row-pressure", expr: "dram.row_window_activations > 120000", threshold: 120_000},
 	{name: "trr-neutralizing", expr: "dram_trr_neutralized_total > 0", family: "dram_trr_neutralized_total"},
 	{name: "ept-split-onset", expr: "rate(ept_splits_total) > 0", family: "ept_splits_total", rate: true},
 	{name: "flips-applied", expr: "dram_flips_total > 0", family: "dram_flips_total"},
 	{name: "host-machine-check", expr: "host_machine_checks_total > 0", family: "host_machine_checks_total"},
-	{name: "obs-bus-drops", expr: "obs_bus_dropped_total > 0", family: "obs_bus_dropped_total"},
 }
 
 // Alert is one fired watchpoint.

@@ -25,8 +25,6 @@ package obs
 import (
 	"sync"
 	"sync/atomic"
-
-	"hyperhammer/internal/metrics"
 )
 
 // Event is one bus message: a trace event or a sampler tick, stamped
@@ -47,8 +45,10 @@ type Event struct {
 // Bus is a bounded in-process pub/sub. Publishing never blocks: a
 // subscriber whose buffer is full loses the event and both the
 // subscription and the bus count the drop, so backpressure from a slow
-// HTTP client can never stall the simulating goroutine. All methods
-// are safe for concurrent use, and all no-op on a nil receiver.
+// HTTP client can never stall the simulating goroutine. The drop total
+// depends on how fast a wall-clock client reads, so it stays out of the
+// run's registry: /healthz and /metrics serve it from Stats. All
+// methods are safe for concurrent use, and all no-op on a nil receiver.
 type Bus struct {
 	mu        sync.Mutex
 	seq       uint64
@@ -58,10 +58,6 @@ type Bus struct {
 	// recent retains the last eventKeep events for replay to late
 	// subscribers.
 	recent []Event
-	// dropCtr, when set, mirrors the drop total into the metrics
-	// registry (obs_bus_dropped_total), so silent event loss is
-	// visible to dashboards and the obs-bus-drops watchpoint.
-	dropCtr *metrics.Counter
 }
 
 // eventKeep is how many bus events are retained for replay.
@@ -150,20 +146,8 @@ func (b *Bus) Publish(kind string, simSeconds float64, data map[string]any) {
 		default:
 			s.dropped.Add(1)
 			b.dropped++
-			b.dropCtr.Inc()
 		}
 	}
-}
-
-// SetDropCounter installs a registry counter that mirrors the bus's
-// drop total. Safe on a nil receiver and with a nil counter.
-func (b *Bus) SetDropCounter(c *metrics.Counter) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	b.dropCtr = c
-	b.mu.Unlock()
 }
 
 // Recent returns the replay ring, oldest first.

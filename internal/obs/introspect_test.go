@@ -121,36 +121,38 @@ func TestEventsSSEKeepalive(t *testing.T) {
 	}
 }
 
-// TestBusDropCounterMetric checks the plane surfaces bus drops as the
-// obs_bus_dropped_total registry counter, and that the obs-bus-drops
-// watchpoint fires on it.
+// TestBusDropCounterMetric checks a stalled subscriber's drops show
+// on /metrics and /healthz, read from the bus, and nowhere in the
+// run's registry: a wall-clock client sets the drop total, so it must
+// not reach a snapshot, a watchpoint or an artifact.
 func TestBusDropCounterMetric(t *testing.T) {
-	reg := metrics.New()
-	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
-	sub := p.Bus().Subscribe(2)
-	defer sub.Cancel()
-	for i := 0; i < 5; i++ {
-		p.Bus().Publish("x", 0, nil)
-	}
-	snap := reg.Snapshot()
-	var got float64
-	found := false
-	for _, c := range snap.Counters {
-		if c.Name == "obs_bus_dropped_total" {
-			got, found = c.Value, true
-		}
-	}
-	if !found {
-		t.Fatal("obs_bus_dropped_total not registered")
-	}
-	if got != 3 {
-		t.Errorf("obs_bus_dropped_total = %g, want 3", got)
-	}
-
+	srv, reg, _ := newTestServer(t)
 	ins := inspect.New()
 	ins.SetMetrics(reg)
+	sub := srv.plane.Bus().Subscribe(2)
+	defer sub.Cancel()
+	for i := 0; i < 5; i++ {
+		srv.plane.Bus().Publish("x", 0, nil)
+	}
+
+	_, body := get(t, srv, "/metrics")
+	if !strings.Contains(body, "# TYPE obs_bus_dropped_total counter\nobs_bus_dropped_total 3\n") {
+		t.Errorf("/metrics lacks obs_bus_dropped_total 3:\n%s", body)
+	}
+	_, body = get(t, srv, "/healthz")
+	var h struct {
+		BusDropped uint64 `json:"busDropped"`
+	}
+	if err := json.Unmarshal([]byte(body), &h); err != nil || h.BusDropped != 3 {
+		t.Errorf("/healthz busDropped = %d (%v), want 3: %s", h.BusDropped, err, body)
+	}
+	for _, c := range reg.Snapshot().Counters {
+		if strings.HasPrefix(c.Name, "obs_") {
+			t.Errorf("registry carries the host figure %s = %g", c.Name, c.Value)
+		}
+	}
 	ins.Evaluate(time.Second)
-	if a := ins.AlertsSnapshot(); a.Total != 1 || a.Recent[0].Rule != "obs-bus-drops" || a.Recent[0].Value != 3 {
-		t.Errorf("alerts = %+v, want one obs-bus-drops alert at value 3", a)
+	if a := ins.AlertsSnapshot(); a.Total != 0 {
+		t.Errorf("bus drops fired alerts: %+v", a)
 	}
 }

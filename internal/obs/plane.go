@@ -54,11 +54,6 @@ func NewPlane(s scope.Scope, cfg Config) *Plane {
 		keepalive: keepAlive,
 		start:     time.Now(),
 	}
-	// Surface the bus's drop total as a registry metric so dashboards
-	// and the obs-bus-drops watchpoint see silent event loss; stays at
-	// zero in deterministic runs (no slow subscribers).
-	p.bus.SetDropCounter(s.Metrics.Counter("obs_bus_dropped_total",
-		"Events the observability bus dropped on full subscriber buffers."))
 	s.Trace.SetNamedSink("obs", func(ev trace.Event) {
 		p.bus.Publish(ev.Kind, simSeconds(ev), ev.Data)
 	})

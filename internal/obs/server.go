@@ -42,7 +42,8 @@ type Sources struct {
 //
 //	/              embedded HTML status page
 //	/healthz       liveness + plane stats (JSON)
-//	/metrics       Prometheus text exposition of the registry
+//	/metrics       Prometheus text exposition of the registry, plus
+//	               the bus's drop total
 //	/api/snapshot  JSON metrics snapshot
 //	/api/series    ring-buffered sim-time series (?name= filters)
 //	/api/events    live SSE stream off the event bus (recent events
@@ -153,9 +154,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
+// handleMetrics serves the registry, then the bus's drop total, which
+// is kept out of the registry because a wall-clock client sets it.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.plane.scope.Metrics.WriteProm(w) //nolint:errcheck // client went away
+	if s.plane.scope.Metrics.WriteProm(w) != nil {
+		return // client went away
+	}
+	_, dropped, _ := s.plane.bus.Stats()
+	fmt.Fprintf(w, "# HELP obs_bus_dropped_total Events the observability bus dropped on full subscriber buffers.\n"+
+		"# TYPE obs_bus_dropped_total counter\nobs_bus_dropped_total %d\n", dropped)
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {

@@ -170,8 +170,8 @@ func fingerprintMap(m map[string]float64) float64 {
 
 // WithinTol reports |b−a| ≤ max(abs, frac·max(|a|,|b|)) — the single
 // tolerance rule hh diff applies to host-cost figures, exported so the
-// run-history trend engine and hh hotpath gate wall-clock figures with
-// exactly the -host-tol machinery.
+// run-history trend engine gates wall-clock figures with exactly the
+// -host-tol machinery.
 func WithinTol(a, b, frac, absTol float64) bool {
 	return withinTol(a, b, frac, absTol)
 }
