@@ -14,27 +14,14 @@
 package hyperhammer_test
 
 import (
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 
 	"hyperhammer/experiments"
 )
 
-func benchOpts(b *testing.B) experiments.Options {
-	o := experiments.Options{Seed: 1, Short: testing.Short()}
-	// HH_PARALLEL sets the experiment worker-pool size, like the CLIs'
-	// -parallel flag (0/unset = GOMAXPROCS, 1 = sequential). Results
-	// are identical at any setting; only wall clock changes.
-	if v := os.Getenv("HH_PARALLEL"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			b.Fatalf("bad HH_PARALLEL %q: %v", v, err)
-		}
-		o.Parallel = n
-	}
-	return o
+func benchOpts() experiments.Options {
+	return experiments.Options{Seed: 1, Short: testing.Short()}
 }
 
 // run registers one experiment on a fresh plan over o, runs it and
@@ -58,7 +45,7 @@ func analysis(p *experiments.Plan) *experiments.Future[*experiments.AnalysisResu
 // BenchmarkTable1MemoryProfiling reproduces Table 1: profile the
 // attacker VM's memory on S1 and S2.
 func BenchmarkTable1MemoryProfiling(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Table1)
 		if i == 0 {
@@ -77,7 +64,7 @@ func BenchmarkTable1MemoryProfiling(b *testing.B) {
 // BenchmarkTable2PageSteering reproduces Table 2: released pages
 // reused by EPTs across the (S, B) grid on S1, S2 and S3.
 func BenchmarkTable2PageSteering(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Table2)
 		if i == 0 {
@@ -94,7 +81,7 @@ func BenchmarkTable2PageSteering(b *testing.B) {
 // attempts to first verified escape on S1 and S2. The heavyweight
 // benchmark — a full campaign per system.
 func BenchmarkTable3AttackCost(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	if o.MaxAttempts == 0 && !o.Short {
 		o.MaxAttempts = 800
 	}
@@ -114,7 +101,7 @@ func BenchmarkTable3AttackCost(b *testing.B) {
 // BenchmarkFigure3aNoisePages reproduces Figure 3(a): the noise-page
 // traces of the plain-KVM hosts S1 and S2 during vIOMMU exhaustion.
 func BenchmarkFigure3aNoisePages(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Figure3)
 		if i == 0 {
@@ -128,7 +115,7 @@ func BenchmarkFigure3aNoisePages(b *testing.B) {
 // BenchmarkFigure3bNoisePagesS3 reproduces Figure 3(b): the same trace
 // on the OpenStack host S3, which starts with far more noise pages.
 func BenchmarkFigure3bNoisePagesS3(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Figure3)
 		if i == 0 {
@@ -145,7 +132,7 @@ func BenchmarkFigure3bNoisePagesS3(b *testing.B) {
 // BenchmarkAnalysisSuccessProbability reproduces the Section 5.3.1
 // bound and its Monte-Carlo cross-check.
 func BenchmarkAnalysisSuccessProbability(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, analysis)
 		if i == 0 {
@@ -158,7 +145,7 @@ func BenchmarkAnalysisSuccessProbability(b *testing.B) {
 // BenchmarkAnalysisEndToEndTime reproduces the Section 5.3.3 estimate
 // (192 days on S1, 137 on S2 with the paper's Table 1 inputs).
 func BenchmarkAnalysisEndToEndTime(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, analysis)
 		if i == 0 {
@@ -173,7 +160,7 @@ func BenchmarkAnalysisEndToEndTime(b *testing.B) {
 // BenchmarkAnalysisVMSizeSweep reproduces the Section 5.3.1
 // sensitivity analysis: attack prospects versus attacker VM size.
 func BenchmarkAnalysisVMSizeSweep(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := experiments.VMSize(o)
 		if i == 0 {
@@ -187,7 +174,7 @@ func BenchmarkAnalysisVMSizeSweep(b *testing.B) {
 // BenchmarkDRAMDigRecovery reproduces the Section 5.1 bank-function
 // recovery on both processors.
 func BenchmarkDRAMDigRecovery(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).DRAMDig)
 		if i == 0 {
@@ -200,7 +187,7 @@ func BenchmarkDRAMDigRecovery(b *testing.B) {
 // BenchmarkMitigationQuarantine evaluates the Section 6 quarantine
 // countermeasure.
 func BenchmarkMitigationQuarantine(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Mitigation)
 		if i == 0 {
@@ -213,7 +200,7 @@ func BenchmarkMitigationQuarantine(b *testing.B) {
 
 // BenchmarkXenLiteSteering runs the Section 6 Xen comparison.
 func BenchmarkXenLiteSteering(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Xen)
 		if i == 0 {
@@ -227,7 +214,7 @@ func BenchmarkXenLiteSteering(b *testing.B) {
 // BenchmarkBalloonSteering runs the Section 6 virtio-balloon
 // feasibility analysis.
 func BenchmarkBalloonSteering(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Balloon)
 		if i == 0 {
@@ -244,7 +231,7 @@ func BenchmarkBalloonSteering(b *testing.B) {
 // BenchmarkMitigationTRR evaluates in-DRAM Target Row Refresh against
 // the paper's single-sided pattern and a TRRespass many-sided one.
 func BenchmarkMitigationTRR(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).TRR)
 		if i == 0 {
@@ -260,7 +247,7 @@ func BenchmarkMitigationTRR(b *testing.B) {
 
 // BenchmarkMitigationECC evaluates SECDED ECC against profiling.
 func BenchmarkMitigationECC(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).ECC)
 		if i == 0 {
@@ -275,7 +262,7 @@ func BenchmarkMitigationECC(b *testing.B) {
 // BenchmarkMultihitTradeoff measures the iTLB-Multihit DoS versus the
 // hugepage splits the countermeasure hands to HyperHammer.
 func BenchmarkMultihitTradeoff(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).Multihit)
 		if i == 0 {
@@ -296,7 +283,7 @@ func boolMetric(v bool) float64 {
 // BenchmarkAblationHammerSidedness quantifies why the attack is
 // single-sided.
 func BenchmarkAblationHammerSidedness(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).AblationSidedness)
 		if i == 0 {
@@ -310,7 +297,7 @@ func BenchmarkAblationHammerSidedness(b *testing.B) {
 // BenchmarkAblationNoExhaust compares steering with and without the
 // exhaustion step.
 func BenchmarkAblationNoExhaust(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).AblationNoExhaust)
 		if i == 0 {
@@ -324,7 +311,7 @@ func BenchmarkAblationNoExhaust(b *testing.B) {
 // BenchmarkAblationSpraySize sweeps the spray budget around the
 // 512*(N+2) rule.
 func BenchmarkAblationSpraySize(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).AblationSpraySize)
 		if i == 0 {
@@ -336,7 +323,7 @@ func BenchmarkAblationSpraySize(b *testing.B) {
 
 // BenchmarkAblationTHP compares profiling with and without host THP.
 func BenchmarkAblationTHP(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).AblationTHP)
 		if i == 0 {
@@ -350,7 +337,7 @@ func BenchmarkAblationTHP(b *testing.B) {
 // BenchmarkAblationPCPNoise compares the exact and padded spray
 // budgets.
 func BenchmarkAblationPCPNoise(b *testing.B) {
-	o := benchOpts(b)
+	o := benchOpts()
 	for i := 0; i < b.N; i++ {
 		res := run(b, o, (*experiments.Plan).AblationPCPNoise)
 		if i == 0 {

@@ -39,8 +39,8 @@ func TestDispatchUsage(t *testing.T) {
 	}
 }
 
-// TestSteerRejectsNoBlocks: a -blocks below 1 is a usage error caught
-// before the 16 GiB host boots, not a divide by zero after it.
+// TestSteerRejectsNoBlocks: a -blocks below 1 is a usage error that the
+// Table-2 unit reports right after boot, before any mapping.
 func TestSteerRejectsNoBlocks(t *testing.T) {
 	for _, v := range []string{"0", "-1"} {
 		if status := dispatch([]string{"steer", "-blocks", v}, io.Discard); status != 2 {
@@ -49,13 +49,41 @@ func TestSteerRejectsNoBlocks(t *testing.T) {
 	}
 }
 
+// TestSteerRejectsNoSpray: a -spray below 1 is a usage error caught
+// before boot; the Table-2 unit would read 0 as "spray everything".
+func TestSteerRejectsNoSpray(t *testing.T) {
+	for _, v := range []string{"0", "-1"} {
+		if status := dispatch([]string{"steer", "-spray", v}, io.Discard); status != 2 {
+			t.Errorf("hh steer -spray %s = %d, want 2", v, status)
+		}
+	}
+}
+
 // TestSteerRejectsTooManyBlocks: a -blocks above the VM's free
 // hugepages minus one (6,623 on S1's 13 GiB VM) would make the release
 // stride 0. It is a usage error caught right after boot, before the
-// 60,000 exhaustion mappings.
+// 60,000 exhaustion mappings; 6,623 itself runs.
 func TestSteerRejectsTooManyBlocks(t *testing.T) {
-	if status := dispatch([]string{"steer", "-blocks", "6624"}, io.Discard); status != 2 {
-		t.Errorf("hh steer -blocks 6624 = %d, want 2", status)
+	for _, tc := range []struct {
+		blocks string
+		want   int
+	}{{"6624", 2}, {"6623", 0}} {
+		_, status := captureStdout(t, func() int { return dispatch([]string{"steer", "-blocks", tc.blocks}, io.Discard) })
+		if status != tc.want {
+			t.Errorf("hh steer -blocks %s = %d, want %d", tc.blocks, status, tc.want)
+		}
+	}
+}
+
+// TestSteerPrintsTable2Row: hh steer runs Table 2's own unit, so at one
+// of the table's (S, B) settings it prints the table's S1 row.
+func TestSteerPrintsTable2Row(t *testing.T) {
+	out, status := captureStdout(t, func() int {
+		return dispatch([]string{"steer", "-blocks", "20", "-spray", "10"}, io.Discard)
+	})
+	const want = "S1 10 GB 20 10240 5238 4458 43.5% 85.1%"
+	if status != 0 || !strings.Contains(strings.Join(strings.Fields(out), " "), want) {
+		t.Errorf("hh steer -blocks 20 -spray 10 = %d with\n%s\nwant 0 and the row %q", status, out, want)
 	}
 }
 

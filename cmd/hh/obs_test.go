@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"hyperhammer"
+	"hyperhammer/experiments"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
@@ -43,10 +44,9 @@ func checkRunBootArmsObsPlane(t *testing.T, out outputs) {
 	sub := s.plane.Bus().Subscribe(256)
 	defer sub.Cancel()
 
-	c := escapeRun{host: hyperhammer.S1(4)}
-	c.host.Geometry = shortGeometry()
+	var c escapeRun
+	c.host, _, _ = experiments.Options{Seed: 4, Short: true, Scope: s.Scope}.Machine(experiments.SystemS1)
 	c.host.BootNoisePages = 500
-	c.host.Scope = s.Scope
 	host, err := c.boot(s)
 	if err != nil {
 		t.Fatal(err)

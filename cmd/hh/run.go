@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 
 	"hyperhammer"
+	"hyperhammer/experiments"
 	"hyperhammer/internal/report"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/sched"
@@ -55,35 +56,19 @@ func cmdRun(args []string) int {
 			*seed = 4
 		}
 	}
-	c := escapeRun{
-		host:   hyperhammer.S1(*seed),
-		vm:     hyperhammer.VMConfig{MemSize: 13 * hyperhammer.GiB, VFIOGroups: 1, BootSplits: 500},
-		attack: hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction()),
-		budget: 600,
-	}
+	// The Table-3 S1 machine at the chosen scale, on the session's
+	// recorder planes.
+	c := escapeRun{budget: 600}
 	if *short {
-		c.host.Geometry = shortGeometry()
-		c.host.Fault = hyperhammer.FaultModel{
-			Seed: *seed, CellsPerRow: 0.02,
-			ThresholdMin: 120_000, ThresholdMax: 400_000,
-			StableFraction: 0.54, FlakyP: 0.35,
-			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
-		}
-		c.host.BootNoisePages = 2000
-		c.vm.MemSize = 3584 * hyperhammer.MiB
-		c.vm.BootSplits = 150
-		c.attack.HostMemBits = 32
-		c.attack.IOVAMappings = 6000
-		c.attack.TargetBits = 3
 		c.budget = 250
 	}
+	c.host, c.vm, c.attack = experiments.Options{Seed: *seed, Short: *short, Scope: s.Scope}.Machine(experiments.SystemS1)
 	if *attempts > 0 {
 		c.budget = *attempts
 	}
 	if *hammerRounds > 0 {
 		c.attack.HammerRounds = *hammerRounds
 	}
-	c.host.Scope = s.Scope
 	if s.profiler != nil {
 		s.Trace.SetNamedSink("profile", s.profiler.Consume)
 	}
@@ -212,19 +197,4 @@ func (c *escapeRun) run(s *session) int {
 	fmt.Printf("the guest read the host-kernel secret %#x through a stolen EPT page:\n", uint64(secretValue))
 	fmt.Println("KVM-enforced isolation broken.")
 	return 0
-}
-
-// shortGeometry is the reduced 4 GiB machine with S1's bank function.
-func shortGeometry() *hyperhammer.Geometry {
-	g, err := hyperhammer.NewGeometry(hyperhammer.Geometry{
-		Name:      "short-4G (i3-10100 bank function)",
-		Size:      4 * hyperhammer.GiB,
-		BankMasks: hyperhammer.S1BankFunction(),
-		RowShift:  18,
-		RowBits:   14,
-	})
-	if err != nil {
-		panic(err) // a fixed, known-valid geometry
-	}
-	return g
 }

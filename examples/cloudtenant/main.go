@@ -14,28 +14,13 @@ import (
 	"log"
 
 	"hyperhammer"
+	"hyperhammer/experiments"
 )
 
 func main() {
-	geo, err := hyperhammer.NewGeometry(hyperhammer.Geometry{
-		Name:      "cloud-host-4G (i3-10100 bank function)",
-		Size:      4 * hyperhammer.GiB,
-		BankMasks: hyperhammer.S1BankFunction(),
-		RowShift:  18,
-		RowBits:   14,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	hostCfg := hyperhammer.S1(9)
-	hostCfg.Geometry = geo
-	hostCfg.Fault = hyperhammer.FaultModel{
-		Seed: 9, CellsPerRow: 0.02,
-		ThresholdMin: 120_000, ThresholdMax: 400_000,
-		StableFraction: 0.54, FlakyP: 0.35,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
-	}
-	hostCfg.BootNoisePages = 2000
+	// The short-scale S1 machine the CI tables run: a 4 GiB host with
+	// the i3-10100 bank function.
+	hostCfg, vmCfg, attackCfg := experiments.Options{Seed: 9, Short: true}.Machine(experiments.SystemS1)
 	host, err := hyperhammer.NewHost(hostCfg)
 	if err != nil {
 		log.Fatal(err)
@@ -43,7 +28,8 @@ func main() {
 
 	// The victim tenant: a small VM that writes a credential into its
 	// own memory. It never interacts with the attacker.
-	victimVM, err := host.CreateVM(hyperhammer.VMConfig{MemSize: 256 * hyperhammer.MiB})
+	const victimMem = 256 * hyperhammer.MiB
+	victimVM, err := host.CreateVM(hyperhammer.VMConfig{MemSize: victimMem})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,16 +50,12 @@ func main() {
 	}
 	fmt.Printf("victim VM stored its credential (physically at HPA %#x, unknown to the attacker)\n", credHPA)
 
-	// The attacker tenant: most of the remaining host memory, one
-	// VFIO device with vIOMMU.
-	attackCfg := hyperhammer.DefaultAttackConfig(hyperhammer.S1BankFunction())
-	attackCfg.HostMemBits = 32
-	attackCfg.IOVAMappings = 6000
-	attackCfg.TargetBits = 3
-
+	// The attacker tenant: the machine's attacker VM less the victim's
+	// share of the host, with one VFIO device behind the vIOMMU.
+	vmCfg.MemSize -= victimMem
 	res, err := hyperhammer.RunCampaign(host, hyperhammer.CampaignConfig{
 		Attack:      attackCfg,
-		VM:          hyperhammer.VMConfig{MemSize: 3328 * hyperhammer.MiB, VFIOGroups: 1, BootSplits: 150},
+		VM:          vmCfg,
 		MaxAttempts: 300,
 		VerifyHPA:   credHPA,
 		VerifyValue: credential,

@@ -55,7 +55,8 @@ func (p *Plan) AblationSidedness() *Future[*SidednessResult] {
 
 func sidednessRun(o Options) (*SidednessResult, error) {
 	sc := shortScale()
-	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
+	hcfg, cfg := o.machine(sc, SystemS1)
+	h, err := kvm.NewHost(hcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -64,7 +65,6 @@ func sidednessRun(o Options) (*SidednessResult, error) {
 		return nil, err
 	}
 	gos := guest.Boot(vm)
-	cfg := attackConfig(sc, SystemS1)
 	prof, err := attack.Profile(gos, cfg)
 	if err != nil {
 		return nil, err
@@ -218,11 +218,10 @@ func (p *Plan) AblationTHP() *Future[*THPAblationResult] {
 
 // thpRun profiles one host and samples low-21-bit preservation.
 func thpRun(o Options, thp bool) (thpOutcome, error) {
-	sc := shortScale()
 	// A small slice of the machine keeps the THP-off run (which
 	// backs 512 pages per chunk individually) affordable.
 	vmSize := uint64(512 * memdef.MiB)
-	cfg := o.hostConfig(sc, SystemS1)
+	cfg, acfg := o.machine(shortScale(), SystemS1)
 	cfg.THP, cfg.BootNoisePages = thp, 500
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
@@ -233,7 +232,6 @@ func thpRun(o Options, thp bool) (thpOutcome, error) {
 		return thpOutcome{}, err
 	}
 	gos := guest.Boot(vm)
-	acfg := attackConfig(sc, SystemS1)
 	prof, err := attack.Profile(gos, acfg)
 	if err != nil {
 		return thpOutcome{}, err

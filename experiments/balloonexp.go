@@ -92,7 +92,8 @@ func (p *Plan) Balloon() *Future[*BalloonResult] {
 
 func balloonRun(o Options, drain bool) (BalloonRow, error) {
 	sc := shortScale()
-	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
+	cfg, _ := o.machine(sc, SystemS1)
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return BalloonRow{}, err
 	}

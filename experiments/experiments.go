@@ -13,6 +13,8 @@
 package experiments
 
 import (
+	"hyperhammer"
+	"hyperhammer/internal/attack"
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/memdef"
@@ -80,9 +82,8 @@ func (s System) String() string {
 
 // scale bundles the machine dimensions an experiment runs at.
 type scale struct {
-	geometry    func(System) *dram.Geometry
-	fault       func(System, uint64) dram.FaultModelConfig
-	hostNoise   func(System) int
+	// short shrinks each paper machine to a 4 GiB host (shortMachine).
+	short       bool
 	vmSize      uint64
 	profileSize uint64
 	iovaMaps    int
@@ -91,32 +92,11 @@ type scale struct {
 	bootSplits  int
 }
 
-// fullScale is the paper's configuration: 16 GiB hosts, 13 GiB VM,
-// 12 GiB profiled, 60,000 exhaustion mappings, 12 target bits.
+// fullScale is the paper's configuration: its 16 GiB machines S1-S3
+// as the hyperhammer package defines them, a 13 GiB VM, 12 GiB
+// profiled, 60,000 exhaustion mappings, 12 target bits.
 func fullScale() scale {
 	return scale{
-		geometry: func(s System) *dram.Geometry {
-			if s == SystemS2 {
-				return dram.XeonE32124()
-			}
-			return dram.CoreI310100()
-		},
-		fault: func(s System, seed uint64) dram.FaultModelConfig {
-			if s == SystemS2 {
-				return dram.S2FaultModel(seed)
-			}
-			return dram.S1FaultModel(seed)
-		},
-		hostNoise: func(s System) int {
-			switch s {
-			case SystemS2:
-				return 34000
-			case SystemS3:
-				return 12000 // plus the OpenStack workload's noise
-			default:
-				return 30000
-			}
-		},
 		vmSize:      13 * memdef.GiB,
 		profileSize: 12 * memdef.GiB,
 		iovaMaps:    60000,
@@ -129,40 +109,8 @@ func fullScale() scale {
 // shortScale is a 4 GiB host / 3.5 GiB VM variant with a denser fault
 // model so CI runs exercise the same dynamics in seconds.
 func shortScale() scale {
-	small := func(s System) *dram.Geometry {
-		masks := dram.CoreI310100().BankMasks
-		if s == SystemS2 {
-			masks = dram.XeonE32124().BankMasks
-		}
-		return dram.MustGeometry(dram.Geometry{
-			Name:      "short-4G (" + s.String() + ")",
-			Size:      4 * memdef.GiB,
-			BankMasks: masks,
-			RowShift:  18,
-			RowBits:   14,
-		})
-	}
 	return scale{
-		geometry: small,
-		fault: func(s System, seed uint64) dram.FaultModelConfig {
-			cfg := dram.FaultModelConfig{
-				Seed: seed, CellsPerRow: 0.02,
-				ThresholdMin: 120_000, ThresholdMax: 400_000,
-				StableFraction: 0.54, FlakyP: 0.35,
-				NeighborWeight1: 1.0, NeighborWeight2: 0.25,
-			}
-			if s == SystemS2 {
-				cfg.CellsPerRow = 0.05
-				cfg.StableFraction = 0.1
-			}
-			return cfg
-		},
-		hostNoise: func(s System) int {
-			if s == SystemS3 {
-				return 3000
-			}
-			return 2000
-		},
+		short:       true,
 		vmSize:      3584 * memdef.MiB,
 		profileSize: 3 * memdef.GiB,
 		iovaMaps:    6000,
@@ -179,43 +127,91 @@ func (o Options) scale() scale {
 	return fullScale()
 }
 
-// hostConfig is the one host configuration every unit boots from:
-// system sys's DRAM geometry and fault model at scale sc, THP and NX
-// hugepages on, the scale's boot noise, a seed derived from o.Seed and
-// the system, and the ledgerless scope. Units override fields on the
-// returned value before booting it.
-func (o Options) hostConfig(sc scale, sys System) kvm.Config {
-	return kvm.Config{
-		Geometry:       sc.geometry(sys),
-		Fault:          sc.fault(sys, o.Seed),
-		THP:            true,
-		NXHugepages:    true,
-		BootNoisePages: sc.hostNoise(sys),
-		Seed:           o.Seed ^ uint64(sys)<<32,
-		Scope:          o.ledgerless(),
+// Machine returns paper machine sys at o's scale: the host
+// configuration, with o's seed and scope, the attacker VM and the
+// attack configuration that Tables 1-3 and Figure 3 boot. hh run, the
+// step demos and examples/cloudtenant boot through it too.
+func (o Options) Machine(sys System) (kvm.Config, kvm.VMConfig, attack.Config) {
+	sc := o.scale()
+	cfg, acfg := o.machine(sc, sys)
+	cfg.Scope = o.Scope
+	return cfg, kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits}, acfg
+}
+
+// machine is the one host configuration every unit boots from, with
+// its attack configuration: machine sys at scale sc with THP and NX
+// hugepages on, a host seed derived from o.Seed and the system, the
+// ledgerless scope, and the bank function the attacker recovered
+// offline. Units override fields on the returned values.
+func (o Options) machine(sc scale, sys System) (kvm.Config, attack.Config) {
+	var cfg kvm.Config
+	switch sys {
+	case SystemS2:
+		cfg = hyperhammer.S2(o.Seed)
+	case SystemS3:
+		cfg, _ = hyperhammer.S3(o.Seed) // newHost attaches the workload
+	default:
+		cfg = hyperhammer.S1(o.Seed)
+	}
+	if sc.short {
+		shortMachine(&cfg, sys, o.Seed)
+	}
+	cfg.Seed = o.Seed ^ uint64(sys)<<32
+	cfg.Scope = o.ledgerless()
+	acfg := attack.DefaultConfig(cfg.Geometry.BankMasks)
+	acfg.HostMemBits = sc.hostMemBits
+	acfg.IOVAMappings = sc.iovaMaps
+	acfg.TargetBits = sc.targetBits
+	return cfg, acfg
+}
+
+// shortMachine shrinks machine sys to 4 GiB with the same bank
+// function, a denser fault model and less boot noise.
+func shortMachine(cfg *kvm.Config, sys System, seed uint64) {
+	cfg.Geometry = dram.MustGeometry(dram.Geometry{
+		Name:      "short-4G (" + sys.String() + ")",
+		Size:      4 * memdef.GiB,
+		BankMasks: cfg.Geometry.BankMasks,
+		RowShift:  18,
+		RowBits:   14,
+	})
+	cfg.Fault = dram.FaultModelConfig{
+		Seed: seed, CellsPerRow: 0.02,
+		ThresholdMin: 120_000, ThresholdMax: 400_000,
+		StableFraction: 0.54, FlakyP: 0.35,
+		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
+	}
+	cfg.BootNoisePages = 2000
+	switch sys {
+	case SystemS2:
+		cfg.Fault.CellsPerRow = 0.05
+		cfg.Fault.StableFraction = 0.1
+	case SystemS3:
+		cfg.BootNoisePages = 3000
 	}
 }
 
-// newHost boots a host for one system at o's scale with the full
-// scope, ledger included, attaching the OpenStack workload for S3.
-func (o Options) newHost(sys System) (*kvm.Host, error) {
-	cfg := o.hostConfig(o.scale(), sys)
-	cfg.Scope = o.Scope
+// newHost boots machine sys at o's scale with the full scope, ledger
+// included, attaching the OpenStack workload for S3. It returns the
+// host with the machine's attacker VM and attack configurations.
+func (o Options) newHost(sys System) (*kvm.Host, kvm.VMConfig, attack.Config, error) {
+	cfg, vm, acfg := o.Machine(sys)
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
-		return nil, err
+		return nil, vm, acfg, err
 	}
 	if sys == SystemS3 {
 		if err := attachS3Load(h, o); err != nil {
-			return nil, err
+			return nil, vm, acfg, err
 		}
 	}
-	return h, nil
+	return h, vm, acfg, nil
 }
 
-// ledgerless is the scope of every host but newHost's: the mitigation,
-// TRR, ECC and Multihit units, the THP ablation, the short-scale
-// steering ablations, the balloon experiment and the Xen comparison.
+// ledgerless is the scope of every host not booted from Machine: the
+// mitigation, TRR, ECC and Multihit units, the THP ablation, the
+// short-scale steering ablations, the balloon experiment and the Xen
+// comparison.
 // Those hosts have never fed the determinism ledger, so hh bisect
 // cannot localize drift inside their units. Wiring it would add their
 // streams to every ledgered artifact and move the content hashes the

@@ -160,7 +160,7 @@ func mitigationRun(o Options, guarded bool) (mitigationOutcome, error) {
 		// the owning unit's span stream.
 		guard, _ = mitigation.Traced(o.Trace)
 	}
-	cfg := o.hostConfig(sc, SystemS1)
+	cfg, _ := o.machine(sc, SystemS1)
 	cfg.BootNoisePages, cfg.Quarantine = 1000, guard
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
@@ -269,38 +269,15 @@ func xenHeapRun() ([2]int, error) {
 	return [2]int{released, reused}, nil
 }
 
-// xenKVMRun measures the same shape on KVM, but skips exhaustion.
+// xenKVMRun measures the same shape on KVM, but skips exhaustion:
+// steering releases hugepages 37·k, k = 1..8, and sprays the rest.
 func xenKVMRun(o Options) ([2]int, error) {
 	sc := shortScale()
-	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
+	cfg, _ := o.machine(sc, SystemS1)
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return [2]int{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1})
-	if err != nil {
-		return [2]int{}, err
-	}
-	gos := guest.Boot(vm)
-	gos.InstallAttackDriver()
-	n := gos.FreeHugepages()
-	base, err := gos.AllocHuge(n)
-	if err != nil {
-		return [2]int{}, err
-	}
-	for i := 1; i <= 8; i++ {
-		if err := gos.ReleaseHugepage(base + memdef.GVA(i*37)*memdef.HugePageSize); err != nil {
-			return [2]int{}, err
-		}
-	}
-	for i := 0; i < n; i++ {
-		gva := base + memdef.GVA(i)*memdef.HugePageSize
-		if _, err := gos.GPAOf(gva); err != nil {
-			continue // released
-		}
-		if _, err := gos.Exec(gva); err != nil {
-			return [2]int{}, err
-		}
-	}
-	stats := vm.EPTReuse()
-	return [2]int{stats.ReleasedPages, stats.ReusedPages}, nil
+	row, err := steer(h, kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1}, SystemS1, 0, 8, 37, 0)
+	return [2]int{row.Released, row.Reused}, err
 }

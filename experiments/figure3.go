@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"hyperhammer/internal/guest"
-	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/memdef"
 	"hyperhammer/internal/report"
 	"time"
@@ -91,12 +90,11 @@ func (p *Plan) Figure3() *Future[*Figure3Result] {
 }
 
 func figure3System(o Options, sys System) (Figure3Series, error) {
-	sc := o.scale()
-	h, err := o.newHost(sys)
+	h, vmCfg, acfg, err := o.newHost(sys)
 	if err != nil {
 		return Figure3Series{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits})
+	vm, err := h.CreateVM(vmCfg)
 	if err != nil {
 		return Figure3Series{}, err
 	}
@@ -116,7 +114,7 @@ func figure3System(o Options, sys System) (Figure3Series, error) {
 	}
 	sample(0)
 	iova := memdef.IOVA(0x1_0000_0000)
-	for m := 1; m <= sc.iovaMaps; m++ {
+	for m := 1; m <= acfg.IOVAMappings; m++ {
 		if err := gos.MapDMA(0, iova, target); err != nil {
 			return series, err
 		}

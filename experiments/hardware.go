@@ -81,8 +81,7 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		TRR: trr,
 	}
-	sc := shortScale()
-	cfg := o.hostConfig(sc, SystemS1)
+	cfg, acfg := o.machine(shortScale(), SystemS1)
 	cfg.Fault, cfg.BootNoisePages = fault, 500
 	h, err := kvm.NewHost(cfg)
 	if err != nil {
@@ -94,7 +93,7 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 	}
 	gos := guest.Boot(vm)
 	results, err := hammer.Search(gos, hammer.Config{
-		BankMasks: sc.geometry(SystemS1).BankMasks,
+		BankMasks: acfg.BankMasks,
 		Hugepages: 96,
 		Repeats:   2,
 	}, patterns)
@@ -185,8 +184,7 @@ func (p *Plan) ECC() *Future[*ECCResult] {
 
 // eccRun runs the profiling budget on one host.
 func eccRun(o Options, ecc bool) (eccOutcome, error) {
-	sc := shortScale()
-	cfg := o.hostConfig(sc, SystemS1)
+	cfg, acfg := o.machine(shortScale(), SystemS1)
 	cfg.Fault.CellsPerRow = 0.1 // dense enough to see the contrast quickly
 	cfg.BootNoisePages, cfg.ECC = 500, ecc
 	h, err := kvm.NewHost(cfg)
@@ -198,7 +196,7 @@ func eccRun(o Options, ecc bool) (eccOutcome, error) {
 		return eccOutcome{}, err
 	}
 	gos := guest.Boot(vm)
-	prof, err := attack.Profile(gos, attackConfig(sc, SystemS1))
+	prof, err := attack.Profile(gos, acfg)
 	if err != nil && !ecc {
 		return eccOutcome{}, err
 	}
@@ -275,7 +273,7 @@ func (p *Plan) Multihit() *Future[*MultihitResult] {
 // multihitRun measures one host: exec in every hugepage, then attempt
 // the Multihit DoS.
 func multihitRun(o Options, mitigated bool) (multihitOutcome, error) {
-	cfg := o.hostConfig(shortScale(), SystemS1)
+	cfg, _ := o.machine(shortScale(), SystemS1)
 	cfg.NXHugepages, cfg.MultihitBugPresent, cfg.BootNoisePages = mitigated, true, 500
 	h, err := kvm.NewHost(cfg)
 	if err != nil {

@@ -58,18 +58,16 @@ func (p *Plan) Table1() *Future[*Table1Result] {
 }
 
 func profileSystem(o Options, sys System) (Table1Row, error) {
-	sc := o.scale()
-	h, err := o.newHost(sys)
+	h, vmCfg, cfg, err := o.newHost(sys)
 	if err != nil {
 		return Table1Row{}, err
 	}
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: sc.bootSplits})
+	vm, err := h.CreateVM(vmCfg)
 	if err != nil {
 		return Table1Row{}, err
 	}
 	gos := guest.Boot(vm)
-	cfg := attackConfig(sc, sys)
-	cfg.ProfileHugepages = int(sc.profileSize / memdef.HugePageSize)
+	cfg.ProfileHugepages = int(o.scale().profileSize / memdef.HugePageSize)
 	// Nest the attack phases under a per-system span so a cost profile
 	// of this run attributes simulated time to S1 and S2 separately
 	// (paths like "table1.S1;attack.profile").
@@ -92,16 +90,6 @@ func profileSystem(o Options, sys System) (Table1Row, error) {
 		Exploitable: prof.Exploitable,
 		HammerOps:   prof.HammerOps,
 	}, nil
-}
-
-// attackConfig builds the attacker configuration for one system at a
-// scale, using the bank function the attacker recovered offline.
-func attackConfig(sc scale, sys System) attack.Config {
-	cfg := attack.DefaultConfig(sc.geometry(sys).BankMasks)
-	cfg.HostMemBits = sc.hostMemBits
-	cfg.IOVAMappings = sc.iovaMaps
-	cfg.TargetBits = sc.targetBits
-	return cfg
 }
 
 // attachS3Load puts the OpenStack workload on a host (Figure 3b's

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"hyperhammer/internal/guest"
@@ -102,7 +103,7 @@ func (p *Plan) Table2() *Future[*Table2Result] {
 			sys, spray, blocks := sys, setting.spray, setting.blocks
 			addTyped(p, fmt.Sprintf("table2.%s.S%d.B%d", sys, spray, blocks),
 				func(o Options) (Table2Row, error) {
-					row, err := table2Run(o, sys, spray, blocks)
+					row, err := Table2Run(o, sys, spray, blocks)
 					if err != nil {
 						return Table2Row{}, fmt.Errorf("table 2 %s S=%d B=%d: %w", sys, spray, blocks, err)
 					}
@@ -115,16 +116,21 @@ func (p *Plan) Table2() *Future[*Table2Result] {
 	return f
 }
 
-// table2Run is one Table 2 row: steering at o's scale on the system's
-// own ledgered host, in a VM with boot splits. The row reports the
-// requested spray bytes, the paper's S.
-func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row, error) {
-	sc := o.scale()
-	h, err := o.newHost(sys)
+// ErrBlocksOutOfRange is Table2Run's refusal of a block count B
+// outside 1..n-1, where n is the attacker VM's free hugepages after
+// boot: hugepage 0 stays mapped as the DMA target.
+var ErrBlocksOutOfRange = errors.New("experiments: page blocks out of range")
+
+// Table2Run is one Table 2 unit: Page Steering on machine sys at o's
+// scale, on the system's own ledgered host and in its attacker VM,
+// releasing B = blocks page blocks and spraying EPTs over S =
+// sprayBytes. The row reports the requested S. hh steer runs it alone.
+func Table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row, error) {
+	h, vmCfg, acfg, err := o.newHost(sys)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	row, err := steer(h, sc, sys, sc.bootSplits, true, blocks, int(sprayBytes/memdef.HugePageSize))
+	row, err := steer(h, vmCfg, sys, acfg.IOVAMappings, blocks, 0, int(sprayBytes/memdef.HugePageSize))
 	row.SprayBytes = sprayBytes
 	return row, err
 }
@@ -134,19 +140,27 @@ func table2Run(o Options, sys System, sprayBytes uint64, blocks int) (Table2Row,
 // reports the bytes actually sprayed.
 func steerOnce(o Options, exhaust bool, blocks, spray int) (Table2Row, error) {
 	sc := shortScale()
-	h, err := kvm.NewHost(o.hostConfig(sc, SystemS1))
+	cfg, acfg := o.machine(sc, SystemS1)
+	h, err := kvm.NewHost(cfg)
 	if err != nil {
 		return Table2Row{}, err
 	}
-	return steer(h, sc, SystemS1, 0, exhaust, blocks, spray)
+	maps := 0
+	if exhaust {
+		maps = acfg.IOVAMappings
+	}
+	return steer(h, kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1}, SystemS1, maps, blocks, 0, spray)
 }
 
 // steer performs one Page Steering measurement (Section 4.2) in a fresh
 // VM on h and reads the hypervisor's released-PFN log and EPT-page dump
-// back as a row for sys. spray caps the hugepages the EPT spray
+// back as a row for sys. It exhausts the noise pages with maps vIOMMU
+// mappings (0 skips the step) and releases B = blocks hugepages: every
+// stride-th from hugepage stride, or, with stride 0, B spread through
+// the buffer from hugepage 1. spray caps the hugepages the EPT spray
 // executes in; 0 sprays every hugepage still mapped.
-func steer(h *kvm.Host, sc scale, sys System, bootSplits int, exhaust bool, blocks, spray int) (Table2Row, error) {
-	vm, err := h.CreateVM(kvm.VMConfig{MemSize: sc.vmSize, VFIOGroups: 1, BootSplits: bootSplits})
+func steer(h *kvm.Host, vmCfg kvm.VMConfig, sys System, maps, blocks, stride, spray int) (Table2Row, error) {
+	vm, err := h.CreateVM(vmCfg)
 	if err != nil {
 		return Table2Row{}, err
 	}
@@ -154,31 +168,31 @@ func steer(h *kvm.Host, sc scale, sys System, bootSplits int, exhaust bool, bloc
 	gos.InstallAttackDriver()
 
 	n := gos.FreeHugepages()
+	if blocks < 1 || blocks > n-1 {
+		return Table2Row{}, fmt.Errorf("%w: B=%d, want 1..%d for %d hugepages", ErrBlocksOutOfRange, blocks, n-1, n)
+	}
 	base, err := gos.AllocHuge(n)
 	if err != nil {
 		return Table2Row{}, err
 	}
 
 	// Step 1: exhaust noise pages (Section 4.2.1).
-	if exhaust {
-		iova := memdef.IOVA(0x1_0000_0000)
-		for m := 0; m < sc.iovaMaps; m++ {
-			if err := gos.MapDMA(0, iova, base); err != nil {
-				return Table2Row{}, err
-			}
-			iova += memdef.HugePageSize
+	iova := memdef.IOVA(0x1_0000_0000)
+	for m := 0; m < maps; m++ {
+		if err := gos.MapDMA(0, iova, base); err != nil {
+			return Table2Row{}, err
 		}
+		iova += memdef.HugePageSize
 	}
 
 	// Step 2: release B blocks (Section 4.2.2). The workload releases
 	// arbitrary blocks — reuse statistics do not depend on the blocks
-	// being Rowhammer-vulnerable. Spread them through the buffer,
-	// skipping the DMA target's hugepage.
-	if blocks >= n-1 {
-		return Table2Row{}, fmt.Errorf("experiments: B=%d too large for %d hugepages", blocks, n)
+	// being Rowhammer-vulnerable — skipping the DMA target's hugepage.
+	first := stride
+	if stride == 0 {
+		first, stride = 1, (n-1)/blocks
 	}
-	stride := (n - 1) / blocks
-	for i, released := 1, 0; i < n && released < blocks; i += stride {
+	for i, released := first, 0; i < n && released < blocks; i += stride {
 		if err := gos.ReleaseHugepage(base + memdef.GVA(i)*memdef.HugePageSize); err != nil {
 			return Table2Row{}, err
 		}

@@ -37,7 +37,6 @@ import (
 	"io"
 
 	"hyperhammer/internal/attack"
-	"hyperhammer/internal/balloon"
 	"hyperhammer/internal/dram"
 	"hyperhammer/internal/dramdig"
 	"hyperhammer/internal/forensics"
@@ -52,7 +51,6 @@ import (
 	"hyperhammer/internal/mitigation"
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
-	"hyperhammer/internal/runstore"
 	"hyperhammer/internal/sched"
 	"hyperhammer/internal/trace"
 	"hyperhammer/internal/virtio"
@@ -228,10 +226,6 @@ type LedgerSnapshot = ledger.Snapshot
 // NewLedger creates a determinism-ledger recorder.
 func NewLedger(cfg LedgerConfig) *LedgerRecorder { return ledger.New(cfg) }
 
-// BisectLedgers localizes the first divergence between two ledger
-// snapshots (nil when they agree) — the comparison behind hh bisect.
-func BisectLedgers(a, b *LedgerSnapshot) *ledger.Divergence { return ledger.Bisect(a, b) }
-
 // CostProfiler folds the span trace into a per-phase simulated-time
 // cost profile (see internal/profile). Feed one by attaching it to a
 // trace recorder with TraceRecorder.SetNamedSink("profile", p.Consume);
@@ -266,14 +260,6 @@ type PlanReport = profile.PlanReport
 // analysis from a batch schedule (nil-safe: returns an empty report).
 func BuildPlanReport(sc *HostSchedule) *PlanReport { return profile.BuildPlanReport(sc) }
 
-// RenderPlanReport writes the human view of a plan report — summary,
-// ASCII Gantt chart, worker-utilization bars, top-slack table — the
-// renderer behind hh plan, live and offline. width bounds the chart
-// columns (0 picks a default).
-func RenderPlanReport(w io.Writer, r *PlanReport, width int) error {
-	return profile.RenderPlan(w, r, width)
-}
-
 // WriteChromeTrace exports a host schedule as Chrome trace_event JSON
 // (one track per worker plus the delivery track), loadable in Perfetto
 // or chrome://tracing.
@@ -290,20 +276,6 @@ type RunArtifact = runartifact.Artifact
 func NewRunArtifact(tool string, seed uint64, scale string) *RunArtifact {
 	return runartifact.New(tool, seed, scale)
 }
-
-// RunStore is the run-history plane's content-addressed, config-hash-
-// indexed artifact store (see internal/runstore). The CLIs open one
-// with -store and ingest each run's artifact; hh trend folds the
-// stored history into cross-run figure trends.
-type RunStore = runstore.Store
-
-// OpenRunStore opens (creating if needed) the run-history store rooted
-// at dir and loads its index.
-func OpenRunStore(dir string) (*RunStore, error) { return runstore.Open(dir) }
-
-// TrendReport is the cross-run trend view hh trend renders and
-// /api/trend serves: per-figure time series with drift attribution.
-type TrendReport = runstore.Report
 
 // BootGuest starts the guest OS runtime on a VM.
 func BootGuest(vm *VM) *GuestOS { return guest.Boot(vm) }
@@ -434,9 +406,3 @@ func FindHammerPattern(os *GuestOS, bankMasks []uint64) (hammer.Result, error) {
 // XenHeap creates a Xen-style domain heap for the Section 6
 // comparison.
 func XenHeap(start PFN, pages uint64) *xenlite.Heap { return xenlite.NewHeap(start, pages) }
-
-// NewBalloon creates a virtio-balloon device for the Section 6
-// feasibility analysis.
-func NewBalloon(guestSize uint64, backend balloon.Backend) *balloon.Device {
-	return balloon.NewDevice(guestSize, backend)
-}

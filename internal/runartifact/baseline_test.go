@@ -24,7 +24,7 @@ func TestCommittedBaselinesIdentity(t *testing.T) {
 		fingerprints    map[string]float64
 		deltas          int
 	}{
-		{"short-seed4.json", "59045c2f98d1c533", "6183f22bea35f5bf", map[string]float64{
+		{"short-seed4.json", "73f5b068b8e399d7", "4396562e405a2f60", map[string]float64{
 			"alerts":    2.34689038587131e+15,
 			"census":    1.035694090728858e+15,
 			"counters":  2.222267944553357e+15,
@@ -33,7 +33,7 @@ func TestCommittedBaselinesIdentity(t *testing.T) {
 			"outcome":   3.20518277647474e+14,
 			"profile":   9.20724205897459e+14,
 		}, 194},
-		{"short-escape.json", "098417e88a516f68", "b90e6c23c335b66c", map[string]float64{
+		{"short-escape.json", "476b0e0a500c1b9e", "e1fe8b02e76a6f99", map[string]float64{
 			"alerts":    1.714746428137888e+15,
 			"census":    6.5411351024957e+13,
 			"counters":  3.547347826517986e+15,
