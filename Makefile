@@ -150,6 +150,7 @@ ledger-gate:
 # Brief fuzzing pass over the fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzAllocFreeSequence -fuzztime=20s ./internal/buddy/
+	$(GO) test -fuzz=FuzzFrameForms -fuzztime=20s ./internal/phys/
 	$(GO) test -fuzz=FuzzEntryRoundTrip -fuzztime=10s ./internal/ept/
 	$(GO) test -fuzz=FuzzTranslateRobustness -fuzztime=20s ./internal/ept/
 	$(GO) test -fuzz=FuzzDeviceProtocol -fuzztime=20s ./internal/virtio/

@@ -1,12 +1,19 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,25 +96,131 @@ func checkRunBootArmsObsPlane(t *testing.T, out outputs) {
 }
 
 // TestObsLeavesContentHash: serving the live plane moves no
-// deterministic section of the run bundle (DESIGN §3, rule 6), so a
-// run with -obs and one without give one ContentHash.
+// deterministic section of the run bundle (DESIGN §3, rule 6). Runs
+// with -obs and a client that connects to /api/events and never reads
+// give the ContentHash of a run without -obs, and hh diff passes each
+// against it. The runs vary GOMAXPROCS and GOGC, so the bus drops
+// events at different points of the run, and each must have dropped
+// some: a drop total that reached the artifact would move its hash.
 func TestObsLeavesContentHash(t *testing.T) {
 	dir := t.TempDir()
 	discardStdout(t)
-	var hashes []string
-	for i, obs := range [][]string{nil, {"-obs", "127.0.0.1:0"}} {
-		path := filepath.Join(dir, fmt.Sprintf("run%d.json", i))
+	runs := []struct {
+		name      string
+		procs, gc int // zero for the run without -obs
+	}{
+		{"no-obs", 0, 0},
+		{"stalled-procs1-gogc20", 1, 20},
+		{"stalled-procs4-gogc400", 4, 400},
+	}
+	var paths, hashes []string
+	for _, r := range runs {
+		path := filepath.Join(dir, r.name+".json")
 		// One attempt does not escape, so the status is 1; the
 		// artifact is written on every exit path.
-		cmdRun(append([]string{"-short", "-attempts", "1", "-artifact", path}, obs...))
+		args := []string{"-short", "-attempts", "1", "-artifact", path}
+		if r.procs == 0 {
+			cmdRun(args)
+		} else {
+			args = append(args, "-obs", "127.0.0.1:0", "-obs-hold", "100ms")
+			dropped := runWithStalledClient(t, args, r.procs, r.gc)
+			if dropped == 0 {
+				t.Errorf("%s: the bus dropped no events; the stalled client perturbed nothing", r.name)
+			}
+			t.Logf("%s: the bus dropped %d events", r.name, dropped)
+		}
 		a, err := runartifact.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashes = append(hashes, a.ContentHash())
+		paths, hashes = append(paths, path), append(hashes, a.ContentHash())
 	}
-	if hashes[0] != hashes[1] {
-		t.Errorf("ContentHash %s without -obs, %s with it", hashes[0], hashes[1])
+	for i := 1; i < len(runs); i++ {
+		if hashes[i] != hashes[0] {
+			t.Errorf("ContentHash %s for %s, %s for %s", hashes[i], runs[i].name, hashes[0], runs[0].name)
+		}
+		if code := cmdDiff([]string{paths[0], paths[i]}); code != 0 {
+			t.Errorf("hh diff %s %s exited %d", runs[0].name, runs[i].name, code)
+		}
+	}
+}
+
+// runWithStalledClient runs hh run with args, which must serve the live
+// plane, under GOMAXPROCS procs and GOGC gc. As soon as the session logs
+// its address, one client connects to /api/events with a small receive
+// buffer and never reads, and another polls /healthz until the server
+// closes. It returns the largest bus drop total the poller saw.
+func runWithStalledClient(t *testing.T, args []string, procs, gc int) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	defer debug.SetGCPercent(debug.SetGCPercent(gc))
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var dropped atomic.Uint64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sc := bufio.NewScanner(r)
+		for sc.Scan() {
+			_, url, ok := strings.Cut(sc.Text(), "msg=\"observability plane serving\" url=http://")
+			if !ok {
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stallEvents(t, strings.TrimSuffix(url, "/"), &dropped)
+			}()
+		}
+	}()
+	stdout := os.Stdout
+	os.Stdout = w
+	cmdRun(args)
+	os.Stdout = stdout
+	w.Close()
+	wg.Wait()
+	return dropped.Load()
+}
+
+// stallEvents connects to addr's /api/events and never reads, then
+// records the bus's drop total from /healthz into dropped until the
+// server closes.
+func stallEvents(t *testing.T, addr string, dropped *atomic.Uint64) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer conn.Close()
+	// A small receive buffer, set before the request goes out, makes
+	// the server's writes block after a few kilobytes.
+	if err := conn.(*net.TCPConn).SetReadBuffer(4096); err != nil {
+		t.Error(err)
+		return
+	}
+	if _, err := fmt.Fprintf(conn, "GET /api/events HTTP/1.1\r\nHost: %s\r\n\r\n", addr); err != nil {
+		t.Error(err)
+		return
+	}
+	client := &http.Client{Transport: &http.Transport{}}
+	defer client.CloseIdleConnections()
+	for {
+		resp, err := client.Get("http://" + addr + "/healthz")
+		if err != nil {
+			return // the server has closed
+		}
+		var h struct {
+			BusDropped uint64 `json:"busDropped"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&h)
+		resp.Body.Close()
+		if err == nil && h.BusDropped > dropped.Load() {
+			dropped.Store(h.BusDropped)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 

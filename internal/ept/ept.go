@@ -101,6 +101,9 @@ type Memory interface {
 	PageWord(p memdef.PFN, idx int) uint64
 	// SetPageWord writes word idx of a frame.
 	SetPageWord(p memdef.PFN, idx int, v uint64)
+	// FillStride sets word i of a frame to w0 + i<<12 for every i in
+	// 0..511: a split leaf whose entries map consecutive frames.
+	FillStride(p memdef.PFN, w0 uint64)
 	// Frames returns the number of addressable frames.
 	Frames() int
 }
@@ -382,6 +385,12 @@ func (t *Table) SetLeafPerm(va uint64, perm Perm) error {
 // exact operation the iTLB Multihit countermeasure performs and the
 // allocation that Page Steering targets (Section 4.2.3). It returns
 // the frame of the new leaf table.
+//
+// Entry i maps frame base+i, so it equals entry 0 plus i<<12 whenever
+// base+511 fits the PFN field, and the leaf is written in one
+// FillStride. A 2 MiB entry whose low PFN bits were flipped can put
+// base+511 past the field, where NewEntry masks the PFN; that leaf is
+// written entry by entry.
 func (t *Table) SplitHuge(va uint64, perm Perm) (memdef.PFN, error) {
 	va = uint64(memdef.HugeBase(va))
 	tp, err := t.walkTo(va, 2, false)
@@ -396,12 +405,16 @@ func (t *Table) SplitHuge(va uint64, perm Perm) (memdef.PFN, error) {
 	if err != nil {
 		return 0, fmt.Errorf("ept: allocating split leaf: %w", err)
 	}
-	t.mem.ZeroPage(leaf)
 	t.addTable(leafLevel)
 	t.met.splits.Inc()
 	base := e.PFN()
-	for i := 0; i < memdef.PagesPerHuge; i++ {
-		t.mem.SetPageWord(leaf, i, uint64(NewEntry(base+memdef.PFN(i), perm, false)))
+	if last := base + memdef.PagesPerHuge - 1; NewEntry(last, perm, false).PFN() == last {
+		t.mem.FillStride(leaf, uint64(NewEntry(base, perm, false)))
+	} else {
+		t.mem.ZeroPage(leaf)
+		for i := 0; i < memdef.PagesPerHuge; i++ {
+			t.mem.SetPageWord(leaf, i, uint64(NewEntry(base+memdef.PFN(i), perm, false)))
+		}
 	}
 	t.writeEntry(tp, va, 2, NewEntry(leaf, PermRWX, false))
 	t.leaf2m--

@@ -47,22 +47,34 @@ func BenchmarkTranslate4K(b *testing.B) {
 	}
 }
 
+// BenchmarkSplitHuge splits one 2 MiB leaf per iteration. Splits are
+// one-way (the attack relies on that), so a batch of leaves is mapped
+// outside the timer and split in turn, and a fresh batch is mapped only
+// when they run out.
 func BenchmarkSplitHuge(b *testing.B) {
-	// Splits are one-way (the attack relies on that), so each
-	// iteration rebuilds a minimal table outside the timed section.
+	const batch = 4096
+	var tbl *Table
+	next := batch
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		mem := phys.New(16 * memdef.MiB)
-		tbl, err := New(mem, &bumpAlloc{next: 1})
-		if err != nil {
+		if next == batch {
+			b.StopTimer()
+			// Room for the batch's leaf tables and the tables above them.
+			mem := phys.New((batch + 64) * memdef.PageSize)
+			var err error
+			if tbl, err = New(mem, &bumpAlloc{next: 1}); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < batch; j++ {
+				if err := tbl.Map2M(uint64(j)*memdef.HugePageSize, memdef.PFN(512*(j+1)), PermRW); err != nil {
+					b.Fatal(err)
+				}
+			}
+			next = 0
+			b.StartTimer()
+		}
+		if _, err := tbl.SplitHuge(uint64(next)*memdef.HugePageSize, PermRWX); err != nil {
 			b.Fatal(err)
 		}
-		if err := tbl.Map2M(0, 512, PermRW); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		if _, err := tbl.SplitHuge(0, PermRWX); err != nil {
-			b.Fatal(err)
-		}
+		next++
 	}
 }

@@ -158,13 +158,52 @@ func TestSplitHuge(t *testing.T) {
 			t.Errorf("page %d: perm %v level %d", i, tr.Perm, tr.Level)
 		}
 	}
-	// The new leaf table's content is real memory: 512 entries.
-	if w := mem.PageWord(leaf, 0); Entry(w).PFN() != 512 {
-		t.Errorf("leaf entry 0 PFN = %d", Entry(w).PFN())
+	// The new leaf table's content is real memory: 512 entries, entry
+	// i mapping frame 512+i, written as one stride record.
+	for i := 0; i < memdef.PagesPerHuge; i++ {
+		if w, want := mem.PageWord(leaf, i), NewEntry(memdef.PFN(512+i), PermRWX, false); Entry(w) != want {
+			t.Fatalf("leaf entry %d = %#x, want %#x", i, w, want)
+		}
+	}
+	if _, ok := mem.PageStride(leaf); !ok {
+		t.Error("split leaf not written in stride form")
 	}
 	// Splitting again fails: no longer huge.
 	if _, err := tbl.SplitHuge(2*memdef.MiB, PermRWX); !errors.Is(err, ErrNotHuge) {
 		t.Errorf("second split: %v", err)
+	}
+}
+
+// A 2 MiB entry whose PFN was corrupted so that base+511 passes the
+// PFN field: NewEntry masks each entry's PFN, so entry i no longer
+// equals entry 0 plus i<<12, and the split must write the 512 words
+// the entry-by-entry loop writes.
+func TestSplitHugeAcrossPFNMask(t *testing.T) {
+	tbl, mem, _ := newTestTable(t)
+	if err := tbl.Map2M(2*memdef.MiB, 512, PermRW); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tbl.Translate(2 * memdef.MiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxPFN = memdef.PFN(pfnMask >> memdef.PageShift)
+	base := maxPFN - 10 // base+11 wraps to PFN 0
+	mem.SetWord(tr.EntryAddr, uint64(NewEntry(base, PermRW, true)))
+	leaf, err := tbl.SplitHuge(2*memdef.MiB, PermRWX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < memdef.PagesPerHuge; i++ {
+		if w, want := mem.PageWord(leaf, i), NewEntry(base+memdef.PFN(i), PermRWX, false); Entry(w) != want {
+			t.Fatalf("leaf entry %d = %#x, want %#x", i, w, want)
+		}
+	}
+	if NewEntry(base+11, PermRWX, false).PFN() != 0 {
+		t.Fatal("test setup: entry 11 does not wrap")
+	}
+	if _, ok := mem.PageStride(leaf); ok {
+		t.Error("leaf across the PFN mask written in stride form")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hyperhammer/internal/dram"
+	"hyperhammer/internal/ept"
 	"hyperhammer/internal/kvm"
 	"hyperhammer/internal/memdef"
 )
@@ -357,6 +358,39 @@ func TestPageTablesConsistentWithCache(t *testing.T) {
 	}
 	if _, err := os.walkGVA(base); err == nil {
 		t.Error("walk translates a freed region")
+	}
+}
+
+// The guest page-table memory's stride write is the split's 512 entry
+// writes: a split of one of the guest's own 2 MiB leaves reads back,
+// entry for entry, what the entry-by-entry loop writes, and the pages
+// still translate to the same guest frames.
+func TestGuestMemoryFillStrideMatchesLoop(t *testing.T) {
+	os := bootTestGuest(t, 128*memdef.MiB, nil)
+	gva, err := os.AllocHuge(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpa, err := os.GPAOf(gva)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := os.pt.SplitHuge(uint64(gva), ept.PermRWX)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := guestMemory{os.vm}
+	base := memdef.PFN(gpa >> memdef.PageShift)
+	for i := 0; i < memdef.PagesPerHuge; i++ {
+		if w, want := g.PageWord(leaf, i), ept.NewEntry(base+memdef.PFN(i), ept.PermRWX, false); ept.Entry(w) != want {
+			t.Fatalf("guest leaf entry %d = %#x, want %#x", i, w, want)
+		}
+	}
+	for i := 0; i < memdef.PagesPerHuge; i += 73 {
+		off := memdef.GVA(i)*memdef.PageSize + 8
+		if got, err := os.walkGVA(gva + off); err != nil || got != gpa+memdef.GPA(off) {
+			t.Errorf("page %d walks to %#x, %v; want %#x", i, got, err, gpa+memdef.GPA(off))
+		}
 	}
 }
 

@@ -57,6 +57,14 @@ func (g guestMemory) SetPageWord(p memdef.PFN, idx int, v uint64) {
 	g.SetWord(memdef.HPA(p)<<memdef.PageShift+memdef.HPA(idx*8), v)
 }
 
+// FillStride writes the 512 words one at a time, as SplitHuge once
+// did: guest page tables are never split, so no faster form is needed.
+func (g guestMemory) FillStride(p memdef.PFN, w0 uint64) {
+	for i := 0; i < memdef.EntriesPerTable; i++ {
+		g.SetPageWord(p, i, w0+uint64(i)<<memdef.PageShift)
+	}
+}
+
 func (g guestMemory) Frames() int {
 	return int(g.vm.Config().MemSize / memdef.PageSize)
 }

@@ -119,8 +119,10 @@ func fillWord(k int) uint64 { return uint64(k)*0x9E3779B97F4A7C15 | 1 }
 // and requires everything observable to match: each hook's reading and
 // view of the range, the error, the final clock, the trace stream and
 // the ledger. The later cases add a fill that lands on a live table
-// frame mid-run (an IOPT page, then the VM's own level-2 EPT table)
-// and one that faults mid-run.
+// frame mid-run (an IOPT page, then the VM's own level-2 EPT table),
+// one that faults mid-run, a split leaf taken out of stride form by a
+// flip, and a stride leaf whose run covers live table frames, the leaf
+// among them.
 func TestFillPagesGPAMatchesOnePageCalls(t *testing.T) {
 	// tableOf returns the EPT table page holding chunk's leaf entry:
 	// its leaf table if split, the level-2 table if not.
@@ -161,6 +163,32 @@ func TestFillPagesGPAMatchesOnePageCalls(t *testing.T) {
 			// Page 300 of the split chunk (fill page 799) is unmapped.
 			r.h.Mem.SetPageWord(tableOf(r, splitChunk), 300, 0)
 		}, ErrFault},
+		{"flipped entry in a stride leaf", func(r *fillRig) {
+			// A flip of PFN bit 0 in entry 100 (fill page 599) takes
+			// the leaf out of stride form, and pages 100 and 101 of
+			// the 2 MiB-aligned backing now share a frame.
+			leaf := tableOf(r, splitChunk)
+			if !r.h.Mem.FlipBit(leaf.HPAOf()+100*8+1, 4, false) {
+				t.Fatal("flip did not apply")
+			}
+			r.vm.flushTLB()
+		}, nil},
+		{"stride leaf over live tables", func(r *fillRig) {
+			// The split chunk's leaf, rewritten in stride form, maps
+			// the last 2 MiB of host memory, which holds the IOPT
+			// root and, one frame up, the leaf itself. The run fills
+			// the IOPT page and flushes, the next run fills the leaf
+			// and flushes, and the page after it walks the filled
+			// leaf into a machine check.
+			leaf := tableOf(r, splitChunk)
+			start := memdef.PFN(r.h.Mem.Frames() - memdef.PagesPerHuge)
+			iopt := leaf - 1
+			if d := r.h.frames[iopt]; start > iopt || d.Kind() != memmap.Table || d.Structure() != 1 {
+				t.Fatalf("frame %d below the leaf is %v, not an IOPT page in the last 2 MiB", iopt, d.Kind())
+			}
+			r.h.Mem.FillStride(leaf, uint64(ept.NewEntry(start, ept.PermRWX, false)))
+			r.vm.flushTLB()
+		}, ErrMachineCheck},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -109,8 +109,13 @@ func (vm *VM) AppendChangedMappings(out []MappingChange) []MappingChange {
 			}
 			continue
 		}
-		// Split chunk: compare each of the 512 leaf entries.
+		// Split chunk. A THP chunk's leaf still in the stride form
+		// the split wrote, mapping frames[0]+i at entry i, is intact;
+		// any other leaf is compared entry by entry.
 		leaf := memdef.PFNOf(tr.EntryAddr)
+		if cb.huge && vm.intactStrideLeaf(leaf, cb.frames[0]) {
+			continue
+		}
 		for i := 0; i < memdef.PagesPerHuge; i++ {
 			want := cb.frames[0] + memdef.PFN(i)
 			if !cb.huge {
@@ -130,6 +135,16 @@ func (vm *VM) AppendChangedMappings(out []MappingChange) []MappingChange {
 		}
 	}
 	return out
+}
+
+// intactStrideLeaf reports whether leaf is in phys's stride form with a
+// present entry 0 mapping base and entry 511 mapping base+511, so that
+// entry i maps base+i.
+func (vm *VM) intactStrideLeaf(leaf, base memdef.PFN) bool {
+	w0, ok := vm.host.Mem.PageStride(leaf)
+	e := ept.Entry(w0)
+	last := ept.Entry(vm.host.Mem.PageWord(leaf, memdef.PagesPerHuge-1))
+	return ok && e.Present() && e.PFN() == base && last.PFN() == base+memdef.PagesPerHuge-1
 }
 
 // EPTReuseStats is the Table 2 measurement: how many of the pages the

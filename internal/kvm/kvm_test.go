@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"slices"
 	"testing"
 
 	"hyperhammer/internal/dram"
@@ -259,36 +260,57 @@ func TestHammerProducesAttributableFlips(t *testing.T) {
 	}
 }
 
+// A split leaf stays in phys's stride form until something writes it,
+// and the rescan accepts it whole only while it maps the chunk's own
+// frames. A PFN bit flipped in any one entry, the way a Rowhammer flip
+// would, reports exactly that page — entry 0 and entry 511, the two
+// the intact check reads, included — and a stride leaf over another
+// base reports every page.
 func TestChangedMappingsDetectsEPTECorruption(t *testing.T) {
-	h := newTestHost(t, testHostConfig())
-	vm := newTestVM(t, h, 16*memdef.MiB)
-	if n := len(vm.ChangedMappings()); n != 0 {
-		t.Fatalf("fresh VM reports %d changed mappings", n)
+	const chunk = 6 * memdef.MiB
+	splitVM := func() (*Host, *VM, memdef.PFN) {
+		h := newTestHost(t, testHostConfig())
+		vm := newTestVM(t, h, 16*memdef.MiB)
+		if n := len(vm.ChangedMappings()); n != 0 {
+			t.Fatalf("fresh VM reports %d changed mappings", n)
+		}
+		if _, err := vm.ExecGPA(chunk); err != nil {
+			t.Fatal(err)
+		}
+		leaves := eptLeaves(vm)
+		if len(leaves) != 1 {
+			t.Fatalf("leaf tables = %d", len(leaves))
+		}
+		if _, ok := h.Mem.PageStride(leaves[0]); !ok {
+			t.Fatal("split leaf not in stride form")
+		}
+		if n := len(vm.ChangedMappings()); n != 0 {
+			t.Fatalf("intact split leaf: %d changed mappings", n)
+		}
+		return h, vm, leaves[0]
 	}
-	// Split a chunk so it has a leaf table, then corrupt one entry the
-	// way a Rowhammer flip would.
-	if _, err := vm.ExecGPA(6 * memdef.MiB); err != nil {
-		t.Fatal(err)
+	for _, i := range []int{0, 17, 255, 511} {
+		h, vm, leaf := splitVM()
+		// Flip PFN bit 14 of entry i (byte 1, bit 6) in whichever
+		// direction the current content allows, as a unidirectional
+		// Rowhammer cell would.
+		entryAddr := leaf.HPAOf() + memdef.HPA(i*8)
+		cur := (h.Mem.Word(entryAddr) >> 14) & 1
+		if !h.Mem.FlipBit(entryAddr+1, 6, cur == 1) {
+			t.Fatal("PFN flip failed")
+		}
+		want := []MappingChange{{GPA: chunk + memdef.GPA(i)*memdef.PageSize}}
+		if got := vm.AppendChangedMappings(nil); !slices.Equal(got, want) {
+			t.Errorf("entry %d flipped: changes %+v, want %+v", i, got, want)
+		}
 	}
-	leaves := eptLeaves(vm)
-	if len(leaves) != 1 {
-		t.Fatalf("leaf tables = %d", len(leaves))
-	}
-	entryAddr := leaves[0].HPAOf() + 17*8 // entry for page index 17
-	// Flip PFN bit 14 of the entry (byte 1, bit 6) in whichever
-	// direction the current content allows, as a unidirectional
-	// Rowhammer cell would.
-	cur := (h.Mem.Word(entryAddr) >> 14) & 1
-	if !h.Mem.FlipBit(entryAddr+1, 6, cur == 1) {
-		t.Fatal("PFN flip failed")
-	}
-	changes := vm.ChangedMappings()
-	if len(changes) != 1 {
-		t.Fatalf("changed mappings = %+v, want 1", changes)
-	}
-	want := memdef.GPA(6*memdef.MiB + 17*memdef.PageSize)
-	if changes[0].GPA != want || changes[0].Faulted {
-		t.Errorf("change = %+v, want GPA %#x", changes[0], want)
+
+	h, vm, leaf := splitVM()
+	base := vm.backing[chunk/memdef.HugePageSize].frames[0]
+	h.Mem.FillStride(leaf, uint64(ept.NewEntry(base+1, ept.PermRWX, false)))
+	vm.flushTLB()
+	if got := vm.AppendChangedMappings(nil); len(got) != memdef.PagesPerHuge {
+		t.Errorf("stride leaf one frame off: %d changed mappings, want %d", len(got), memdef.PagesPerHuge)
 	}
 }
 

@@ -465,7 +465,9 @@ func (vm *VM) WriteGPA64(gpa memdef.GPA, v uint64) error {
 // invalidates cached translations, charges the pages done and
 // re-resolves before the next page. The chunk-level translation is
 // looked up once per 2 MiB run; a THP chunk's frames follow from its
-// base, while a split chunk re-reads its leaf entry for every page.
+// base, and so do a split chunk's when its leaf is in stride form and
+// maps the run to consecutive frames inside memory (strideRun).
+// Otherwise a split chunk re-reads its leaf entry for every page.
 //
 // Within a run, the pages that reach no tick boundary are filled first
 // and charged with one Charge; a page whose page-write would reach a
@@ -493,11 +495,19 @@ func (vm *VM) FillPagesGPA(gpa memdef.GPA, count int, wordAt func(k int) uint64)
 		// may go uncharged before a page-write reaches a boundary.
 		pending, budget := int64(0), h.Clock.StepsBeforeTick(simtime.PageWrite)
 		// p is the page's frame: a THP run's follow from the chunk
-		// base, a split run's come from its leaf entries.
+		// base, a split run's from its first page's leaf entry when
+		// the leaf is a stride leaf (strideRun), and otherwise each
+		// from its own leaf entry.
 		p := e.basePFN + memdef.PFN((gpa-chunk)>>memdef.PageShift)
+		perPage := !e.huge
+		if perPage {
+			if first, ok := vm.strideRun(e.leafTable, gpa, n); ok {
+				p, perPage = first, false
+			}
+		}
 		flushed := false
 		for j := 0; j < n && !flushed; j++ {
-			if !e.huge {
+			if perPage {
 				hpa, err := vm.resolveInChunk(e, gpa)
 				if err != nil {
 					h.Clock.Charge(pending, simtime.PageWrite)
@@ -523,6 +533,27 @@ func (vm *VM) FillPagesGPA(gpa memdef.GPA, count int, wordAt func(k int) uint64)
 		h.Clock.Charge(pending, simtime.PageWrite)
 	}
 	return nil
+}
+
+// strideRun returns the frame of the first of the n pages from gpa in a
+// split chunk whose leaf is a live table frame in phys's stride form,
+// when the leaf maps them to n consecutive frames inside memory; page
+// j's frame is then the first plus j. The leaf cannot change while the
+// run is filled: a fill that lands on it, or on any other table frame,
+// flushes and ends the run before the next page.
+func (vm *VM) strideRun(leaf memdef.PFN, gpa memdef.GPA, n int) (memdef.PFN, bool) {
+	mem := vm.host.Mem
+	w0, ok := mem.PageStride(leaf)
+	if !ok || !ept.Entry(w0).Present() || vm.host.frames[leaf].Kind() != memmap.Table {
+		return 0, false
+	}
+	idx := int(uint64(gpa)>>memdef.PageShift) & (memdef.EntriesPerTable - 1)
+	first := ept.Entry(mem.PageWord(leaf, idx)).PFN()
+	last := ept.Entry(mem.PageWord(leaf, idx+n-1)).PFN()
+	if last != first+memdef.PFN(n-1) || uint64(last) >= uint64(mem.Frames()) {
+		return 0, false
+	}
+	return first, true
 }
 
 // PageUniformGPA reports whether the guest page at gpa holds one

@@ -32,12 +32,18 @@ const (
 	formSparse
 	// formFull: the page's 512 words are pages[slot].
 	formFull
+	// formStride: word i equals the pattern plus i<<12 — the shape of
+	// a split 2 MiB leaf, whose 512 entries map consecutive frames
+	// with one permission.
+	formStride
 )
 
 // frame is the per-frame content record: 16 bytes and no pointer, so
 // the collector never scans the frame array. A frame turns sparse on
 // its first write that changes a word, full on a write that changes a
-// second word, and back to pattern only through FillWord.
+// second word, stride only through FillStride, and back to pattern
+// only through FillWord. A write that changes a word of a stride frame
+// makes it full.
 type frame struct {
 	pattern uint64
 	slot    uint32
@@ -50,7 +56,7 @@ type Memory struct {
 	frames []frame
 	size   uint64
 
-	// materialized counts sparse and full frames, for resource
+	// materialized counts sparse, full and stride frames, for resource
 	// diagnostics and the census.
 	materialized int
 
@@ -94,9 +100,9 @@ func (m *Memory) SetLedger(r *ledger.Recorder) {
 func (m *Memory) Frames() int { return len(m.frames) }
 
 // MaterializedFrames returns how many frames hold explicit content
-// (sparse or full), a proxy for the simulation's real memory
-// footprint. A frame counts from its first write that changes a word
-// until its next FillWord.
+// (sparse, full or stride), a proxy for the simulation's real memory
+// footprint. A frame counts from its first write that changes a word,
+// or from a FillStride, until its next FillWord.
 func (m *Memory) MaterializedFrames() int { return m.materialized }
 
 func (m *Memory) frameOf(a memdef.HPA) *frame {
@@ -127,7 +133,13 @@ func (m *Memory) word(f *frame, idx int) uint64 {
 	if f.form == formFull {
 		return m.pages[f.slot][idx]
 	}
-	if f.form == formSparse && int(f.idx) == idx {
+	if f.form == formPattern {
+		return f.pattern
+	}
+	if f.form == formStride {
+		return f.pattern + uint64(idx)<<memdef.PageShift
+	}
+	if int(f.idx) == idx {
 		return m.words[f.slot]
 	}
 	return f.pattern
@@ -139,13 +151,15 @@ func (m *Memory) setWord(f *frame, idx int, v uint64) {
 		m.pages[f.slot][idx] = v
 	case f.form == formSparse && int(f.idx) == idx:
 		m.words[f.slot] = v
-	case v == f.pattern:
-		// The word already holds v.
 	case f.form == formPattern:
-		f.slot, f.idx, f.form = m.takeWord(), uint16(idx), formSparse
-		m.words[f.slot] = v
-		m.materialized++
-	default:
+		if v != f.pattern {
+			f.slot, f.idx, f.form = m.takeWord(), uint16(idx), formSparse
+			m.words[f.slot] = v
+			m.materialized++
+		}
+	case v != m.word(f, idx):
+		// A second changed word of a sparse frame, or a word off a
+		// stride frame's progression.
 		m.promote(f)
 		m.pages[f.slot][idx] = v
 	}
@@ -162,8 +176,8 @@ func (m *Memory) takeWord() uint32 {
 	return uint32(len(m.words) - 1)
 }
 
-// promote turns a sparse frame full: a page slot holding the
-// pattern and the overridden word, with the word slot released.
+// promote turns a sparse or stride frame full: a page slot holding
+// the frame's words, with a sparse frame's word slot released.
 func (m *Memory) promote(f *frame) {
 	var slot uint32
 	if n := len(m.freePages); n > 0 {
@@ -174,30 +188,56 @@ func (m *Memory) promote(f *frame) {
 		m.pages = append(m.pages, new([wordsPerPage]uint64))
 	}
 	pg := m.pages[slot]
-	for i := range pg {
-		pg[i] = f.pattern
+	if f.form == formStride {
+		for i := range pg {
+			pg[i] = f.pattern + uint64(i)<<memdef.PageShift
+		}
+	} else {
+		for i := range pg {
+			pg[i] = f.pattern
+		}
+		pg[f.idx] = m.words[f.slot]
+		m.freeWords = append(m.freeWords, f.slot)
 	}
-	pg[f.idx] = m.words[f.slot]
-	m.freeWords = append(m.freeWords, f.slot)
 	f.slot, f.form = slot, formFull
 }
 
 // FillWord sets every word of frame p to v, returning the frame to
-// pattern form and releasing its slot.
+// pattern form and releasing its slot. A frame already in pattern form
+// takes one branch.
 func (m *Memory) FillWord(p memdef.PFN, v uint64) {
 	if uint64(p) >= uint64(len(m.frames)) {
 		panic(fmt.Sprintf("phys: frame %d outside memory", p))
 	}
 	f := &m.frames[p]
-	switch f.form {
-	case formSparse:
-		m.freeWords = append(m.freeWords, f.slot)
-		m.materialized--
-	case formFull:
-		m.freePages = append(m.freePages, f.slot)
+	if f.form != formPattern {
+		switch f.form {
+		case formSparse:
+			m.freeWords = append(m.freeWords, f.slot)
+		case formFull:
+			m.freePages = append(m.freePages, f.slot)
+		}
 		m.materialized--
 	}
 	*f = frame{pattern: v}
+}
+
+// FillStride sets word i of frame p to w0 + i<<12, for i in 0..511,
+// in one record: a split 2 MiB leaf whose entries map 512 consecutive
+// frames with one permission. The frame counts as materialized, as it
+// would after the 512 writes.
+func (m *Memory) FillStride(p memdef.PFN, w0 uint64) {
+	m.FillWord(p, w0)
+	m.frames[p].form = formStride
+	m.materialized++
+}
+
+// PageStride reports whether frame p is in stride form, as FillStride
+// left it, and its word 0. A frame whose words happen to form the
+// progression after word writes reports false.
+func (m *Memory) PageStride(p memdef.PFN) (uint64, bool) {
+	f := &m.frames[p]
+	return f.pattern, f.form == formStride
 }
 
 // ZeroPage clears frame p, as the kernel does before handing a page to
@@ -238,6 +278,8 @@ func (m *Memory) PageUniform(p memdef.PFN) (uint64, bool) {
 			}
 		}
 		return w, true
+	case formStride:
+		return 0, false
 	}
 	return f.pattern, true
 }

@@ -9,13 +9,16 @@ import (
 )
 
 // Property: the content store behaves exactly like a flat word array
-// under any interleaving of word writes, page fills and bit flips, and
-// counts a frame as materialized from its first write that changes a
-// word until its next fill. Word positions favour a few hot indices
+// under any interleaving of word writes, page fills, stride fills and
+// bit flips, and counts a frame as materialized from its first write
+// that changes a word, or its stride fill, until its next fill. Word
+// positions favour a few hot indices and the last stride-filled page,
 // and values a small pool, so frames often take a write of the word
 // they already hold, the same word twice, a second distinct word, and
-// flips inside and outside their one overridden word — every path
-// between the pattern, sparse and full forms.
+// flips inside and outside their one overridden word or their
+// progression — every path between the pattern, sparse, full and
+// stride forms. PageStride must report exactly the frames whose last
+// fill was a stride fill and that no write has changed since.
 func TestPropertyMatchesFlatArray(t *testing.T) {
 	const size = 256 * memdef.KiB
 	const words = size / 8
@@ -25,6 +28,8 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 		m := New(size)
 		ref := make([]uint64, words)
 		mat := make([]bool, pages)
+		stride := make([]bool, pages)
+		hot := 0 // the last stride-filled page
 		pool := []uint64{0, 1, ^uint64(0), 0x5555_5555_5555_5555, rng.Uint64()}
 		value := func() uint64 {
 			if rng.IntN(4) == 0 {
@@ -32,8 +37,14 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 			}
 			return pool[rng.IntN(len(pool))]
 		}
+		page := func() int {
+			if rng.IntN(3) == 0 {
+				return hot
+			}
+			return rng.IntN(pages)
+		}
 		word := func() (p, idx int) {
-			p = rng.IntN(pages)
+			p = page()
 			if rng.IntN(4) == 0 {
 				return p, rng.IntN(512)
 			}
@@ -42,6 +53,7 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 		write := func(w int, v uint64) {
 			if ref[w] != v {
 				mat[w/512] = true
+				stride[w/512] = false
 			}
 			ref[w] = v
 		}
@@ -62,7 +74,7 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 		}
 		ops := int(opsRaw)%500 + 50
 		for i := 0; i < ops; i++ {
-			switch rng.IntN(8) {
+			switch rng.IntN(10) {
 			case 0: // word write by address
 				p, idx := word()
 				v := value()
@@ -77,13 +89,13 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 				p, idx := word()
 				m.SetPageWord(memdef.PFN(p), idx, ref[p*512+idx])
 			case 3: // page fill
-				p := rng.IntN(pages)
+				p := page()
 				v := value()
 				m.FillWord(memdef.PFN(p), v)
 				for w := p * 512; w < (p+1)*512; w++ {
 					ref[w] = v
 				}
-				mat[p] = false
+				mat[p], stride[p] = false, false
 			case 4: // bit flip in a legal direction
 				if !flip(true) {
 					return false
@@ -105,6 +117,9 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 				if uniform != same || uniform && w != first {
 					return false
 				}
+				if w0, ok := m.PageStride(memdef.PFN(p)); ok != stride[p] || ok && w0 != first {
+					return false
+				}
 			case 7: // the same word written twice
 				p, idx := word()
 				for range 2 {
@@ -112,6 +127,19 @@ func TestPropertyMatchesFlatArray(t *testing.T) {
 					m.SetPageWord(memdef.PFN(p), idx, v)
 					write(p*512+idx, v)
 				}
+			case 8: // stride fill, as a split leaf is written
+				p := rng.IntN(pages)
+				w0 := value()
+				m.FillStride(memdef.PFN(p), w0)
+				for i := range 512 {
+					ref[p*512+i] = w0 + uint64(i)<<memdef.PageShift
+				}
+				mat[p], stride[p], hot = true, true, p
+			case 9: // a write of the progression's own next word
+				p, idx := word()
+				v := ref[p*512] + uint64(idx)<<memdef.PageShift
+				m.SetWord(memdef.HPA((p*512+idx)*8), v)
+				write(p*512+idx, v)
 			}
 			want := 0
 			for _, b := range mat {
