@@ -10,16 +10,15 @@ package main
 //
 //	hh diff old.json new.json
 //	hh diff testdata/baselines/short-seed4.json run.json
-//	hh diff -host-tol 0.5 old.json new.json   # gate plan host timings at ±50%
-//	hh diff -all old.json new.json            # list in-tolerance rows too
+//	hh diff -all old.json new.json            # list unflagged rows too
 //
 // The plan section (host-cost schedule) is special: host wall-clock is
 // non-deterministic, so its shape (unit count, per-unit completion)
-// compares exactly while its durations compare under -host-tol, whose
-// default of 1.0 lists them without ever gating.
+// compares exactly while its durations are listed and never gated.
+// Host cost has one gate, `make hotpath-gate`.
 //
-// Exit status: 0 when every figure is within tolerance, 1 when any
-// drifted beyond it, 2 on usage or read errors.
+// Exit status: 0 when every simulated figure matches, 1 when any
+// moved, 2 on usage or read errors.
 
 import (
 	"fmt"
@@ -28,11 +27,8 @@ import (
 )
 
 func cmdDiff(args []string) int {
-	tol := runartifact.DefaultTolerances()
 	fs := newFlags("diff", "usage: hh diff [flags] old.json new.json")
-	all := fs.Bool("all", false, "print every compared figure, not just those beyond tolerance")
-	fs.Float64Var(&tol.HostFrac, "host-tol", tol.HostFrac, "relative tolerance on plan host-time figures (1.0 lists without gating)")
-	fs.Float64Var(&tol.HostAbs, "host-abs", tol.HostAbs, "absolute tolerance on plan host-time figures (seconds)")
+	all := fs.Bool("all", false, "print every compared figure, not just the flagged ones")
 	if status, ok := parse(fs, args); !ok {
 		return status
 	}
@@ -52,7 +48,7 @@ func cmdDiff(args []string) int {
 	if notice := configNotice(artOld, artNew); notice != "" {
 		fmt.Println(notice)
 	}
-	d := runartifact.Compare(artOld, artNew, tol)
+	d := runartifact.Compare(artOld, artNew)
 
 	if *all || d.Regressed() {
 		fmt.Print(d.Table(!*all).String())
@@ -67,7 +63,7 @@ func cmdDiff(args []string) int {
 // configNotice returns the one-line context printed when the two runs
 // claim different simulated inputs: figure drift is then expected
 // configuration divergence, not necessarily a regression. Empty for
-// same-config comparisons, and never a gating change — the tolerances
+// same-config comparisons, and never a gating change — the figures
 // still decide the exit status alone. Hashes are recomputed for
 // artifacts written before the header carried them.
 func configNotice(a, b *runartifact.Artifact) string {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/sched"
 )
@@ -263,11 +264,25 @@ func TestReadersNeverCreateStore(t *testing.T) {
 }
 
 // TestDiffSummaryLine: hh diff closes with a verdict line that names
-// the command as it is typed, whether the runs match or not.
+// the command as it is typed, whether the runs match or not. Host
+// durations never gate: runs whose plans differ 10x exit 0.
 func TestDiffSummaryLine(t *testing.T) {
 	baseline := filepath.Join("..", "..", "testdata", "baselines", "short-seed4.json")
 	oldRun := writeTemp(t, "old.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":1.5,"metrics":{}}`)
 	newRun := writeTemp(t, "new.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":2.5,"metrics":{}}`)
+	withPlan := func(name string, scale float64) string {
+		a := runartifact.New("hyperhammer", 4, "short")
+		a.SimSeconds = 1.5
+		a.SetPlan(profile.BuildPlanReport(&sched.Schedule{
+			Workers: 1, WallSeconds: 0.5 * scale, CPUSeconds: 0.4 * scale,
+			Units: []sched.UnitTiming{{Name: "exp.a", EndSeconds: 0.5 * scale, Started: true, Delivered: true}},
+		}))
+		path := filepath.Join(t.TempDir(), name)
+		if err := a.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
 	for _, tc := range []struct {
 		old, new   string
 		status     int
@@ -275,6 +290,7 @@ func TestDiffSummaryLine(t *testing.T) {
 	}{
 		{baseline, baseline, 0, "hh diff: "},
 		{oldRun, newRun, 1, "hh diff: 1 of 1 figures beyond tolerance"},
+		{withPlan("fast.json", 1), withPlan("slow.json", 10), 0, "hh diff: "},
 	} {
 		out, status := captureStdout(t, func() int { return cmdDiff([]string{tc.old, tc.new}) })
 		if status != tc.status {
@@ -283,6 +299,22 @@ func TestDiffSummaryLine(t *testing.T) {
 		lines := strings.Split(strings.TrimSpace(out), "\n")
 		if last := lines[len(lines)-1]; !strings.HasPrefix(last, tc.wantPrefix) {
 			t.Errorf("hh diff %s %s summary = %q, want prefix %q", tc.old, tc.new, last, tc.wantPrefix)
+		}
+	}
+}
+
+// TestTablesNothingSelectedWritesNothing: hh tables with no experiment
+// selected exits 2 before opening any output, so neither the artifact
+// nor the store is created.
+func TestTablesNothingSelectedWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	store, artifact := filepath.Join(dir, "s"), filepath.Join(dir, "e.json")
+	if status := cmdTables([]string{"-store", store, "-artifact", artifact}); status != 2 {
+		t.Errorf("exit status %d, want 2", status)
+	}
+	for _, path := range []string{store, artifact} {
+		if _, err := os.Stat(path); !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s was created (stat: %v)", path, err)
 		}
 	}
 }

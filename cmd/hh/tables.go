@@ -91,6 +91,11 @@ func cmdTables(args []string) int {
 		}
 	}
 
+	if len(selected) == 0 {
+		fmt.Fprintln(os.Stderr, "hh tables: nothing selected; try -all or -table N (hh tables -h lists every flag)")
+		return 2
+	}
+
 	s, err := openSession("tables", out, os.Stderr)
 	if err != nil {
 		return fail("tables", 1, err)
@@ -182,20 +187,12 @@ func cmdTables(args []string) int {
 		})
 	}
 
-	status := 0
-	if p.Units() == 0 {
-		fmt.Fprintln(os.Stderr, "hh tables: nothing selected; try -all or -table N")
-		fmt.Fprintln(os.Stderr, "flags: -table N (repeatable) -figure -analysis -extras -ablations -all -short -seed S -attempts N -parallel N -obs ADDR")
-		status = 2
-	} else {
-		s.log.Info("running", "units", strconv.Itoa(p.Units()))
-		if err := p.Run(); err != nil {
-			status = fail("tables", 1, err)
-		} else {
-			for _, print := range prints {
-				print()
-			}
-		}
+	s.log.Info("running", "units", strconv.Itoa(p.Units()))
+	if err := p.Run(); err != nil {
+		return s.exit(fail("tables", 1, err))
 	}
-	return s.exit(status)
+	for _, print := range prints {
+		print()
+	}
+	return s.exit(0)
 }

@@ -9,14 +9,13 @@ package main
 // simulation is seed-deterministic, so ANY drift between same-config
 // runs of the same code is a determinism regression. Drift that
 // coincides with a config-hash change is classified "config" instead
-// (the lineage's knobs moved). Host-cost figures are wall clock,
-// tracked with the -host-tol machinery: listed by default, gated only
-// when a tolerance is requested.
+// (the lineage's knobs moved). Host-cost figures are wall clock: their
+// trajectories are listed and never gated (`make hotpath-gate` is the
+// one host-cost gate).
 //
 //	hh trend                        # trend report over ./store
 //	hh trend -store /path/to/store -json
 //	hh trend -last 10 -since 24h    # newest runs only
-//	hh trend -host-tol 0.5          # gate host wall-clock at ±50%
 //
 // Exit status, matching hh diff: 0 when no figure regressed, 1 when
 // any did, 2 on usage or read errors (including a store directory that
@@ -32,14 +31,12 @@ import (
 )
 
 func cmdTrend(args []string) int {
-	opts := runstore.DefaultTrendOptions()
+	var opts runstore.TrendOptions
 	fs := newFlags("trend", "usage: hh trend [flags]")
 	storeDir := fs.String("store", "store", "run-history store directory to fold")
 	jsonOut := fs.Bool("json", false, "emit the trend report as JSON (the /api/trend document)")
 	fs.IntVar(&opts.LastN, "last", 0, "keep only the newest N runs of each lineage (0 = all)")
 	since := fs.Duration("since", 0, "keep only runs ingested within this window (e.g. 24h; 0 = all)")
-	fs.Float64Var(&opts.HostFrac, "host-tol", opts.HostFrac, "relative tolerance on host-cost figures (1.0 lists without gating)")
-	fs.Float64Var(&opts.HostAbs, "host-abs", opts.HostAbs, "absolute tolerance on host-cost figures (seconds)")
 	width := fs.Int("width", 48, "sparkline width in cells (0 = unbounded)")
 	if status, ok := parse(fs, args); !ok {
 		return status

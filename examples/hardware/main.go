@@ -25,7 +25,7 @@ func main() {
 func demoMultihit(mitigated bool) {
 	geo, err := hyperhammer.NewGeometry(hyperhammer.Geometry{
 		Name: "affected-cpu-1G", Size: 1 * hyperhammer.GiB,
-		BankMasks: hyperhammer.S1BankFunction(), RowShift: 18, RowBits: 12,
+		BankMasks: hyperhammer.S1BankFunction(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -61,9 +61,8 @@ func analysisMCConfig(o Options) attack.MonteCarloConfig {
 		Seed:    o.Seed,
 		Samples: 500_000,
 		// 12 GiB of 2 MiB sprays -> ~6144 EPT pages over 4M frames.
-		EPTPages:          6144,
-		HostFrames:        int(hostMem / memdef.PageSize),
-		ExploitableBitLow: 21, ExploitableBitHigh: 34,
+		EPTPages:   6144,
+		HostFrames: int(hostMem / memdef.PageSize),
 	}
 }
 

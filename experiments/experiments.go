@@ -172,14 +172,11 @@ func shortMachine(cfg *kvm.Config, sys System, seed uint64) {
 		Name:      "short-4G (" + sys.String() + ")",
 		Size:      4 * memdef.GiB,
 		BankMasks: cfg.Geometry.BankMasks,
-		RowShift:  18,
-		RowBits:   14,
 	})
 	cfg.Fault = dram.FaultModelConfig{
 		Seed: seed, CellsPerRow: 0.02,
 		ThresholdMin: 120_000, ThresholdMax: 400_000,
 		StableFraction: 0.54, FlakyP: 0.35,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 	}
 	cfg.BootNoisePages = 2000
 	switch sys {

@@ -78,7 +78,6 @@ func trrRun(o Options, variant string, trr *dram.TRRConfig) ([]TRRRow, error) {
 		Seed: o.Seed ^ 0x55, CellsPerRow: 0.6,
 		ThresholdMin: 50_000, ThresholdMax: 150_000,
 		StableFraction: 0.9, FlakyP: 0.5,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		TRR: trr,
 	}
 	cfg, acfg := o.machine(shortScale(), SystemS1)

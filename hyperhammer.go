@@ -132,8 +132,9 @@ type (
 // NewHost boots a simulated host machine.
 func NewHost(cfg HostConfig) (*Host, error) { return kvm.NewHost(cfg) }
 
-// NewGeometry validates and finishes a custom DRAM geometry (bank
-// masks, row layout) for hosts beyond the built-in S1/S2 machines.
+// NewGeometry validates and finishes a custom DRAM geometry (size and
+// bank masks; rows start at address bit 18 as on S1/S2) for hosts
+// beyond the built-in S1/S2 machines.
 func NewGeometry(g Geometry) (*Geometry, error) { return dram.NewGeometry(g) }
 
 // TraceRecorder receives structured host-side events; install one via

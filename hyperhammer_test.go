@@ -14,8 +14,6 @@ func smallHost(t *testing.T, seed uint64) *hyperhammer.Host {
 		Name:      "api-test-512M",
 		Size:      512 * hyperhammer.MiB,
 		BankMasks: hyperhammer.S1BankFunction(),
-		RowShift:  18,
-		RowBits:   11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +70,7 @@ func TestPublicAPIQuarantine(t *testing.T) {
 	guard, stats := hyperhammer.Quarantine()
 	geo, _ := hyperhammer.NewGeometry(hyperhammer.Geometry{
 		Name: "api-test-512M", Size: 512 * hyperhammer.MiB,
-		BankMasks: hyperhammer.S1BankFunction(), RowShift: 18, RowBits: 11,
+		BankMasks: hyperhammer.S1BankFunction(),
 	})
 	cfg := hyperhammer.S1(3)
 	cfg.Geometry = geo

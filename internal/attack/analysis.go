@@ -57,8 +57,6 @@ type MonteCarloConfig struct {
 	EPTPages int
 	// HostFrames is the number of 4 KiB frames of host memory.
 	HostFrames int
-	// ExploitableBitLow/High is the PFN bit range flips fall in.
-	ExploitableBitLow, ExploitableBitHigh uint
 }
 
 // MonteCarloSuccess estimates, by sampling, the probability that a
@@ -85,6 +83,11 @@ func MonteCarloSuccess(cfg MonteCarloConfig) float64 {
 // lets the experiment engine fan the sampling across workers without
 // changing the reported probability. shards <= 0 or an out-of-range
 // shard yields 0.
+//
+// The flip's PFN bit position does not enter the estimate: a flip at
+// bit k moves the mapping by 2^(k-12) frames, and EPT pages are spread
+// with no correlation to that distance, so every position lands on an
+// EPT page at the same density.
 func MonteCarloHits(cfg MonteCarloConfig, shard, shards int) int {
 	if cfg.Samples <= 0 || cfg.HostFrames <= 0 || cfg.EPTPages <= 0 ||
 		shards <= 0 || shard < 0 || shard >= shards {
@@ -93,21 +96,14 @@ func MonteCarloHits(cfg MonteCarloConfig, shard, shards int) int {
 	lo := shard * cfg.Samples / shards
 	hi := (shard + 1) * cfg.Samples / shards
 	density := float64(cfg.EPTPages) / float64(cfg.HostFrames)
-	bitRange := uint64(cfg.ExploitableBitHigh - cfg.ExploitableBitLow)
-	if bitRange == 0 {
-		bitRange = 1
-	}
 	hits := 0
 	for i := lo; i < hi; i++ {
-		// Derive this sample's draws from the index: a splitmix64-style
-		// finalizer over seed + (i+1)*golden gives each sample two
-		// independent uniform words regardless of which shard runs it.
+		// Derive this sample's draw from the index: a splitmix64-style
+		// finalizer over seed + (i+1)*golden gives each sample a uniform
+		// word regardless of which shard runs it. Whether the landing
+		// frame holds an EPT page is a Bernoulli draw at the EPT-page
+		// density.
 		x := cfg.Seed + (uint64(i)+1)*0x9E3779B97F4A7C15
-		// A flip at PFN bit k moves the mapping by 2^(k-12) frames;
-		// whether the landing frame holds an EPT page is a Bernoulli
-		// draw at the EPT-page density (EPT pages are spread by the
-		// buddy allocator with no correlation to the flip distance).
-		_ = cfg.ExploitableBitLow + uint(mix64(x)%bitRange) // flip position; uniform
 		u := float64(mix64(x^0xD1B54A32D192ED03)>>11) / (1 << 53)
 		if u < density {
 			hits++

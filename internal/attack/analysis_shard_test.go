@@ -4,11 +4,10 @@ import "testing"
 
 func shardTestConfig() MonteCarloConfig {
 	return MonteCarloConfig{
-		Seed:              1,
-		Samples:           500_000,
-		EPTPages:          6144,
-		HostFrames:        4 * 1024 * 1024,
-		ExploitableBitLow: 21, ExploitableBitHigh: 34,
+		Seed:       1,
+		Samples:    500_000,
+		EPTPages:   6144,
+		HostFrames: 4 * 1024 * 1024,
 	}
 }
 

@@ -21,8 +21,6 @@ func testGeometry() *dram.Geometry {
 			1<<14 | 1<<18,
 			1<<6 | 1<<13,
 		},
-		RowShift: 18,
-		RowBits:  11,
 	})
 }
 
@@ -33,7 +31,6 @@ func denseFault(seed uint64) dram.FaultModelConfig {
 		Seed: seed, CellsPerRow: 0.8,
 		ThresholdMin: 50_000, ThresholdMax: 200_000,
 		StableFraction: 0.9, FlakyP: 0.35,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 	}
 }
 
@@ -209,8 +206,6 @@ func bigGeometry() *dram.Geometry {
 			1<<14 | 1<<18,
 			1<<6 | 1<<13,
 		},
-		RowShift: 18,
-		RowBits:  14,
 	})
 }
 
@@ -222,7 +217,6 @@ func bigHost(t *testing.T, seed uint64) *kvm.Host {
 			Seed: seed, CellsPerRow: 0.02,
 			ThresholdMin: 50_000, ThresholdMax: 200_000,
 			StableFraction: 0.9, FlakyP: 0.35,
-			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		},
 		THP:            true,
 		NXHugepages:    true,
@@ -395,7 +389,6 @@ func TestMonteCarloRespectsScale(t *testing.T) {
 	mc := MonteCarloSuccess(MonteCarloConfig{
 		Seed: 9, Samples: 200_000,
 		EPTPages: 6656, HostFrames: 4 << 20,
-		ExploitableBitLow: 21, ExploitableBitHigh: 34,
 	})
 	density := 6656.0 / float64(4<<20)
 	if mc < density/2 || mc > density*2 {

@@ -18,7 +18,6 @@ func benchHost(b *testing.B, seed uint64) *kvm.Host {
 			Seed: seed, CellsPerRow: 0.02,
 			ThresholdMin: 50_000, ThresholdMax: 200_000,
 			StableFraction: 0.9, FlakyP: 0.35,
-			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		},
 		THP:            true,
 		NXHugepages:    true,
@@ -89,11 +88,10 @@ func BenchmarkCampaignAttempt(b *testing.B) {
 // iteration).
 func BenchmarkMonteCarlo(b *testing.B) {
 	cfg := MonteCarloConfig{
-		Seed:              61,
-		Samples:           500_000,
-		EPTPages:          6144,
-		HostFrames:        int(16 * memdef.GiB / memdef.PageSize),
-		ExploitableBitLow: 21, ExploitableBitHigh: 34,
+		Seed:       61,
+		Samples:    500_000,
+		EPTPages:   6144,
+		HostFrames: int(16 * memdef.GiB / memdef.PageSize),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

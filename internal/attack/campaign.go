@@ -95,12 +95,11 @@ func (r *CampaignResult) AvgAttemptTime() time.Duration {
 // physicalBit is a profiled vulnerable bit pinned to physical memory,
 // the representation that survives VM respawns.
 type physicalBit struct {
-	cellHPA  memdef.HPA // host address of the vulnerable byte
-	bit      uint
-	aggrA    memdef.HPA
-	aggrB    memdef.HPA
-	epteBit  uint
-	oneToVal bool
+	cellHPA memdef.HPA // host address of the vulnerable byte
+	bit     uint
+	aggrA   memdef.HPA
+	aggrB   memdef.HPA
+	epteBit uint
 }
 
 // RunCampaign performs the full Table 3 experiment on a host: profile

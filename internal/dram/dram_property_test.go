@@ -70,7 +70,6 @@ func TestPropertyFlipsNearAggressors(t *testing.T) {
 		Seed: 4, CellsPerRow: 1.5,
 		ThresholdMin: 10_000, ThresholdMax: 60_000,
 		StableFraction: 0.8, FlakyP: 0.5,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 	})
 	f := func(bankRaw, rowRaw uint16) bool {
 		bank := int(bankRaw) % m.Geo.Banks()

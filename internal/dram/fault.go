@@ -67,10 +67,6 @@ type FaultModelConfig struct {
 	StableFraction float64
 	// FlakyP is the flip probability of unstable cells.
 	FlakyP float64
-	// NeighborWeight1 and NeighborWeight2 weight the disturbance
-	// contributed by aggressors at row distance 1 and 2. Distances
-	// beyond 2 contribute nothing (blast radius 2).
-	NeighborWeight1, NeighborWeight2 float64
 	// TRR, when non-nil, enables the in-DRAM Target Row Refresh
 	// mitigation model. The evaluated Apacer DIMMs behave as if TRR
 	// were absent or defeated (TRRespass found effective patterns on
@@ -82,14 +78,12 @@ type FaultModelConfig struct {
 // S1 in Table 1: ~395 flips over a 12 GiB profile with ~62% stable.
 func S1FaultModel(seed uint64) FaultModelConfig {
 	return FaultModelConfig{
-		Seed:            seed,
-		CellsPerRow:     0.0043,
-		ThresholdMin:    120_000,
-		ThresholdMax:    400_000,
-		StableFraction:  0.37,
-		FlakyP:          0.35,
-		NeighborWeight1: 1.0,
-		NeighborWeight2: 0.25,
+		Seed:           seed,
+		CellsPerRow:    0.0043,
+		ThresholdMin:   120_000,
+		ThresholdMax:   400_000,
+		StableFraction: 0.37,
+		FlakyP:         0.35,
 	}
 }
 
@@ -97,14 +91,12 @@ func S1FaultModel(seed uint64) FaultModelConfig {
 // Table 1: ~650 flips over a 12 GiB profile with only ~6% stable.
 func S2FaultModel(seed uint64) FaultModelConfig {
 	return FaultModelConfig{
-		Seed:            seed,
-		CellsPerRow:     0.0122,
-		ThresholdMin:    120_000,
-		ThresholdMax:    400_000,
-		StableFraction:  0.022,
-		FlakyP:          0.35,
-		NeighborWeight1: 1.0,
-		NeighborWeight2: 0.25,
+		Seed:           seed,
+		CellsPerRow:    0.0122,
+		ThresholdMin:   120_000,
+		ThresholdMax:   400_000,
+		StableFraction: 0.022,
+		FlakyP:         0.35,
 	}
 }
 

@@ -23,10 +23,10 @@ import (
 // and rows for one machine configuration.
 //
 // The model follows the paper's findings: a set of XOR functions over
-// physical address bits selects the bank, and bits RowShift..RowTop
-// select the row number. Consecutive row numbers within the same bank
-// are physically adjacent, which is what Rowhammer adjacency means
-// here.
+// physical address bits selects the bank, and the bits from rowShift
+// up to the top of memory select the row number. Consecutive row
+// numbers within the same bank are physically adjacent, which is what
+// Rowhammer adjacency means here.
 type Geometry struct {
 	// Name identifies the processor the geometry models.
 	Name string
@@ -36,10 +36,9 @@ type Geometry struct {
 	// the XOR (parity) of the physical address bits selected by
 	// BankMasks[i].
 	BankMasks []uint64
-	// RowShift is the lowest physical address bit of the row number.
-	RowShift uint
-	// RowBits is the number of row-number bits.
-	RowBits uint
+
+	// rowBits is the number of row-number bits, derived from Size.
+	rowBits uint
 
 	// lineOffsets[b] lists, for bank b, the offsets (in units of one
 	// 64-byte cache line) within a row-span that map to bank b. It is
@@ -52,11 +51,20 @@ type Geometry struct {
 // no modelled bank mask uses address bits below 6.
 const LineSize = 64
 
-// NewGeometry validates and finishes a geometry description,
-// precomputing the bank-function inverse.
+// rowShift is the lowest physical address bit of the row number. Both
+// evaluation machines put it at bit 18 (Section 5.1), so one row-span
+// is 256 KiB.
+const rowShift = 18
+
+// NewGeometry validates and finishes a geometry description: it
+// derives the row bits from Size and precomputes the bank-function
+// inverse.
 func NewGeometry(g Geometry) (*Geometry, error) {
 	if g.Size == 0 || g.Size&(g.Size-1) != 0 {
 		return nil, fmt.Errorf("dram: size %#x is not a power of two", g.Size)
+	}
+	if g.Size <= 1<<rowShift {
+		return nil, fmt.Errorf("dram: size %#x holds no more than one %d KiB row-span", g.Size, (1<<rowShift)>>10)
 	}
 	if len(g.BankMasks) == 0 {
 		return nil, fmt.Errorf("dram: geometry %q has no bank masks", g.Name)
@@ -69,22 +77,16 @@ func NewGeometry(g Geometry) (*Geometry, error) {
 			return nil, fmt.Errorf("dram: bank mask %d (%#x) uses sub-cacheline bits", i, m)
 		}
 	}
-	if g.RowShift == 0 || g.RowBits == 0 {
-		return nil, fmt.Errorf("dram: geometry %q missing row layout", g.Name)
-	}
-	if uint64(1)<<(g.RowShift+g.RowBits) != g.Size {
-		return nil, fmt.Errorf("dram: row bits %d..%d do not cover size %#x",
-			g.RowShift, g.RowShift+g.RowBits-1, g.Size)
-	}
+	g.rowBits = uint(bits.TrailingZeros64(g.Size)) - rowShift
 
 	// Invert the bank function within one row-span. The bank value of
-	// an address depends on bits inside the row-span (below RowShift)
+	// an address depends on bits inside the row-span (below rowShift)
 	// and possibly on row bits (the Xeon's last mask mixes bits 18/19
 	// in); the inverse is computed per row-parity class lazily in
 	// ComposeLine. Here we precompute the span-internal contribution
 	// split by bank for the common case where row bits contribute a
 	// fixed XOR that ComposeLine folds in.
-	spanLines := (uint64(1) << g.RowShift) / LineSize
+	spanLines := (uint64(1) << rowShift) / LineSize
 	g.lineOffsets = make([][]uint32, g.Banks())
 	for line := uint64(0); line < spanLines; line++ {
 		b := g.bankOfSpanLine(line)
@@ -107,12 +109,12 @@ func MustGeometry(g Geometry) *Geometry {
 func (g *Geometry) Banks() int { return 1 << len(g.BankMasks) }
 
 // Rows returns the number of rows per bank.
-func (g *Geometry) Rows() int { return 1 << g.RowBits }
+func (g *Geometry) Rows() int { return 1 << g.rowBits }
 
 // RowSpan returns the size in bytes of one row-span: the contiguous
 // physical address range that shares a single row number across all
 // banks. (256 KiB on both modelled machines.)
-func (g *Geometry) RowSpan() uint64 { return 1 << g.RowShift }
+func (g *Geometry) RowSpan() uint64 { return 1 << rowShift }
 
 // RowBytesPerBank returns how many bytes of one row-span live in each
 // bank — the DRAM row size as seen by the hammer model.
@@ -129,11 +131,11 @@ func (g *Geometry) Bank(a memdef.HPA) int {
 
 // Row returns the row number of physical address a.
 func (g *Geometry) Row(a memdef.HPA) int {
-	return int((uint64(a) >> g.RowShift) & ((1 << g.RowBits) - 1))
+	return int((uint64(a) >> rowShift) & ((1 << g.rowBits) - 1))
 }
 
 // bankOfSpanLine computes the bank of a line offset within a row-span,
-// considering only the address bits below RowShift. Row-bit
+// considering only the address bits below rowShift. Row-bit
 // contributions are handled by ComposeLine / Bank.
 func (g *Geometry) bankOfSpanLine(line uint64) int {
 	return g.Bank(memdef.HPA(line * LineSize))
@@ -141,12 +143,12 @@ func (g *Geometry) bankOfSpanLine(line uint64) int {
 
 // rowXORContribution returns the bank-number XOR contribution of the
 // row bits of row r (relevant for geometries like the Xeon whose bank
-// masks include bits >= RowShift).
+// masks include bits >= rowShift).
 func (g *Geometry) rowXORContribution(row int) int {
-	a := uint64(row) << g.RowShift
+	a := uint64(row) << rowShift
 	b := 0
 	for i, m := range g.BankMasks {
-		hi := m &^ ((1 << g.RowShift) - 1)
+		hi := m &^ ((1 << rowShift) - 1)
 		b |= int(bits.OnesCount64(a&hi)&1) << i
 	}
 	return b
@@ -166,7 +168,7 @@ func (g *Geometry) ComposeLine(bank, row, idx int) memdef.HPA {
 	// bank ^ rowContribution.
 	class := bank ^ g.rowXORContribution(row)
 	lines := g.lineOffsets[class]
-	return memdef.HPA(uint64(row)<<g.RowShift + uint64(lines[idx])*LineSize)
+	return memdef.HPA(uint64(row)<<rowShift + uint64(lines[idx])*LineSize)
 }
 
 // SameBank reports whether two addresses share a DRAM bank.
@@ -197,8 +199,6 @@ func CoreI310100() *Geometry {
 			maskOf(14, 18),
 			maskOf(6, 13),
 		},
-		RowShift: 18,
-		RowBits:  16,
 	})
 }
 
@@ -217,7 +217,5 @@ func XeonE32124() *Geometry {
 			maskOf(7, 14),
 			maskOf(8, 9, 12, 13, 18, 19),
 		},
-		RowShift: 18,
-		RowBits:  16,
 	})
 }

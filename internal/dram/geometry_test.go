@@ -117,12 +117,38 @@ func TestComposeLineCoversBankRow(t *testing.T) {
 	}
 }
 
+// NewGeometry derives the row count from Size: the row number is every
+// address bit from bit 18 up to the top of memory.
+func TestNewGeometryDerivesRows(t *testing.T) {
+	for _, c := range []struct {
+		size uint64
+		rows int
+	}{
+		{512 * memdef.KiB, 2},
+		{512 * memdef.MiB, 2048},
+		{4 * memdef.GiB, 16384},
+		{16 * memdef.GiB, 65536},
+	} {
+		g, err := NewGeometry(Geometry{Name: "derived", Size: c.size, BankMasks: []uint64{1 << 6}})
+		if err != nil {
+			t.Fatalf("size %#x: %v", c.size, err)
+		}
+		if got := g.Rows(); got != c.rows {
+			t.Errorf("size %#x: Rows() = %d, want %d", c.size, got, c.rows)
+		}
+		if got := g.Row(memdef.HPA(c.size - 1)); got != c.rows-1 {
+			t.Errorf("size %#x: Row(last byte) = %d, want %d", c.size, got, c.rows-1)
+		}
+	}
+}
+
 func TestNewGeometryRejectsBadConfigs(t *testing.T) {
 	cases := []Geometry{
-		{Name: "no masks", Size: 1 << 30, RowShift: 18, RowBits: 12},
-		{Name: "odd size", Size: 3 << 20, BankMasks: []uint64{1 << 6}, RowShift: 18, RowBits: 2},
-		{Name: "sub-line mask", Size: 1 << 30, BankMasks: []uint64{1 << 3}, RowShift: 18, RowBits: 12},
-		{Name: "rows mismatch", Size: 1 << 30, BankMasks: []uint64{1 << 6}, RowShift: 18, RowBits: 5},
+		{Name: "no masks", Size: 1 << 30},
+		{Name: "odd size", Size: 3 << 20, BankMasks: []uint64{1 << 6}},
+		{Name: "sub-line mask", Size: 1 << 30, BankMasks: []uint64{1 << 3}},
+		{Name: "one row-span", Size: 256 * memdef.KiB, BankMasks: []uint64{1 << 6}},
+		{Name: "below one row-span", Size: 64 * memdef.KiB, BankMasks: []uint64{1 << 6}},
 	}
 	for _, c := range cases {
 		if _, err := NewGeometry(c); err == nil {

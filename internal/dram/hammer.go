@@ -148,8 +148,8 @@ func (m *Module) Hammer(op HammerOp) []CandidateFlip {
 	}
 
 	maxRow := m.Geo.Rows()
-	c1 := m.cfg.NeighborWeight1 * float64(wrounds)
-	c2 := m.cfg.NeighborWeight2 * float64(wrounds)
+	c1 := neighborWeight1 * float64(wrounds)
+	c2 := neighborWeight2 * float64(wrounds)
 	// Veto audit: cells whose disturbance would have reached threshold
 	// with the neutralized aggressors' contributions restored, but does
 	// not without them. Consumes no RNG.
@@ -252,6 +252,14 @@ func (m *Module) emit(bank, row int, c Cell, dist float64, verdict uint64) (memd
 // neighborOffsets is the blast radius of one aggressor: row distances
 // whose disturbance weight is nonzero, in accumulation order.
 var neighborOffsets = [4]int{-2, -1, 1, 2}
+
+// neighborWeight1 and neighborWeight2 weight the disturbance an
+// aggressor contributes to the rows at distance 1 and 2. Distances
+// beyond 2 contribute nothing (blast radius 2).
+const (
+	neighborWeight1 = 1.0
+	neighborWeight2 = 0.25
+)
 
 // spread accumulates the neighbour disturbance of aggs' rows in bank
 // into the (rows, pressure) struct-of-arrays scratch and returns it.

@@ -21,8 +21,6 @@ func testGeometry() *dram.Geometry {
 			1<<14 | 1<<18,
 			1<<6 | 1<<13,
 		},
-		RowShift: 18,
-		RowBits:  10,
 	})
 }
 
@@ -199,7 +197,6 @@ func TestScanForFlipsMatchesBruteForce(t *testing.T) {
 		Seed: 11, CellsPerRow: 1.2,
 		ThresholdMin: 50_000, ThresholdMax: 100_000,
 		StableFraction: 1.0, FlakyP: 1.0,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 	}
 	os := bootTestGuest(t, 128*memdef.MiB, fault)
 	n := os.FreeHugepages()

@@ -20,8 +20,6 @@ func testGeometry() *dram.Geometry {
 			1<<14 | 1<<18,
 			1<<6 | 1<<13,
 		},
-		RowShift: 18,
-		RowBits:  10,
 	})
 }
 
@@ -33,7 +31,6 @@ func bootGuest(t *testing.T) *guest.OS {
 			Seed: 8, CellsPerRow: 1.0,
 			ThresholdMin: 50_000, ThresholdMax: 150_000,
 			StableFraction: 0.95, FlakyP: 0.5,
-			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		},
 		THP: true, NXHugepages: true, BootNoisePages: 200, Seed: 8,
 	})

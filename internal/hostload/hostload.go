@@ -1,9 +1,13 @@
 // Package hostload generates host-side background memory pressure,
 // modelling the difference between the paper's bare-KVM hosts (S1, S2)
 // and the OpenStack deployment (S3): S3's management services hold far
-// more MIGRATE_UNMOVABLE kernel memory and keep churning it, which is
-// why Figure 3(b) starts with many more noise pages and takes much
-// longer to exhaust.
+// more MIGRATE_UNMOVABLE kernel memory, which is why Figure 3(b) starts
+// with many more noise pages and takes much longer to exhaust.
+//
+// S3 is modelled by the extra noise pages Attach leaves free and the
+// held set it takes, nothing more. Tick, which churns the held set, is
+// not yet driven by any host clock, so ChurnPerTick changes no result
+// today.
 package hostload
 
 import (
@@ -25,7 +29,8 @@ type Profile struct {
 	// and rotates during the experiment.
 	ChurnHeld int
 	// ChurnPerTick is how many held pages are released and
-	// reacquired per Tick.
+	// reacquired per Tick. Nothing calls Tick yet (see the package
+	// doc).
 	ChurnPerTick int
 }
 

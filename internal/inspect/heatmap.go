@@ -8,10 +8,11 @@ package inspect
 // operations — no allocation on the hammer hot path, which is the
 // fidelity condition for hooking the fault model at all.
 
-// RowBuckets is the per-bank bucket count. 64 divides every
-// geometry's power-of-two row count evenly, so bucket boundaries land
-// on row boundaries at all supported RowBits (11–16, i.e. physical
-// address bits 18 through 33 at RowShift 18).
+// RowBuckets is the per-bank bucket count. The row number is physical
+// address bits 18 and up, so a geometry of 2^n bytes has 2^(n-18) rows
+// and 64 divides the row count of every geometry of 16 MiB or more:
+// bucket boundaries land on row boundaries from the 256 MiB test hosts
+// (1,024 rows) to the 16 GiB machines (65,536 rows).
 const RowBuckets = 64
 
 // Heatmap is the bucketed accumulator. Not safe for concurrent use on

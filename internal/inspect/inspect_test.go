@@ -10,11 +10,11 @@ import (
 	"hyperhammer/internal/metrics"
 )
 
-// TestBucketBoundaries pins the row→bucket mapping at every supported
-// geometry row count. RowShift is 18 on both evaluated machines, so
-// RowBits 11 through 16 place the row index in physical address bits
-// 18 through 33; 64 buckets divide every 2^rowBits evenly, so bucket
-// edges must land exactly on rows/buckets multiples.
+// TestBucketBoundaries pins the row→bucket mapping at geometry row
+// counts 2^11 through 2^16. The row number starts at physical address
+// bit 18, so these are the 512 MiB to 16 GiB machines; 64 buckets
+// divide every 2^rowBits evenly, so bucket edges must land exactly on
+// rows/buckets multiples.
 func TestBucketBoundaries(t *testing.T) {
 	for rowBits := 11; rowBits <= 16; rowBits++ {
 		rows := 1 << rowBits

@@ -17,13 +17,12 @@ func TestFrameAccountingAfterCampaign(t *testing.T) {
 	masks := dram.CoreI310100().BankMasks
 	h, err := kvm.NewHost(kvm.Config{
 		Geometry: dram.MustGeometry(dram.Geometry{
-			Name: "short-4G", Size: 4 * memdef.GiB, BankMasks: masks, RowShift: 18, RowBits: 14,
+			Name: "short-4G", Size: 4 * memdef.GiB, BankMasks: masks,
 		}),
 		Fault: dram.FaultModelConfig{
 			Seed: 1, CellsPerRow: 0.02,
 			ThresholdMin: 120_000, ThresholdMax: 400_000,
 			StableFraction: 0.54, FlakyP: 0.35,
-			NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 		},
 		THP:            true,
 		NXHugepages:    true,

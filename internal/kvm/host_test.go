@@ -164,7 +164,6 @@ func denseStableFault(seed uint64) dram.FaultModelConfig {
 		Seed: seed, CellsPerRow: 1.5,
 		ThresholdMin: 50_000, ThresholdMax: 150_000,
 		StableFraction: 1.0, FlakyP: 1.0,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 	}
 }
 

@@ -27,8 +27,6 @@ func testGeometry() *dram.Geometry {
 			1<<14 | 1<<18,
 			1<<6 | 1<<13,
 		},
-		RowShift: 18,
-		RowBits:  10,
 	})
 }
 
@@ -208,7 +206,6 @@ func TestHammerProducesAttributableFlips(t *testing.T) {
 		Seed: 3, CellsPerRow: 2.0,
 		ThresholdMin: 50_000, ThresholdMax: 100_000,
 		StableFraction: 1.0, FlakyP: 1.0,
-		NeighborWeight1: 1.0, NeighborWeight2: 0.25,
 	}
 	h := newTestHost(t, cfg)
 	vm := newTestVM(t, h, 64*memdef.MiB)

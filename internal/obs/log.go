@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"context"
-	"fmt"
 	"io"
 	"log/slog"
-	"strings"
-	"sync"
 	"time"
 
 	"hyperhammer/internal/report"
@@ -16,105 +12,27 @@ import (
 // SimNow stamps records with "-".
 type SimNow func() time.Duration
 
-// logHandler is a slog.Handler that stamps every record with the
-// simulated clock instead of (meaningless, microseconds-long) wall
-// time, so human-readable logs line up with traces and metrics on one
-// time base:
+// NewLogHandler creates a slog text handler writing to w at the given
+// minimum level (nil level means slog.LevelInfo). It stamps every
+// record with the simulated clock instead of (meaningless,
+// microseconds-long) wall time, so human-readable logs line up with
+// traces and metrics on one time base:
 //
 //	sim=2.1h level=INFO msg="attempt finished" attempt=3 success=false
-type logHandler struct {
-	mu     *sync.Mutex
-	w      io.Writer
-	now    SimNow
-	level  slog.Leveler
-	prefix string // preformatted WithAttrs attrs
-	groups []string
-}
-
-// NewLogHandler creates a sim-time slog handler writing to w at the
-// given minimum level (nil level means slog.LevelInfo).
 func NewLogHandler(w io.Writer, now SimNow, level slog.Leveler) slog.Handler {
-	if level == nil {
-		level = slog.LevelInfo
+	stamp := func(groups []string, a slog.Attr) slog.Attr {
+		if a.Key != slog.TimeKey || len(groups) > 0 {
+			return a
+		}
+		if now == nil {
+			return slog.String("sim", "-")
+		}
+		return slog.String("sim", report.FormatDuration(now()))
 	}
-	return &logHandler{mu: &sync.Mutex{}, w: w, now: now, level: level}
+	return slog.NewTextHandler(w, &slog.HandlerOptions{Level: level, ReplaceAttr: stamp})
 }
 
 // NewLogger wraps NewLogHandler in a *slog.Logger.
 func NewLogger(w io.Writer, now SimNow, level slog.Leveler) *slog.Logger {
 	return slog.New(NewLogHandler(w, now, level))
-}
-
-func (h *logHandler) Enabled(_ context.Context, level slog.Level) bool {
-	return level >= h.level.Level()
-}
-
-func (h *logHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	stamp := "-"
-	if h.now != nil {
-		stamp = report.FormatDuration(h.now())
-	}
-	fmt.Fprintf(&sb, "sim=%s level=%s msg=%s", stamp, r.Level, quote(r.Message))
-	sb.WriteString(h.prefix)
-	r.Attrs(func(a slog.Attr) bool {
-		appendAttr(&sb, h.groups, a)
-		return true
-	})
-	sb.WriteByte('\n')
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	_, err := io.WriteString(h.w, sb.String())
-	return err
-}
-
-func (h *logHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	h2 := *h
-	var sb strings.Builder
-	for _, a := range attrs {
-		appendAttr(&sb, h.groups, a)
-	}
-	h2.prefix = h.prefix + sb.String()
-	return &h2
-}
-
-func (h *logHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	h2 := *h
-	h2.groups = append(append([]string{}, h.groups...), name)
-	return &h2
-}
-
-// appendAttr renders one attr as " key=value", flattening groups with
-// dotted keys.
-func appendAttr(sb *strings.Builder, groups []string, a slog.Attr) {
-	a.Value = a.Value.Resolve()
-	if a.Value.Kind() == slog.KindGroup {
-		sub := a.Value.Group()
-		if a.Key != "" {
-			groups = append(append([]string{}, groups...), a.Key)
-		}
-		for _, ga := range sub {
-			appendAttr(sb, groups, ga)
-		}
-		return
-	}
-	if a.Equal(slog.Attr{}) {
-		return
-	}
-	key := a.Key
-	if len(groups) > 0 {
-		key = strings.Join(groups, ".") + "." + key
-	}
-	fmt.Fprintf(sb, " %s=%s", key, quote(fmt.Sprint(a.Value.Any())))
-}
-
-// quote wraps values containing whitespace or quotes in %q form.
-func quote(s string) string {
-	if strings.ContainsAny(s, " \t\n\"=") || s == "" {
-		return fmt.Sprintf("%q", s)
-	}
-	return s
 }

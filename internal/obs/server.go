@@ -67,10 +67,9 @@ type Sources struct {
 //	               with config/content hashes and headline figures
 //	               (empty-but-valid without a store: hh opens one with
 //	               -store)
-//	/api/trend     cross-run trend report over the store at default
-//	               tolerances: per-figure series, drift attribution,
-//	               host/bench regressions (hh trend renders the same
-//	               data offline)
+//	/api/trend     cross-run trend report over the store: per-figure
+//	               series, drift attribution, host trajectories (hh
+//	               trend renders the same data offline)
 //	/debug/pprof/  the standard Go profiler endpoints (wall-clock; the
 //	               simulation's own profile is /api/profile)
 type Server struct {
@@ -224,8 +223,8 @@ func (s *Server) handleArtifact(w http.ResponseWriter, _ *http.Request) {
 // document (lists [], never null) when its plane, schedule or store is
 // absent. The run-history views fold a snapshot copy of the index
 // built under the store lock, so they never show a partial in-flight
-// ingest; trend applies the default tolerances (sim figures exact, host
-// durations listed but not gated, bench ns/op at ±30%).
+// ingest; trend holds sim figures exact and lists host durations
+// without gating them.
 var snapshotEndpoints = []struct {
 	name     string
 	snapshot func(*Server) any
@@ -243,7 +242,7 @@ var snapshotEndpoints = []struct {
 		return profile.BuildPlanReport(sc)
 	}},
 	{"history", func(s *Server) any { return s.src.Store.History() }},
-	{"trend", func(s *Server) any { return s.src.Store.Trend(runstore.DefaultTrendOptions()) }},
+	{"trend", func(s *Server) any { return s.src.Store.Trend(runstore.TrendOptions{}) }},
 }
 
 // handleEvents streams the bus over SSE: the replay ring first, then

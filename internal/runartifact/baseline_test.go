@@ -56,7 +56,7 @@ func TestCommittedBaselinesIdentity(t *testing.T) {
 		if got := a.Fingerprints(); !reflect.DeepEqual(got, tc.fingerprints) {
 			t.Errorf("%s: Fingerprints = %v, want %v", tc.file, got, tc.fingerprints)
 		}
-		if got := len(Compare(a, a, Tolerances{}).Deltas); got != tc.deltas {
+		if got := len(Compare(a, a).Deltas); got != tc.deltas {
 			t.Errorf("%s: self-compare lists %d figures, want %d", tc.file, got, tc.deltas)
 		}
 	}

@@ -1,8 +1,10 @@
 package runartifact
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,30 +12,6 @@ import (
 	"hyperhammer/internal/inspect"
 	"hyperhammer/internal/report"
 )
-
-// Tolerances bounds how far two artifacts' host-cost figures may drift
-// before hh diff flags them. Every simulated figure compares exactly,
-// with no tolerance to set: the clock is simulated and the run is
-// seed-deterministic, so any drift means the code's behavior changed.
-type Tolerances struct {
-	// HostFrac/HostAbs bound the plan section's host-time figures
-	// (wall seconds, per-unit run times, critical path): a delta is
-	// within tolerance when |Δ| ≤ max(HostAbs, HostFrac·max(|a|,|b|)).
-	// Host time is real wall clock — noisy by nature and legitimately
-	// different across -parallel settings — so the default is
-	// HostFrac = 1.0, which under the max(|a|,|b|)-relative rule never
-	// flags non-negative durations: plan durations are listed for the
-	// record, and only gate when the caller tightens -host-tol. The
-	// plan's *shape* (unit count, per-unit presence) always compares
-	// exactly.
-	HostFrac float64
-	HostAbs  float64
-}
-
-// DefaultTolerances: host durations listed but not gated.
-func DefaultTolerances() Tolerances {
-	return Tolerances{HostFrac: 1.0}
-}
 
 // Delta is one compared figure.
 type Delta struct {
@@ -47,7 +25,8 @@ type Delta struct {
 	A     float64 `json:"a"`
 	B     float64 `json:"b"`
 	Delta float64 `json:"delta"`
-	// Flagged reports the delta exceeded its tolerance.
+	// Flagged reports a simulated figure that moved. Host durations
+	// are never flagged.
 	Flagged bool `json:"flagged,omitempty"`
 }
 
@@ -69,27 +48,13 @@ type Diff struct {
 	// Deltas lists every compared figure, kinds in sections-table
 	// order, keys sorted within each kind.
 	Deltas []Delta `json:"deltas"`
-	// Flagged counts deltas beyond tolerance; nonzero means the runs
+	// Flagged counts moved simulated figures; nonzero means the runs
 	// diverged and the gate should fail.
 	Flagged int `json:"flagged"`
 }
 
-// Regressed reports whether any figure drifted beyond tolerance.
+// Regressed reports whether any simulated figure moved.
 func (d *Diff) Regressed() bool { return d.Flagged > 0 }
-
-// withinTol applies the |Δ| ≤ max(abs, frac·max(|a|,|b|)) rule.
-func withinTol(a, b, frac, absTol float64) bool {
-	d := abs(b - a)
-	base := abs(a)
-	if x := abs(b); x > base {
-		base = x
-	}
-	limit := frac * base
-	if absTol > limit {
-		limit = absTol
-	}
-	return d <= limit
-}
 
 func abs(v float64) float64 {
 	if v < 0 {
@@ -98,19 +63,19 @@ func abs(v float64) float64 {
 	return v
 }
 
-// tolClass says when a section's figures are compared, and how loosely.
-type tolClass int
+// sectionClass says when a section's figures are compared, and whether
+// they gate.
+type sectionClass int
 
 const (
 	// simExact sections are seed-deterministic. They are compared
 	// exactly whenever either artifact carries them (a section on one
 	// side only shows as figures drifting from zero), since any drift
 	// means the simulation behaved differently.
-	simExact tolClass = iota
+	simExact sectionClass = iota
 	// hostCost sections measure the machine, not the simulation. They
 	// are compared only when both artifacts carry them: the shape
-	// exactly, the durations at the host tolerance (which defaults to
-	// never-flag).
+	// exactly, the durations listed and never flagged.
 	hostCost
 )
 
@@ -120,12 +85,12 @@ const (
 type section struct {
 	// kind is the Delta.Kind of the section's rows.
 	kind  string
-	class tolClass
+	class sectionClass
 	// figures flattens the section to comparison keys; nil when the
 	// artifact does not carry the section.
 	figures func(*Artifact) map[string]float64
-	// hostFigures flattens a hostCost section's durations, compared
-	// after its shape figures at the host tolerance.
+	// hostFigures flattens a hostCost section's durations, listed
+	// after its shape figures and never flagged.
 	hostFigures func(*Artifact) map[string]float64
 	// fingerprint is the section's key in Fingerprints ("" leaves it
 	// out). Sections sharing a key fold into one figure map, each key
@@ -156,8 +121,8 @@ var sections = []section{
 
 // Compare diffs two artifacts figure by figure, every section of the
 // sections table in order: simulated figures exactly, host-cost
-// durations under tol.
-func Compare(a, b *Artifact, tol Tolerances) *Diff {
+// durations listed without gating.
+func Compare(a, b *Artifact) *Diff {
 	d := &Diff{}
 	for _, s := range sections {
 		fa, fb := s.figures(a), s.figures(b)
@@ -165,23 +130,23 @@ func Compare(a, b *Artifact, tol Tolerances) *Diff {
 			continue
 		}
 		for _, key := range unionKeys(fa, fb) {
-			d.add(s.kind, key, fa[key], fb[key], 0, 0)
+			d.add(s.kind, key, fa[key], fb[key], true)
 		}
 		if s.hostFigures != nil {
 			ha, hb := s.hostFigures(a), s.hostFigures(b)
 			for _, key := range unionKeys(ha, hb) {
-				d.add(s.kind, key, ha[key], hb[key], tol.HostFrac, tol.HostAbs)
+				d.add(s.kind, key, ha[key], hb[key], false)
 			}
 		}
 	}
 	return d
 }
 
-// add appends one compared figure, flagging it when the delta exceeds
-// the tolerance.
-func (d *Diff) add(kind, key string, va, vb, frac, absTol float64) {
+// add appends one compared figure. A gated figure is flagged when its
+// delta is not exactly zero, NaN included.
+func (d *Diff) add(kind, key string, va, vb float64, gated bool) {
 	row := Delta{Kind: kind, Key: key, A: va, B: vb, Delta: vb - va}
-	if !withinTol(va, vb, frac, absTol) {
+	if gated && row.Delta != 0 {
 		row.Flagged = true
 		d.Flagged++
 	}
@@ -260,12 +225,11 @@ func heatmapMap(a *Artifact) map[string]float64 {
 	m["total_activations"] = float64(h.TotalActivations)
 	m["total_flips"] = float64(h.TotalFlips)
 	m["max_row_window"] = float64(h.MaxRowWindowActivations)
-	fp := uint64(14695981039346656037)
+	grid := fnv.New64a()
+	var word [8]byte
 	mix := func(v int64) {
-		for i := 0; i < 8; i++ {
-			fp ^= uint64(v>>(8*i)) & 0xff
-			fp *= 1099511628211
-		}
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		grid.Write(word[:])
 	}
 	for bank := 0; bank < len(h.Activations); bank++ {
 		var act, flips int64
@@ -284,7 +248,7 @@ func heatmapMap(a *Artifact) map[string]float64 {
 	}
 	// Fold to float-exact 52 bits so the value survives the float64
 	// comparison machinery unchanged.
-	m["grid_fingerprint"] = float64(fp % (1 << 52))
+	m["grid_fingerprint"] = float64(grid.Sum64() % (1 << 52))
 	return m
 }
 
@@ -319,13 +283,10 @@ func forensicsMap(a *Artifact) map[string]float64 {
 	}
 	raw, err := json.Marshal(s.Campaigns)
 	if err == nil {
-		fp := uint64(14695981039346656037)
-		for _, c := range raw {
-			fp ^= uint64(c)
-			fp *= 1099511628211
-		}
+		h := fnv.New64a()
+		h.Write(raw)
 		// Fold to float-exact 52 bits, like the heatmap grid fingerprint.
-		m["campaign_fingerprint"] = float64(fp % (1 << 52))
+		m["campaign_fingerprint"] = float64(h.Sum64() % (1 << 52))
 	}
 	return m
 }
@@ -424,9 +385,9 @@ func unionKeys[V any](a, b map[string]V) []string {
 	return keys
 }
 
-// Table renders the verdict table. When onlyFlagged is set, in-
-// tolerance rows are omitted (the usual CI view); otherwise every
-// compared figure is listed.
+// Table renders the verdict table. When onlyFlagged is set, unflagged
+// rows are omitted (the usual CI view); otherwise every compared
+// figure is listed.
 func (d *Diff) Table(onlyFlagged bool) *report.Table {
 	t := report.NewTable("run comparison", "kind", "key", "old", "new", "delta", "rel", "verdict")
 	for _, row := range d.Deltas {
@@ -444,7 +405,8 @@ func (d *Diff) Table(onlyFlagged bool) *report.Table {
 	return t
 }
 
-// Summary is the one-line verdict.
+// Summary is the one-line verdict. "Within tolerance" means no
+// simulated figure moved; host durations never count against it.
 func (d *Diff) Summary() string {
 	if d.Flagged == 0 {
 		return fmt.Sprintf("hh diff: %d figures compared, all within tolerance", len(d.Deltas))

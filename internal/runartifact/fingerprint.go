@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"hash/fnv"
 	"sort"
 	"strconv"
 )
@@ -152,26 +153,12 @@ func fingerprintMap(m map[string]float64) float64 {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	fp := uint64(14695981039346656037)
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			fp ^= uint64(s[i])
-			fp *= 1099511628211
-		}
-	}
+	h := fnv.New64a()
+	var line []byte
 	for _, k := range keys {
-		mix(k)
-		mix("=")
-		mix(strconv.FormatFloat(m[k], 'g', -1, 64))
-		mix("\n")
+		line = append(append(line[:0], k...), '=')
+		line = append(strconv.AppendFloat(line, m[k], 'g', -1, 64), '\n')
+		h.Write(line)
 	}
-	return float64(fp % (1 << 52))
-}
-
-// WithinTol reports |b−a| ≤ max(abs, frac·max(|a|,|b|)) — the single
-// tolerance rule hh diff applies to host-cost figures, exported so the
-// run-history trend engine gates wall-clock figures with exactly the
-// -host-tol machinery.
-func WithinTol(a, b, frac, absTol float64) bool {
-	return withinTol(a, b, frac, absTol)
+	return float64(h.Sum64() % (1 << 52))
 }

@@ -129,18 +129,3 @@ func TestFingerprintsLocalizeDrift(t *testing.T) {
 		t.Error("profile drift leaked into other section fingerprints")
 	}
 }
-
-func TestWithinTolMatchesDiffRule(t *testing.T) {
-	if !WithinTol(100, 100, 0, 0) {
-		t.Error("exact match must be within zero tolerance")
-	}
-	if WithinTol(100, 101, 0, 0) {
-		t.Error("drift must exceed zero tolerance")
-	}
-	if !WithinTol(100, 129, 0.30, 0) || WithinTol(100, 190, 0.30, 0) {
-		t.Error("relative band misapplied")
-	}
-	if !WithinTol(0, 0.5, 0, 1.0) {
-		t.Error("absolute band misapplied")
-	}
-}

@@ -72,7 +72,7 @@ func TestInspectSectionsRoundTrip(t *testing.T) {
 func TestInspectSelfCompareIsZero(t *testing.T) {
 	a := inspectedArtifact(t, 500)
 	b := inspectedArtifact(t, 500)
-	d := Compare(a, b, Tolerances{})
+	d := Compare(a, b)
 	if d.Regressed() || d.Flagged != 0 {
 		t.Fatalf("same-seed introspection diverged:\n%s", d.Table(true))
 	}
@@ -96,7 +96,7 @@ func TestInspectSelfCompareIsZero(t *testing.T) {
 func TestInspectBucketDriftFlagged(t *testing.T) {
 	a := inspectedArtifact(t, 500)
 	b := inspectedArtifact(t, 501)
-	d := Compare(a, b, Tolerances{})
+	d := Compare(a, b)
 	if !d.Regressed() {
 		t.Fatal("perturbed heatmap not flagged")
 	}
@@ -117,7 +117,7 @@ func TestInspectBucketDriftFlagged(t *testing.T) {
 func TestInspectSectionsAbsentStaysCompatible(t *testing.T) {
 	old1 := sampleArtifact(t, 60)
 	old2 := sampleArtifact(t, 60)
-	d := Compare(old1, old2, Tolerances{})
+	d := Compare(old1, old2)
 	for _, row := range d.Deltas {
 		if row.Kind == "heatmap" || row.Kind == "census" || row.Kind == "alerts" {
 			t.Errorf("sectionless artifacts grew a %s figure: %+v", row.Kind, row)
@@ -126,7 +126,7 @@ func TestInspectSectionsAbsentStaysCompatible(t *testing.T) {
 	// One side carrying sections: the comparison runs and flags the gap
 	// instead of crashing or silently skipping.
 	vNew := inspectedArtifact(t, 500)
-	asym := Compare(old1, vNew, Tolerances{})
+	asym := Compare(old1, vNew)
 	var sawNewKind bool
 	for _, row := range asym.Deltas {
 		if row.Kind == "heatmap" || row.Kind == "census" || row.Kind == "alerts" {

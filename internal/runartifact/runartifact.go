@@ -88,8 +88,8 @@ type Artifact struct {
 	// timings, critical path, parallel efficiency). Unlike every other
 	// section it measures the *host*, so it is the one part of the
 	// artifact that legitimately differs across runs and -parallel
-	// settings; hh diff checks its shape exactly but its durations only
-	// loosely (Tolerances.HostFrac). hh plan -artifact renders it
+	// settings; hh diff checks its shape exactly and lists its
+	// durations without gating them. hh plan -artifact renders it
 	// offline.
 	Plan *profile.PlanReport `json:"plan,omitempty"`
 }

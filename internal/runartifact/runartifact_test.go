@@ -184,7 +184,7 @@ func TestReadRejectsNonArtifact(t *testing.T) {
 func TestSelfCompareIsZero(t *testing.T) {
 	a := sampleArtifact(t, 60)
 	b := sampleArtifact(t, 60) // independent identical run
-	d := Compare(a, b, Tolerances{})
+	d := Compare(a, b)
 	if d.Regressed() || d.Flagged != 0 {
 		t.Fatalf("same-seed artifacts diverged:\n%s", d.Table(true))
 	}
@@ -206,7 +206,7 @@ func TestSelfCompareIsZero(t *testing.T) {
 func TestDifferentBudgetsFlagged(t *testing.T) {
 	a := sampleArtifact(t, 60)
 	b := sampleArtifact(t, 120)
-	d := Compare(a, b, Tolerances{})
+	d := Compare(a, b)
 	if !d.Regressed() {
 		t.Fatal("different hammer budgets not flagged")
 	}
@@ -224,7 +224,7 @@ func TestDifferentBudgetsFlagged(t *testing.T) {
 	// one part in 10^9, and nothing else, is the one flagged row.
 	c := sampleArtifact(t, 60)
 	c.SimSeconds *= 1 + 1e-9
-	d = Compare(a, c, DefaultTolerances())
+	d = Compare(a, c)
 	if d.Flagged != 1 {
 		t.Fatalf("flagged = %d, want 1:\n%s", d.Flagged, d.Table(true))
 	}
@@ -235,22 +235,28 @@ func TestDifferentBudgetsFlagged(t *testing.T) {
 	}
 }
 
-func TestWithinTolRules(t *testing.T) {
+// TestSimFigureFlagRule: a simulated figure is flagged exactly when
+// b−a is not zero, NaN included, so identical infinities (whose
+// difference is NaN) flag as well.
+func TestSimFigureFlagRule(t *testing.T) {
 	for _, tc := range []struct {
-		a, b, frac, abs float64
-		want            bool
+		a, b float64
+		want bool
 	}{
-		{100, 100, 0, 0, true},
-		{100, 101, 0, 0, false},
-		{100, 101, 0.02, 0, true},
-		{100, 101, 0, 1, true},
-		{100, 103, 0.02, 1, false},
-		{0, 0, 0, 0, true},
-		{0, 5, 0.5, 0, false}, // growth from zero is never a fraction
-		{0, 5, 0, 10, true},
+		{100, 100, false},
+		{0, 0, false},
+		{100, 101, true},
+		{100, 100 * (1 + 1e-12), true},
+		{0, 5, true},
+		{math.NaN(), math.NaN(), true},
+		{1, math.NaN(), true},
+		{math.Inf(1), math.Inf(1), true},
 	} {
-		if got := withinTol(tc.a, tc.b, tc.frac, tc.abs); got != tc.want {
-			t.Errorf("withinTol(%v,%v,%v,%v) = %v", tc.a, tc.b, tc.frac, tc.abs, got)
+		a, b := sampleArtifact(t, 60), sampleArtifact(t, 60)
+		a.SimSeconds, b.SimSeconds = tc.a, tc.b
+		d := Compare(a, b)
+		if got := d.Flagged == 1; got != tc.want || d.Flagged > 1 {
+			t.Errorf("sim_seconds %v -> %v: flagged = %d, want flagged %v", tc.a, tc.b, d.Flagged, tc.want)
 		}
 	}
 }
@@ -260,7 +266,7 @@ func TestWithinTolRules(t *testing.T) {
 func TestVerdictTableGolden(t *testing.T) {
 	a := sampleArtifact(t, 60)
 	b := sampleArtifact(t, 120)
-	d := Compare(a, b, Tolerances{})
+	d := Compare(a, b)
 	var buf bytes.Buffer
 	buf.WriteString(d.Table(false).String())
 	buf.WriteString(d.Summary())

@@ -107,7 +107,7 @@ func TestKindRowsStillLoad(t *testing.T) {
 			t.Errorf("load %s: %v", e.RunID, err)
 		}
 	}
-	if r := s.Trend(DefaultTrendOptions()); r.Runs != 2 || r.Regressed() {
+	if r := s.Trend(TrendOptions{}); r.Runs != 2 || r.Regressed() {
 		t.Errorf("trend over kind rows: %d runs, %d flagged; want 2 runs, none flagged", r.Runs, r.Flagged)
 	}
 }

@@ -72,7 +72,7 @@ type IndexEntry struct {
 	Sim map[string]float64 `json:"sim,omitempty"`
 	// Host holds the host-cost summary from the plan section (wall,
 	// CPU, speedup, efficiency) — noisy by nature, tracked with
-	// min/median/last and gated only by an explicit -host-tol.
+	// min/median/last and never gated.
 	Host map[string]float64 `json:"host,omitempty"`
 }
 

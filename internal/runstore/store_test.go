@@ -144,7 +144,7 @@ func TestHistoryNeverNull(t *testing.T) {
 			t.Errorf("%s store history lacks empty entries list: %s", name, b)
 		}
 	}
-	if nilStore.Trend(DefaultTrendOptions()) == nil {
+	if nilStore.Trend(TrendOptions{}) == nil {
 		t.Fatal("nil store trend must be an empty report, not nil")
 	}
 }

@@ -8,26 +8,13 @@ import (
 	"hyperhammer/internal/runartifact"
 )
 
-// TrendOptions tunes the cross-run trend engine. The zero value gates
-// any host-cost rise as well as sim drift; DefaultTrendOptions matches
-// hh diff's host default.
+// TrendOptions selects the runs the trend engine folds. The zero value
+// keeps every run.
 type TrendOptions struct {
 	// Since drops runs ingested before this instant (zero keeps all).
 	Since time.Time
 	// LastN keeps only the newest N runs of each group (0 keeps all).
 	LastN int
-	// HostFrac/HostAbs gate host-cost figures with the -host-tol rule:
-	// a run regresses a figure when it exceeds the best value seen so
-	// far by more than max(HostAbs, HostFrac·max). The hh diff default
-	// of 1.0 lists trajectories without ever gating them.
-	HostFrac float64
-	HostAbs  float64
-}
-
-// DefaultTrendOptions: sim figures exact (always), host durations
-// listed but not gated — the hh diff defaults.
-func DefaultTrendOptions() TrendOptions {
-	return TrendOptions{HostFrac: 1.0}
 }
 
 // Drift classification for a group's first simulated-figure
@@ -54,15 +41,14 @@ type TrendPoint struct {
 // FigureTrend is one figure folded across a group's runs.
 type FigureTrend struct {
 	Name string `json:"name"`
-	// Kind is "sim" (exact) or "host" (-host-tol).
+	// Kind is "sim" (exact) or "host" (listed, never gated).
 	Kind   string       `json:"kind"`
 	Points []TrendPoint `json:"points"`
 	Min    float64      `json:"min"`
 	Median float64      `json:"median"`
 	Last   float64      `json:"last"`
-	// Regressed gates the hh trend exit status: sim figures regress on
-	// any drift at all; host figures when the latest value exceeds the
-	// best seen by more than the tolerance.
+	// Regressed gates the hh trend exit status: a sim figure regresses
+	// on any drift at all; a host figure never does.
 	Regressed bool `json:"regressed,omitempty"`
 	// FirstRegressedSeq/Run attribute the first run that broke the
 	// figure (0/"" when it never regressed).
@@ -109,9 +95,8 @@ type Report struct {
 	Version int          `json:"version"`
 	Runs    int          `json:"runs"`
 	Groups  []GroupTrend `json:"groups"`
-	// Flagged counts gating findings (drifted sim figures plus
-	// regressed host figures); nonzero fails hh trend with exit 1,
-	// like hh diff.
+	// Flagged counts drifted sim figures; nonzero fails hh trend with
+	// exit 1, like hh diff.
 	Flagged int `json:"flagged"`
 }
 
@@ -121,9 +106,8 @@ func (r *Report) Regressed() bool { return r.Flagged > 0 }
 // Build folds index entries into the cross-run trend report. Entries
 // are grouped by lineage, ordered by ingest seq; simulated figures are
 // checked exactly, as hh diff does (any change between consecutive
-// same-lineage runs is drift), host figures are tracked with
-// min/median/last and first-regressed attribution under the given
-// tolerances.
+// same-lineage runs is drift), host figures are listed with
+// min/median/last and never gate.
 func Build(entries []IndexEntry, opts TrendOptions) *Report {
 	r := &Report{Version: Version, Groups: []GroupTrend{}}
 	groups := map[string][]IndexEntry{}
@@ -146,7 +130,7 @@ func Build(entries []IndexEntry, opts TrendOptions) *Report {
 		if opts.LastN > 0 && len(runs) > opts.LastN {
 			runs = runs[len(runs)-opts.LastN:]
 		}
-		g := buildGroup(key, runs, opts)
+		g := buildGroup(key, runs)
 		r.Runs += len(runs)
 		for i := range g.Figures {
 			if g.Figures[i].Regressed {
@@ -158,7 +142,7 @@ func Build(entries []IndexEntry, opts TrendOptions) *Report {
 	return r
 }
 
-func buildGroup(key string, runs []IndexEntry, opts TrendOptions) GroupTrend {
+func buildGroup(key string, runs []IndexEntry) GroupTrend {
 	g := GroupTrend{
 		Key:   key,
 		Tool:  runs[0].Tool,
@@ -178,7 +162,7 @@ func buildGroup(key string, runs []IndexEntry, opts TrendOptions) GroupTrend {
 	g.ConfigHashes = len(hashes)
 
 	g.Figures = append(g.Figures, simFigures(runs)...)
-	g.Figures = append(g.Figures, hostFigures(runs, opts.HostFrac, opts.HostAbs)...)
+	g.Figures = append(g.Figures, hostFigures(runs)...)
 
 	// Group-level drift attribution: the earliest run any sim figure
 	// moved at, classified by whether the config hash moved with it.
@@ -233,57 +217,23 @@ func simFigures(runs []IndexEntry) []FigureTrend {
 	return out
 }
 
-// hostFigures folds the host-cost figures with the -host-tol
-// machinery: the running best (minimum) value is the reference, and a
-// run regresses the figure when it exceeds that best by more than the
-// tolerance. Larger-is-better figures (speedup, efficiency) invert the
-// sense.
-func hostFigures(runs []IndexEntry, frac, abs float64) []FigureTrend {
+// hostFigures folds the host-cost figures of a lineage: each is a
+// trajectory with min/median/last, listed and never gated, since host
+// cost is wall clock and the paired benchmark runs are its gate.
+func hostFigures(runs []IndexEntry) []FigureTrend {
 	names := unionNames(runs, func(e IndexEntry) map[string]float64 { return e.Host })
 	out := make([]FigureTrend, 0, len(names))
 	for _, name := range names {
 		f := FigureTrend{Name: name, Kind: "host", Points: []TrendPoint{}}
-		betterIsHigher := higherIsBetter(name)
-		best := 0.0
-		haveBest := false
 		for _, e := range runs {
-			v, ok := e.Host[name]
-			if !ok {
-				continue
-			}
-			f.Points = append(f.Points, TrendPoint{Seq: e.Seq, RunID: e.RunID, V: v})
-			worse := haveBest && v > best
-			if betterIsHigher {
-				worse = haveBest && v < best
-			}
-			if worse && !runartifact.WithinTol(best, v, frac, abs) {
-				if f.FirstRegressedSeq == 0 {
-					f.FirstRegressedSeq, f.FirstRegressedRun = e.Seq, e.RunID
-				}
-				f.Regressed = true
-			} else {
-				// Back within tolerance of the best: the regression
-				// healed, so the trajectory no longer gates.
-				f.Regressed = false
-			}
-			if !haveBest || (betterIsHigher && v > best) || (!betterIsHigher && v < best) {
-				best, haveBest = v, true
+			if v, ok := e.Host[name]; ok {
+				f.Points = append(f.Points, TrendPoint{Seq: e.Seq, RunID: e.RunID, V: v})
 			}
 		}
 		fillStats(&f)
 		out = append(out, f)
 	}
 	return out
-}
-
-// higherIsBetter distinguishes the host figures where a drop, not a
-// rise, is the regression.
-func higherIsBetter(name string) bool {
-	switch name {
-	case "actual_speedup", "efficiency", "workers":
-		return true
-	}
-	return false
 }
 
 func fillStats(f *FigureTrend) {
@@ -345,7 +295,7 @@ func (s *Store) DriftDetail(g *GroupTrend, max int) ([]runartifact.Delta, error)
 	if err != nil {
 		return nil, err
 	}
-	d := runartifact.Compare(a, b, runartifact.DefaultTolerances())
+	d := runartifact.Compare(a, b)
 	out := []runartifact.Delta{}
 	for _, row := range d.Deltas {
 		if !row.Flagged {

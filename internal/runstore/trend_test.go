@@ -24,7 +24,7 @@ func TestTrendIdenticalRunsNoDrift(t *testing.T) {
 	sim := map[string]float64{"sim_seconds": 123.5, "outcome[successes]": 0}
 	r := Build([]IndexEntry{
 		entry(1, "aaaa", sim), entry(2, "aaaa", sim), entry(3, "aaaa", sim),
-	}, DefaultTrendOptions())
+	}, TrendOptions{})
 	if r.Regressed() || r.Flagged != 0 {
 		t.Fatalf("identical runs flagged: %+v", r)
 	}
@@ -51,7 +51,7 @@ func TestTrendConfigDriftAttribution(t *testing.T) {
 	perturbed := map[string]float64{"sim_seconds": 400.25}
 	r := Build([]IndexEntry{
 		entry(1, "aaaa", sim), entry(2, "aaaa", sim), entry(3, "bbbb", perturbed),
-	}, DefaultTrendOptions())
+	}, TrendOptions{})
 	if !r.Regressed() {
 		t.Fatal("perturbed third run not flagged")
 	}
@@ -77,7 +77,7 @@ func TestTrendDeterminismDrift(t *testing.T) {
 	r := Build([]IndexEntry{
 		entry(1, "aaaa", map[string]float64{"fingerprint[counters]": 10}),
 		entry(2, "aaaa", map[string]float64{"fingerprint[counters]": 11}),
-	}, DefaultTrendOptions())
+	}, TrendOptions{})
 	g := r.Groups[0]
 	if !g.SimDrift || g.DriftKind != DriftDeterminism {
 		t.Fatalf("drift kind = %q, want %q", g.DriftKind, DriftDeterminism)
@@ -93,74 +93,47 @@ func TestTrendFigurePresenceChangeIsDrift(t *testing.T) {
 	r := Build([]IndexEntry{
 		entry(1, "aaaa", map[string]float64{"sim_seconds": 1, "outcome[bits]": 5}),
 		entry(2, "aaaa", map[string]float64{"sim_seconds": 1}),
-	}, DefaultTrendOptions())
+	}, TrendOptions{})
 	if !r.Groups[0].SimDrift {
 		t.Fatal("vanished figure not reported as drift")
 	}
 }
 
-// TestHostToleranceWalk: host figures use the -host-tol rule against
-// the running best; a regression beyond tolerance is attributed to its
-// first run, and a later run back within tolerance heals the gate.
+// TestHostToleranceWalk: host figures have no tolerance to walk. A 25x
+// wall-clock rise and a speedup collapse are listed as trajectories
+// with their stats and never regress the report.
 func TestHostToleranceWalk(t *testing.T) {
-	mk := func(seq int, wall float64) IndexEntry {
+	mk := func(seq int, wall, speedup float64) IndexEntry {
 		e := entry(seq, "aaaa", map[string]float64{"sim_seconds": 1})
-		e.Host = map[string]float64{"wall_seconds": wall}
+		e.Host = map[string]float64{"wall_seconds": wall, "actual_speedup": speedup}
 		return e
 	}
-	opts := DefaultTrendOptions()
-	opts.HostFrac = 0.30
-
-	r := Build([]IndexEntry{mk(1, 1.0), mk(2, 1.1), mk(3, 2.5)}, opts)
-	var f *FigureTrend
-	for i := range r.Groups[0].Figures {
-		if r.Groups[0].Figures[i].Name == "wall_seconds" {
-			f = &r.Groups[0].Figures[i]
-		}
+	r := Build([]IndexEntry{mk(1, 1.0, 3.0), mk(2, 1.1, 2.0), mk(3, 25, 1.0)}, TrendOptions{})
+	if r.Regressed() || r.Flagged != 0 {
+		t.Fatalf("host rise gated the report: flagged = %d", r.Flagged)
 	}
-	if f == nil || !f.Regressed || f.FirstRegressedSeq != 3 {
-		t.Fatalf("wall_seconds trajectory = %+v, want regression at seq 3", f)
-	}
-	if f.Min != 1.0 || f.Last != 2.5 {
-		t.Fatalf("stats wrong: %+v", f)
-	}
-
-	// A fourth run back near the best heals the gate; attribution of
-	// the excursion is kept.
-	r = Build([]IndexEntry{mk(1, 1.0), mk(2, 1.1), mk(3, 2.5), mk(4, 1.05)}, opts)
+	found := 0
 	for _, f := range r.Groups[0].Figures {
-		if f.Name == "wall_seconds" && f.Regressed {
-			t.Fatalf("healed trajectory still gates: %+v", f)
+		switch f.Name {
+		case "wall_seconds":
+			found++
+			if len(f.Points) != 3 || f.Min != 1.0 || f.Median != 1.1 || f.Last != 25 {
+				t.Errorf("wall_seconds trajectory lost: %+v", f)
+			}
+		case "actual_speedup":
+			found++
+			if len(f.Points) != 3 || f.Last != 1.0 {
+				t.Errorf("actual_speedup trajectory lost: %+v", f)
+			}
+		default:
+			continue
+		}
+		if f.Kind != "host" || f.Regressed || f.FirstRegressedSeq != 0 || f.FirstRegressedRun != "" {
+			t.Errorf("host figure %s regressed: %+v", f.Name, f)
 		}
 	}
-	if r.Regressed() {
-		t.Fatal("healed report still flagged")
-	}
-
-	// The default HostFrac of 1.0 never gates host figures at all.
-	r = Build([]IndexEntry{mk(1, 1.0), mk(2, 1.9)}, DefaultTrendOptions())
-	if r.Regressed() {
-		t.Fatal("default host tolerance must list, never gate")
-	}
-}
-
-// TestHigherIsBetterFigures: a speedup drop is the regression, not a
-// speedup rise.
-func TestHigherIsBetterFigures(t *testing.T) {
-	mk := func(seq int, speedup float64) IndexEntry {
-		e := entry(seq, "aaaa", map[string]float64{"sim_seconds": 1})
-		e.Host = map[string]float64{"actual_speedup": speedup}
-		return e
-	}
-	opts := DefaultTrendOptions()
-	opts.HostFrac = 0.30
-	r := Build([]IndexEntry{mk(1, 3.0), mk(2, 1.0)}, opts)
-	if !r.Regressed() {
-		t.Fatal("speedup collapse not flagged")
-	}
-	r = Build([]IndexEntry{mk(1, 1.0), mk(2, 3.0)}, opts)
-	if r.Regressed() {
-		t.Fatal("speedup improvement flagged as regression")
+	if found != 2 {
+		t.Fatalf("host figures listed: %d, want 2", found)
 	}
 }
 
@@ -168,12 +141,11 @@ func TestTrendLastNAndSince(t *testing.T) {
 	sim := map[string]float64{"sim_seconds": 1}
 	perturbed := map[string]float64{"sim_seconds": 2}
 	entries := []IndexEntry{entry(1, "aaaa", perturbed), entry(2, "aaaa", sim), entry(3, "aaaa", sim)}
-	opts := DefaultTrendOptions()
-	opts.LastN = 2
+	opts := TrendOptions{LastN: 2}
 	if r := Build(entries, opts); r.Regressed() {
 		t.Fatal("-last 2 must drop the old divergent run")
 	}
-	if r := Build(entries, DefaultTrendOptions()); !r.Regressed() {
+	if r := Build(entries, TrendOptions{}); !r.Regressed() {
 		t.Fatal("full history must still see the divergence")
 	}
 }
@@ -182,10 +154,10 @@ func TestTrendLastNAndSince(t *testing.T) {
 // lists are always lists.
 func TestReportJSONNeverNull(t *testing.T) {
 	for name, r := range map[string]*Report{
-		"empty": Build(nil, DefaultTrendOptions()),
+		"empty": Build(nil, TrendOptions{}),
 		"one": Build([]IndexEntry{
 			entry(1, "aaaa", map[string]float64{"sim_seconds": 1}),
-		}, DefaultTrendOptions()),
+		}, TrendOptions{}),
 	} {
 		b, err := json.Marshal(r)
 		if err != nil {
@@ -216,7 +188,7 @@ func TestDriftDetail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := s.Trend(DefaultTrendOptions())
+	r := s.Trend(TrendOptions{})
 	g := &r.Groups[0]
 	if !g.SimDrift || g.DriftKind != DriftConfig {
 		t.Fatalf("store trend = %+v", g)
@@ -241,7 +213,7 @@ func TestRenderSmoke(t *testing.T) {
 	r := Build([]IndexEntry{
 		entry(1, "aaaa", sim), entry(2, "aaaa", sim),
 		entry(3, "bbbb", map[string]float64{"sim_seconds": 400}),
-	}, DefaultTrendOptions())
+	}, TrendOptions{})
 	var buf bytes.Buffer
 	if err := RenderReport(&buf, r, 40); err != nil {
 		t.Fatal(err)

@@ -17,8 +17,6 @@ func campaignArtifact(t *testing.T, seed uint64, hammerRounds int) *hyperhammer.
 		Name:      "api-test-512M",
 		Size:      512 * hyperhammer.MiB,
 		BankMasks: hyperhammer.S1BankFunction(),
-		RowShift:  18,
-		RowBits:   11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +74,7 @@ func TestCampaignProfileDeterministic(t *testing.T) {
 	if a.SimSeconds != b.SimSeconds {
 		t.Errorf("sim seconds differ: %v vs %v", a.SimSeconds, b.SimSeconds)
 	}
-	d := runartifact.Compare(a, b, runartifact.Tolerances{})
+	d := runartifact.Compare(a, b)
 	if d.Regressed() {
 		t.Errorf("same-seed artifacts flagged:\n%s", d.Table(true))
 	}
@@ -95,7 +93,7 @@ func TestCampaignProfileDeterministic(t *testing.T) {
 func TestCampaignProfileSeparatesBudgets(t *testing.T) {
 	a := campaignArtifact(t, 9, 0)       // default 250k rounds
 	b := campaignArtifact(t, 9, 400_000) // bigger budget, same seed
-	d := runartifact.Compare(a, b, runartifact.Tolerances{})
+	d := runartifact.Compare(a, b)
 	if !d.Regressed() {
 		t.Fatal("different hammer budgets not flagged")
 	}
