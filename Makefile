@@ -85,23 +85,26 @@ parallel-gate:
 	cmp seq.trace par.trace
 	bin/hh diff seq.json par.json
 	grep -q '"criticalPath"' par.json
-	bin/hh plan -artifact par.json > /dev/null
+	bin/hh plan par.json > /dev/null
 	rm -f seq.trace par.trace seq.json par.json seq.txt par.txt par_chrome.json
 
 # Run-history gate: two identical short runs ingested into a fresh
-# store must trend with zero simulated-figure drift (hh trend exit 0);
-# a third run with a different hammer budget must be flagged (exit 1),
-# attributed to that run, and classified as config drift. The
+# store must trend with zero simulated-figure drift (hh trend exit 0)
+# and diff to zero when read back by run ID (hh diff STORE/RUN-ID,
+# exit 0); a third run with a different hammer budget must be flagged
+# (exit 1), attributed to that run, and classified as config drift. The
 # campaigns' own exit statuses are ignored (2 attempts rarely escape;
-# the artifact is ingested on every exit path).
+# the artifact is ingested on every exit path). A run ID is its stored
+# file's name: <seq>-<content hash>.
 history-gate:
 	$(GO) build -o bin/ ./cmd/hh
 	rm -rf history_store
 	bin/hh run -short -attempts 2 -store history_store > /dev/null || true
 	bin/hh run -short -attempts 2 -store history_store > /dev/null || true
-	bin/hh trend -store history_store
+	bin/hh trend history_store
+	bin/hh diff history_store/$$(basename history_store/*/000001-*.json .json) history_store/$$(basename history_store/*/000002-*.json .json)
 	bin/hh run -short -attempts 2 -hammer-rounds 400000 -store history_store > /dev/null || true
-	if bin/hh trend -store history_store > history_drift.txt; then \
+	if bin/hh trend history_store > history_drift.txt; then \
 		echo "history-gate: hh trend failed to flag the perturbed run"; cat history_drift.txt; exit 1; fi
 	grep -q 'DRIFT (config)' history_drift.txt
 	grep -q '000003-' history_drift.txt

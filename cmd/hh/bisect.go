@@ -13,12 +13,12 @@ package main
 // byte for byte.
 //
 //	hh bisect a.json b.json
-//	hh bisect -store runs/ RUN-ID-A RUN-ID-B
+//	hh bisect runs/RUN-ID-A runs/RUN-ID-B   # two runs of a run-history store
 //	hh bisect -json a.json b.json
 //
 // Exit status: 0 when the ledgers are identical, 1 when they diverge,
 // 2 on usage or read errors (including artifacts without a ledger
-// section, and a -store directory that does not exist).
+// section).
 
 import (
 	"encoding/json"
@@ -26,13 +26,16 @@ import (
 	"os"
 
 	"hyperhammer/internal/ledger"
+	"hyperhammer/internal/runartifact"
 )
 
+// contextEpochs is how many fingerprint epochs bisect prints on each
+// side of the divergence.
+const contextEpochs = 2
+
 func cmdBisect(args []string) int {
-	fs := newFlags("bisect", "usage: hh bisect [flags] a.json b.json\n       hh bisect -store DIR run-id-a run-id-b")
-	storeDir := fs.String("store", "", "resolve the two arguments as run IDs in this run-history store directory instead of file paths")
+	fs := newFlags("bisect", "usage: hh bisect [-json] run-a run-b   (an artifact file or STORE/RUN-ID)")
 	asJSON := fs.Bool("json", false, "emit the divergence record (or null) as JSON instead of text")
-	context := fs.Int("context", 2, "fingerprint epochs of context to print around the divergence")
 	if status, ok := parse(fs, args); !ok {
 		return status
 	}
@@ -40,9 +43,13 @@ func cmdBisect(args []string) int {
 		fs.Usage()
 		return 2
 	}
-	arts, err := loadArtifacts("bisect", *storeDir, fs.Args())
-	if err != nil {
-		return fail("bisect", 2, err)
+	var arts [2]*runartifact.Artifact
+	for i := range arts {
+		a, err := load(fs.Arg(i))
+		if err != nil {
+			return fail("bisect", 2, err)
+		}
+		arts[i] = a
 	}
 	a, b := arts[0].Ledger, arts[1].Ledger
 	if a == nil || b == nil {
@@ -86,14 +93,14 @@ func cmdBisect(args []string) int {
 		fmt.Printf("%s diverged (final stream state; no sealed epoch localizes it)\n", where)
 		fmt.Printf("  %s\n", d.Detail)
 	}
-	printContext(a, b, d, *context)
+	printContext(a, b, d)
 	return 1
 }
 
 // printContext shows the divergent stream's fingerprint trail in both
 // runs around the first divergent epoch, so the drift's onset — and
 // everything that still matched before it — is visible at a glance.
-func printContext(a, b *ledger.Snapshot, d *ledger.Divergence, context int) {
+func printContext(a, b *ledger.Snapshot, d *ledger.Divergence) {
 	if d.Stream == "" || d.Epoch < 0 {
 		return
 	}
@@ -101,11 +108,8 @@ func printContext(a, b *ledger.Snapshot, d *ledger.Divergence, context int) {
 	if ua == nil || ub == nil {
 		return
 	}
-	lo := d.Epoch - context
-	if lo < 0 {
-		lo = 0
-	}
-	hi := d.Epoch + context
+	lo := max(d.Epoch-contextEpochs, 0)
+	hi := d.Epoch + contextEpochs
 	fmt.Printf("  %-7s %-12s %-25s %-25s\n", "epoch", "sim-time", "run A "+d.Stream, "run B "+d.Stream)
 	for e := lo; e <= hi && (e < len(ua.Epochs) || e < len(ub.Epochs)); e++ {
 		fa, ca := epochFP(ua, e, d.Stream)

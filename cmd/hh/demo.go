@@ -34,7 +34,7 @@ func cmdProfile(args []string) int {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	stop := fs.Int("stop", 0, "stop after this many attack-usable bits (0 = full profile)")
 	verbose := fs.Bool("v", false, "print each vulnerable bit")
-	if status, ok := parse(fs, args); !ok {
+	if status, ok := parseFlags(fs, args); !ok {
 		return status
 	}
 	sys, ok := systems[*name]
@@ -80,7 +80,7 @@ func cmdSteer(args []string) int {
 	seed := fs.Uint64("seed", 1, "simulation seed")
 	blocks := fs.Int("blocks", 20, "page blocks to release (the paper's B)")
 	sprayGiB := fs.Int("spray", 10, "EPT-creation buffer in GiB (the paper's S)")
-	if status, ok := parse(fs, args); !ok {
+	if status, ok := parseFlags(fs, args); !ok {
 		return status
 	}
 	if *sprayGiB < 1 {
@@ -107,7 +107,7 @@ func cmdDramdig(args []string) int {
 	fs := newFlags("dramdig", "")
 	sysName := fs.String("system", "", "S1, S2, or empty for both")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	if status, ok := parse(fs, args); !ok {
+	if status, ok := parseFlags(fs, args); !ok {
 		return status
 	}
 	names := []string{"S1", "S2"}

@@ -2,15 +2,17 @@ package main
 
 // hh diff compares two runs and gates regressions.
 //
-// It reads two run artifacts (written by `hh run -artifact` /
+// It reads two runs: artifact files (written by `hh run -artifact` /
 // `hh tables -artifact`, or a committed baseline under
-// testdata/baselines/). Because the simulation clock is simulated and
+// testdata/baselines/) or stored runs, STORE/RUN-ID (written by
+// `-store`). Because the simulation clock is simulated and
 // runs are seed-deterministic, every simulated figure is compared
 // exactly — any drift means behavior changed.
 //
 //	hh diff old.json new.json
 //	hh diff testdata/baselines/short-seed4.json run.json
 //	hh diff -all old.json new.json            # list unflagged rows too
+//	hh diff store/000001-HASH store/000002-HASH
 //
 // The plan section (host-cost schedule) is special: host wall-clock is
 // non-deterministic, so its shape (unit count, per-unit completion)
@@ -27,7 +29,7 @@ import (
 )
 
 func cmdDiff(args []string) int {
-	fs := newFlags("diff", "usage: hh diff [flags] old.json new.json")
+	fs := newFlags("diff", "usage: hh diff [flags] old new   (an artifact file or STORE/RUN-ID)")
 	all := fs.Bool("all", false, "print every compared figure, not just the flagged ones")
 	if status, ok := parse(fs, args); !ok {
 		return status

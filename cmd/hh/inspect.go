@@ -7,15 +7,15 @@ package main
 // instead renders a run-history store's index (written with -store),
 // the same table /api/history serves live.
 //
-// An artifact's sections have their own views: hh top -once (heatmap,
-// census, alerts), hh why (flip provenance), hh plan -artifact
-// (host-cost schedule).
+// An artifact's sections have their own views: hh top RUN (heatmap,
+// census, alerts), hh why (flip provenance), hh plan RUN (host-cost
+// schedule).
 //
 //	hh run -short -trace run.trace
 //	hh inspect run.trace                    # everything
 //	hh inspect -tree run.trace              # just the span tree
 //	hh inspect -kinds -anomalies run.trace
-//	hh inspect -timeline -width 100 run.trace
+//	hh inspect -timeline run.trace
 //	hh inspect history store                # run-history store index
 //
 // Exit status: 0 on success, 1 on a read error or a damaged trace
@@ -39,7 +39,7 @@ func cmdInspect(args []string) int {
 			fmt.Fprintln(os.Stderr, "usage: hh inspect history storedir")
 			return 2
 		}
-		st, err := openStore("inspect", args[1])
+		st, err := openStore(args[1])
 		if err != nil {
 			return fail("inspect", 1, err)
 		}
@@ -54,7 +54,6 @@ func cmdInspect(args []string) int {
 	kinds := fs.Bool("kinds", false, "print the per-kind event census")
 	timeline := fs.Bool("timeline", false, "print top-level spans as a timeline over simulated time")
 	anomalies := fs.Bool("anomalies", false, "print what the trace says went wrong")
-	width := fs.Int("width", 72, "timeline width in characters")
 	if status, ok := parse(fs, args); !ok {
 		return status
 	}
@@ -83,7 +82,7 @@ func cmdInspect(args []string) int {
 		fmt.Fprintln(out)
 	}
 	if all || *timeline {
-		in.WriteTimeline(out, *width)
+		in.WriteTimeline(out)
 		fmt.Fprintln(out)
 	}
 	if all || *kinds {

@@ -6,61 +6,59 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 
 	"hyperhammer/internal/runartifact"
 	"hyperhammer/internal/runstore"
 )
 
-// load reads path as a run artifact, naming path in every error. The
-// bytes are checked as JSON before the artifact schema, so a truncated
-// or empty file is reported as damaged rather than as some other kind
-// of document.
-func load(path string) (*runartifact.Artifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if err := json.Unmarshal(data, new(json.RawMessage)); err != nil {
-		return nil, fmt.Errorf("%s: corrupt or truncated JSON: %v", path, err)
-	}
-	a, err := runartifact.Read(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return a, nil
-}
-
-// loadArtifacts reads each argument as an artifact file or, when
-// storeDir is set, as a run ID in that store, opened once for all of
-// them.
-func loadArtifacts(name, storeDir string, args []string) ([]*runartifact.Artifact, error) {
-	read := load
-	if storeDir != "" {
-		st, err := openStore(name, storeDir)
+// load reads ref as a run artifact, naming ref in every error. ref is
+// an artifact file or, when no file is at ref and ref's directory holds
+// a store index, the run STORE/RUN-ID in that store. A file's bytes are
+// checked as JSON before the artifact schema, so a truncated or empty
+// file is reported as damaged rather than as some other kind of
+// document.
+func load(ref string) (*runartifact.Artifact, error) {
+	data, err := os.ReadFile(ref)
+	if dir, runID := filepath.Split(ref); errors.Is(err, fs.ErrNotExist) && isStore(dir) {
+		st, err := openStore(dir)
 		if err != nil {
 			return nil, err
 		}
 		defer st.Close()
-		read = st.Load
-	}
-	arts := make([]*runartifact.Artifact, len(args))
-	for i, arg := range args {
-		a, err := read(arg)
+		a, err := st.Load(runID)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", ref, err)
 		}
-		arts[i] = a
+		return a, nil
 	}
-	return arts, nil
+	if err != nil {
+		return nil, err
+	}
+	if err := json.Unmarshal(data, new(json.RawMessage)); err != nil {
+		return nil, fmt.Errorf("%s: corrupt or truncated JSON: %v", ref, err)
+	}
+	a, err := runartifact.Read(bytes.NewReader(data))
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", ref, err)
+	}
+	return a, nil
 }
 
-// openStore opens an existing run-history store for reading on behalf
-// of subcommand name. Unlike runstore.Open it never creates one: a
-// mistyped directory is an error, not an empty history that passes
-// every gate.
-func openStore(name, dir string) (*runstore.Store, error) {
+// isStore reports whether dir holds a run-history store's index.
+func isStore(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, runstore.IndexFile))
+	return err == nil
+}
+
+// openStore opens an existing run-history store for reading. Unlike
+// runstore.Open it never creates one: a mistyped directory is an
+// error, not an empty history that passes every gate.
+func openStore(dir string) (*runstore.Store, error) {
 	if _, err := os.Stat(dir); err != nil {
 		return nil, fmt.Errorf("%w (produce a store with hh run -store or hh tables -store)", err)
 	}
@@ -69,7 +67,7 @@ func openStore(name, dir string) (*runstore.Store, error) {
 		return nil, err
 	}
 	if err := st.Repaired(); err != nil {
-		fmt.Fprintf(os.Stderr, "hh %s: warning: %v\n", name, err)
+		fmt.Fprintf(os.Stderr, "hh: warning: %v\n", err)
 	}
 	return st, nil
 }

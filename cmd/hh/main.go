@@ -87,6 +87,21 @@ func parse(fs *flag.FlagSet, args []string) (int, bool) {
 	}
 }
 
+// parseFlags is parse for a subcommand that takes no positional
+// argument: a stray one is a usage error, status 2, rather than
+// something silently ignored.
+func parseFlags(fs *flag.FlagSet, args []string) (int, bool) {
+	if status, ok := parse(fs, args); !ok {
+		return status, false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		return 2, false
+	}
+	return 0, true
+}
+
 // fail reports err on stderr under the subcommand's name and returns
 // the exit status.
 func fail(name string, status int, err error) int {

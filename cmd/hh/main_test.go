@@ -12,6 +12,7 @@ import (
 
 	"hyperhammer/internal/profile"
 	"hyperhammer/internal/runartifact"
+	"hyperhammer/internal/runstore"
 	"hyperhammer/internal/sched"
 )
 
@@ -199,6 +200,70 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
+// TestLoadStoredRun: load takes a file or STORE/RUN-ID and reads both
+// the same way. An unknown run ID is an error naming the ref, and a ref
+// into a missing store is an error that creates nothing.
+func TestLoadStoredRun(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "a.json")
+	art := runartifact.New("hyperhammer", 4, "short")
+	art.SimSeconds = 1.5
+	if err := art.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	store := filepath.Join(dir, "store")
+	st, err := runstore.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := st.Ingest(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, ref := range []string{path, filepath.Join(store, e.RunID)} {
+		a, err := load(ref)
+		if err != nil {
+			t.Fatalf("load(%s): %v", ref, err)
+		}
+		if a.ContentHash() != e.ContentHash {
+			t.Errorf("load(%s) content %s, want %s", ref, a.ContentHash(), e.ContentHash)
+		}
+	}
+
+	unknown := filepath.Join(store, "000009-feedface")
+	if _, err := load(unknown); err == nil || !strings.Contains(err.Error(), unknown) {
+		t.Errorf("load of an unknown run ID = %v, want an error naming %s", err, unknown)
+	}
+	missing := filepath.Join(dir, "nostore")
+	if _, err := load(filepath.Join(missing, e.RunID)); err == nil {
+		t.Error("load succeeded in a missing store")
+	}
+	if _, err := os.Stat(missing); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("load created the missing store (stat: %v)", err)
+	}
+}
+
+// TestStrayArgumentIsUsageError: the subcommands that take no
+// positional argument exit 2 on one before doing any work, so a value
+// given to a boolean flag is not silently dropped.
+func TestStrayArgumentIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-short", "extra"},
+		{"tables", "-short", "-figure", "3a"},
+		{"profile", "S2"},
+		{"steer", "-blocks", "20", "10"},
+		{"dramdig", "S1"},
+	} {
+		usage, status := capture(t, &os.Stderr, func() int { return dispatch(args, io.Discard) })
+		if status != 2 || !strings.Contains(usage, "unexpected argument") || !strings.Contains(usage, "-seed") {
+			t.Errorf("hh %s = %d with\n%s\nwant 2 and the usage", strings.Join(args, " "), status, usage)
+		}
+	}
+}
+
 // TestSessionCloseWritesEveryOutput: an unwritable metrics path does
 // not stop close from writing the artifact and flushing the trace, and
 // close still returns the metrics error.
@@ -248,8 +313,8 @@ func TestReadersNeverCreateStore(t *testing.T) {
 		args   []string
 		status int
 	}{
-		{"trend", cmdTrend, []string{"-store", missing}, 2},
-		{"bisect", cmdBisect, []string{"-store", missing, "run-a", "run-b"}, 2},
+		{"trend", cmdTrend, []string{missing}, 2},
+		{"bisect", cmdBisect, []string{filepath.Join(missing, "run-a"), filepath.Join(missing, "run-b")}, 2},
 		{"inspect history", cmdInspect, []string{"history", missing}, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -264,8 +329,8 @@ func TestReadersNeverCreateStore(t *testing.T) {
 }
 
 // TestDiffSummaryLine: hh diff closes with a verdict line that names
-// the command as it is typed, whether the runs match or not. Host
-// durations never gate: runs whose plans differ 10x exit 0.
+// the command as it is typed and says whether any simulated figure
+// moved. Host durations never gate: runs whose plans differ 10x exit 0.
 func TestDiffSummaryLine(t *testing.T) {
 	baseline := filepath.Join("..", "..", "testdata", "baselines", "short-seed4.json")
 	oldRun := writeTemp(t, "old.json", `{"version":1,"tool":"hyperhammer","seed":4,"simSeconds":1.5,"metrics":{}}`)
@@ -283,22 +348,23 @@ func TestDiffSummaryLine(t *testing.T) {
 		}
 		return path
 	}
+	const match = "figures compared, every simulated figure matches"
 	for _, tc := range []struct {
-		old, new   string
-		status     int
-		wantPrefix string
+		old, new string
+		status   int
+		want     string
 	}{
-		{baseline, baseline, 0, "hh diff: "},
-		{oldRun, newRun, 1, "hh diff: 1 of 1 figures beyond tolerance"},
-		{withPlan("fast.json", 1), withPlan("slow.json", 10), 0, "hh diff: "},
+		{baseline, baseline, 0, match},
+		{oldRun, newRun, 1, "hh diff: 1 of 1 simulated figures moved"},
+		{withPlan("fast.json", 1), withPlan("slow.json", 10), 0, match},
 	} {
 		out, status := captureStdout(t, func() int { return cmdDiff([]string{tc.old, tc.new}) })
 		if status != tc.status {
 			t.Errorf("hh diff %s %s exit status %d, want %d", tc.old, tc.new, status, tc.status)
 		}
 		lines := strings.Split(strings.TrimSpace(out), "\n")
-		if last := lines[len(lines)-1]; !strings.HasPrefix(last, tc.wantPrefix) {
-			t.Errorf("hh diff %s %s summary = %q, want prefix %q", tc.old, tc.new, last, tc.wantPrefix)
+		if last := lines[len(lines)-1]; !strings.HasPrefix(last, "hh diff: ") || !strings.HasSuffix(last, tc.want) {
+			t.Errorf("hh diff %s %s summary = %q, want %q", tc.old, tc.new, last, tc.want)
 		}
 	}
 }
@@ -323,15 +389,22 @@ func TestTablesNothingSelectedWritesNothing(t *testing.T) {
 // it printed and its exit status.
 func captureStdout(t *testing.T, f func() int) (string, int) {
 	t.Helper()
-	file, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	return capture(t, &os.Stdout, f)
+}
+
+// capture runs f with *stream, os.Stdout or os.Stderr, sent to a file
+// and returns what f wrote there and its exit status.
+func capture(t *testing.T, stream **os.File, f func() int) (string, int) {
+	t.Helper()
+	file, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer file.Close()
-	stdout := os.Stdout
-	os.Stdout = file
+	saved := *stream
+	*stream = file
 	status := f()
-	os.Stdout = stdout
+	*stream = saved
 	data, err := os.ReadFile(file.Name())
 	if err != nil {
 		t.Fatal(err)

@@ -35,8 +35,8 @@ func TestRunBootArmsObsPlane(t *testing.T) {
 		name string
 		out  outputs
 	}{
-		{"trace", outputs{obs: "127.0.0.1:0", obsSample: time.Second, trace: filepath.Join(t.TempDir(), "t.jsonl")}},
-		{"obs-only", outputs{obs: "127.0.0.1:0", obsSample: time.Second}},
+		{"trace", outputs{obs: "127.0.0.1:0", trace: filepath.Join(t.TempDir(), "t.jsonl")}},
+		{"obs-only", outputs{obs: "127.0.0.1:0"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkRunBootArmsObsPlane(t, tc.out) })
 	}

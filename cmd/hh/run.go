@@ -39,7 +39,7 @@ func cmdRun(args []string) int {
 	var out outputs
 	out.register(fs)
 	fs.BoolVar(&out.metricsTable, "metrics-table", false, "print the metrics as a human-readable table at exit")
-	if status, ok := parse(fs, args); !ok {
+	if status, ok := parseFlags(fs, args); !ok {
 		return status
 	}
 	s, err := openSession("run", out, os.Stdout)
@@ -120,7 +120,7 @@ type escapeRun struct {
 
 // boot boots the campaign's host and binds the live plane's sampler to
 // its clock: an anchor sample at the host's t=0, then one per
-// -obs-sample of simulated time. The plane already taps the recorder,
+// simulated second. The plane already taps the recorder,
 // so the host's boot event is on the bus before the anchor sample.
 func (c *escapeRun) boot(s *session) (*hyperhammer.Host, error) {
 	host, err := hyperhammer.NewHost(c.host)

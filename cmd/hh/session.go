@@ -1,7 +1,7 @@
 package main
 
 // The output session shared by the two simulating subcommands, run and
-// tables: their nine common flags, the observation scope and live plane
+// tables: their eight common flags, the observation scope and live plane
 // they wire up, and the files they write at exit.
 
 import (
@@ -33,17 +33,16 @@ import (
 // outputs are the parsed observation and output flags.
 type outputs struct {
 	trace, metrics, obs, artifact, store, chromeTrace string
-	obsSample, obsHold, ledgerEpoch                   time.Duration
+	obsHold, ledgerEpoch                              time.Duration
 	// metricsTable is run's -metrics-table; tables has no such flag.
 	metricsTable bool
 }
 
-// register defines the nine flags run and tables share.
+// register defines the eight flags run and tables share.
 func (o *outputs) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.trace, "trace", "", "write JSONL trace events from every booted host to this file")
 	fs.StringVar(&o.metrics, "metrics", "", "write end-of-run metrics to this file (Prometheus text; .json suffix selects a JSON snapshot)")
 	fs.StringVar(&o.obs, "obs", "", "serve the live observability plane on this address (status page, /metrics, /api/series, SSE events, pprof)")
-	fs.DurationVar(&o.obsSample, "obs-sample", time.Second, "simulated-time interval between observability samples")
 	fs.DurationVar(&o.obsHold, "obs-hold", 0, "keep the observability server up this long (wall clock) after the run ends")
 	fs.StringVar(&o.artifact, "artifact", "", "write the self-describing run bundle (config, metrics, cost profile, outcome) to this file for hh diff")
 	fs.StringVar(&o.store, "store", "", "ingest the run bundle into this run-history store directory (config-hash indexed; hh trend folds the stored history into cross-run trends)")
@@ -131,7 +130,7 @@ func openSession(name string, out outputs, logTo io.Writer) (*session, error) {
 	if out.obs != "" {
 		// The plane taps the recorder here, before any host boots, so
 		// its bus carries every event the run records.
-		s.plane = obs.NewPlane(s.Scope, obs.Config{SampleEvery: out.obsSample})
+		s.plane = obs.NewPlane(s.Scope)
 	}
 	return s, nil
 }

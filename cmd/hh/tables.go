@@ -5,7 +5,7 @@ package main
 //
 //	hh tables -all                  # everything (Table 3 takes minutes)
 //	hh tables -table 1 -table 2     # specific tables
-//	hh tables -figure 3             # the noise-page traces
+//	hh tables -figure               # Figure 3, the noise-page traces
 //	hh tables -analysis -extras     # closed-form + Section 6 analyses
 //	hh tables -ablations            # design-choice ablations
 //	hh tables -short -all           # reduced-scale quick pass
@@ -53,7 +53,7 @@ func cmdTables(args []string) int {
 	var out outputs
 	out.register(fs)
 	fs.Var(&tables, "table", "table number to reproduce (repeatable: 1, 2, 3)")
-	if status, ok := parse(fs, args); !ok {
+	if status, ok := parseFlags(fs, args); !ok {
 		return status
 	}
 	want := func(n int) bool {

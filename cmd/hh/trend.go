@@ -13,9 +13,9 @@ package main
 // trajectories are listed and never gated (`make hotpath-gate` is the
 // one host-cost gate).
 //
-//	hh trend                        # trend report over ./store
-//	hh trend -store /path/to/store -json
-//	hh trend -last 10 -since 24h    # newest runs only
+//	hh trend store                  # trend report over ./store
+//	hh trend -json /path/to/store
+//	hh trend -last 10 -since 24h store   # newest runs only
 //
 // Exit status, matching hh diff: 0 when no figure regressed, 1 when
 // any did, 2 on usage or read errors (including a store directory that
@@ -32,24 +32,22 @@ import (
 
 func cmdTrend(args []string) int {
 	var opts runstore.TrendOptions
-	fs := newFlags("trend", "usage: hh trend [flags]")
-	storeDir := fs.String("store", "store", "run-history store directory to fold")
+	fs := newFlags("trend", "usage: hh trend [flags] storedir")
 	jsonOut := fs.Bool("json", false, "emit the trend report as JSON (the /api/trend document)")
 	fs.IntVar(&opts.LastN, "last", 0, "keep only the newest N runs of each lineage (0 = all)")
 	since := fs.Duration("since", 0, "keep only runs ingested within this window (e.g. 24h; 0 = all)")
-	width := fs.Int("width", 48, "sparkline width in cells (0 = unbounded)")
 	if status, ok := parse(fs, args); !ok {
 		return status
 	}
 	if *since > 0 {
 		opts.Since = time.Now().UTC().Add(-*since)
 	}
-	if fs.NArg() > 0 {
+	if fs.NArg() != 1 {
 		fs.Usage()
 		return 2
 	}
 
-	store, err := openStore("trend", *storeDir)
+	store, err := openStore(fs.Arg(0))
 	if err != nil {
 		return fail("trend", 2, err)
 	}
@@ -63,7 +61,7 @@ func cmdTrend(args []string) int {
 			return fail("trend", 2, err)
 		}
 	} else {
-		if err := runstore.RenderReport(os.Stdout, r, *width); err != nil {
+		if err := runstore.RenderReport(os.Stdout, r); err != nil {
 			return fail("trend", 2, err)
 		}
 		// Attribute each lineage's first divergence figure-by-figure by

@@ -1,17 +1,17 @@
 package main
 
 // hh top and hh plan: terminal views that refresh live against a
-// running obs server or render once from a saved run artifact. Both
-// share one HTTP getter, URL normaliser and poll loop, and one header
-// for the offline views.
+// running obs server or render once from a saved run. Both share one
+// flag set, HTTP getter, URL normaliser and poll loop, the one run
+// loader, and one header for a saved run's view.
 //
 // hh top shows the bucketed DRAM activation/flip heatmap, the
 // memory-layout census, and the fired watchpoint alerts:
 //
 //	hh top                              # watch http://127.0.0.1:9190
 //	hh top -url http://host:port        # watch another obs server
-//	hh top -interval 5s -iterations 3   # refresh cadence, stop after 3
-//	hh top -once run.json               # render a saved artifact, exit
+//	hh top -iterations 3                # stop after 3 refreshes
+//	hh top run.json                     # render a saved run, exit
 //
 // hh plan shows the host-cost schedule: an ASCII Gantt chart of the
 // experiment matrix across workers, per-worker utilization bars, the
@@ -21,16 +21,18 @@ package main
 // guarantee (see DESIGN.md).
 //
 //	hh plan                             # watch http://127.0.0.1:9190
-//	hh plan -once                       # fetch once, no repaint loop
-//	hh plan -artifact run.json          # render a saved artifact, exit
-//	hh plan -width 120                  # wider Gantt/utilization bars
+//	hh plan -iterations 1               # one frame, no repaint
+//	hh plan store/RUN-ID                # render a stored run, exit
 //
-// Exit status of both: 0 on success, 1 on any error.
+// A saved run is an artifact file or STORE/RUN-ID, read as hh diff
+// reads it. A live view refreshes every two seconds and clears the
+// screen before each frame unless it shows just one.
+//
+// Exit status of both: 0 on success, 1 on any error, 2 on usage errors.
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -43,29 +45,52 @@ import (
 	"hyperhammer/internal/runartifact"
 )
 
-// liveFlags are the -url, -interval and -iterations flags of a view.
-type liveFlags struct {
-	url        string
-	interval   time.Duration
-	iterations int
-}
-
-func (l *liveFlags) register(fs *flag.FlagSet) {
-	fs.StringVar(&l.url, "url", "http://127.0.0.1:9190", "obs server base URL (scheme optional)")
-	fs.DurationVar(&l.interval, "interval", 2*time.Second, "refresh interval in live mode")
-	fs.IntVar(&l.iterations, "iterations", 0, "stop after this many refreshes (0 = until interrupted)")
-}
+// refreshEvery is the wall-clock interval between a live view's frames.
+const refreshEvery = 2 * time.Second
 
 // getter fetches one obs endpoint (a path such as "/api/plan") and
 // decodes its JSON body into v.
 type getter func(path string, v any) error
 
-// watch polls the obs server and shows one frame per interval until
-// l.iterations frames have been shown (0 = until interrupted). frame
-// fetches through get and renders into w; repaint clears the screen
-// before each frame, once it has been fetched.
-func watch(l liveFlags, repaint bool, frame func(w io.Writer, base string, get getter) error) error {
-	base := l.url
+// frameFunc fetches one live frame through get and renders it into w;
+// base is the server's URL.
+type frameFunc func(w io.Writer, base string, get getter) error
+
+// view runs the terminal view name. Given a run it loads it and renders
+// it once through show, which may refuse a run without its sections
+// before writing anything; given none it watches the obs server through
+// frame.
+func view(name string, args []string, show func(ref string, a *runartifact.Artifact) error, frame frameFunc) int {
+	fs := newFlags(name, "usage: hh "+name+" [-url URL] [-iterations N] [run]")
+	url := fs.String("url", "http://127.0.0.1:9190", "obs server base URL (scheme optional)")
+	iterations := fs.Int("iterations", 0, "stop after this many refreshes (0 = until interrupted)")
+	if status, ok := parse(fs, args); !ok {
+		return status
+	}
+	var err error
+	switch fs.NArg() {
+	case 0:
+		err = watch(*url, *iterations, frame)
+	case 1:
+		var a *runartifact.Artifact
+		if a, err = load(fs.Arg(0)); err == nil {
+			err = show(fs.Arg(0), a)
+		}
+	default:
+		fs.Usage()
+		return 2
+	}
+	if err != nil {
+		return fail(name, 1, err)
+	}
+	return 0
+}
+
+// watch polls the obs server at base and shows one frame per
+// refreshEvery until iterations frames have been shown (0 = until
+// interrupted). Unless it shows a single frame it clears the screen
+// before each one, once the frame has been fetched.
+func watch(base string, iterations int, frame frameFunc) error {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
@@ -91,46 +116,35 @@ func watch(l liveFlags, repaint bool, frame func(w io.Writer, base string, get g
 		if err := frame(&buf, base, get); err != nil {
 			return err
 		}
-		if repaint {
+		if iterations != 1 {
 			// Classic top repaint: clear, home, redraw.
 			fmt.Print("\x1b[2J\x1b[H")
 		}
 		os.Stdout.Write(buf.Bytes())
-		if l.iterations > 0 && i+1 >= l.iterations {
+		if iterations > 0 && i+1 >= iterations {
 			return nil
 		}
-		time.Sleep(l.interval)
+		time.Sleep(refreshEvery)
 	}
 }
 
-// viewHeader is the first line of an offline view: which view, of
+// viewHeader is the first line of a saved run's view: which view, of
 // which run.
-func viewHeader(view, path string, a *runartifact.Artifact) {
+func viewHeader(view, ref string, a *runartifact.Artifact) {
 	fmt.Printf("hh %s %s  (tool=%s seed=%d scale=%s simSeconds=%.1f)\n\n",
-		view, path, a.Tool, a.Seed, a.Scale, a.SimSeconds)
+		view, ref, a.Tool, a.Seed, a.Scale, a.SimSeconds)
 }
 
 func cmdTop(args []string) int {
-	fs := newFlags("top", "")
-	var live liveFlags
-	live.register(fs)
-	once := fs.String("once", "", "render this saved run artifact once and exit (no server needed)")
-	if status, ok := parse(fs, args); !ok {
-		return status
-	}
-	if *once != "" {
-		a, err := load(*once)
-		if err == nil && a.Heatmap == nil && a.Census == nil && a.Alerts == nil {
-			err = fmt.Errorf("%s carries no introspection sections (rerun the producing command with -obs or -artifact)", *once)
+	show := func(ref string, a *runartifact.Artifact) error {
+		if a.Heatmap == nil && a.Census == nil && a.Alerts == nil {
+			return fmt.Errorf("%s carries no introspection sections (rerun the producing command with -obs or -artifact)", ref)
 		}
-		if err != nil {
-			return fail("top", 1, err)
-		}
-		viewHeader("top -once", *once, a)
+		viewHeader("top", ref, a)
 		writeIntrospection(os.Stdout, a.Heatmap, a.Census, a.Alerts)
-		return 0
+		return nil
 	}
-	err := watch(live, true, func(w io.Writer, base string, get getter) error {
+	return view("top", args, show, func(w io.Writer, base string, get getter) error {
 		var heat inspect.HeatmapSnapshot
 		var census inspect.CensusSnapshot
 		var alerts inspect.AlertsSnapshot
@@ -148,14 +162,10 @@ func cmdTop(args []string) int {
 			}
 		}
 		fmt.Fprintf(w, "hh top  %s  sim=%.1fs  uptime=%.0fs  busDropped=%d  (refresh %s)\n\n",
-			base, health.SimSeconds, health.UptimeSeconds, health.BusDropped, live.interval)
+			base, health.SimSeconds, health.UptimeSeconds, health.BusDropped, refreshEvery)
 		writeIntrospection(w, &heat, &census, &alerts)
 		return nil
 	})
-	if err != nil {
-		return fail("top", 1, err)
-	}
-	return 0
 }
 
 // writeIntrospection renders whichever introspection sections are set.
@@ -172,44 +182,22 @@ func writeIntrospection(w io.Writer, heat *inspect.HeatmapSnapshot, census *insp
 }
 
 func cmdPlan(args []string) int {
-	fs := newFlags("plan", "")
-	var live liveFlags
-	live.register(fs)
-	once := fs.Bool("once", false, "fetch and render a single frame without clearing the screen")
-	artifact := fs.String("artifact", "", "render this saved run artifact's plan section and exit (no server needed)")
-	width := fs.Int("width", 72, "chart width in characters")
-	if status, ok := parse(fs, args); !ok {
-		return status
-	}
-	var err error
-	if *artifact != "" {
-		var a *runartifact.Artifact
-		a, err = load(*artifact)
-		if err == nil && a.Plan == nil {
-			err = fmt.Errorf("%s carries no plan section (rerun the producing command with -artifact)", *artifact)
+	show := func(ref string, a *runartifact.Artifact) error {
+		if a.Plan == nil {
+			return fmt.Errorf("%s carries no plan section (rerun the producing command with -artifact)", ref)
 		}
-		if err == nil {
-			viewHeader("plan -artifact", *artifact, a)
-			err = profile.RenderPlan(os.Stdout, a.Plan, *width)
-		}
-	} else {
-		if *once {
-			live.iterations = 1
-		}
-		// A run that has not finished yet serves a plan with zero units;
-		// that renders as an empty schedule rather than an error, so the
-		// watch can be started before the run.
-		err = watch(live, !*once, func(w io.Writer, base string, get getter) error {
-			var plan profile.PlanReport
-			if err := get("/api/plan", &plan); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "hh plan  %s  (refresh %s)\n\n", base, live.interval)
-			return profile.RenderPlan(w, &plan, *width)
-		})
+		viewHeader("plan", ref, a)
+		return profile.RenderPlan(os.Stdout, a.Plan)
 	}
-	if err != nil {
-		return fail("plan", 1, err)
-	}
-	return 0
+	// A run that has not finished yet serves a plan with zero units;
+	// that renders as an empty schedule rather than an error, so the
+	// watch can be started before the run.
+	return view("plan", args, show, func(w io.Writer, base string, get getter) error {
+		var plan profile.PlanReport
+		if err := get("/api/plan", &plan); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "hh plan  %s  (refresh %s)\n\n", base, refreshEvery)
+		return profile.RenderPlan(w, &plan)
+	})
 }

@@ -16,6 +16,7 @@ package main
 //	hh why -attempt 33 run.json              # full lineage of attempt 33
 //	hh why -unit "S1 campaign" -attempt 2 run.json
 //	hh why -json run.json                    # raw forensics snapshot
+//	hh why store/RUN-ID                      # a run in a run-history store
 //
 // Exit status: 0 on success, 1 on a missing/invalid artifact or an
 // unknown attempt, 2 on usage errors.
@@ -29,7 +30,7 @@ import (
 )
 
 func cmdWhy(args []string) int {
-	fs := newFlags("why", "usage: hh why [-attempt N [-unit NAME]] [-json] artifact.json")
+	fs := newFlags("why", "usage: hh why [-attempt N [-unit NAME]] [-json] run   (an artifact file or STORE/RUN-ID)")
 	attempt := fs.Int("attempt", 0, "drill into this attempt's full flip lineage (1-based)")
 	unit := fs.String("unit", "", "scope -attempt to this plan unit's campaign (empty: first match)")
 	asJSON := fs.Bool("json", false, "emit the raw forensics snapshot as JSON")

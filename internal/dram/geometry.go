@@ -171,9 +171,6 @@ func (g *Geometry) ComposeLine(bank, row, idx int) memdef.HPA {
 	return memdef.HPA(uint64(row)<<rowShift + uint64(lines[idx])*LineSize)
 }
 
-// SameBank reports whether two addresses share a DRAM bank.
-func (g *Geometry) SameBank(a, b memdef.HPA) bool { return g.Bank(a) == g.Bank(b) }
-
 // Contains reports whether a falls inside the modelled memory.
 func (g *Geometry) Contains(a memdef.HPA) bool { return uint64(a) < g.Size }
 

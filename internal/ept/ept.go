@@ -97,8 +97,6 @@ type Memory interface {
 	SetWord(a memdef.HPA, v uint64)
 	// ZeroPage clears one frame.
 	ZeroPage(p memdef.PFN)
-	// PageWord returns word idx (0..511) of a frame.
-	PageWord(p memdef.PFN, idx int) uint64
 	// SetPageWord writes word idx of a frame.
 	SetPageWord(p memdef.PFN, idx int, v uint64)
 	// FillStride sets word i of a frame to w0 + i<<12 for every i in

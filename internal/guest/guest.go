@@ -125,9 +125,6 @@ func Boot(vm *kvm.VM) *OS {
 // experiments; attack code must not use it.
 func (os *OS) VM() *kvm.VM { return os.vm }
 
-// Driver returns the guest's virtio-mem driver.
-func (os *OS) Driver() *virtio.GuestDriver { return os.drv }
-
 // InstallAttackDriver applies the paper's driver modification that
 // suppresses automatic re-plugging (Section 4.2.2), so voluntary
 // releases stick.
@@ -398,19 +395,6 @@ func (os *OS) InflateBalloonPage(gva memdef.GVA) error {
 		return fmt.Errorf("guest: no balloon device attached")
 	}
 	return dev.Inflate(gpa)
-}
-
-// DeflateBalloonPage takes the page at gva back from the balloon.
-func (os *OS) DeflateBalloonPage(gva memdef.GVA) error {
-	gpa, err := os.GPAOf(gva)
-	if err != nil {
-		return err
-	}
-	dev := os.vm.Balloon()
-	if dev == nil {
-		return fmt.Errorf("guest: no balloon device attached")
-	}
-	return dev.Deflate(gpa)
 }
 
 // DrainNetBuffers floods the guest's NIC receive queues, consuming

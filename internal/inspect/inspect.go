@@ -25,8 +25,8 @@ import (
 )
 
 // SampleEvery is the simulated-time interval between watchpoint
-// evaluations. It is independent of the obs sampling interval, so
-// artifacts do not change with -obs-sample.
+// evaluations. It is independent of the obs plane's sampler, so
+// artifacts do not depend on whether the run is served live.
 const SampleEvery = time.Second
 
 // maxAlerts bounds the retained alert ring; totals keep counting past

@@ -1,7 +1,7 @@
 package inspect
 
 // ASCII rendering for introspection snapshots, shared by hh top's live
-// and -once views so both show the same machine the same way.
+// and saved-run views so both show the same machine the same way.
 
 import (
 	"fmt"

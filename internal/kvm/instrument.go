@@ -35,14 +35,6 @@ type GuestFlip struct {
 	Direction dram.FlipDirection
 }
 
-// EPTEBit returns the bit position the flip occupies within the
-// 64-bit-aligned 8-byte group containing it — the position it would
-// corrupt in a page-table entry placed on this page (Section 4.1's
-// exploitability filter).
-func (f GuestFlip) EPTEBit() uint {
-	return uint(f.GPA&7)*8 + f.Bit
-}
-
 // ContentFlipsSince translates the host flip log after the cursor into
 // guest-visible content flips: flips that landed in frames currently
 // backing this VM's plugged memory. It returns the flips and the new

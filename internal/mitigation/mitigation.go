@@ -7,6 +7,15 @@
 // With target size T, current size V and requested change delta, a
 // request is malicious when it overshoots the remaining gap
 // (|delta| > |T-V|) or moves against it (delta * (T-V) < 0).
+//
+// The QEMU maintainers raised a deployment problem (Section 6):
+// virtio-mem plug-failure retry unplugs look malicious to the
+// quarantine rule. The stock Linux driver, after a failed plug,
+// unplugs the block and retries, a sequence the rule classifies as
+// malicious, so deploying the quarantine needs a feature flag plus
+// driver updates. The simulation's stock driver does not implement the
+// retry sequence, so experiments here see no false positives; the
+// countermeasure was not merged.
 package mitigation
 
 import (
@@ -62,13 +71,3 @@ func abs(v int64) int64 {
 	}
 	return v
 }
-
-// FalsePositiveNote documents the deployment problem the QEMU
-// maintainers raised (Section 6): the stock Linux driver, after a
-// failed plug, unplugs the block and retries — a sequence the rule
-// above classifies as malicious. Deploying the quarantine therefore
-// needs a feature flag plus driver updates. The simulation's stock
-// driver does not implement the retry sequence, so experiments here
-// see no false positives; the note exists to keep the reproduction
-// honest about the countermeasure's status (it was not merged).
-const FalsePositiveNote = "virtio-mem plug-failure retry unplugs look malicious to the quarantine rule"

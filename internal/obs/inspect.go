@@ -230,11 +230,9 @@ func (in *Inspection) WriteKinds(w io.Writer) {
 }
 
 // WriteTimeline renders top-level spans as bars over simulated
-// campaign time, width characters wide.
-func (in *Inspection) WriteTimeline(w io.Writer, width int) {
-	if width < 20 {
-		width = 60
-	}
+// campaign time, 72 characters wide.
+func (in *Inspection) WriteTimeline(w io.Writer) {
+	const width = 72
 	if len(in.Roots) == 0 || in.LastSimSeconds <= 0 {
 		fmt.Fprintln(w, "no timeline (no spans or zero simulated time)")
 		return

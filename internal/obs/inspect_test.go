@@ -172,7 +172,7 @@ func TestInspectRenderings(t *testing.T) {
 		t.Errorf("kinds table:\n%s", kinds.String())
 	}
 	var tl bytes.Buffer
-	in.WriteTimeline(&tl, 40)
+	in.WriteTimeline(&tl)
 	if !strings.Contains(tl.String(), "attack.campaign") ||
 		!strings.Contains(tl.String(), "█") {
 		t.Errorf("timeline:\n%s", tl.String())
@@ -194,7 +194,7 @@ func TestInspectEmptyInput(t *testing.T) {
 	}
 	var out bytes.Buffer
 	in.WriteSpanTree(&out)
-	in.WriteTimeline(&out, 40)
+	in.WriteTimeline(&out)
 	in.WriteKinds(&out)
 	in.WriteAnomalies(&out) // none of these may panic
 }

@@ -88,7 +88,7 @@ func TestEventsSSEKeepalive(t *testing.T) {
 	reg := metrics.New()
 	clock := &simtime.Clock{}
 	reg.BindClock(clock)
-	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg})
 	p.keepalive = 50 * time.Millisecond // keep the test quick
 	p.BindClock(clock)
 	srv, err := p.Serve("127.0.0.1:0", Sources{})

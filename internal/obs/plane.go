@@ -8,12 +8,9 @@ import (
 	"hyperhammer/internal/trace"
 )
 
-// Config tunes the plane. The zero value selects usable defaults.
-type Config struct {
-	// SampleEvery is the simulated-time interval between registry
-	// snapshots (default 1 simulated second).
-	SampleEvery time.Duration
-}
+// sampleEvery is the simulated-time interval between registry
+// snapshots.
+const sampleEvery = time.Second
 
 // keepAlive is the wall-clock interval between SSE comment frames on
 // /api/events. Keepalives let proxies and clients distinguish a quiet
@@ -30,7 +27,6 @@ type Plane struct {
 	scope     scope.Scope
 	bus       *Bus
 	store     *Store
-	every     time.Duration
 	keepalive time.Duration
 	start     time.Time
 }
@@ -42,15 +38,11 @@ type Plane struct {
 // beside the recorder's other consumers, and serves s.Inspect,
 // s.Forensics and s.Ledger at their /api endpoints (a nil plane there
 // serves an empty-but-schema-valid snapshot).
-func NewPlane(s scope.Scope, cfg Config) *Plane {
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = time.Second
-	}
+func NewPlane(s scope.Scope) *Plane {
 	p := &Plane{
 		scope:     s,
 		bus:       NewBus(),
 		store:     NewStore(),
-		every:     cfg.SampleEvery,
 		keepalive: keepAlive,
 		start:     time.Now(),
 	}
@@ -85,7 +77,7 @@ func (p *Plane) BindClock(c *simtime.Clock) {
 		return
 	}
 	p.sample()
-	c.OnTick(p.every, func(time.Duration) { p.sample() })
+	c.OnTick(sampleEvery, func(time.Duration) { p.sample() })
 }
 
 // sample snapshots the registry into the store and announces it on the

@@ -16,7 +16,7 @@ func TestPlaneSamplesOnSimInterval(t *testing.T) {
 	reg.BindClock(clock)
 	acts := reg.Counter("dram_activations_total", "activations")
 
-	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg})
 	sub := p.Bus().Subscribe(64)
 	defer sub.Cancel()
 	p.BindClock(clock) // immediate t=0 sample
@@ -63,7 +63,7 @@ func TestPlaneTapTracePublishes(t *testing.T) {
 	rec.BindClock(clock)
 	profiled := 0
 	rec.SetNamedSink("profile", func(trace.Event) { profiled++ })
-	p := NewPlane(scope.Scope{Trace: rec}, Config{})
+	p := NewPlane(scope.Scope{Trace: rec})
 	sub := p.Bus().Subscribe(16)
 	defer sub.Cancel()
 
@@ -94,7 +94,7 @@ func TestPlaneRebindAcrossHosts(t *testing.T) {
 	// sampler, and the series keep growing.
 	reg := metrics.New()
 	c := reg.Counter("n", "")
-	p := NewPlane(scope.Scope{Metrics: reg}, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Metrics: reg})
 
 	c1 := &simtime.Clock{}
 	reg.BindClock(c1)

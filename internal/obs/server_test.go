@@ -34,7 +34,7 @@ func newServerOver(t *testing.T, s scope.Scope, src Sources) (*Server, *metrics.
 	s.Metrics = metrics.New()
 	s.Metrics.BindClock(clock)
 	s.Trace.BindClock(clock)
-	p := NewPlane(s, Config{SampleEvery: time.Second})
+	p := NewPlane(s)
 	p.BindClock(clock)
 	srv, err := p.Serve("127.0.0.1:0", src)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestSeriesEndpointAccumulatesOverSimTime(t *testing.T) {
 // no name filter — never null, and each series' "points" is an array
 // too. Dashboards iterate these without guarding.
 func TestSeriesShapeIsStable(t *testing.T) {
-	p := NewPlane(scope.Scope{}, Config{}) // no registry, no samples ever
+	p := NewPlane(scope.Scope{}) // no registry, no samples ever
 	srv, err := p.Serve("127.0.0.1:0", Sources{})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +335,7 @@ func TestConcurrentScrapeWhileSimulating(t *testing.T) {
 	ins.BindMachine(4, 2048)
 	ins.SetMetrics(reg)
 	ins.SetCensusFunc(func() inspect.Census { return inspect.Census{VMs: 1} })
-	p := NewPlane(scope.Scope{Trace: rec, Metrics: reg, Inspect: ins}, Config{SampleEvery: time.Second})
+	p := NewPlane(scope.Scope{Trace: rec, Metrics: reg, Inspect: ins})
 	p.BindClock(clock)
 	srv, err := p.Serve("127.0.0.1:0", Sources{})
 	if err != nil {

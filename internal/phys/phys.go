@@ -85,9 +85,6 @@ func New(size uint64) *Memory {
 	}
 }
 
-// Size returns the memory size in bytes.
-func (m *Memory) Size() uint64 { return m.size }
-
 // SetLedger attaches the determinism-ledger stream for applied bit
 // flips. Each FlipBit call folds (address, bit, changed) into
 // "phys.flip"; a nil recorder leaves the store unledgered at zero

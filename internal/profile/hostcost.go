@@ -172,16 +172,14 @@ func BuildPlanReport(sc *sched.Schedule) *PlanReport {
 // RenderPlan writes the human view of a plan report: summary header,
 // ASCII Gantt chart (one row per unit, run time as '=', delivery hold
 // as '.', delivery as '|'), per-worker utilization bars, and the
-// top-slack unit table. width bounds the chart columns (0 picks 60).
-// This is the single renderer behind hh plan (live and -artifact) and
-// the /api/plan consumers, per the one-renderer-per-view convention.
-func RenderPlan(w io.Writer, r *PlanReport, width int) error {
+// top-slack unit table, 72 columns wide. This is the single
+// renderer behind hh plan (live and from a saved run) and the /api/plan
+// consumers, per the one-renderer-per-view convention.
+func RenderPlan(w io.Writer, r *PlanReport) error {
 	if r == nil {
 		r = EmptyPlanReport()
 	}
-	if width <= 0 {
-		width = 60
-	}
+	const width = 72 // chart columns
 	bw := &errWriter{w: w}
 	bw.printf("plan: %d units on %d workers\n", len(r.Units), r.Workers)
 	bw.printf("wall %ss  cpu %ss  busy %ss  deliver %ss  seq-est %ss\n",
@@ -259,10 +257,7 @@ func RenderPlan(w io.Writer, r *PlanReport, width int) error {
 	}
 
 	bw.printf("\nworkers:\n")
-	barW := width - 10
-	if barW < 10 {
-		barW = 10
-	}
+	const barW = width - 10
 	for wi, busy := range r.WorkerBusySeconds {
 		frac := 0.0
 		if span > 0 {

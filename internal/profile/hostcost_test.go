@@ -92,7 +92,7 @@ func TestEmptyPlanReportJSON(t *testing.T) {
 // the critical unit.
 func TestRenderPlan(t *testing.T) {
 	var sb strings.Builder
-	if err := RenderPlan(&sb, BuildPlanReport(synthSchedule()), 40); err != nil {
+	if err := RenderPlan(&sb, BuildPlanReport(synthSchedule())); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -114,7 +114,7 @@ func TestRenderPlan(t *testing.T) {
 // TestRenderPlanEmpty: rendering an empty or nil report is safe.
 func TestRenderPlanEmpty(t *testing.T) {
 	var sb strings.Builder
-	if err := RenderPlan(&sb, nil, 0); err != nil {
+	if err := RenderPlan(&sb, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "0 units") {

@@ -57,14 +57,6 @@ type Entry struct {
 	SelfHammerRounds int64 `json:"selfHammerRounds"`
 }
 
-// Base returns the leaf span name of the path.
-func (e Entry) Base() string {
-	if i := strings.LastIndex(e.Path, PathSep); i >= 0 {
-		return e.Path[i+len(PathSep):]
-	}
-	return e.Path
-}
-
 // SubsystemStat counts trace events per subsystem (the dotted-kind
 // prefix: "virtio.unplug" belongs to "virtio").
 type SubsystemStat struct {
@@ -86,17 +78,6 @@ type Profile struct {
 	// UnmatchedEnds counts span.end events whose start was never seen
 	// (trace cut mid-file).
 	UnmatchedEnds int `json:"unmatchedEnds,omitempty"`
-}
-
-// TotalSimSeconds returns the simulated time covered by the profile:
-// the sum of exclusive times, which equals the sum of root spans'
-// inclusive times under proper nesting.
-func (p *Profile) TotalSimSeconds() float64 {
-	var t float64
-	for _, e := range p.Entries {
-		t += e.SelfSimSeconds
-	}
-	return t
 }
 
 // TotalActivations returns the profile-attributed DRAM activations.

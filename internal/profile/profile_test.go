@@ -74,9 +74,6 @@ func TestBuilderFoldsNestedSpans(t *testing.T) {
 	check("campaign;attempt", 40, 10, 1050, 50)
 	check("campaign;attempt;steer", 30, 30, 1000, 1000)
 
-	if got := p.TotalSimSeconds(); got != 50 {
-		t.Errorf("TotalSimSeconds = %v", got)
-	}
 	if got := p.TotalActivations(); got != 1050 {
 		t.Errorf("TotalActivations = %v", got)
 	}

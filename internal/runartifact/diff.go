@@ -51,6 +51,8 @@ type Diff struct {
 	// Flagged counts moved simulated figures; nonzero means the runs
 	// diverged and the gate should fail.
 	Flagged int `json:"flagged"`
+	// gated counts the simulated figures among Deltas.
+	gated int
 }
 
 // Regressed reports whether any simulated figure moved.
@@ -146,6 +148,9 @@ func Compare(a, b *Artifact) *Diff {
 // delta is not exactly zero, NaN included.
 func (d *Diff) add(kind, key string, va, vb float64, gated bool) {
 	row := Delta{Kind: kind, Key: key, A: va, B: vb, Delta: vb - va}
+	if gated {
+		d.gated++
+	}
 	if gated && row.Delta != 0 {
 		row.Flagged = true
 		d.Flagged++
@@ -405,13 +410,13 @@ func (d *Diff) Table(onlyFlagged bool) *report.Table {
 	return t
 }
 
-// Summary is the one-line verdict. "Within tolerance" means no
-// simulated figure moved; host durations never count against it.
+// Summary is the one-line verdict: whether any simulated figure moved.
+// Host durations are compared and listed but never counted against it.
 func (d *Diff) Summary() string {
 	if d.Flagged == 0 {
-		return fmt.Sprintf("hh diff: %d figures compared, all within tolerance", len(d.Deltas))
+		return fmt.Sprintf("hh diff: %d figures compared, every simulated figure matches", len(d.Deltas))
 	}
-	return fmt.Sprintf("hh diff: %d of %d figures beyond tolerance", d.Flagged, len(d.Deltas))
+	return fmt.Sprintf("hh diff: %d of %d simulated figures moved", d.Flagged, d.gated)
 }
 
 func signedFrac(d Delta) float64 {

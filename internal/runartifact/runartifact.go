@@ -68,8 +68,7 @@ type Artifact struct {
 	Profile []profile.Entry `json:"profile,omitempty"`
 	// Heatmap, Census and Alerts embed the hardware introspection
 	// plane's snapshots when the run carried an inspector; hh diff
-	// compares all three with zero default tolerance and hh top -once
-	// renders them offline.
+	// compares all three exactly and hh top renders them offline.
 	Heatmap *inspect.HeatmapSnapshot `json:"heatmap,omitempty"`
 	Census  *inspect.CensusSnapshot  `json:"census,omitempty"`
 	Alerts  *inspect.AlertsSnapshot  `json:"alerts,omitempty"`
@@ -89,8 +88,7 @@ type Artifact struct {
 	// section it measures the *host*, so it is the one part of the
 	// artifact that legitimately differs across runs and -parallel
 	// settings; hh diff checks its shape exactly and lists its
-	// durations without gating them. hh plan -artifact renders it
-	// offline.
+	// durations without gating them. hh plan renders it offline.
 	Plan *profile.PlanReport `json:"plan,omitempty"`
 }
 

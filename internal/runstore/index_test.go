@@ -24,7 +24,7 @@ func ingestN(t *testing.T, dir string, n int) string {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return filepath.Join(dir, indexFile)
+	return filepath.Join(dir, IndexFile)
 }
 
 // TestOpenDropsTornTail: a crash mid-append leaves the index's last
@@ -144,7 +144,7 @@ func FuzzOpenIndex(f *testing.F) {
 	f.Add([]byte("{garbage\n" + entry + "\n"))
 	f.Fuzz(func(t *testing.T, index []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, indexFile), index, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, IndexFile), index, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(dir)

@@ -15,16 +15,19 @@ import (
 // '@'. Pure ASCII so CI logs and plain terminals render it unchanged.
 const sparkChars = "_.:-=+*#%@"
 
+// sparkWidth is the most cells a sparkline takes.
+const sparkWidth = 48
+
 // sparkline renders vals as a fixed-alphabet ASCII strip chart of at
-// most width cells (0 = unbounded).
-func sparkline(vals []float64, width int) string {
+// most sparkWidth cells.
+func sparkline(vals []float64) string {
 	if len(vals) == 0 {
 		return ""
 	}
-	if width > 0 && len(vals) > width {
+	if len(vals) > sparkWidth {
 		// Keep the newest points: trends care about where the series is
 		// heading, and attribution lists the exact run anyway.
-		vals = vals[len(vals)-width:]
+		vals = vals[len(vals)-sparkWidth:]
 	}
 	lo, hi := vals[0], vals[0]
 	for _, v := range vals {
@@ -63,9 +66,8 @@ func RenderHistory(w io.Writer, h HistorySnapshot) error {
 
 // RenderReport renders the trend report as hh trend's default view:
 // one block per lineage with its run roster, then a figure table with
-// sparklines and first-regressed attribution. width bounds sparkline
-// length (0 = unbounded).
-func RenderReport(w io.Writer, r *Report, width int) error {
+// sparklines and first-regressed attribution.
+func RenderReport(w io.Writer, r *Report) error {
 	fmt.Fprintf(w, "Trend report: %d run(s), %d group(s), %d flagged figure(s)\n",
 		r.Runs, len(r.Groups), r.Flagged)
 	for i := range r.Groups {
@@ -94,7 +96,7 @@ func RenderReport(w io.Writer, r *Report, width int) error {
 			}
 			t.AddRow(f.Name, f.Kind,
 				fmtFigure(f.Min), fmtFigure(f.Median), fmtFigure(f.Last),
-				sparkline(vals, width), status)
+				sparkline(vals), status)
 		}
 		if _, err := io.WriteString(w, t.String()); err != nil {
 			return err

@@ -20,9 +20,7 @@
 // (Store.DriftDetail).
 //
 // Because the simulation is seed-deterministic, two runs with the same
-// ConfigHash must agree exactly on every simulated figure; the store
-// is therefore also the artifact backbone for a dedupe-by-config-hash
-// scheduler (ROADMAP item 1): results are cacheable by construction.
+// ConfigHash must agree exactly on every simulated figure.
 package runstore
 
 import (
@@ -41,7 +39,9 @@ import (
 // Version is the index schema version this package writes.
 const Version = 1
 
-const indexFile = "index.jsonl"
+// IndexFile is the index's name in the store directory; a directory
+// holding one is a store.
+const IndexFile = "index.jsonl"
 
 // IndexEntry is one ingested run in the compact append-only index.
 type IndexEntry struct {
@@ -116,7 +116,7 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
 	s := &Store{dir: dir}
-	path := filepath.Join(dir, indexFile)
+	path := filepath.Join(dir, IndexFile)
 	data, err := os.ReadFile(path)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("runstore: %w", err)
@@ -212,19 +212,6 @@ func (s *Store) History() HistorySnapshot {
 // schema-valid.
 func (s *Store) Trend(opts TrendOptions) *Report {
 	return Build(s.Entries(), opts)
-}
-
-// ByConfig returns the indexed runs with the given config hash, in
-// ingest order — the dedupe primitive: a scheduler that finds entries
-// here can serve the stored artifact instead of re-running.
-func (s *Store) ByConfig(hash string) []IndexEntry {
-	out := []IndexEntry{}
-	for _, e := range s.Entries() {
-		if e.ConfigHash == hash {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Ingest stamps, stores, and indexes one run artifact, returning its

@@ -215,7 +215,7 @@ func TestRenderSmoke(t *testing.T) {
 		entry(3, "bbbb", map[string]float64{"sim_seconds": 400}),
 	}, TrendOptions{})
 	var buf bytes.Buffer
-	if err := RenderReport(&buf, r, 40); err != nil {
+	if err := RenderReport(&buf, r); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -238,14 +238,14 @@ func TestRenderSmoke(t *testing.T) {
 }
 
 func TestSparkline(t *testing.T) {
-	if got := sparkline([]float64{1, 1, 1}, 0); got != "___" {
+	if got := sparkline([]float64{1, 1, 1}); got != "___" {
 		t.Errorf("flat sparkline = %q", got)
 	}
-	got := sparkline([]float64{0, 5, 10}, 0)
+	got := sparkline([]float64{0, 5, 10})
 	if len(got) != 3 || got[0] != '_' || got[2] != '@' {
 		t.Errorf("ramp sparkline = %q", got)
 	}
-	if got := sparkline([]float64{1, 2, 3, 4}, 2); len(got) != 2 {
+	if got := sparkline(make([]float64, sparkWidth+2)); len(got) != sparkWidth {
 		t.Errorf("width cap ignored: %q", got)
 	}
 }

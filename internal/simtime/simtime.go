@@ -156,16 +156,6 @@ func (c *Clock) Charge(n int64, unit time.Duration) {
 	c.Advance(total)
 }
 
-// Reset rewinds the clock to zero. Only meant for reusing a machine
-// across benchmark iterations. Registered tick hooks survive, rewound
-// to their first boundary.
-func (c *Clock) Reset() {
-	c.now.Store(0)
-	for _, t := range c.ticks {
-		t.next = t.every
-	}
-}
-
 // Stopwatch measures elapsed virtual time between two points.
 type Stopwatch struct {
 	clock *Clock

@@ -101,22 +101,6 @@ func TestOnTickHookAdvanceDoesNotRecurse(t *testing.T) {
 	}
 }
 
-func TestResetRewindsTicks(t *testing.T) {
-	var c Clock
-	n := 0
-	c.OnTick(time.Minute, func(time.Duration) { n++ })
-	c.Advance(time.Minute)
-	c.Reset()
-	c.Advance(30 * time.Second)
-	if n != 1 {
-		t.Errorf("fired %d, want 1 (reset should rewind boundary)", n)
-	}
-	c.Advance(30 * time.Second)
-	if n != 2 {
-		t.Errorf("fired %d, want 2 after crossing rewound boundary", n)
-	}
-}
-
 func TestStopwatch(t *testing.T) {
 	var c Clock
 	c.Advance(time.Minute)
@@ -124,10 +108,6 @@ func TestStopwatch(t *testing.T) {
 	c.Advance(90 * time.Second)
 	if got := sw.Elapsed(); got != 90*time.Second {
 		t.Errorf("Elapsed = %v", got)
-	}
-	c.Reset()
-	if c.Now() != 0 {
-		t.Error("Reset failed")
 	}
 }
 
@@ -146,11 +126,6 @@ func TestStepsBeforeTick(t *testing.T) {
 			c.OnTick(10*time.Microsecond, hook)
 			c.OnTick(3*time.Microsecond, hook)
 			c.Advance(1200) // 3 µs is 1800 ns away: 3 steps stay below it
-		}, 3},
-		{"after Reset", func(c *Clock, hook func(time.Duration)) {
-			c.OnTick(2*time.Microsecond, hook)
-			c.Advance(5100)
-			c.Reset() // next boundary back at 2 µs
 		}, 3},
 	}
 	for _, tc := range cases {

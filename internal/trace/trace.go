@@ -447,16 +447,3 @@ func (s *Span) End(kv ...any) {
 		sink(ev)
 	}
 }
-
-// Duration returns the simulated time elapsed since the span started.
-func (s *Span) Duration() time.Duration {
-	if s == nil || s.r == nil {
-		return 0
-	}
-	s.r.mu.Lock()
-	defer s.r.mu.Unlock()
-	if s.r.clock == nil {
-		return 0
-	}
-	return s.r.clock.Now() - s.start
-}

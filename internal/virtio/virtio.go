@@ -110,9 +110,6 @@ func NewMemDevice(regionAddr memdef.GPA, regionSize uint64, backend MemBackend, 
 	}, nil
 }
 
-// RegionAddr returns the guest physical base of the device region.
-func (d *MemDevice) RegionAddr() memdef.GPA { return d.regionAddr }
-
 // RegionSize returns the size of the device region in bytes.
 func (d *MemDevice) RegionSize() uint64 { return d.regionSize }
 
@@ -244,9 +241,6 @@ type GuestDriver struct {
 // NewGuestDriver attaches a driver to a device.
 func NewGuestDriver(dev *MemDevice) *GuestDriver { return &GuestDriver{dev: dev} }
 
-// Device returns the underlying device (the guest's view of it).
-func (g *GuestDriver) Device() *MemDevice { return g.dev }
-
 // SyncToTarget performs the stock driver's reconciliation loop: plug
 // the lowest unplugged sub-blocks while below the requested size,
 // unplug the highest plugged sub-blocks while above it. Returns the
@@ -310,19 +304,6 @@ func (g *GuestDriver) UnplugSubBlock(gpa memdef.GPA) error {
 	}
 	if g.OnUnplug != nil {
 		g.OnUnplug(base, SubBlockSize)
-	}
-	return nil
-}
-
-// PlugSubBlock plugs the specific sub-block containing gpa (used when
-// a VM legitimately grows, and by tests).
-func (g *GuestDriver) PlugSubBlock(gpa memdef.GPA) error {
-	base := memdef.HugeBase(gpa)
-	if err := g.dev.Plug(base); err != nil {
-		return err
-	}
-	if g.OnPlug != nil {
-		g.OnPlug(base, SubBlockSize)
 	}
 	return nil
 }

@@ -168,13 +168,6 @@ func (d *Domain) AllocP2M() (memdef.PFN, error) {
 	return p, nil
 }
 
-// P2MPages returns the domain's p2m table pages.
-func (d *Domain) P2MPages() []memdef.PFN {
-	out := make([]memdef.PFN, len(d.p2m))
-	copy(out, d.p2m)
-	return out
-}
-
 // Destroy returns all domain memory to the heap.
 func (d *Domain) Destroy() {
 	chunks := make([]memdef.GPA, 0, len(d.backing))
